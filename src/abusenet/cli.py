@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import text as text_mod
 from .baseline import TfidfModel, nb_fit, nb_predict, preprocess_baseline
 from .data import (
     SYNTH_TASKS,
@@ -29,15 +29,16 @@ from .evaluation import (
     DEFAULT_ABLATION_MASKS,
     MetricsReport,
     build_and_fit,
+    classification_metrics,
     encode_fold,
-    evaluate_model,
+    encode_for_checkpoint,
+    fold_split,
     run_ablation,
     run_cv,
     stratified_kfold,
 )
 from .features import parse_mask
 from .graph import SocialGraph
-from .metrics import prf1, roc_auc
 from .model import (
     CheckpointMeta,
     ModelConfig,
@@ -45,7 +46,7 @@ from .model import (
     parameter_count,
     save_checkpoint,
 )
-from .training import EncodedDataset, TrainingConfig
+from .training import TrainingConfig, predict_probs
 
 STRATEGY_FLAGS = {"naive": "naive", "transfer": "transfer",
                   "transfer-ft": "transfer_ft", "interleaved": "interleaved"}
@@ -120,8 +121,8 @@ def _write_json(path, payload) -> None:
 
 def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict:
     return {
-        "training": training.to_dict(),
-        "model": model_cfg.to_dict(),
+        "training": asdict(training),
+        "model": asdict(model_cfg),
         "mask": "+".join(sorted(parse_mask(args.mask))),
         "folds": args.folds,
         "workers": args.workers,
@@ -196,52 +197,15 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
     corpus = load_corpus(args.dataset, args.schema)
-    if corpus.classes != meta.classes:
-        raise SchemaError(f"class lists differ: checkpoint {meta.classes} vs dataset {corpus.classes}")
-
-    text_block = None
-    if meta.seq_len is not None:
-        vocab = text_mod.Vocabulary.from_tokens(meta.vocab_tokens)
-        spec = text_mod.SequenceSpec(meta.seq_len)
-        text_block = text_mod.encode_corpus(corpus.tokenized(), vocab, spec)
-
-    meta_block = None
-    if meta.pipeline is not None:
-        from .features import FeaturePipeline, assemble
-
-        pipeline = FeaturePipeline.from_config(meta.pipeline)
-        header = set(corpus.records[0]) if corpus.records else set()
-        required = set(pipeline.columns) | set(pipeline.affect.values())
-        missing = sorted(required - header)
-        if missing:
-            raise SchemaError(
-                f"dataset is missing columns required by the checkpoint: {missing}; "
-                f"dataset provides: {sorted(header)}")
-        table = pipeline.transform(corpus.records, corpus.texts)
-        table, _ = assemble(table, set(meta.mask) - {"WV"})
-        got_schema = [(c.name, c.group) for c in table.schema]
-        if got_schema != list(meta.schema):
-            missing = [c for c in meta.schema if c not in got_schema]
-            extra = [c for c in got_schema if c not in meta.schema]
-            raise SchemaError(
-                f"feature schema mismatch; missing from dataset: {missing}; unexpected: {extra}")
-        meta_block = table.values
-
+    data = encode_for_checkpoint(corpus, meta)
+    probs = predict_probs(model, data, batch_size=512)
     payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
                "model": meta.kind, "samples": len(corpus)}
     if corpus.labels is not None:
-        data = EncodedDataset(labels=corpus.labels, classes=corpus.classes,
-                              text=text_block, meta=meta_block)
-        payload["metrics"] = evaluate_model(model, data, batch_size=512)
+        payload["metrics"] = classification_metrics(probs, probs.argmax(axis=1), data.labels)
         print(" ".join(f"{k}={v:.4f}" for k, v in payload["metrics"].items()))
     else:
         # scores-only mode: no label column in the dataset
-        dummy = np.zeros(len(corpus), dtype=np.int64)
-        data = EncodedDataset(labels=dummy, classes=corpus.classes,
-                              text=text_block, meta=meta_block)
-        from .training import predict_probs
-
-        probs = predict_probs(model, data, batch_size=512)
         payload["scores"] = {cid: probs[i].tolist() for i, cid in enumerate(corpus.ids)}
         print(f"scored {len(corpus)} samples (no labels present)")
     if args.out:
@@ -281,23 +245,15 @@ def cmd_baseline(args) -> int:
     folds = stratified_kfold(corpus.labels, args.folds, args.seed)
     docs = [preprocess_baseline(t) for t in corpus.texts]
     report = MetricsReport()
-    for i, test_idx in enumerate(folds):
-        train_idx = np.sort(np.concatenate([folds[j] for j in range(len(folds)) if j != i]))
+    for i in range(len(folds)):
+        train_idx, test_idx = fold_split(folds, i)
         tfidf = TfidfModel(top_k=args.top_k)
         train_matrix = tfidf.fit_transform([docs[j] for j in train_idx])
         test_matrix = tfidf.transform([docs[j] for j in test_idx])
         nb = nb_fit(train_matrix, corpus.labels[train_idx], n_classes=len(corpus.classes))
         preds, posteriors = nb_predict(nb, test_matrix)
-        labels = corpus.labels[test_idx]
-        quality = prf1(preds, labels, len(corpus.classes))
-        report.folds.append({
-            "fold": i,
-            "auc": float(roc_auc(posteriors, labels)),
-            "accuracy": quality["accuracy"],
-            "precision": quality["precision"],
-            "recall": quality["recall"],
-            "f1": quality["f1"],
-        })
+        metrics = classification_metrics(posteriors, preds, corpus.labels[test_idx])
+        report.folds.append({"fold": i, **metrics})
     payload = {
         "command": "baseline",
         "model": "naive-bayes-tfidf",

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import text as text_mod
 from .features import GROUPS
-from .graph import NF_FEATURE_NAMES, SocialGraph, eigenvector_centrality, hits, node_features
+from .graph import (
+    NF_FEATURE_NAMES,
+    DegenerateGraphError,
+    SocialGraph,
+    eigenvector_centrality,
+    hits,
+    node_features,
+)
 from .utils import derive_rng
 
 
@@ -45,20 +52,6 @@ class Corpus:
         if self._tokens is None:
             self._tokens = [text_mod.tokenize(t) for t in self.texts]
         return self._tokens
-
-    def subset(self, idx) -> "Corpus":
-        idx = np.asarray(idx)
-        tokens = None if self._tokens is None else [self._tokens[i] for i in idx]
-        return Corpus(
-            ids=[self.ids[i] for i in idx],
-            texts=[self.texts[i] for i in idx],
-            labels=None if self.labels is None else self.labels[idx],
-            classes=self.classes,
-            records=[self.records[i] for i in idx],
-            columns=self.columns,
-            affect=self.affect,
-            _tokens=tokens,
-        )
 
 
 def load_schema(path) -> dict:
@@ -131,7 +124,7 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     hub_auth = hits(graph)
     try:
         eigen = eigenvector_centrality(graph)
-    except Exception:
+    except DegenerateGraphError:
         eigen = {n: 0.0 for n in graph.nodes()}
     mention_re = __import__("re").compile(r"@(\w+)")
     records = []

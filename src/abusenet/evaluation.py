@@ -1,25 +1,28 @@
-"""Cross-validation and the feature-group ablation runner.
+"""Cross-validation, the feature-group ablation runner, and the one path from
+raw corpus rows to model inputs.
 
 Each fold rebuilds the whole pipeline from its training split: vocabulary
 (with hapax removal), sequence length (95th percentile), categorical
 encoders and, if requested, pretrained embeddings. Folds are independently
-seeded, so results do not depend on execution order or worker count.
+seeded, so results do not depend on execution order or worker count. A
+checkpoint's stored vocabulary and pipeline encode new data through the same
+``encode_inputs`` step.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
 
 from . import text as text_mod
-from .data import Corpus
+from .data import Corpus, SchemaError
 from .features import FeaturePipeline, assemble, parse_mask
 from .metrics import prf1, roc_auc
-from .model import ModelConfig, build_combined, build_metadata_path, build_text_path
+from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
 from .training import (
     EncodedDataset,
@@ -75,6 +78,19 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
 
 
+def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
+    """Encode every row of a corpus with already fitted text and feature pipelines.
+
+    ``vocab``/``spec`` are None for a model without the text path, ``pipeline``
+    None for one without metadata. Returns (text block, metadata block, schema).
+    """
+    text = None if vocab is None else text_mod.encode_corpus(corpus.tokenized(), vocab, spec)
+    if pipeline is None:
+        return text, None, []
+    table, _ = assemble(pipeline.transform(corpus.records, corpus.texts), groups)
+    return text, table.values, [(c.name, c.group) for c in table.schema]
+
+
 def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray,
                 mask, embeddings_path=None, embed_dim: int = 200, seed: int = 0):
     """Fit the text and feature pipelines on the training split and encode both.
@@ -83,40 +99,20 @@ def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray,
     schema and optionally a pretrained embedding layer for the model builder.
     """
     mask = parse_mask(mask)
-    tokens = corpus.tokenized()
-    train_tokens = [tokens[i] for i in train_idx]
-
-    use_text = "WV" in mask
-    vocab = spec = None
-    text_all = None
-    embedding = None
-    if use_text:
+    vocab = spec = pipeline = embedding = None
+    if "WV" in mask:
+        tokens = corpus.tokenized()
+        train_tokens = [tokens[i] for i in train_idx]
         vocab = text_mod.Vocabulary.build(train_tokens)
         spec = text_mod.choose_seq_len([len(t) for t in train_tokens])
-        text_all = text_mod.encode_corpus(tokens, vocab, spec)
         if embeddings_path is not None:
             embedding = text_mod.load_embeddings(embeddings_path, vocab, dim=embed_dim, seed=seed)
-
-    meta_groups = mask - {"WV"}
-    meta_all = None
-    schema = []
-    pipeline = None
-    if meta_groups:
+    groups = mask - {"WV"}
+    if groups:
         pipeline = FeaturePipeline(corpus.columns, corpus.affect)
         pipeline.fit([corpus.records[i] for i in train_idx])
-        table = pipeline.transform(corpus.records, corpus.texts)
-        table, _ = assemble(table, meta_groups)
-        meta_all = table.values
-        schema = [(c.name, c.group) for c in table.schema]
-
-    def take(idx):
-        return EncodedDataset(
-            labels=corpus.labels[idx],
-            classes=corpus.classes,
-            text=None if text_all is None else text_all[idx],
-            meta=None if meta_all is None else meta_all[idx],
-        )
-
+    text, meta, schema = encode_inputs(corpus, vocab, spec, pipeline, groups)
+    full = EncodedDataset(labels=corpus.labels, classes=corpus.classes, text=text, meta=meta)
     artifacts = {
         "vocab": vocab,
         "spec": spec,
@@ -125,7 +121,38 @@ def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray,
         "embedding": embedding,
         "mask": mask,
     }
-    return take(train_idx), take(test_idx), artifacts
+    return full.subset(train_idx), full.subset(test_idx), artifacts
+
+
+def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDataset:
+    """Encode a corpus with the pipelines a checkpoint was trained with.
+
+    The dataset must carry the checkpoint's classes and every column its
+    feature pipeline reads, and must yield the same feature schema. An
+    unlabelled corpus gets zero placeholder labels.
+    """
+    if corpus.classes != meta.classes:
+        raise SchemaError(f"class lists differ: checkpoint {meta.classes} vs dataset {corpus.classes}")
+    vocab = spec = pipeline = None
+    if meta.seq_len is not None:
+        vocab = text_mod.Vocabulary.from_tokens(meta.vocab_tokens)
+        spec = text_mod.SequenceSpec(meta.seq_len)
+    if meta.pipeline is not None:
+        pipeline = FeaturePipeline.from_config(meta.pipeline)
+        header = set(corpus.records[0]) if corpus.records else set()
+        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values())) - header)
+        if missing:
+            raise SchemaError(
+                f"dataset is missing columns required by the checkpoint: {missing}; "
+                f"dataset provides: {sorted(header)}")
+    text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, set(meta.mask) - {"WV"})
+    if schema != list(meta.schema):
+        missing = [c for c in meta.schema if c not in schema]
+        extra = [c for c in schema if c not in meta.schema]
+        raise SchemaError(
+            f"feature schema mismatch; missing from dataset: {missing}; unexpected: {extra}")
+    labels = np.zeros(len(corpus), dtype=np.int64) if corpus.labels is None else corpus.labels
+    return EncodedDataset(labels=labels, classes=corpus.classes, text=text, meta=meta_block)
 
 
 def build_and_fit(train: EncodedDataset, config: TrainingConfig, model_cfg: ModelConfig,
@@ -161,25 +188,29 @@ def build_and_fit(train: EncodedDataset, config: TrainingConfig, model_cfg: Mode
     return combined, fit_naive(combined, train, config, step_callback=step_callback)
 
 
+def classification_metrics(probs: np.ndarray, preds: np.ndarray, labels: np.ndarray) -> dict:
+    """AUC from class scores, accuracy and weighted P/R/F1 from predictions."""
+    quality = prf1(preds, labels, probs.shape[1])
+    return {"auc": float(roc_auc(probs, labels)),
+            **{name: quality[name] for name in METRIC_NAMES[1:]}}
+
+
 def evaluate_model(model, data: EncodedDataset, batch_size: int = 512) -> dict:
     probs = predict_probs(model, data, batch_size)
-    preds = probs.argmax(axis=1)
-    quality = prf1(preds, data.labels, len(data.classes))
-    return {
-        "auc": float(roc_auc(probs, data.labels)),
-        "accuracy": quality["accuracy"],
-        "precision": quality["precision"],
-        "recall": quality["recall"],
-        "f1": quality["f1"],
-    }
+    return classification_metrics(probs, probs.argmax(axis=1), data.labels)
+
+
+def fold_split(folds: list[np.ndarray], fold_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train_idx, test_idx): every other fold, sorted, against this one."""
+    train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != fold_id]))
+    return train_idx, folds[fold_id]
 
 
 def _run_fold(args) -> tuple[int, dict, dict]:
     (corpus, config, model_cfg, mask, fold_id, folds, embeddings_path) = args
-    test_idx = folds[fold_id]
-    train_idx = np.sort(np.concatenate([folds[j] for j in range(len(folds)) if j != fold_id]))
-    fold_config = TrainingConfig(**{**config.to_dict(), "seed": int(derive_rng(
-        config.seed, "fold", fold_id).integers(0, 2**31 - 1))})
+    train_idx, test_idx = fold_split(folds, fold_id)
+    fold_config = replace(config, seed=int(derive_rng(
+        config.seed, "fold", fold_id).integers(0, 2**31 - 1)))
     train, test, artifacts = encode_fold(corpus, train_idx, test_idx, mask,
                                          embeddings_path=embeddings_path,
                                          embed_dim=model_cfg.embed_dim,

@@ -40,6 +40,10 @@ class ConfigurationError(ValueError):
     """A feature-group request cannot be satisfied by the dataset."""
 
 
+class NonFiniteFeatureError(ValueError):
+    """A metadata value is infinite or overflows float32."""
+
+
 def _load_emoticons() -> frozenset[str]:
     text = importlib_resources.files("abusenet.resources").joinpath("emoticons.txt").read_text("utf-8")
     return frozenset(line.strip() for line in text.splitlines()
@@ -208,9 +212,15 @@ class FeaturePipeline:
             rows.append(values)
             if schema is None:
                 schema = cols
-        table = FeatureTable(np.array(rows, dtype=np.float32), schema or [])
-        assert not np.isnan(table.values).any()
-        return table
+        with np.errstate(over="ignore"):  # overflow is reported below, by row and column
+            values = np.array(rows, dtype=np.float32)
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            row, col = bad[0]
+            raise NonFiniteFeatureError(
+                f"row {row}: metadata feature {schema[col].name!r} is {rows[row][col]!r}, "
+                "which is not finite in float32")
+        return FeatureTable(values, schema or [])
 
     def to_config(self) -> dict:
         return {

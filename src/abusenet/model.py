@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,6 @@ class ModelConfig:
     hidden: tuple = DEFAULT_HIDDEN
     fusion_dim: int = DEFAULT_FUSION_DIM
     attention_threshold: int = ATTENTION_THRESHOLD
-
-    def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "units": self.units,
-            "recurrent_dropout": self.recurrent_dropout,
-            "hidden": list(self.hidden),
-            "fusion_dim": self.fusion_dim,
-            "attention_threshold": self.attention_threshold,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -336,7 +326,7 @@ def save_checkpoint(path, model: ClassifierModel, meta: CheckpointMeta) -> None:
         "format_version": 1,
         "classes": meta.classes,
         "kind": meta.kind,
-        "config": meta.config.to_dict(),
+        "config": asdict(meta.config),
         "seq_len": meta.seq_len,
         "vocab_tokens": meta.vocab_tokens,
         "feature_dim": meta.feature_dim,

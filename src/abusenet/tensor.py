@@ -173,10 +173,6 @@ class Tape:
         self._ops.clear()
 
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    tape.backward(loss)
-
-
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return

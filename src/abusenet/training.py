@@ -15,7 +15,7 @@ Strategies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,20 +52,6 @@ class TrainingConfig:
             raise ContractError(f"patience must sit in [0, max_epochs), got {self.patience}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -206,7 +192,6 @@ class History:
     best_epoch: int = -1
     epochs_run: int = 0
     val_indices: np.ndarray | None = None
-    step_trace: list[dict] = field(default_factory=list)
     stages: dict[str, "History"] = field(default_factory=dict)
 
     def best_val_loss(self) -> float:
@@ -255,9 +240,8 @@ def evaluate_loss(model: ClassifierModel, data: EncodedDataset, batch_size: int 
 
 def _interleaved_schedule(epoch: int, batch_number: int):
     """Parity rule: even (batch + epoch) -> view A, whose text path is frozen."""
-    if (batch_number + epoch) % 2 == 0:
-        return "A", {"metadata", "head"}
-    return "B", {"text", "head"}
+    view = "A" if (batch_number + epoch) % 2 == 0 else "B"
+    return view, {"text", "metadata", "head"} - {InterleavedViews.FROZEN[view]}
 
 
 class InterleavedViews:
@@ -265,19 +249,13 @@ class InterleavedViews:
 
     View A freezes the text path, view B the metadata path. Because the
     store is shared, the "copy weights to the unused model" step of the
-    two-model formulation is a no-op; ``synchronized`` still asserts it.
+    two-model formulation is a no-op; ``synchronized`` checks it.
     """
 
     FROZEN = {"A": "text", "B": "metadata"}
 
     def __init__(self, model: ClassifierModel):
         self.model = model
-
-    def active(self, epoch: int, batch_number: int) -> str:
-        return _interleaved_schedule(epoch, batch_number)[0]
-
-    def updatable_tags(self, view: str) -> set[str]:
-        return {"text", "metadata", "head"} - {self.FROZEN[view]}
 
     def view_params(self, view: str) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.model.parameters()}
@@ -361,21 +339,8 @@ def fit_interleaved(model: ClassifierModel, data: EncodedDataset, config: Traini
     """Alternating-path training over one shared parameter store."""
     if model.kind != "combined":
         raise ContractError("interleaved training needs a combined model")
-    views = InterleavedViews(model)
-
-    def schedule(epoch, batch_number):
-        view, tags = _interleaved_schedule(epoch, batch_number)
-        return view, tags
-
-    def callback(event):
-        if step_callback is not None:
-            step_callback(event)
-        if event["phase"] == "post":
-            assert views.synchronized(), "interleaved views drifted apart"
-
-    history = fit(model, data, config, schedule=schedule, step_callback=callback,
-                  stream="interleaved")
-    return history
+    return fit(model, data, config, schedule=_interleaved_schedule,
+               step_callback=step_callback, stream="interleaved")
 
 
 def fit_transfer(text_model: ClassifierModel, metadata_model: ClassifierModel,
@@ -398,10 +363,5 @@ def fit_transfer(text_model: ClassifierModel, metadata_model: ClassifierModel,
         combined.set_path_trainable("metadata", False)
     history.stages["fusion"] = fit(combined, data, config, stream="transfer-fusion",
                                    step_callback=fusion_callback)
-    fusion = history.stages["fusion"]
-    history.train_loss = fusion.train_loss
-    history.val_loss = fusion.val_loss
-    history.best_epoch = fusion.best_epoch
-    history.epochs_run = fusion.epochs_run
-    history.val_indices = fusion.val_indices
-    return combined, history
+    # the run's own curves and best epoch are the fusion stage's
+    return combined, replace(history.stages["fusion"], stages=history.stages)

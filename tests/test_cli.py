@@ -1,9 +1,14 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from abusenet.cli import main
-from abusenet.data import SchemaError
+from abusenet.data import SchemaError, load_corpus
+from abusenet.evaluation import encode_fold
+from abusenet.model import load_checkpoint
+from abusenet.training import predict_probs
 
 
 def run(argv):
@@ -20,6 +25,14 @@ def synth_dir(tmp_path_factory):
 TINY = ["--batch-size", "16", "--max-epochs", "4", "--patience", "3",
         "--folds", "2", "--embed-dim", "5", "--units", "6",
         "--metadata-sizes", "8", "--fusion-dim", "6", "--recurrent-dropout", "0.25"]
+
+
+def copy_without_column(src, dst, column):
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index(column)
+    with dst.open("w", newline="") as fh:
+        csv.writer(fh).writerows([[c for i, c in enumerate(r) if i != drop] for r in rows])
 
 
 def train_args(synth_dir, out, strategy="naive", seed="0", mask="WV+TF+UF"):
@@ -92,14 +105,8 @@ class TestEvaluateCommand:
     def test_scores_only_mode(self, synth_dir, tmp_path):
         out = tmp_path / "run"
         run(train_args(synth_dir, out))
-        # drop the label column
-        import csv
-
-        rows = list(csv.reader((synth_dir / "dataset.csv").open()))
-        drop = rows[0].index("label")
         unlabeled = tmp_path / "unlabeled.csv"
-        with unlabeled.open("w", newline="") as fh:
-            csv.writer(fh).writerows([[c for i, c in enumerate(r) if i != drop] for r in rows])
+        copy_without_column(synth_dir / "dataset.csv", unlabeled, "label")
         result = tmp_path / "scores.json"
         assert run(["evaluate", "--checkpoint", out / "model.ckpt",
                     "--dataset", unlabeled, "--schema", synth_dir / "schema.json",
@@ -107,6 +114,27 @@ class TestEvaluateCommand:
         payload = json.loads(result.read_text())
         assert "metrics" not in payload
         assert len(payload["scores"]) == 160
+
+    def test_scores_equal_training_encoding_bitwise(self, synth_dir, tmp_path):
+        # the checkpoint path re-encodes raw rows from stored vocabulary and
+        # pipeline; it must reproduce the fitted full-corpus encoding exactly
+        out = tmp_path / "run"
+        run(train_args(synth_dir, out))
+        unlabeled = tmp_path / "unlabeled.csv"
+        copy_without_column(synth_dir / "dataset.csv", unlabeled, "label")
+        result = tmp_path / "scores.json"
+        run(["evaluate", "--checkpoint", out / "model.ckpt",
+             "--dataset", unlabeled, "--schema", synth_dir / "schema.json", "--out", result])
+        scores = json.loads(result.read_text())["scores"]
+
+        model, _ = load_checkpoint(out / "model.ckpt")
+        corpus = load_corpus(synth_dir / "dataset.csv", synth_dir / "schema.json")
+        idx = np.arange(len(corpus))
+        full, _, _ = encode_fold(corpus, idx, idx[:0], "WV+TF+UF")
+        expected = predict_probs(model, full).astype(np.float64)
+        got = np.array([scores[cid] for cid in corpus.ids])
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_schema_mismatch_is_explicit(self, synth_dir, tmp_path):
         out = tmp_path / "run"
@@ -117,12 +145,7 @@ class TestEvaluateCommand:
         schema = json.loads((synth_dir / "schema.json").read_text())
         schema["columns"]["uf_signal"] = schema["columns"].pop("uf_noise")
         (other / "schema.json").write_text(json.dumps(schema))
-        import csv
-
-        rows = list(csv.reader((synth_dir / "dataset.csv").open()))
-        drop = rows[0].index("uf_noise")
-        with (other / "dataset.csv").open("w", newline="") as fh:
-            csv.writer(fh).writerows([[c for i, c in enumerate(r) if i != drop] for r in rows])
+        copy_without_column(synth_dir / "dataset.csv", other / "dataset.csv", "uf_noise")
         with pytest.raises(SchemaError):
             run(["evaluate", "--checkpoint", out / "model.ckpt",
                  "--dataset", other / "dataset.csv", "--schema", other / "schema.json"])

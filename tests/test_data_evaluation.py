@@ -122,6 +122,12 @@ class TestCorpusIO:
         assert enriched.records[0]["nf_followers"] == 100.0
         # u2 is absent from the graph: zero block
         assert enriched.records[2]["nf_followers"] == 0.0
+        # an edge-less graph has no eigenvector centrality: that feature falls back to zero
+        edgeless = SocialGraph()
+        edgeless.add_node("u0", followers=7, friends=1)
+        enriched = attach_network_features(corpus, edgeless, "user")
+        assert enriched.records[0]["nf_followers"] == 7.0
+        assert enriched.records[0]["nf_eigenvector"] == 0.0
 
 
 class TestKFold:

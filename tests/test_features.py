@@ -5,6 +5,7 @@ from abusenet.features import (
     AFFECT_SLOTS,
     ConfigurationError,
     FeaturePipeline,
+    NonFiniteFeatureError,
     assemble,
     encode_categorical,
     parse_mask,
@@ -99,6 +100,17 @@ class TestPipelineAndAssemble:
         table = self.make_table()
         col = [i for i, c in enumerate(table.schema) if c.name == "followers"][0]
         assert table.values[1, col] == 0.0
+
+    @pytest.mark.parametrize("raw", ["inf", "1e39"])
+    def test_non_finite_value_names_row_and_column(self, raw):
+        pipe = FeaturePipeline({"followers": ("UF", "numeric"), "recip": ("NF", "numeric")})
+        records = [{"followers": "10", "recip": "0.5"}, {"followers": "3", "recip": raw}]
+        pipe.fit(records)
+        with pytest.raises(NonFiniteFeatureError, match=r"row 1: metadata feature 'recip'"):
+            pipe.transform(records, ["a", "b"])
+        # unparseable cells are still imputed, not rejected
+        table = pipe.transform([{"followers": "many", "recip": "nan"}], ["a"])
+        assert np.all(table.values == 0.0)
 
     def test_assemble_single_group(self):
         table = self.make_table()
