@@ -32,6 +32,10 @@ class SchemaError(ValueError):
     """Dataset and schema descriptor disagree."""
 
 
+class EmptyDatasetError(ValueError):
+    """A dataset has a header but no data rows."""
+
+
 @dataclass
 class Corpus:
     """Raw samples plus column metadata, before any fold-specific fitting."""
@@ -43,6 +47,7 @@ class Corpus:
     records: list[dict]
     columns: dict[str, tuple[str, str]]  # column -> (group, kind)
     affect: dict[str, str] = field(default_factory=dict)
+    header: list[str] = field(default_factory=list)  # the dataset file's columns; empty in memory
     _tokens: list[list[str]] | None = None
 
     def __len__(self) -> int:
@@ -112,6 +117,7 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
         records=records,
         columns=columns,
         affect=affect,
+        header=list(header),
     )
 
 
@@ -143,7 +149,8 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     columns = dict(corpus.columns)
     for name in NF_FEATURE_NAMES:
         columns[name] = ("NF", "numeric")
-    return replace(corpus, records=records, columns=columns)
+    return replace(corpus, records=records, columns=columns,
+                   header=[*corpus.header, *NF_FEATURE_NAMES])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import text as text_mod
-from .data import Corpus, SchemaError
+from .data import Corpus, EmptyDatasetError, SchemaError
 from .features import FeaturePipeline, assemble, parse_mask
 from .metrics import prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
@@ -49,7 +49,6 @@ DEFAULT_ABLATION_MASKS = tuple(
 @dataclass
 class MetricsReport:
     folds: list[dict] = field(default_factory=list)
-    histories: list[dict] = field(default_factory=list)
 
     @property
     def mean(self) -> dict:
@@ -128,8 +127,8 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
     """Encode a corpus with the pipelines a checkpoint was trained with.
 
     The dataset must carry the checkpoint's classes and every column its
-    feature pipeline reads, and must yield the same feature schema. An
-    unlabelled corpus gets zero placeholder labels.
+    feature pipeline reads, must have at least one data row, and must yield
+    the same feature schema. An unlabelled corpus gets zero placeholder labels.
     """
     if corpus.classes != meta.classes:
         raise SchemaError(f"class lists differ: checkpoint {meta.classes} vs dataset {corpus.classes}")
@@ -139,12 +138,14 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
         spec = text_mod.SequenceSpec(meta.seq_len)
     if meta.pipeline is not None:
         pipeline = FeaturePipeline.from_config(meta.pipeline)
-        header = set(corpus.records[0]) if corpus.records else set()
-        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values())) - header)
+        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values()))
+                         - set(corpus.header))
         if missing:
             raise SchemaError(
                 f"dataset is missing columns required by the checkpoint: {missing}; "
-                f"dataset provides: {sorted(header)}")
+                f"dataset provides: {sorted(corpus.header)}")
+    if len(corpus) == 0:
+        raise EmptyDatasetError("dataset has a header but no data rows to score")
     text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, set(meta.mask) - {"WV"})
     if schema != list(meta.schema):
         missing = [c for c in meta.schema if c not in schema]
@@ -206,7 +207,7 @@ def fold_split(folds: list[np.ndarray], fold_id: int) -> tuple[np.ndarray, np.nd
     return train_idx, folds[fold_id]
 
 
-def _run_fold(args) -> tuple[int, dict, dict]:
+def _run_fold(args) -> tuple[int, dict]:
     (corpus, config, model_cfg, mask, fold_id, folds, embeddings_path) = args
     train_idx, test_idx = fold_split(folds, fold_id)
     fold_config = replace(config, seed=int(derive_rng(
@@ -215,8 +216,8 @@ def _run_fold(args) -> tuple[int, dict, dict]:
                                          embeddings_path=embeddings_path,
                                          embed_dim=model_cfg.embed_dim,
                                          seed=fold_config.seed)
-    model, history = build_and_fit(train, fold_config, model_cfg, artifacts)
-    return fold_id, evaluate_model(model, test, config.batch_size), history.to_dict()
+    model, _ = build_and_fit(train, fold_config, model_cfg, artifacts)
+    return fold_id, evaluate_model(model, test, config.batch_size)
 
 
 def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None = None,
@@ -230,7 +231,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
     folds = stratified_kfold(corpus.labels, n_folds, config.seed)
     jobs = [(corpus, config, model_cfg, mask, i, folds, embeddings_path)
             for i in range(n_folds)]
-    results: list[tuple[int, dict, dict]] = []
+    results: list[tuple[int, dict]] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_fold, jobs))
@@ -238,9 +239,8 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
         results = [_run_fold(j) for j in jobs]
     results.sort(key=lambda r: r[0])
     report = MetricsReport()
-    for fold_id, metrics, history in results:
+    for fold_id, metrics in results:
         report.folds.append({"fold": fold_id, **metrics})
-        report.histories.append(history)
     return report
 
 

@@ -14,23 +14,19 @@ from .tensor import (
     Parameter,
     ShapeError,
     Tensor,
-    add,
+    _accum,
+    _check_dtypes,
+    active_tape,
     add_bias,
     gather_rows,
     masked_softmax,
     matmul,
-    mul,
-    one_minus,
     op_output,
     reshape,
     scale_cols,
-    sigmoid,
-    slice_time,
     softmax,
-    stack_time,
     tanh,
     weighted_sum_time,
-    where_rows,
 )
 
 
@@ -142,23 +138,115 @@ class GRULayer:
             if rng is None:
                 raise ContractError("training-mode gru with dropout needs an rng")
             keep = 1.0 - self.recurrent_dropout
-            m = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
-            drop = Tensor(m)
+            drop = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
 
-        states = []
+        states = self._recurrence(x, mask, h, drop)
+
+        def back_last(g):
+            full = np.zeros_like(states.data)
+            full[:, -1] = g
+            _accum(states, full)
+
+        return states, op_output(states.data[:, -1].copy(), (states,), back_last)
+
+    def _recurrence(self, x: Tensor, mask: np.ndarray, h0: Tensor,
+                    drop: np.ndarray | None) -> Tensor:
+        """The whole recurrence as one tape op returning the states [b, T, units].
+
+        Per step: one input matmul against [W_z|W_r|W_h], one recurrent
+        matmul against [U_z|U_r], and (r * h * drop) U_h. The per-step
+        gates and products are kept only when a tape records the op.
+        Backward is a reverse loop with two recurrent matmuls per step, after
+        which the gradients of x, W, U_z|U_r and U_h are one matmul each over
+        all T*b rows.
+        """
+        inputs = (x, h0, *(p.tensor for p in self.parameters()))
+        _check_dtypes(*inputs)
+        b, steps, d = x.shape
+        u = self.units
+        W = np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1)
+        bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
+        U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
+        U_h = self.U_h.data
+        unpadded = mask.all(axis=0)  # steps with no padded row skip the row select
+        record = active_tape() is not None and any(t.requires_grad for t in inputs)
+
+        xd = x.data
+        states = np.empty((b, steps, u), dtype=xd.dtype)
+        if record:
+            zr_all = np.empty((steps, b, 2 * u), dtype=xd.dtype)
+            c_all = np.empty((steps, b, u), dtype=xd.dtype)
+            hm_all = np.empty((b, steps, u), dtype=xd.dtype)  # h * drop
+            rh_all = np.empty((b, steps, u), dtype=xd.dtype)  # r * h * drop
+        h = h0.data
         for t in range(steps):
-            x_t = slice_time(x, t)
-            hm = mul(h, drop) if drop is not None else h
-            z = sigmoid(add(add_bias(matmul(x_t, self.W_z.tensor), self.b_z.tensor),
-                            matmul(hm, self.U_z.tensor)))
-            r = sigmoid(add(add_bias(matmul(x_t, self.W_r.tensor), self.b_r.tensor),
-                            matmul(hm, self.U_r.tensor)))
-            c = tanh(add(add_bias(matmul(x_t, self.W_h.tensor), self.b_h.tensor),
-                         matmul(mul(r, hm), self.U_h.tensor)))
-            h_new = add(mul(one_minus(z), h), mul(z, c))
-            h = where_rows(mask[:, t], h_new, h)
-            states.append(h)
-        return stack_time(states), h
+            a = xd[:, t] @ W
+            a += bias
+            hm = h if drop is None else h * drop
+            zr = a[:, :2 * u]
+            zr += hm @ U_zr
+            _sigmoid(zr)
+            r = zr[:, u:]
+            rh = r * hm
+            c = a[:, 2 * u:]
+            c += rh @ U_h
+            np.tanh(c, out=c)
+            h_new = c - h
+            h_new *= zr[:, :u]
+            h_new += h
+            if not unpadded[t]:
+                h_new = np.where(mask[:, t, None], h_new, h)  # padded rows: exact copy
+            states[:, t] = h_new
+            if record:
+                zr_all[t] = zr
+                c_all[t] = c
+                hm_all[:, t] = hm
+                rh_all[:, t] = rh
+            h = h_new
+
+        def back(g):
+            da = np.empty((b, steps, 3 * u), dtype=g.dtype)  # pre-activation gradients
+            dh = np.zeros((b, u), dtype=g.dtype)
+            for t in range(steps - 1, -1, -1):
+                dh += g[:, t]
+                z, r, c = zr_all[t, :, :u], zr_all[t, :, u:], c_all[t]
+                h_prev = states[:, t - 1] if t else h0.data
+                live = dh if unpadded[t] else dh * mask[:, t, None]
+                da_t = da[:, t]
+                np.multiply(live * z, 1.0 - c * c, out=da_t[:, 2 * u:])
+                drh = da_t[:, 2 * u:] @ U_h.T
+                np.multiply(live * (c - h_prev), z * (1.0 - z), out=da_t[:, :u])
+                np.multiply(drh * hm_all[:, t], r * (1.0 - r), out=da_t[:, u:2 * u])
+                dhm = drh * r
+                dhm += da_t[:, :2 * u] @ U_zr.T
+                if drop is not None:
+                    dhm *= drop
+                dhm += live * (1.0 - z)
+                dh = dhm if unpadded[t] else np.where(mask[:, t, None], dhm, dh)
+            _accum(h0, dh)
+            rows = da.reshape(b * steps, 3 * u)
+            if x.requires_grad:
+                _accum(x, (rows @ W.T).reshape(b, steps, d))
+            dW = xd.reshape(b * steps, d).T @ rows
+            db = rows.sum(axis=0)
+            dU_zr = hm_all.reshape(b * steps, u).T @ rows[:, :2 * u]
+            for k, (w, bk) in enumerate(((self.W_z, self.b_z), (self.W_r, self.b_r),
+                                         (self.W_h, self.b_h))):
+                _accum(w.tensor, dW[:, k * u:(k + 1) * u])
+                _accum(bk.tensor, db[k * u:(k + 1) * u])
+            _accum(self.U_z.tensor, dU_zr[:, :u])
+            _accum(self.U_r.tensor, dU_zr[:, u:])
+            _accum(self.U_h.tensor, rh_all.reshape(b * steps, u).T @ rows[:, 2 * u:])
+
+        return op_output(states, inputs, back)
+
+
+def _sigmoid(a: np.ndarray) -> None:
+    """In-place logistic function in the one-transcendental form 0.5 * (1 + tanh(a / 2))."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
 
 
 class AttentionLayer:

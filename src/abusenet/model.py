@@ -72,8 +72,10 @@ class TextPath:
                  rng: np.random.Generator | None = None) -> Tensor:
         token_ids = np.asarray(token_ids)
         mask = token_ids != 0
-        x = self.embedding.forward(token_ids)
-        states, last = self.gru.forward(x, mask=mask, train=train and not self.frozen, rng=rng)
+        # the embedding output goes straight into the GRU, so that outside a
+        # tape its [batch, T, dim] block is freed before attention runs
+        states, last = self.gru.forward(self.embedding.forward(token_ids), mask=mask,
+                                        train=train and not self.frozen, rng=rng)
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask)
             return context

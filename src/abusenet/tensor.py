@@ -252,13 +252,6 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return op_output(x.data * c, (x,), back)
 
 
-def one_minus(x: Tensor) -> Tensor:
-    def back(g):
-        _accum(x, -g)
-
-    return op_output(1.0 - x.data, (x,), back)
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x[batch, n] + b[n]; the one sanctioned broadcast."""
     _check_dtypes(x, b)
@@ -306,19 +299,6 @@ def tanh(x: Tensor) -> Tensor:
 
     def back(g):
         _accum(x, g * (1.0 - y * y))
-
-    return op_output(y, (x,), back)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # Split by sign to stay stable for large |x|.
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
-                 np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
-    y = y.astype(d.dtype, copy=False)
-
-    def back(g):
-        _accum(x, g * y * (1.0 - y))
 
     return op_output(y, (x,), back)
 
@@ -393,58 +373,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
         _accum(x, g.reshape(old))
 
     return op_output(x.data.reshape(shape), (x,), back)
-
-
-def slice_time(x: Tensor, t: int) -> Tensor:
-    """x[:, t, :] of a [batch, T, d] tensor."""
-    if x.data.ndim != 3:
-        raise ShapeError(f"slice_time expects a 3-d tensor, got {x.shape}")
-    if not 0 <= t < x.shape[1]:
-        raise IndexError(f"time index {t} out of range [0, {x.shape[1]})")
-
-    def back(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, t, :] += g
-
-    return op_output(x.data[:, t, :], (x,), back)
-
-
-def stack_time(steps: Sequence[Tensor]) -> Tensor:
-    """Stack T tensors of shape [batch, d] into [batch, T, d]."""
-    if not steps:
-        raise ShapeError("stack_time needs at least one step")
-    _check_dtypes(*steps)
-    shape = steps[0].shape
-    for s in steps:
-        if s.shape != shape:
-            raise ShapeError(f"stack_time steps disagree: {shape} vs {s.shape}")
-    data = np.stack([s.data for s in steps], axis=1)
-
-    def back(g):
-        for t, s in enumerate(steps):
-            _accum(s, g[:, t, :])
-
-    return op_output(data, tuple(steps), back)
-
-
-def where_rows(keep: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Per-row select: out[i] = a[i] if keep[i] else b[i]. Copies are bit-exact."""
-    _check_dtypes(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"where_rows requires equal shapes, got {a.shape} and {b.shape}")
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != (a.shape[0],):
-        raise ShapeError(f"where_rows mask must be [batch], got {keep.shape}")
-    sel = keep.reshape((-1,) + (1,) * (a.data.ndim - 1))
-
-    def back(g):
-        _accum(a, np.where(sel, g, 0.0).astype(g.dtype, copy=False))
-        _accum(b, np.where(sel, 0.0, g).astype(g.dtype, copy=False))
-
-    return op_output(np.where(sel, a.data, b.data), (a, b), back)
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:

@@ -10,7 +10,8 @@ Strategies:
                  parameter store, view A freezes the text path, view B the
                  metadata path, and view A is active when
                  (batch_number + epoch_number) is even. The head updates
-                 every step. The loss always flows through the whole network.
+                 every step. The loss always flows through the whole network; the
+                 backward pass skips the frozen path.
 """
 
 from __future__ import annotations
@@ -119,8 +120,13 @@ def cross_entropy_value(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.log(picked).mean())
 
 
+def updates(p: Parameter, allowed_tags: set[str] | None) -> bool:
+    """Whether an optimizer step limited to ``allowed_tags`` (None: all) changes ``p``."""
+    return p.trainable and (allowed_tags is None or p.tag in allowed_tags)
+
+
 class Adam:
-    """Adam with bias correction; skips non-trainable parameters entirely."""
+    """Adam with bias correction; skips every parameter ``updates`` rules out."""
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
@@ -142,9 +148,7 @@ class Adam:
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p in params:
-            if not p.trainable:
-                continue
-            if allowed_tags is not None and p.tag not in allowed_tags:
+            if not updates(p, allowed_tags):
                 continue
             g = p.tensor.grad
             if g is None:
@@ -273,6 +277,9 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     stops at max_epochs or after `patience` epochs without a validation-loss
     drop, and the best epoch's weights are restored. ``schedule`` maps
     (epoch, batch_number) to (view_name, updatable_tags) for interleaving.
+    Each step records the tape only through parameters the optimizer step
+    ``updates``; every ``requires_grad`` flag is restored when fit returns
+    or raises.
     """
     if np.unique(data.labels).size < 2:
         raise DegenerateLabelsError("training data contains a single class")
@@ -288,40 +295,48 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     params = model.parameters()
     best = model.snapshot()
 
-    for epoch in range(config.max_epochs):
-        shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
-        order = shuffle_rng.permutation(len(train))
-        epoch_losses = []
-        for batch_number, sl in enumerate(batch_slices(len(train), config.batch_size)):
-            take = order[sl]
-            text = None if train.text is None else train.text[take]
-            meta = None if train.meta is None else train.meta[take]
-            labels = train.labels[take]
-            view, tags = schedule(epoch, batch_number) if schedule else (None, None)
-            if step_callback is not None:
-                step_callback({"phase": "pre", "epoch": epoch, "batch": batch_number,
-                               "view": view, "tags": tags, "model": model})
-            drop_rng = derive_rng(config.seed, stream, "dropout", epoch, batch_number)
-            with Tape() as tape:
-                probs = model.forward(text, meta, train=True, rng=drop_rng, stats_tags=tags)
-                loss = cross_entropy(probs, labels)
-            tape.backward(loss)
-            optimizer.step(params, allowed_tags=tags)
-            model.zero_grads()
-            tape.clear()
-            epoch_losses.append(float(loss.data))
-            if step_callback is not None:
-                step_callback({"phase": "post", "epoch": epoch, "batch": batch_number,
-                               "view": view, "tags": tags, "model": model})
+    grad_flags = [p.tensor.requires_grad for p in params]
+    try:
+        for epoch in range(config.max_epochs):
+            shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
+            order = shuffle_rng.permutation(len(train))
+            epoch_losses = []
+            for batch_number, sl in enumerate(batch_slices(len(train), config.batch_size)):
+                take = order[sl]
+                text = None if train.text is None else train.text[take]
+                meta = None if train.meta is None else train.meta[take]
+                labels = train.labels[take]
+                view, tags = schedule(epoch, batch_number) if schedule else (None, None)
+                if step_callback is not None:
+                    step_callback({"phase": "pre", "epoch": epoch, "batch": batch_number,
+                                   "view": view, "tags": tags, "model": model})
+                # no backward through a path this step does not update
+                for p, flag in zip(params, grad_flags):
+                    p.tensor.requires_grad = flag and updates(p, tags)
+                drop_rng = derive_rng(config.seed, stream, "dropout", epoch, batch_number)
+                with Tape() as tape:
+                    probs = model.forward(text, meta, train=True, rng=drop_rng, stats_tags=tags)
+                    loss = cross_entropy(probs, labels)
+                tape.backward(loss)
+                optimizer.step(params, allowed_tags=tags)
+                model.zero_grads()
+                tape.clear()
+                epoch_losses.append(float(loss.data))
+                if step_callback is not None:
+                    step_callback({"phase": "post", "epoch": epoch, "batch": batch_number,
+                                   "view": view, "tags": tags, "model": model})
 
-        val_loss = evaluate_loss(model, val, config.batch_size)
-        history.train_loss.append(float(np.mean(epoch_losses)))
-        history.val_loss.append(val_loss)
-        history.epochs_run = epoch + 1
-        if val_loss < stopper.best:
-            best = model.snapshot()
-        if stopper.update(epoch, val_loss):
-            break
+            val_loss = evaluate_loss(model, val, config.batch_size)
+            history.train_loss.append(float(np.mean(epoch_losses)))
+            history.val_loss.append(val_loss)
+            history.epochs_run = epoch + 1
+            if val_loss < stopper.best:
+                best = model.snapshot()
+            if stopper.update(epoch, val_loss):
+                break
+    finally:
+        for p, flag in zip(params, grad_flags):
+            p.tensor.requires_grad = flag
 
     history.best_epoch = stopper.best_epoch
     model.restore(best)

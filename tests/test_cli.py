@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from abusenet.cli import main
-from abusenet.data import SchemaError, load_corpus
+from abusenet.data import EmptyDatasetError, SchemaError, load_corpus
 from abusenet.evaluation import encode_fold
 from abusenet.model import load_checkpoint
 from abusenet.training import predict_probs
@@ -149,6 +149,17 @@ class TestEvaluateCommand:
         with pytest.raises(SchemaError):
             run(["evaluate", "--checkpoint", out / "model.ckpt",
                  "--dataset", other / "dataset.csv", "--schema", other / "schema.json"])
+
+
+    def test_header_only_dataset_has_no_rows(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        run(train_args(synth_dir, out))
+        header_only = tmp_path / "header_only.csv"
+        with (synth_dir / "dataset.csv").open(newline="") as fh:
+            header_only.write_text(fh.readline())
+        with pytest.raises(EmptyDatasetError, match="no data rows"):
+            run(["evaluate", "--checkpoint", out / "model.ckpt",
+                 "--dataset", header_only, "--schema", synth_dir / "schema.json"])
 
 
 class TestAblateCommand:

@@ -11,7 +11,7 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from abusenet.tensor import ContractError, Tensor, grad_check
+from abusenet.tensor import ContractError, Parameter, Tensor, grad_check
 
 
 def make_gru(d, u, dtype=np.float64, p=0.0, seed=1):
@@ -82,6 +82,33 @@ class TestGRU:
         _, last = gru.forward(x, h0=h0)
         assert abs(float(last.data[0, 0]) - expected) < 1e-12
 
+    def test_states_match_plain_recurrence(self):
+        # reference: the gate equations of the class docstring, step by step
+        gru = make_gru(3, 4, seed=10, p=0.5)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 5, 3))
+        h0 = rng.normal(size=(3, 4))
+        mask = rng.random((3, 5)) < 0.6
+        states, last = gru.forward(Tensor(x), mask=mask, h0=Tensor(h0), train=True,
+                                   rng=np.random.default_rng(12))
+        keep = 0.5
+        drop = (np.random.default_rng(12).random((3, 4)) < keep) / keep
+
+        def sig(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        w = {name: p.data for name, p in zip(("Wz", "Wr", "Wh", "Uz", "Ur", "Uh", "bz", "br", "bh"),
+                                             gru.parameters())}
+        h = h0
+        for t in range(5):
+            hm = h * drop
+            z = sig(x[:, t] @ w["Wz"] + hm @ w["Uz"] + w["bz"])
+            r = sig(x[:, t] @ w["Wr"] + hm @ w["Ur"] + w["br"])
+            c = np.tanh(x[:, t] @ w["Wh"] + (r * hm) @ w["Uh"] + w["bh"])
+            h = np.where(mask[:, t, None], (1.0 - z) * h + z * c, h)
+            np.testing.assert_allclose(states.data[:, t], h, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(last.data, states.data[:, -1])
+
     def test_fully_padded_sample_passes_h0_through(self):
         gru = make_gru(3, 4)
         rng = np.random.default_rng(1)
@@ -147,6 +174,25 @@ class TestGRU:
             return T.sum_all(T.mul(last, coef))
 
         assert grad_check(forward, gru.parameters()) < 1e-4
+
+    def test_grad_check_all_states_masked_dropout_x_and_h0(self):
+        # the loss reads every state, as attention does; x and h0 are checked
+        # too, and one row is fully padded
+        gru = make_gru(3, 4, seed=8, p=0.5)
+        rng = np.random.default_rng(9)
+        x = Parameter("x", rng.normal(size=(3, 4, 3)))
+        h0 = Parameter("h0", rng.normal(size=(3, 4)))
+        mask = np.array([[False, False, True, True],
+                         [False, False, False, False],
+                         [True, True, False, True]])
+        coef = Tensor(rng.normal(size=(3, 4, 4)))
+
+        def forward():
+            states, _ = gru.forward(x.tensor, mask=mask, h0=h0.tensor, train=True,
+                                    rng=np.random.default_rng(99))
+            return T.sum_all(T.mul(states, coef))
+
+        assert grad_check(forward, gru.parameters() + [x, h0]) < 1e-4
 
 
 class TestAttention:

@@ -279,25 +279,6 @@ class TestShapeAlgebra:
         with pytest.raises(ShapeError):
             T.reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
-    def test_slice_and_stack_time_roundtrip(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        with Tape() as tape:
-            steps = [T.slice_time(x, t) for t in range(4)]
-            y = T.stack_time(steps)
-            loss = T.sum_all(T.mul(y, y))
-        tape.backward(loss)
-        np.testing.assert_array_equal(y.data, x.data)
-        np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-6)
-
-    def test_where_rows_bit_exact(self):
-        a = Tensor(np.full((3, 2), 1.25))
-        b = Tensor(np.full((3, 2), -7.5))
-        keep = np.array([True, False, True])
-        out = T.where_rows(keep, a, b)
-        np.testing.assert_array_equal(out.data[0], a.data[0])
-        np.testing.assert_array_equal(out.data[1], b.data[1])
-
     def test_masked_softmax_masked_positions_exactly_zero(self):
         scores = Tensor(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]]))
         mask = np.array([[True, False, True], [True, True, False]])

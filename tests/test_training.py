@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from abusenet import tensor as T
-from abusenet.model import ModelConfig, build_combined, build_metadata_path, build_text_path
+from abusenet.model import ModelConfig, TextPath, build_combined, build_metadata_path, build_text_path
 from abusenet.tensor import ContractError, Parameter, Tensor, grad_check
 from abusenet.training import (
     Adam,
@@ -320,6 +320,57 @@ class TestInterleavedInvariants:
         text, _ = build_pair()
         with pytest.raises(ContractError):
             fit_interleaved(text, toy_dataset(), quick_config())
+
+    def test_view_a_step_records_no_text_path_ops(self, monkeypatch):
+        data = toy_dataset(n=64, seed=20)
+        model = build_fused(seed=21)
+        config = quick_config(max_epochs=2, patience=1, batch_size=16)
+        views, ops = [], []
+        features = TextPath.features
+
+        def counted(self, *args, **kwargs):
+            tape = T.active_tape()
+            if tape is None:  # validation sweep
+                return features(self, *args, **kwargs)
+            before = len(tape)
+            out = features(self, *args, **kwargs)
+            ops.append(len(tape) - before)
+            return out
+
+        def callback(event):
+            if event["phase"] == "pre":
+                views.append(event["view"])
+
+        monkeypatch.setattr(TextPath, "features", counted)
+        fit_interleaved(model, data, config, step_callback=callback)
+        assert len(ops) == len(views) and set(views) == {"A", "B"}
+        for view, n in zip(views, ops):
+            assert (n == 0) if view == "A" else (n > 0), (view, n)
+
+    def test_fit_restores_requires_grad_flags(self):
+        data = toy_dataset(n=64, seed=22)
+        model = build_fused(seed=23)
+        config = quick_config(max_epochs=2, patience=1, batch_size=16)
+
+        def flags():
+            return {p.name: p.tensor.requires_grad for p in model.parameters()}
+
+        before = flags()
+        assert not all(before.values())  # batch-norm running statistics stay off
+        fit_interleaved(model, data, config)
+        assert flags() == before
+
+        during = {}
+
+        def fail_on_second_step(event):
+            if event["phase"] == "pre" and event["batch"] == 1:
+                during.update(flags())
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            fit_interleaved(model, data, config, step_callback=fail_on_second_step)
+        assert during != before  # the first (view A) step had switched text off
+        assert flags() == before
 
 
 class TestPredict:
