@@ -76,6 +76,10 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fusion-dim", type=int, default=128)
     p.add_argument("--recurrent-dropout", type=float, default=0.5)
     p.add_argument("--attention-threshold", type=int, default=100)
+
+
+def _add_network_flags(p: argparse.ArgumentParser) -> None:
+    """The social-graph inputs `_load` attaches as the NF feature group."""
     p.add_argument("--edges", default=None, help="edge-list file for NF enrichment")
     p.add_argument("--nodes", default=None, help="node-attribute file for NF enrichment")
     p.add_argument("--user-column", default=None, help="column naming the posting user")
@@ -196,7 +200,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.dataset, args.schema)
+    corpus = _load(args)
     data = encode_for_checkpoint(corpus, meta)
     probs = predict_probs(model, data, batch_size=512)
     payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
@@ -289,18 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="cross-validate a strategy and write a checkpoint")
     _add_common_io(p)
     _add_training_flags(p)
+    _add_network_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a dataset with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     _add_common_io(p)
+    _add_network_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="feature-group ablation grid")
     _add_common_io(p)
     _add_training_flags(p)
+    _add_network_flags(p)
     p.add_argument("--masks", default=None, help="semicolon-separated masks; default: all 15")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ablate)

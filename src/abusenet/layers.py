@@ -153,12 +153,16 @@ class GRULayer:
                     drop: np.ndarray | None) -> Tensor:
         """The whole recurrence as one tape op returning the states [b, T, units].
 
-        Per step: one input matmul against [W_z|W_r|W_h], one recurrent
-        matmul against [U_z|U_r], and (r * h * drop) U_h. The per-step
-        gates and products are kept only when a tape records the op.
+        Each step computes only its live rows (mask True): a step without
+        padding works on whole [b, .] slices, a step with some padded rows
+        gathers the live ones, and a step whose rows are all padded is
+        skipped. Padded rows carry h unchanged into the states. Per step:
+        one input matmul against [W_z|W_r|W_h], one recurrent matmul against
+        [U_z|U_r], and (r * h * drop) U_h. When a tape records the op, the
+        live rows' inputs, gates and products are kept packed time-major.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of x, W, U_z|U_r and U_h are one matmul each over
-        all T*b rows.
+        the packed live rows.
         """
         inputs = (x, h0, *(p.tensor for p in self.parameters()))
         _check_dtypes(*inputs)
@@ -168,21 +172,40 @@ class GRULayer:
         bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
         U_h = self.U_h.data
-        unpadded = mask.all(axis=0)  # steps with no padded row skip the row select
         record = active_tape() is not None and any(t.requires_grad for t in inputs)
+        # live (mask True) positions in time-major order; step t's live rows
+        # are live_b[start[t]:start[t + 1]], its slice of the packed buffers
+        live_t, live_b = np.nonzero(mask.T)
+        start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
+        n = live_b.size
 
         xd = x.data
         states = np.empty((b, steps, u), dtype=xd.dtype)
         if record:
-            zr_all = np.empty((steps, b, 2 * u), dtype=xd.dtype)
-            c_all = np.empty((steps, b, u), dtype=xd.dtype)
-            hm_all = np.empty((b, steps, u), dtype=xd.dtype)  # h * drop
-            rh_all = np.empty((b, steps, u), dtype=xd.dtype)  # r * h * drop
-        h = h0.data
+            x_all = xd[live_b, live_t]
+            zr_all = np.empty((n, 2 * u), dtype=xd.dtype)
+            c_all = np.empty((n, u), dtype=xd.dtype)
+            hm_all = np.empty((n, u), dtype=xd.dtype)  # h * drop
+            rh_all = np.empty((n, u), dtype=xd.dtype)  # r * h * drop
+        h = h0.data.copy()
         for t in range(steps):
-            a = xd[:, t] @ W
+            lo, hi = start[t], start[t + 1]
+            if lo == hi:
+                states[:, t] = h
+                continue
+            if hi - lo == b:
+                sel, h_t, drop_t = None, h, drop
+            else:
+                sel = live_b[lo:hi]
+                h_t = h[sel]
+                drop_t = None if drop is None else drop[sel]
+            if record:
+                x_t = x_all[lo:hi]
+            else:
+                x_t = xd[:, t] if sel is None else xd[sel, t]
+            a = x_t @ W
             a += bias
-            hm = h if drop is None else h * drop
+            hm = h_t if drop_t is None else h_t * drop_t
             zr = a[:, :2 * u]
             zr += hm @ U_zr
             _sigmoid(zr)
@@ -191,52 +214,65 @@ class GRULayer:
             c = a[:, 2 * u:]
             c += rh @ U_h
             np.tanh(c, out=c)
-            h_new = c - h
+            h_new = c - h_t
             h_new *= zr[:, :u]
-            h_new += h
-            if not unpadded[t]:
-                h_new = np.where(mask[:, t, None], h_new, h)  # padded rows: exact copy
-            states[:, t] = h_new
+            h_new += h_t
+            if sel is None:
+                h = h_new
+            else:
+                h[sel] = h_new  # padded rows keep h exactly
+            states[:, t] = h
             if record:
-                zr_all[t] = zr
-                c_all[t] = c
-                hm_all[:, t] = hm
-                rh_all[:, t] = rh
-            h = h_new
+                zr_all[lo:hi] = zr
+                c_all[lo:hi] = c
+                hm_all[lo:hi] = hm
+                rh_all[lo:hi] = rh
 
         def back(g):
-            da = np.empty((b, steps, 3 * u), dtype=g.dtype)  # pre-activation gradients
+            da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             dh = np.zeros((b, u), dtype=g.dtype)
             for t in range(steps - 1, -1, -1):
                 dh += g[:, t]
-                z, r, c = zr_all[t, :, :u], zr_all[t, :, u:], c_all[t]
+                lo, hi = start[t], start[t + 1]
+                if lo == hi:
+                    continue
                 h_prev = states[:, t - 1] if t else h0.data
-                live = dh if unpadded[t] else dh * mask[:, t, None]
-                da_t = da[:, t]
-                np.multiply(live * z, 1.0 - c * c, out=da_t[:, 2 * u:])
+                if hi - lo == b:
+                    sel, dh_t, drop_t = None, dh, drop
+                else:
+                    sel = live_b[lo:hi]
+                    dh_t, h_prev = dh[sel], h_prev[sel]
+                    drop_t = None if drop is None else drop[sel]
+                z, r, c = zr_all[lo:hi, :u], zr_all[lo:hi, u:], c_all[lo:hi]
+                da_t = da[lo:hi]
+                np.multiply(dh_t * z, 1.0 - c * c, out=da_t[:, 2 * u:])
                 drh = da_t[:, 2 * u:] @ U_h.T
-                np.multiply(live * (c - h_prev), z * (1.0 - z), out=da_t[:, :u])
-                np.multiply(drh * hm_all[:, t], r * (1.0 - r), out=da_t[:, u:2 * u])
+                np.multiply(dh_t * (c - h_prev), z * (1.0 - z), out=da_t[:, :u])
+                np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
                 dhm = drh * r
                 dhm += da_t[:, :2 * u] @ U_zr.T
-                if drop is not None:
-                    dhm *= drop
-                dhm += live * (1.0 - z)
-                dh = dhm if unpadded[t] else np.where(mask[:, t, None], dhm, dh)
+                if drop_t is not None:
+                    dhm *= drop_t
+                dhm += dh_t * (1.0 - z)
+                if sel is None:
+                    dh = dhm
+                else:
+                    dh[sel] = dhm  # padded rows pass dh through
             _accum(h0, dh)
-            rows = da.reshape(b * steps, 3 * u)
             if x.requires_grad:
-                _accum(x, (rows @ W.T).reshape(b, steps, d))
-            dW = xd.reshape(b * steps, d).T @ rows
-            db = rows.sum(axis=0)
-            dU_zr = hm_all.reshape(b * steps, u).T @ rows[:, :2 * u]
+                dx = np.zeros((b * steps, d), dtype=g.dtype)
+                dx[live_b * steps + live_t] = da @ W.T
+                _accum(x, dx.reshape(b, steps, d))
+            dW = x_all.T @ da
+            db = da.sum(axis=0)
+            dU_zr = hm_all.T @ da[:, :2 * u]
             for k, (w, bk) in enumerate(((self.W_z, self.b_z), (self.W_r, self.b_r),
                                          (self.W_h, self.b_h))):
                 _accum(w.tensor, dW[:, k * u:(k + 1) * u])
                 _accum(bk.tensor, db[k * u:(k + 1) * u])
             _accum(self.U_z.tensor, dU_zr[:, :u])
             _accum(self.U_r.tensor, dU_zr[:, u:])
-            _accum(self.U_h.tensor, rh_all.reshape(b * steps, u).T @ rows[:, 2 * u:])
+            _accum(self.U_h.tensor, rh_all.T @ da[:, 2 * u:])
 
         return op_output(states, inputs, back)
 

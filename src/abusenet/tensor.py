@@ -151,7 +151,8 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         stack = _tape_stack()
-        assert stack and stack[-1] is self
+        if not stack or stack[-1] is not self:
+            raise ContractError("tapes must be exited in the reverse order they were entered")
         stack.pop()
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
@@ -346,9 +347,25 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx, g)
+        _scatter_add_rows(table.grad, idx, g)
 
     return op_output(table.data[idx], (table,), back)
+
+
+def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """``np.add.at(out, idx, g)``, bit for bit, with fewer rows through ``np.add.at``.
+
+    ``np.add.at`` adds the rows of ``g`` one at a time in index order. A
+    stable sort finds each index's first occurrence; those rows are added in
+    one fancy-indexed add (no index repeats), and only the later occurrences
+    go through ``np.add.at``, which keeps their order.
+    """
+    uniq, first = np.unique(idx, return_index=True)
+    out[uniq] += g[first]
+    if first.size < idx.size:
+        repeat = np.ones(idx.size, dtype=bool)
+        repeat[first] = False
+        np.add.at(out, idx[repeat], g[repeat])
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:

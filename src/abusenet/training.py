@@ -126,7 +126,13 @@ def updates(p: Parameter, allowed_tags: set[str] | None) -> bool:
 
 
 class Adam:
-    """Adam with bias correction; skips every parameter ``updates`` rules out."""
+    """Adam with bias correction; skips every parameter ``updates`` rules out.
+
+    Dense: every updated parameter's moments decay each step, also where its
+    gradient is zero. A step allocates nothing: it works in two persistent
+    scratch buffers per parameter, in the float-op order of the textbook
+    expression, so results equal it bit for bit.
+    """
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, epsilon: float = 1e-8):
@@ -135,8 +141,7 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._state: dict[str, np.ndarray] = {}  # per parameter: m, v, two scratch buffers
 
     @classmethod
     def from_config(cls, config: TrainingConfig) -> "Adam":
@@ -155,18 +160,26 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
-            m = self._m.get(p.name)
-            if m is None:
-                m = self._m[p.name] = np.zeros_like(p.data)
-            v = self._v.get(p.name)
-            if v is None:
-                v = self._v[p.name] = np.zeros_like(p.data)
+            state = self._state.get(p.name)
+            if state is None:
+                state = self._state[p.name] = np.zeros((4, *p.data.shape), dtype=p.data.dtype)
+            m, v, s, q = state  # the two moments and two scratch buffers
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
             m *= b1
-            m += (1.0 - b1) * g
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (self.lr * (m / bias1)) / (np.sqrt(v / bias2) + self.epsilon)
-            p.tensor.data -= update.astype(p.data.dtype, copy=False)
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
+            v += s
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=s)
+            s *= self.lr
+            np.divide(v, bias2, out=q)
+            np.sqrt(q, out=q)
+            q += self.epsilon
+            s /= q
+            p.tensor.data -= s
 
 
 class EarlyStopping:

@@ -35,6 +35,16 @@ def copy_without_column(src, dst, column):
         csv.writer(fh).writerows([[c for i, c in enumerate(r) if i != drop] for r in rows])
 
 
+def copy_with_user_column(src, dst, n_users):
+    with src.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[0].append("user")
+    for i, row in enumerate(rows[1:]):
+        row.append(f"u{i % n_users}")
+    with dst.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def train_args(synth_dir, out, strategy="naive", seed="0", mask="WV+TF+UF"):
     return (["train", "--dataset", synth_dir / "dataset.csv", "--schema", synth_dir / "schema.json",
              "--strategy", strategy, "--mask", mask, "--seed", seed, "--out", out] + TINY)
@@ -150,6 +160,27 @@ class TestEvaluateCommand:
             run(["evaluate", "--checkpoint", out / "model.ckpt",
                  "--dataset", other / "dataset.csv", "--schema", other / "schema.json"])
 
+
+    def test_network_features_checkpoint(self, synth_dir, tmp_path):
+        # a checkpoint trained with the NF group needs the same graph at evaluation
+        dataset = tmp_path / "users.csv"
+        copy_with_user_column(synth_dir / "dataset.csv", dataset, n_users=20)
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"u{i} u{(i + 1) % 20}\nu{i} u{(i * 7 + 3) % 20}\n"
+                                 for i in range(20)))
+        graph = ["--edges", edges, "--user-column", "user"]
+        io = ["--dataset", dataset, "--schema", synth_dir / "schema.json"]
+        out = tmp_path / "run"
+        assert run(["train", *io, *graph, "--strategy", "naive", "--mask", "WV+TF+UF+NF",
+                    "--out", out] + TINY) == 0
+        _, meta = load_checkpoint(out / "model.ckpt")
+        assert "NF" in meta.mask
+        result = tmp_path / "eval.json"
+        assert run(["evaluate", "--checkpoint", out / "model.ckpt", *io, *graph,
+                    "--out", result]) == 0
+        assert 0.0 <= json.loads(result.read_text())["metrics"]["auc"] <= 1.0
+        with pytest.raises(SchemaError, match="nf_"):
+            run(["evaluate", "--checkpoint", out / "model.ckpt", *io])
 
     def test_header_only_dataset_has_no_rows(self, synth_dir, tmp_path):
         out = tmp_path / "run"

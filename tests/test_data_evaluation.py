@@ -223,6 +223,14 @@ class TestWorkers:
                           n_folds=3, workers=2)
         assert serial.to_dict() == parallel.to_dict()
 
+    def test_parallel_folds_match_serial_text_path(self):
+        # the GRU, embedding scatter and Adam run inside each worker
+        corpus = synth_groups(n=120, seed=16)
+        config = tiny_config(seed=4, max_epochs=3, patience=2)
+        serial = run_cv(corpus, config, TINY_MODEL, mask="WV+UF", n_folds=2, workers=1)
+        parallel = run_cv(corpus, config, TINY_MODEL, mask="WV+UF", n_folds=2, workers=2)
+        assert serial.to_dict() == parallel.to_dict()
+
 
 class TestAblation:
     def test_default_grid_is_fifteen_rows(self):

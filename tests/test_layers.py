@@ -18,6 +18,65 @@ def make_gru(d, u, dtype=np.float64, p=0.0, seed=1):
     return GRULayer(d, u, recurrent_dropout=p, rng=np.random.default_rng(seed), dtype=dtype)
 
 
+# rows of [batch, T] masks ("x" live, "." padded) whose steps mix the three
+# kinds the GRU tells apart: no padded row, some padded rows, all padded
+PACKED_MASKS = {
+    "interior_gaps": ["x.x.xx", ".xx..x", "xxxxxx", "..xx.x"],
+    "padded_leading_steps": ["..xxxx", "...xxx", ".....x", "..x.xx"],
+    "padded_middle_step": ["xx.xxx", ".x.x.x", "xx..xx", "xx.xxx"],
+}
+
+
+def mask_of(rows):
+    return np.array([[c == "x" for c in row] for row in rows])
+
+
+def check_plain_recurrence(mask):
+    """States equal a plain loop of the GRU docstring's gate equations to 1e-12."""
+    b, steps = mask.shape
+    gru = make_gru(3, 4, seed=10, p=0.5)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(b, steps, 3))
+    h0 = rng.normal(size=(b, 4))
+    states, last = gru.forward(Tensor(x), mask=mask, h0=Tensor(h0), train=True,
+                               rng=np.random.default_rng(12))
+    keep = 0.5
+    drop = (np.random.default_rng(12).random((b, 4)) < keep) / keep
+
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    w = {name: p.data for name, p in zip(("Wz", "Wr", "Wh", "Uz", "Ur", "Uh", "bz", "br", "bh"),
+                                         gru.parameters())}
+    h = h0
+    for t in range(steps):
+        hm = h * drop
+        z = sig(x[:, t] @ w["Wz"] + hm @ w["Uz"] + w["bz"])
+        r = sig(x[:, t] @ w["Wr"] + hm @ w["Ur"] + w["br"])
+        c = np.tanh(x[:, t] @ w["Wh"] + (r * hm) @ w["Uh"] + w["bh"])
+        h = np.where(mask[:, t, None], (1.0 - z) * h + z * c, h)
+        np.testing.assert_allclose(states.data[:, t], h, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(last.data, states.data[:, -1])
+
+
+def check_all_states_gradient(mask):
+    """Float64 grad check of a loss over every state, as attention reads them,
+    with recurrent dropout; x and h0 are checked parameters too."""
+    b, steps = mask.shape
+    gru = make_gru(3, 4, seed=8, p=0.5)
+    rng = np.random.default_rng(9)
+    x = Parameter("x", rng.normal(size=(b, steps, 3)))
+    h0 = Parameter("h0", rng.normal(size=(b, 4)))
+    coef = Tensor(rng.normal(size=(b, steps, 4)))
+
+    def forward():
+        states, _ = gru.forward(x.tensor, mask=mask, h0=h0.tensor, train=True,
+                                rng=np.random.default_rng(99))
+        return T.sum_all(T.mul(states, coef))
+
+    assert grad_check(forward, gru.parameters() + [x, h0]) < 1e-4
+
+
 class TestEmbedding:
     def test_pad_row_zero_at_init(self):
         emb = EmbeddingLayer.random(10, 4, rng=np.random.default_rng(0))
@@ -83,31 +142,12 @@ class TestGRU:
         assert abs(float(last.data[0, 0]) - expected) < 1e-12
 
     def test_states_match_plain_recurrence(self):
-        # reference: the gate equations of the class docstring, step by step
-        gru = make_gru(3, 4, seed=10, p=0.5)
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(3, 5, 3))
-        h0 = rng.normal(size=(3, 4))
-        mask = rng.random((3, 5)) < 0.6
-        states, last = gru.forward(Tensor(x), mask=mask, h0=Tensor(h0), train=True,
-                                   rng=np.random.default_rng(12))
-        keep = 0.5
-        drop = (np.random.default_rng(12).random((3, 4)) < keep) / keep
+        mask = np.random.default_rng(11).random((3, 5)) < 0.6
+        check_plain_recurrence(mask)
 
-        def sig(v):
-            return 1.0 / (1.0 + np.exp(-v))
-
-        w = {name: p.data for name, p in zip(("Wz", "Wr", "Wh", "Uz", "Ur", "Uh", "bz", "br", "bh"),
-                                             gru.parameters())}
-        h = h0
-        for t in range(5):
-            hm = h * drop
-            z = sig(x[:, t] @ w["Wz"] + hm @ w["Uz"] + w["bz"])
-            r = sig(x[:, t] @ w["Wr"] + hm @ w["Ur"] + w["br"])
-            c = np.tanh(x[:, t] @ w["Wh"] + (r * hm) @ w["Uh"] + w["bh"])
-            h = np.where(mask[:, t, None], (1.0 - z) * h + z * c, h)
-            np.testing.assert_allclose(states.data[:, t], h, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(last.data, states.data[:, -1])
+    @pytest.mark.parametrize("mask", PACKED_MASKS.values(), ids=PACKED_MASKS.keys())
+    def test_packed_steps_match_plain_recurrence(self, mask):
+        check_plain_recurrence(mask_of(mask))
 
     def test_fully_padded_sample_passes_h0_through(self):
         gru = make_gru(3, 4)
@@ -176,23 +216,14 @@ class TestGRU:
         assert grad_check(forward, gru.parameters()) < 1e-4
 
     def test_grad_check_all_states_masked_dropout_x_and_h0(self):
-        # the loss reads every state, as attention does; x and h0 are checked
-        # too, and one row is fully padded
-        gru = make_gru(3, 4, seed=8, p=0.5)
-        rng = np.random.default_rng(9)
-        x = Parameter("x", rng.normal(size=(3, 4, 3)))
-        h0 = Parameter("h0", rng.normal(size=(3, 4)))
-        mask = np.array([[False, False, True, True],
-                         [False, False, False, False],
-                         [True, True, False, True]])
-        coef = Tensor(rng.normal(size=(3, 4, 4)))
+        # one row is fully padded
+        check_all_states_gradient(np.array([[False, False, True, True],
+                                            [False, False, False, False],
+                                            [True, True, False, True]]))
 
-        def forward():
-            states, _ = gru.forward(x.tensor, mask=mask, h0=h0.tensor, train=True,
-                                    rng=np.random.default_rng(99))
-            return T.sum_all(T.mul(states, coef))
-
-        assert grad_check(forward, gru.parameters() + [x, h0]) < 1e-4
+    @pytest.mark.parametrize("mask", PACKED_MASKS.values(), ids=PACKED_MASKS.keys())
+    def test_grad_check_packed_steps(self, mask):
+        check_all_states_gradient(mask_of(mask))
 
 
 class TestAttention:

@@ -137,6 +137,29 @@ class TestGatherRows:
         assert grad_check(forward, [p]) < 1e-7
 
 
+    @pytest.mark.parametrize("existing_grad", [False, True])
+    def test_backward_equals_add_at_bitwise(self, existing_grad):
+        # rows summed in another order than np.add.at's would differ in float32
+        rng = np.random.default_rng(12)
+        V, d, n = 40, 6, 300
+        idx = rng.integers(1, V, size=n)
+        idx[rng.random(n) < 0.4] = 0  # heavily repeated pad index
+        g = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))).astype(np.float32)
+        g[::13] = -0.0
+        table = Tensor(rng.normal(size=(V, d)).astype(np.float32), requires_grad=True)
+        start = rng.normal(size=(V, d)).astype(np.float32) if existing_grad else np.zeros((V, d), np.float32)
+        expected = start.copy()
+        np.add.at(expected, idx, g)
+        if existing_grad:
+            table.grad = start.copy()
+        with Tape() as tape:
+            out = T.gather_rows(table, idx)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        assert table.grad.dtype == np.float32
+        assert table.grad.tobytes() == expected.tobytes()
+
+
 class TestConcatLast:
     def test_simple(self):
         out = T.concat_last(Tensor([[1.0, 2.0]]), Tensor([[3.0]]))
@@ -212,6 +235,19 @@ class TestBackward:
         assert len(tape) == 1
         tape.clear()
         assert len(tape) == 0
+
+    def test_out_of_order_exit_is_a_contract_error(self):
+        outer, inner = Tape(), Tape()
+        outer.__enter__()
+        inner.__enter__()
+        try:
+            with pytest.raises(ContractError, match="reverse order"):
+                outer.__exit__(None, None, None)
+            assert T.active_tape() is inner  # the stack is left as it was
+        finally:
+            inner.__exit__(None, None, None)
+            outer.__exit__(None, None, None)
+        assert T.active_tape() is None
 
     def test_inference_records_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)

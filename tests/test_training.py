@@ -120,6 +120,33 @@ class TestAdam:
         Adam().step([p])
         np.testing.assert_array_equal(p.data, before)
 
+    def test_matches_textbook_bitwise_over_steps(self):
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(5)
+        # starts at zero so that the last bits of each update stay visible
+        live = Parameter("live", np.zeros((30, 4), dtype=np.float32))
+        frozen = Parameter("frozen", rng.normal(size=(3,)).astype(np.float32), trainable=False)
+        no_grad = Parameter("no_grad", rng.normal(size=(2, 2)).astype(np.float32))
+        before = {p.name: p.data.copy() for p in (frozen, no_grad)}
+        value = live.data.copy()
+        m = np.zeros_like(value)
+        v = np.zeros_like(value)
+        opt = Adam(lr, b1, b2, eps)
+        for t in range(1, 5):
+            g = (rng.normal(size=value.shape) * 10.0 ** rng.uniform(-6, 2)).astype(np.float32)
+            g[t] = 0.0  # dense: a zero gradient row still decays its moments
+            live.tensor.grad = g.copy()
+            frozen.tensor.grad = np.ones(3, dtype=np.float32)
+            no_grad.tensor.grad = None
+            opt.step([live, frozen, no_grad])
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            value = value - (lr * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert value.dtype == np.float32
+            assert live.data.tobytes() == value.tobytes()
+        for p in (frozen, no_grad):
+            assert p.data.tobytes() == before[p.name].tobytes()
+
     def test_tag_filter(self):
         a = Parameter("a", np.ones(2, dtype=np.float32), tag="text")
         b = Parameter("b", np.ones(2, dtype=np.float32), tag="head")
