@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,8 +25,11 @@ from .graph import (
     eigenvector_centrality,
     hits,
     node_features,
+    power_difference,
 )
 from .utils import derive_rng
+
+_MENTION_RE = re.compile(r"@(\w+)")
 
 
 class SchemaError(ValueError):
@@ -125,26 +129,30 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     """Compute the NF block per sample from an edge list and merge it in.
 
     Samples whose user is missing from the graph get zero NF features.
-    Mentioned accounts are read from @-tokens in the sample text.
+    Mentioned accounts are read from @-tokens in the sample text. Every NF
+    value but the power difference depends on the user alone, so
+    `node_features` runs once per distinct user and only the power
+    difference, which reads the sample's mentions, runs per sample.
     """
     hub_auth = hits(graph)
     try:
         eigen = eigenvector_centrality(graph)
     except DegenerateGraphError:
         eigen = {n: 0.0 for n in graph.nodes()}
-    mention_re = __import__("re").compile(r"@(\w+)")
+    absent = dict.fromkeys(NF_FEATURE_NAMES, 0.0)
+    per_user: dict[str, dict[str, float]] = {}
     records = []
     for rec, text in zip(corpus.records, corpus.texts):
         rec = dict(rec)
         user = str(rec.get(user_column, ""))
-        mentions = mention_re.findall(text)
         if user in graph.followers_count:
-            values = node_features(graph, user, mentioned=mentions,
-                                   hub_auth=hub_auth, eigen=eigen)
+            if user not in per_user:
+                per_user[user] = dict(zip(NF_FEATURE_NAMES, node_features(
+                    graph, user, hub_auth=hub_auth, eigen=eigen)))
+            rec.update(per_user[user])
+            rec["nf_power_difference"] = power_difference(graph, user, _MENTION_RE.findall(text))
         else:
-            values = [0.0] * len(NF_FEATURE_NAMES)
-        for name, value in zip(NF_FEATURE_NAMES, values):
-            rec[name] = value
+            rec.update(absent)
         records.append(rec)
     columns = dict(corpus.columns)
     for name in NF_FEATURE_NAMES:

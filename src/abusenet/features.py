@@ -55,8 +55,8 @@ EMOTICONS = _load_emoticons()
 TWEET_COUNTER_NAMES = ("n_hashtags", "n_mentions", "n_emoticons", "n_uppercase", "n_urls")
 
 
-def tweet_features(text: str, affect: dict[str, float] | None = None) -> tuple[list[float], list[str]]:
-    """TF feature block for one post: counters plus affect passthrough slots.
+def tweet_counters(text: str) -> list[float]:
+    """The TF counters of one post, in ``TWEET_COUNTER_NAMES`` order.
 
     Counting rules: URLs are removed first, so their pieces are never counted
     as uppercase words; emoticons match whitespace-delimited chunks against
@@ -70,22 +70,38 @@ def tweet_features(text: str, affect: dict[str, float] | None = None) -> tuple[l
     chunks = stripped.split()
     n_emoticons = sum(1 for c in chunks if c in EMOTICONS)
     n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
+    return [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
 
-    values = [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
-    names = list(TWEET_COUNTER_NAMES)
 
-    affect = affect or {}
-    present = bool(affect) and all(
-        affect.get(slot) is not None and not np.isnan(affect.get(slot)) for slot in AFFECT_SLOTS
-        if slot in affect
-    ) and any(slot in affect for slot in AFFECT_SLOTS)
-    for slot in AFFECT_SLOTS:
-        v = affect.get(slot)
-        values.append(0.0 if v is None or np.isnan(v) else float(v))
-        names.append(slot)
-    values.append(1.0 if present else 0.0)
-    names.append("affect_present")
-    return values, names
+def _affect_block(slots: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """Affect passthrough for ``n`` posts: [n, len(AFFECT_SLOTS) + 1] float64.
+
+    ``slots`` maps an affect slot to its parsed values, NaN where a post has
+    none. Unmapped and NaN values are imputed 0. The last column is the
+    ``affect_present`` flag: 1 when at least one slot is mapped and none of
+    the mapped slots is NaN for that post.
+    """
+    out = np.zeros((n, len(AFFECT_SLOTS) + 1))
+    present = np.full(n, any(slot in slots for slot in AFFECT_SLOTS))
+    for j, slot in enumerate(AFFECT_SLOTS):
+        if slot in slots:
+            values = slots[slot]
+            missing = np.isnan(values)
+            present &= ~missing
+            out[:, j] = np.where(missing, 0.0, values)
+    out[:, -1] = present
+    return out
+
+
+TF_FEATURE_NAMES = (*TWEET_COUNTER_NAMES, *AFFECT_SLOTS, "affect_present")
+
+
+def tweet_features(text: str, affect: dict[str, float] | None = None) -> tuple[list[float], list[str]]:
+    """TF feature block for one post: counters plus affect passthrough slots."""
+    slots = {slot: np.array([np.nan if v is None else v], dtype=np.float64)
+             for slot, v in (affect or {}).items()}
+    values = tweet_counters(text) + _affect_block(slots, 1)[0].tolist()
+    return values, list(TF_FEATURE_NAMES)
 
 
 @dataclass
@@ -110,12 +126,19 @@ class CategoricalEncoder:
             return [f"{self.column}={c}" for c in self.categories]
         return [f"{self.column}#rank"]
 
-    def transform_value(self, value) -> list[float]:
-        value = str(value)
+    def transform(self, values: list) -> np.ndarray:
+        """Encode one column: [len(values), len(output_names())] float64."""
+        values = [str(v) for v in values]
         if self.kind == "onehot":
-            return [1.0 if value == c else 0.0 for c in self.categories]
+            index = {c: j for j, c in enumerate(self.categories)}
+            hit = np.array([index.get(v, -1) for v in values], dtype=np.int64)
+            rows = np.flatnonzero(hit >= 0)
+            out = np.zeros((len(values), len(self.categories)))
+            out[rows, hit[rows]] = 1.0
+            return out
         # unseen values rank below every seen one
-        return [float(self.ranks.get(value, len(self.ranks)))]
+        unseen = len(self.ranks)
+        return np.array([self.ranks.get(v, unseen) for v in values], dtype=np.float64)[:, None]
 
     def to_config(self) -> dict:
         return {"column": self.column, "kind": self.kind,
@@ -131,8 +154,7 @@ class CategoricalEncoder:
 def encode_categorical(values: list[str]) -> tuple[np.ndarray, list[str]]:
     """Encode one categorical column; convenience wrapper over the encoder."""
     enc = CategoricalEncoder.fit("value", values)
-    matrix = np.array([enc.transform_value(v) for v in values], dtype=np.float32)
-    return matrix, enc.output_names()
+    return enc.transform(values).astype(np.float32), enc.output_names()
 
 
 @dataclass(frozen=True)
@@ -184,43 +206,37 @@ class FeaturePipeline:
         return self
 
     def transform(self, records: list[dict], texts: list[str]) -> FeatureTable:
+        """Encode every row a column at a time: [len(records), f] float32."""
         if not self.fitted:
             raise ConfigurationError("pipeline must be fitted before transform")
         if len(records) != len(texts):
             raise ConfigurationError("records and texts must align")
-        rows: list[list[float]] = []
-        schema: list[FeatureColumn] | None = None
-        for rec, text in zip(records, texts):
-            affect = {}
-            for slot, col in self.affect.items():
-                raw = rec.get(col)
-                affect[slot] = _to_float(raw) if raw not in (None, "") else float("nan")
-            values, names = tweet_features(text, affect if self.affect else None)
-            cols = [FeatureColumn(n, "TF") for n in names]
-            for name in sorted(self.columns):
-                group, kind = self.columns[name]
-                if kind == "numeric":
-                    raw = rec.get(name)
-                    v = _to_float(raw) if raw not in (None, "") else float("nan")
-                    values.append(0.0 if np.isnan(v) else v)
-                    cols.append(FeatureColumn(name, group))
-                else:
-                    enc = self.encoders[name]
-                    for out_name, out_val in zip(enc.output_names(), enc.transform_value(rec.get(name, ""))):
-                        values.append(out_val)
-                        cols.append(FeatureColumn(out_name, group))
-            rows.append(values)
-            if schema is None:
-                schema = cols
+        n = len(records)
+        counters = np.array([tweet_counters(t) for t in texts], dtype=np.float64)
+        affect = {slot: _parse_column(records, col) for slot, col in self.affect.items()
+                  if slot in AFFECT_SLOTS}
+        blocks = [counters.reshape(n, len(TWEET_COUNTER_NAMES)), _affect_block(affect, n)]
+        schema = [FeatureColumn(name, "TF") for name in TF_FEATURE_NAMES]
+        for name in sorted(self.columns):
+            group, kind = self.columns[name]
+            if kind == "numeric":
+                cells = _parse_column(records, name)
+                blocks.append(np.where(np.isnan(cells), 0.0, cells)[:, None])
+                schema.append(FeatureColumn(name, group))
+            else:
+                enc = self.encoders[name]
+                blocks.append(enc.transform([rec.get(name, "") for rec in records]))
+                schema.extend(FeatureColumn(out_name, group) for out_name in enc.output_names())
+        parsed = np.concatenate(blocks, axis=1)
         with np.errstate(over="ignore"):  # overflow is reported below, by row and column
-            values = np.array(rows, dtype=np.float32)
+            values = parsed.astype(np.float32)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             row, col = bad[0]
             raise NonFiniteFeatureError(
-                f"row {row}: metadata feature {schema[col].name!r} is {rows[row][col]!r}, "
+                f"row {row}: metadata feature {schema[col].name!r} is {float(parsed[row, col])!r}, "
                 "which is not finite in float32")
-        return FeatureTable(values, schema or [])
+        return FeatureTable(values, schema)
 
     def to_config(self) -> dict:
         return {
@@ -238,10 +254,15 @@ class FeaturePipeline:
 
 
 def _to_float(raw) -> float:
+    """``float(raw)``; NaN for a missing, blank or unparseable cell."""
     try:
         return float(raw)
     except (TypeError, ValueError):
         return float("nan")
+
+
+def _parse_column(records: list[dict], column: str) -> np.ndarray:
+    return np.array([_to_float(rec.get(column)) for rec in records], dtype=np.float64)
 
 
 def parse_mask(spec: str | set[str] | frozenset[str]) -> frozenset[str]:

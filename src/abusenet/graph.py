@@ -175,11 +175,12 @@ def closeness(g: SocialGraph, node: str) -> float:
     """
     g._require(node)
     node = str(node)
+    out = g._out  # neighbours are nodes of g: no per-step _require
     dist = {node: 0}
     queue = deque([node])
     while queue:
         cur = queue.popleft()
-        for nxt in g.out_neighbors(cur):
+        for nxt in out[cur]:
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)

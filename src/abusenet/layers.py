@@ -36,7 +36,12 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
 
 
 class EmbeddingLayer:
-    """Token-index lookup table. Row 0 is the padding row, zero at init."""
+    """Token-index lookup table. Row 0 is the padding row, zero at init.
+
+    Padding positions read a zero vector and take no part in the backward
+    scatter, so the padding row's gradient is exactly zero and the row stays
+    zero under training.
+    """
 
     pad_index = 0
 
@@ -65,7 +70,7 @@ class EmbeddingLayer:
         if ids.ndim != 2:
             raise ShapeError(f"embedding expects [batch, T] token ids, got {ids.shape}")
         b, t = ids.shape
-        flat = gather_rows(self.table.tensor, ids.reshape(-1))
+        flat = gather_rows(self.table.tensor, ids.reshape(-1), padding_idx=self.pad_index)
         return reshape(flat, (b, t, self.dim))
 
     def parameters(self) -> list[Parameter]:
@@ -349,8 +354,6 @@ def _batchnorm_train(x: Tensor, gamma: Parameter, beta: Parameter, eps: float):
     out_data = xhat * gamma.data[None, :] + beta.data[None, :]
 
     def back(g):
-        from .tensor import _accum
-
         _accum(beta.tensor, g.sum(axis=0))
         _accum(gamma.tensor, (g * xhat).sum(axis=0))
         if x.requires_grad:

@@ -326,8 +326,14 @@ def softmax(x: Tensor) -> Tensor:
 # structural ops
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a [V, d] table; backward scatter-adds into the table."""
+def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tensor:
+    """Select rows of a [V, d] table; backward scatter-adds into the table.
+
+    With ``padding_idx`` set, positions holding that index read a zero row
+    and are left out of the scatter, so that table row takes no gradient
+    from this op (PyTorch's ``padding_idx`` rule, with the row's value fixed
+    at zero so the gradient is the derivative of what the op computes).
+    """
     idx = np.asarray(indices)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-d table, got {table.shape}")
@@ -341,31 +347,43 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         if bad.any():
             offender = int(idx[bad][0])
             raise IndexError(f"gather_rows index {offender} out of range [0, {V})")
+    rows = table.data[idx]
+    pad = None
+    if padding_idx is not None:
+        pad = idx == padding_idx
+        if table.data[padding_idx].any():  # a zero row is already read as zero
+            rows[pad] = 0.0
 
     def back(g):
         if not table.requires_grad:
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        _scatter_add_rows(table.grad, idx, g)
+        _scatter_add_rows(table.grad, idx, g, skip=pad)
 
-    return op_output(table.data[idx], (table,), back)
+    return op_output(rows, (table,), back)
 
 
-def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray,
+                      skip: np.ndarray | None = None) -> None:
     """``np.add.at(out, idx, g)``, bit for bit, with fewer rows through ``np.add.at``.
 
     ``np.add.at`` adds the rows of ``g`` one at a time in index order. A
     stable sort finds each index's first occurrence; those rows are added in
     one fancy-indexed add (no index repeats), and only the later occurrences
-    go through ``np.add.at``, which keeps their order.
+    go through ``np.add.at``, which keeps their order. Positions where the
+    boolean mask ``skip`` is True are left out.
     """
     uniq, first = np.unique(idx, return_index=True)
+    later = np.ones(idx.size, dtype=bool)
+    later[first] = False
+    if skip is not None:
+        kept = ~skip[first]
+        uniq, first = uniq[kept], first[kept]
+        later &= ~skip
     out[uniq] += g[first]
-    if first.size < idx.size:
-        repeat = np.ones(idx.size, dtype=bool)
-        repeat[first] = False
-        np.add.at(out, idx[repeat], g[repeat])
+    if later.any():
+        np.add.at(out, idx[later], g[later])
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:

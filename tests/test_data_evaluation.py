@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from abusenet import graph as graph_mod
 from abusenet.data import (
     Corpus,
     SchemaError,
@@ -17,7 +20,14 @@ from abusenet.evaluation import (
     run_cv,
     stratified_kfold,
 )
-from abusenet.graph import SocialGraph
+from abusenet.graph import (
+    NF_FEATURE_NAMES,
+    DegenerateGraphError,
+    SocialGraph,
+    eigenvector_centrality,
+    hits,
+    node_features,
+)
 from abusenet.model import ModelConfig
 from abusenet.training import TrainingConfig
 
@@ -128,6 +138,76 @@ class TestCorpusIO:
         enriched = attach_network_features(corpus, edgeless, "user")
         assert enriched.records[0]["nf_followers"] == 7.0
         assert enriched.records[0]["nf_eigenvector"] == 0.0
+
+
+def per_sample_attach(corpus, graph, user_column):
+    """Reference: `node_features` called for every sample, key order kept."""
+    hub_auth = hits(graph)
+    try:
+        eigen = eigenvector_centrality(graph)
+    except DegenerateGraphError:
+        eigen = {n: 0.0 for n in graph.nodes()}
+    records = []
+    for rec, text in zip(corpus.records, corpus.texts):
+        rec = dict(rec)
+        user = str(rec.get(user_column, ""))
+        if user in graph.followers_count:
+            values = node_features(graph, user, mentioned=re.findall(r"@(\w+)", text),
+                                   hub_auth=hub_auth, eigen=eigen)
+        else:
+            values = [0.0] * len(NF_FEATURE_NAMES)
+        rec.update(zip(NF_FEATURE_NAMES, values))
+        records.append(rec)
+    return records
+
+
+def social_graph(edges=True):
+    g = SocialGraph()
+    for i in range(8):
+        g.add_node(f"u{i}", followers=3 ** i % 101, friends=i % 4)
+    if edges:
+        for src, dst in [(0, 1), (1, 0), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (5, 6),
+                         (6, 5), (0, 7), (7, 1), (3, 0)]:
+            g.add_edge(f"u{src}", f"u{dst}")
+    return g
+
+
+def posting_corpus():
+    """Users post several times with different mentions; u8 and u9 are not in
+    the graph, and some mentions name accounts the graph does not know."""
+    corpus = synth_xor(n=40, seed=4)
+    mentions = ["", "@u1", "@u2 @u5", "@nobody", "@u0 @u0 @u3", "@u7 hi @zz"]
+    for i, rec in enumerate(corpus.records):
+        rec["user"] = f"u{i % 10}"
+        corpus.texts[i] = f"{corpus.texts[i]} {mentions[(i * 5) % len(mentions)]}"
+    return corpus
+
+
+class TestAttachPerUser:
+    @pytest.mark.parametrize("edges", [True, False])
+    def test_equals_per_sample_reference(self, edges):
+        corpus, g = posting_corpus(), social_graph(edges)
+        got = attach_network_features(corpus, g, "user")
+        expected = per_sample_attach(corpus, g, "user")
+        assert [list(r.items()) for r in got.records] == [list(r.items()) for r in expected]
+        u0_power = {r["nf_power_difference"] for r in got.records if r["user"] == "u0"}
+        assert len(u0_power) > 1  # a per-sample value, not a per-user one
+
+    def test_graph_metrics_run_once_per_distinct_user(self, monkeypatch):
+        calls = {"closeness": 0, "clustering_coefficient": 0}
+        for name in calls:
+            original = getattr(graph_mod, name)
+
+            def counted(g, node, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(g, node)
+
+            monkeypatch.setattr(graph_mod, name, counted)
+        corpus = posting_corpus()
+        attach_network_features(corpus, social_graph(), "user")
+        users_in_graph = {r["user"] for r in corpus.records} & set(social_graph().nodes())
+        assert len(corpus) == 40 and len(users_in_graph) == 8
+        assert calls == {"closeness": 8, "clustering_coefficient": 8}
 
 
 class TestKFold:

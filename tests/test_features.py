@@ -3,12 +3,15 @@ import pytest
 
 from abusenet.features import (
     AFFECT_SLOTS,
+    TWEET_COUNTER_NAMES,
     ConfigurationError,
+    FeatureColumn,
     FeaturePipeline,
     NonFiniteFeatureError,
     assemble,
     encode_categorical,
     parse_mask,
+    tweet_counters,
     tweet_features,
 )
 
@@ -47,6 +50,12 @@ class TestTweetFeatures:
         for i, slot in enumerate(AFFECT_SLOTS):
             assert c[slot] == pytest.approx(0.1 * i)
         assert c["affect_present"] == 1.0
+
+    @pytest.mark.parametrize("affect", [{"anger": 0.5, "joy": None}, {"anger": 0.5, "joy": float("nan")}])
+    def test_partly_missing_affect_is_not_present(self, affect):
+        values, names = tweet_features("ok", affect)
+        c = dict(zip(names, values))
+        assert (c["anger"], c["joy"], c["affect_present"]) == (0.5, 0.0, 0.0)
 
     def test_plain_words_never_change_counters(self):
         base = counters("@a #x :)")
@@ -155,3 +164,135 @@ class TestPipelineAndAssemble:
         b = clone.transform(records, ["x", "y", "z"])
         np.testing.assert_array_equal(a.values, b.values)
         assert [c.name for c in a.schema] == [c.name for c in b.schema]
+
+
+def row_wise_transform(pipe, records, texts):
+    """Reference: one row at a time, as the pipeline encoded before it went
+    column-wise. Returns (values, schema) or raises NonFiniteFeatureError."""
+
+    def parse(raw):
+        try:
+            return float(raw) if raw not in (None, "") else float("nan")
+        except (TypeError, ValueError):
+            return float("nan")
+
+    rows, schema = [], None
+    for rec, text in zip(records, texts):
+        affect = {slot: parse(rec.get(col)) for slot, col in pipe.affect.items()}
+        present = (any(slot in affect for slot in AFFECT_SLOTS)
+                   and all(not np.isnan(affect[slot]) for slot in AFFECT_SLOTS if slot in affect))
+        values = tweet_counters(text) + [
+            0.0 if np.isnan(affect.get(slot, np.nan)) else affect[slot] for slot in AFFECT_SLOTS]
+        values.append(1.0 if present else 0.0)
+        cols = [FeatureColumn(n, "TF")
+                for n in (*TWEET_COUNTER_NAMES, *AFFECT_SLOTS, "affect_present")]
+        for name in sorted(pipe.columns):
+            group, kind = pipe.columns[name]
+            if kind == "numeric":
+                v = parse(rec.get(name))
+                values.append(0.0 if np.isnan(v) else v)
+                cols.append(FeatureColumn(name, group))
+                continue
+            enc, value = pipe.encoders[name], str(rec.get(name, ""))
+            if enc.kind == "onehot":
+                values.extend(1.0 if value == c else 0.0 for c in enc.categories)
+            else:
+                values.append(float(enc.ranks.get(value, len(enc.ranks))))
+            cols.extend(FeatureColumn(n, group) for n in enc.output_names())
+        rows.append(values)
+        schema = schema or cols
+    with np.errstate(over="ignore"):
+        table = np.array(rows, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise NonFiniteFeatureError(
+            f"row {row}: metadata feature {schema[col].name!r} is {rows[row][col]!r}, "
+            "which is not finite in float32")
+    return table, schema
+
+
+MIXED_COLUMNS = {
+    "followers": ("UF", "numeric"),
+    "recip": ("NF", "numeric"),
+    "country": ("UF", "categorical"),  # few values: one-hot
+    "city": ("UF", "categorical"),  # many values: frequency-rank ordinal
+}
+
+TEXTS = ["plain words only", "@a @b #x :) HTTP://t.co WOW", "SO ANGRY :( www.example.org/x?y=1 OK",
+         "#one #two @c <3 xD", "", "MiXeD CaSe A I", "http://t.co/A1 https://x.io @d NO",
+         "visit www.site.com :-) :-( #tag"]
+
+
+def mixed_records(n):
+    rng = np.random.default_rng(5)
+    cells = ["1.5", "-0", "", "many", "nan", "2e3", " 7 ", None, 4.25, "1_000"]
+    records = []
+    for i in range(n):
+        rec = {
+            "followers": cells[i % len(cells)],
+            "recip": f"{rng.normal():.6f}",
+            # past the fitted first half both columns hold unseen values
+            "country": ["ca", "us", "fr"][i % 3] if i % 7 else f"x{i // 20}",
+            "city": f"c{i * 7 % 46 % 22}",
+            "aff_anger": "" if i % 4 == 1 else ("nan" if i % 4 == 2 else f"{rng.random():.5f}"),
+            "aff_joy": f"{rng.random():.5f}",
+            "aff_fear": "n/a" if i % 5 == 0 else f"{rng.random():.5f}",
+        }
+        if i % 6 == 5:
+            del rec["followers"], rec["country"]  # missing cells read as absent
+        records.append(rec)
+    return records
+
+
+class TestColumnWiseTransform:
+    @pytest.mark.parametrize("affect", [
+        {},
+        {"anger": "aff_anger", "joy": "aff_joy", "fear": "aff_fear"},
+        {"joy": "aff_joy"},
+        {slot: "aff_joy" for slot in AFFECT_SLOTS},
+        {"toxicity": "aff_joy"},  # not an affect slot: ignored
+    ])
+    def test_equals_row_wise_reference_bitwise(self, affect):
+        n = 48
+        records = mixed_records(n)
+        texts = [TEXTS[i % len(TEXTS)] for i in range(n)]
+        pipe = FeaturePipeline(MIXED_COLUMNS, affect).fit(records[: n // 2])  # unseen values later
+        assert pipe.encoders["country"].kind == "onehot"
+        assert pipe.encoders["city"].kind == "ordinal"
+        assert {"x2", "c4"}.isdisjoint({*pipe.encoders["country"].categories, *pipe.encoders["city"].ranks})
+        table = pipe.transform(records, texts)
+        values, schema = row_wise_transform(pipe, records, texts)
+        assert table.values.dtype == np.float32
+        assert table.values.shape == values.shape
+        assert table.values.tobytes() == values.tobytes()
+        assert table.schema == schema
+
+    @pytest.mark.parametrize("cells", [
+        # an earlier row's affect slot is reported before a later row's numeric
+        {(2, "aff_joy"): "inf", (2, "followers"): "1e40", (3, "recip"): "-1e39"},
+        {(4, "followers"): "-inf"},
+        {(3, "recip"): "-1e39"},  # finite as parsed, overflows float32
+    ])
+    def test_non_finite_message_equals_row_wise_reference(self, cells):
+        records = mixed_records(12)
+        for (row, col), raw in cells.items():
+            records[row][col] = raw
+        texts = ["x"] * len(records)
+        pipe = FeaturePipeline(MIXED_COLUMNS, {"joy": "aff_joy"}).fit(records)
+        with pytest.raises(NonFiniteFeatureError) as reference:
+            row_wise_transform(pipe, records, texts)
+        with pytest.raises(NonFiniteFeatureError) as got:
+            pipe.transform(records, texts)
+        assert str(got.value) == str(reference.value)
+
+    def test_zero_rows_give_full_schema(self):
+        records = mixed_records(10)
+        pipe = FeaturePipeline(MIXED_COLUMNS, {"joy": "aff_joy"}).fit(records)
+        full = pipe.transform(records, ["x"] * len(records))
+        empty = pipe.transform([], [])
+        assert empty.values.shape == (0, full.values.shape[1])
+        assert empty.values.dtype == np.float32
+        assert empty.schema == full.schema
+        sub, _ = assemble(empty, "TF+UF+NF")
+        assert sub.values.shape == (0, full.values.shape[1])

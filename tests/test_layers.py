@@ -11,7 +11,7 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from abusenet.tensor import ContractError, Parameter, Tensor, grad_check
+from abusenet.tensor import ContractError, Parameter, Tape, Tensor, grad_check
 
 
 def make_gru(d, u, dtype=np.float64, p=0.0, seed=1):
@@ -100,6 +100,24 @@ class TestEmbedding:
             return T.sum_all(T.mul(emb.forward(ids), Tensor(coef, dtype=np.float64)))
 
         assert grad_check(forward, emb.parameters()) < 1e-6
+
+    def test_pad_positions_take_no_gradient(self):
+        # the upstream gradient is non-zero at pad positions too
+        rng = np.random.default_rng(4)
+        V, d = 30, 5
+        emb = EmbeddingLayer(rng.normal(size=(V, d)).astype(np.float32))
+        ids = rng.integers(1, V, size=(8, 40))
+        ids[rng.random(ids.shape) < 0.3] = emb.pad_index
+        g = rng.normal(size=(8, 40, d)) * 10.0 ** rng.uniform(-4, 4, size=(8, 40, 1))
+        g = g.astype(np.float32)
+        expected = np.zeros((V, d), np.float32)
+        np.add.at(expected, ids.reshape(-1), g.reshape(-1, d))
+        with Tape() as tape:
+            loss = T.sum_all(T.mul(emb.forward(ids), Tensor(g)))
+        tape.backward(loss)
+        grad = emb.table.grad
+        assert grad[0].tobytes() == np.zeros(d, np.float32).tobytes()
+        assert grad[1:].tobytes() == expected[1:].tobytes()
 
 
 class TestGRU:
