@@ -8,6 +8,7 @@ are ingested from dataset columns when present and imputed with 0 plus an
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -254,9 +255,13 @@ class FeaturePipeline:
 
 
 def _to_float(raw) -> float:
-    """``float(raw)``; NaN for a missing, blank or unparseable cell."""
+    """``float(raw)``; NaN for a missing, blank or unparseable cell, and a
+    signed inf for an integer too large for a float (then reported as not
+    finite, like any other overflowing value)."""
     try:
         return float(raw)
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
     except (TypeError, ValueError):
         return float("nan")
 

@@ -16,6 +16,7 @@ from .tensor import (
     Tensor,
     _accum,
     _check_dtypes,
+    _scatter_add_rows,
     active_tape,
     add_bias,
     gather_rows,
@@ -66,12 +67,10 @@ class EmbeddingLayer:
         return self.table.data.shape[0]
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
+        """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim]."""
         ids = np.asarray(token_ids)
-        if ids.ndim != 2:
-            raise ShapeError(f"embedding expects [batch, T] token ids, got {ids.shape}")
-        b, t = ids.shape
-        flat = gather_rows(self.table.tensor, ids.reshape(-1), padding_idx=self.pad_index)
-        return reshape(flat, (b, t, self.dim))
+        rows = gather_rows(self.table.tensor, ids.reshape(-1), padding_idx=self.pad_index)
+        return rows if ids.ndim == 1 else reshape(rows, (*ids.shape, self.dim))
 
     def parameters(self) -> list[Parameter]:
         return [self.table]
@@ -118,11 +117,28 @@ class GRULayer:
                 self.b_z, self.b_r, self.b_h]
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, h0: Tensor | None = None,
-                train: bool = False, rng: np.random.Generator | None = None):
-        """Run the recurrence; returns (all_states [b,T,units], last [b,units])."""
-        if x.data.ndim != 3:
-            raise ShapeError(f"gru expects [batch, T, d] input, got {x.shape}")
-        b, steps, d = x.shape
+                train: bool = False, rng: np.random.Generator | None = None,
+                index: np.ndarray | None = None):
+        """Run the recurrence; returns (all_states [b,T,units], last [b,units]).
+
+        ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
+        rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
+        live (mask True) positions are read, so padded ones may hold any
+        index. A row read at many positions is projected onto the gates once.
+        """
+        if index is None:
+            if x.data.ndim != 3:
+                raise ShapeError(f"gru expects [batch, T, d] input, got {x.shape}")
+            b, steps, d = x.shape
+            index = np.arange(b * steps).reshape(b, steps)  # each position reads its own row
+        else:
+            index = np.asarray(index)
+            if x.data.ndim != 2 or index.ndim != 2:
+                raise ShapeError(f"gru expects [m, d] rows and a [batch, T] index, "
+                                 f"got {x.shape} and {index.shape}")
+            if not np.issubdtype(index.dtype, np.integer):
+                raise ContractError("gru index must hold integers")
+            (b, steps), d = index.shape, x.shape[1]
         if steps == 0:
             raise ContractError("gru received an empty sequence (T=0)")
         if d != self.input_dim:
@@ -145,34 +161,37 @@ class GRULayer:
             keep = 1.0 - self.recurrent_dropout
             drop = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
 
-        states = self._recurrence(x, mask, h, drop)
+        states = self._recurrence(x, index, mask, h, drop)
 
         def back_last(g):
             full = np.zeros_like(states.data)
             full[:, -1] = g
-            _accum(states, full)
+            _accum(states, full, owned=True)
 
         return states, op_output(states.data[:, -1].copy(), (states,), back_last)
 
-    def _recurrence(self, x: Tensor, mask: np.ndarray, h0: Tensor,
+    def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
                     drop: np.ndarray | None) -> Tensor:
         """The whole recurrence as one tape op returning the states [b, T, units].
 
-        Each step computes only its live rows (mask True): a step without
-        padding works on whole [b, .] slices, a step with some padded rows
-        gathers the live ones, and a step whose rows are all padded is
-        skipped. Padded rows carry h unchanged into the states. Per step:
-        one input matmul against [W_z|W_r|W_h], one recurrent matmul against
+        When rows repeat, as a batch's token ids do, each row is projected
+        once, ``P = rows @ [W_z|W_r|W_h] + b``, and a step gathers its live
+        (mask True) rows' ``P[index]``; otherwise a step multiplies its live
+        inputs by [W_z|W_r|W_h] itself. A step without padding works on whole
+        [b, .] slices, a step with some padded rows gathers the live ones,
+        and a step whose rows are all padded is skipped. Padded rows carry h
+        unchanged into the states. Per step: one recurrent matmul against
         [U_z|U_r], and (r * h * drop) U_h. When a tape records the op, the
         live rows' inputs, gates and products are kept packed time-major.
         Backward is a reverse loop with two recurrent matmuls per step, after
-        which the gradients of x, W, U_z|U_r and U_h are one matmul each over
-        the packed live rows.
+        which the gradients of the packed inputs, W, U_z|U_r and U_h are one
+        matmul each; the inputs' gradient is then scatter-added into the rows.
         """
         inputs = (x, h0, *(p.tensor for p in self.parameters()))
         _check_dtypes(*inputs)
-        b, steps, d = x.shape
-        u = self.units
+        b, steps = mask.shape
+        u, d = self.units, self.input_dim
+        rows = x.data.reshape(-1, d)
         W = np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1)
         bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
@@ -183,15 +202,21 @@ class GRULayer:
         live_t, live_b = np.nonzero(mask.T)
         start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
         n = live_b.size
+        src = index[live_b, live_t]  # the input row each live position reads
+        if n and (src.min() < 0 or src.max() >= rows.shape[0]):
+            raise IndexError(f"gru index outside the {rows.shape[0]} input rows")
 
-        xd = x.data
-        states = np.empty((b, steps, u), dtype=xd.dtype)
+        states = np.empty((b, steps, u), dtype=x.dtype)
         if record:
-            x_all = xd[live_b, live_t]
-            zr_all = np.empty((n, 2 * u), dtype=xd.dtype)
-            c_all = np.empty((n, u), dtype=xd.dtype)
-            hm_all = np.empty((n, u), dtype=xd.dtype)  # h * drop
-            rh_all = np.empty((n, u), dtype=xd.dtype)  # r * h * drop
+            x_all = rows[src]
+            zr_all = np.empty((n, 2 * u), dtype=x.dtype)
+            c_all = np.empty((n, u), dtype=x.dtype)
+            hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
+            rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
+        shared = rows.shape[0] < n  # some row is read at several positions
+        if shared:
+            P = _gemm_rows(rows, W)
+            P += bias
         h = h0.data.copy()
         for t in range(steps):
             lo, hi = start[t], start[t + 1]
@@ -204,12 +229,13 @@ class GRULayer:
                 sel = live_b[lo:hi]
                 h_t = h[sel]
                 drop_t = None if drop is None else drop[sel]
-            if record:
-                x_t = x_all[lo:hi]
+            if shared and hi - lo > 1:
+                a = P[src[lo:hi]]
             else:
-                x_t = xd[:, t] if sel is None else xd[sel, t]
-            a = x_t @ W
-            a += bias
+                # also for a one-row step: numpy computes a one-row product
+                # with gemv, which rounds differently from P's gemm rows
+                a = (x_all[lo:hi] if record else rows[src[lo:hi]]) @ W
+                a += bias
             hm = h_t if drop_t is None else h_t * drop_t
             zr = a[:, :2 * u]
             zr += hm @ U_zr
@@ -265,9 +291,14 @@ class GRULayer:
                     dh[sel] = dhm  # padded rows pass dh through
             _accum(h0, dh)
             if x.requires_grad:
-                dx = np.zeros((b * steps, d), dtype=g.dtype)
-                dx[live_b * steps + live_t] = da @ W.T
-                _accum(x, dx.reshape(b, steps, d))
+                # each row sums its positions' gradients in batch-major
+                # order, the order a scatter over the flat ids adds them in
+                packed = np.empty((steps, b), dtype=np.intp)
+                packed[live_t, live_b] = np.arange(n)
+                bm = packed.T[mask]  # packed positions, batch-major
+                dx = np.zeros(x.shape, dtype=g.dtype)
+                _scatter_add_rows(dx.reshape(-1, d), src[bm], (da @ W.T)[bm])
+                _accum(x, dx, owned=True)
             dW = x_all.T @ da
             db = da.sum(axis=0)
             dU_zr = hm_all.T @ da[:, :2 * u]
@@ -280,6 +311,14 @@ class GRULayer:
             _accum(self.U_h.tensor, rh_all.T @ da[:, 2 * u:])
 
         return op_output(states, inputs, back)
+
+
+def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w`` with every row computed by gemm, so each row's bits do not
+    depend on the other rows; numpy sends a one-row product to gemv."""
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ w)[:1]
+    return a @ w
 
 
 def _sigmoid(a: np.ndarray) -> None:

@@ -72,9 +72,12 @@ class TextPath:
                  rng: np.random.Generator | None = None) -> Tensor:
         token_ids = np.asarray(token_ids)
         mask = token_ids != 0
-        # the embedding output goes straight into the GRU, so that outside a
-        # tape its [batch, T, dim] block is freed before attention runs
-        states, last = self.gru.forward(self.embedding.forward(token_ids), mask=mask,
+        # each distinct live id is embedded and projected onto the GRU's
+        # gates once; the GRU reads it back through index
+        ids, inverse = np.unique(token_ids[mask], return_inverse=True)
+        index = np.zeros(token_ids.shape, dtype=np.intp)
+        index[mask] = inverse
+        states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
                                         train=train and not self.frozen, rng=rng)
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask)

@@ -174,13 +174,15 @@ class Tape:
         self._ops.clear()
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. With ``owned`` set, ``g`` is a fresh array of
+    ``t``'s dtype that nothing else holds, and becomes the gradient uncopied."""
     if not t.requires_grad:
         return
     if g.shape != t.data.shape:
         raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {t.data.shape}")
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = g if owned else np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -364,26 +366,56 @@ def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tenso
     return op_output(rows, (table,), back)
 
 
+# Occurrences of an index that _scatter_add_rows adds in vectorized rounds;
+# an index repeated more often adds the rest with one ``np.cumsum``.
+SCATTER_ROUNDS = 16
+
+
 def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray,
                       skip: np.ndarray | None = None) -> None:
-    """``np.add.at(out, idx, g)``, bit for bit, with fewer rows through ``np.add.at``.
+    """``np.add.at(out, idx, g)``, bit for bit, without ``np.add.at``.
 
-    ``np.add.at`` adds the rows of ``g`` one at a time in index order. A
-    stable sort finds each index's first occurrence; those rows are added in
-    one fancy-indexed add (no index repeats), and only the later occurrences
-    go through ``np.add.at``, which keeps their order. Positions where the
-    boolean mask ``skip`` is True are left out.
+    ``np.add.at`` adds the rows of ``g`` one at a time in position order, so
+    each touched row of ``out`` ends as its value plus its occurrences added
+    left to right. A stable sort groups the positions by index in that
+    order, and the indices are ranked by occurrence count, most first, so
+    that those with more than k occurrences form a prefix. Their rows are
+    gathered into ``acc``; round k adds every index's k-th occurrence to a
+    prefix of ``acc`` in one vectorized add. After ``SCATTER_ROUNDS``
+    rounds, each index with more occurrences adds the rest with one
+    ``np.cumsum`` seeded with its running sum, and ``acc`` is written back.
+    Positions where the boolean mask ``skip`` is True are left out.
     """
-    uniq, first = np.unique(idx, return_index=True)
-    later = np.ones(idx.size, dtype=bool)
-    later[first] = False
-    if skip is not None:
-        kept = ~skip[first]
-        uniq, first = uniq[kept], first[kept]
-        later &= ~skip
-    out[uniq] += g[first]
-    if later.any():
-        np.add.at(out, idx[later], g[later])
+    src = None if skip is None or not skip.any() else np.flatnonzero(~skip)
+    keys = idx if src is None else idx[src]
+    if not keys.size:
+        return
+    if (keys[1:] > keys[:-1]).all():  # increasing, so no index repeats
+        out[keys] += g if src is None else g[src]
+        return
+    # numpy's stable sort is a radix sort for integers of 16 bits or fewer
+    narrow = 0 <= keys.min() and keys.max() < 2**16
+    order = np.argsort(keys.astype(np.uint16) if narrow else keys, kind="stable")
+    keys, src = keys[order], order if src is None else src[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=keys.size)
+    most = np.argsort(-counts, kind="stable")
+    starts, counts = starts[most], counts[most]
+    rows = keys[starts]
+    acc = out[rows]
+    rounds = min(SCATTER_ROUNDS, int(counts[0]))
+    # widths[k]: how many indices have more than k occurrences
+    widths = np.searchsorted(-counts, -np.arange(rounds), side="left").tolist()
+    for k, m in enumerate(widths):
+        acc[:m] += g[src[starts[:m] + k]]
+    for j in range(int(np.count_nonzero(counts > SCATTER_ROUNDS))):
+        rest = g[src[starts[j] + SCATTER_ROUNDS:starts[j] + counts[j]]]
+        rest[0] += acc[j]  # addition commutes bit for bit
+        acc[j] = np.cumsum(rest, axis=0, out=rest)[-1]
+    out[rows] = acc
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:

@@ -121,6 +121,16 @@ class TestPipelineAndAssemble:
         table = pipe.transform([{"followers": "many", "recip": "nan"}], ["a"])
         assert np.all(table.values == 0.0)
 
+    @pytest.mark.parametrize("raw, shown", [(10**400, "inf"), (-10**400, "-inf")],
+                             ids=["positive", "negative"])
+    def test_int_too_large_for_a_float_names_row_and_column(self, raw, shown):
+        pipe = FeaturePipeline({"followers": ("UF", "numeric"), "recip": ("NF", "numeric")})
+        records = [{"followers": 10, "recip": 0.5}, {"followers": 3, "recip": raw}]
+        pipe.fit(records)
+        with pytest.raises(NonFiniteFeatureError,
+                           match=rf"row 1: metadata feature 'recip' is {shown}, "):
+            pipe.transform(records, ["a", "b"])
+
     def test_assemble_single_group(self):
         table = self.make_table()
         sub, mask = assemble(table, "NF")

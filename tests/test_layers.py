@@ -11,7 +11,7 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from abusenet.tensor import ContractError, Parameter, Tape, Tensor, grad_check
+from abusenet.tensor import ContractError, Parameter, ShapeError, Tape, Tensor, grad_check
 
 
 def make_gru(d, u, dtype=np.float64, p=0.0, seed=1):
@@ -77,6 +77,66 @@ def check_all_states_gradient(mask):
     assert grad_check(forward, gru.parameters() + [x, h0]) < 1e-4
 
 
+def index_case(mask, m, d, seed, dtype=np.float32):
+    """Rows [m, d], an index [b, T] reading them with repeats (padded
+    positions hold an arbitrary row), and the dense input ``rows[index]``
+    whose padded positions hold values that must never be read."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(m, d)).astype(dtype)
+    index = rng.integers(0, m, size=mask.shape)
+    dense = rows[index]
+    dense[~mask] = rng.normal(size=(int((~mask).sum()), d))
+    return rows, index, dense
+
+
+def gru_step(gru, x, mask, h0, index=None, dropout_seed=5):
+    """States, last and every gradient of a loss over all states and the last state."""
+    rng = np.random.default_rng(dropout_seed + 1)
+    coef = Tensor(rng.normal(size=(*mask.shape, gru.units)).astype(x.dtype))
+    coef_last = Tensor(rng.normal(size=(mask.shape[0], gru.units)).astype(x.dtype))
+    for p in gru.parameters():
+        p.tensor.zero_grad()
+    with Tape() as tape:
+        states, last = gru.forward(x, mask=mask, h0=h0, train=True, index=index,
+                                   rng=np.random.default_rng(dropout_seed))
+        loss = T.add(T.sum_all(T.mul(states, coef)), T.sum_all(T.mul(last, coef_last)))
+    tape.backward(loss)
+    grads = {p.name: p.grad for p in gru.parameters()}
+    return states.data, last.data, grads
+
+
+def per_step_states(gru, x, mask, h0, drop):
+    """States of a plain loop that multiplies each step's live inputs by
+    [W_z|W_r|W_h] itself, with the fused op's float operations in its order."""
+    u = gru.units
+    W = np.concatenate([gru.W_z.data, gru.W_r.data, gru.W_h.data], axis=1)
+    bias = np.concatenate([gru.b_z.data, gru.b_r.data, gru.b_h.data])
+    U_zr = np.concatenate([gru.U_z.data, gru.U_r.data], axis=1)
+    h = h0.copy()
+    states = np.empty((*mask.shape, u), dtype=x.dtype)
+    for t in range(mask.shape[1]):
+        sel = np.flatnonzero(mask[:, t])
+        if sel.size:
+            hm = h[sel] * drop[sel]
+            a = x[sel, t] @ W
+            a += bias
+            zr = (np.tanh((a[:, :2 * u] + hm @ U_zr) * 0.5) + 1.0) * 0.5
+            z, r = zr[:, :u], zr[:, u:]
+            c = np.tanh(a[:, 2 * u:] + (r * hm) @ gru.U_h.data)
+            h[sel] = (c - h[sel]) * z + h[sel]
+        states[:, t] = h
+    return states
+
+
+# masks for the rows+index form, on top of PACKED_MASKS: steps where one row
+# is live (a one-row product) and a batch with no padding
+INDEX_MASKS = {
+    **PACKED_MASKS,
+    "one_live_row_steps": ["...xxx", "....xx", "x....x", ".....x"],
+    "no_padding": ["xxxxxx", "xxxxxx", "xxxxxx", "xxxxxx"],
+}
+
+
 class TestEmbedding:
     def test_pad_row_zero_at_init(self):
         emb = EmbeddingLayer.random(10, 4, rng=np.random.default_rng(0))
@@ -89,6 +149,20 @@ class TestEmbedding:
         assert out.shape == (2, 2, 4)
         np.testing.assert_array_equal(out.data[0, 0], table[1])
         np.testing.assert_array_equal(out.data[1, 1], np.zeros(4))  # pad row zeroed
+
+    def test_forward_flat_ids(self):
+        table = np.arange(20.0).reshape(5, 4)
+        emb = EmbeddingLayer(table)
+        ids = np.array([3, 0, 1, 3])
+        with Tape() as tape:
+            out = emb.forward(ids)
+            loss = T.sum_all(T.mul(out, Tensor(np.arange(16.0).reshape(4, 4))))
+        tape.backward(loss)
+        assert out.shape == (4, 4)
+        np.testing.assert_array_equal(out.data, [table[3], np.zeros(4), table[1], table[3]])
+        expected = np.zeros((5, 4))
+        np.add.at(expected, ids[ids != 0], np.arange(16.0).reshape(4, 4)[ids != 0])
+        np.testing.assert_array_equal(emb.table.grad, expected)
 
     def test_grad_check(self):
         rng = np.random.default_rng(3)
@@ -242,6 +316,76 @@ class TestGRU:
     @pytest.mark.parametrize("mask", PACKED_MASKS.values(), ids=PACKED_MASKS.keys())
     def test_grad_check_packed_steps(self, mask):
         check_all_states_gradient(mask_of(mask))
+
+    @pytest.mark.parametrize("m", [1, 3, 9], ids=["one_row", "three_rows", "nine_rows"])
+    @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
+    def test_index_form_equals_dense_form_bitwise(self, mask, m):
+        # d and 3u wide enough that numpy's one-row product (gemv) rounds
+        # differently from a gemm row on common BLAS builds
+        mask = mask_of(mask)
+        gru = make_gru(64, 16, dtype=np.float32, p=0.5, seed=20)
+        rows, index, dense = index_case(mask, m, 64, seed=21)
+        h0 = np.random.default_rng(22).normal(size=(mask.shape[0], 16)).astype(np.float32)
+        r, x, h0_r, h0_x = (Tensor(a, requires_grad=True) for a in (rows, dense, h0, h0.copy()))
+        states_r, last_r, grads_r = gru_step(gru, r, mask, h0_r, index=index)
+        states_x, last_x, grads_x = gru_step(gru, x, mask, h0_x)
+        assert states_r.tobytes() == states_x.tobytes()
+        assert last_r.tobytes() == last_x.tobytes()
+        for name in grads_r:
+            assert grads_r[name].tobytes() == grads_x[name].tobytes(), name
+        assert h0_r.grad.tobytes() == h0_x.grad.tobytes()
+        # the rows' gradient adds the dense input's position gradients in
+        # batch-major order, as np.add.at over the flat positions does
+        expected = np.zeros_like(rows)
+        np.add.at(expected, index[mask], x.grad[mask])
+        assert r.grad.tobytes() == expected.tobytes()
+        assert not x.grad[~mask].any()
+
+    @pytest.mark.parametrize("m", [1, 9], ids=["one_row", "nine_rows"])
+    @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
+    def test_index_form_equals_per_step_products_bitwise(self, mask, m):
+        # projecting each distinct row once gives every step the bits of its
+        # own x_t @ W, including a one-row step's
+        mask = mask_of(mask)
+        b = mask.shape[0]
+        gru = make_gru(64, 16, dtype=np.float32, p=0.5, seed=26)
+        rows, index, dense = index_case(mask, m, 64, seed=27)
+        h0 = np.random.default_rng(28).normal(size=(b, 16)).astype(np.float32)
+        states, _ = gru.forward(Tensor(rows), mask=mask, h0=Tensor(h0), index=index, train=True,
+                                rng=np.random.default_rng(5))
+        drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(np.float32) / np.float32(0.5)
+        assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop).tobytes()
+
+    @pytest.mark.parametrize("mask", PACKED_MASKS.values(), ids=PACKED_MASKS.keys())
+    def test_grad_check_index_form(self, mask):
+        mask = mask_of(mask)
+        gru = make_gru(3, 4, seed=23, p=0.5)
+        rng = np.random.default_rng(24)
+        rows, index, _ = index_case(mask, 5, 3, seed=25, dtype=np.float64)
+        r = Parameter("rows", rows)
+        h0 = Parameter("h0", rng.normal(size=(mask.shape[0], 4)))
+        coef = Tensor(rng.normal(size=(*mask.shape, 4)))
+
+        def forward():
+            states, _ = gru.forward(r.tensor, mask=mask, h0=h0.tensor, index=index, train=True,
+                                    rng=np.random.default_rng(99))
+            return T.sum_all(T.mul(states, coef))
+
+        assert grad_check(forward, gru.parameters() + [r, h0]) < 1e-4
+
+    def test_index_form_validates_its_index(self):
+        gru = make_gru(3, 4)
+        rows = Tensor(np.zeros((2, 3)))
+        mask = np.array([[True, False]])
+        with pytest.raises(IndexError):
+            gru.forward(rows, mask=mask, index=np.array([[2, 0]]))
+        with pytest.raises(ShapeError):
+            gru.forward(rows, mask=mask, index=np.array([[0, 1, 1]]))
+        with pytest.raises(ContractError):
+            gru.forward(rows, mask=mask, index=np.array([[0.0, 1.0]]))
+        # a padded position may hold any index
+        _, last = gru.forward(rows, mask=mask, index=np.array([[1, 7]]))
+        assert last.shape == (1, 4)
 
 
 class TestAttention:

@@ -12,7 +12,8 @@ from abusenet.model import (
     parameter_count,
     save_checkpoint,
 )
-from abusenet.tensor import ContractError
+from abusenet import tensor as T
+from abusenet.tensor import ContractError, Tape, Tensor
 
 SMALL = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, recurrent_dropout=0.0)
 
@@ -43,6 +44,39 @@ class TestTextPath:
     def test_too_few_classes(self):
         with pytest.raises(ContractError):
             build_text_path(50, 8, ["only"], config=SMALL)
+
+    @pytest.mark.parametrize("seq_len", [6, 9], ids=["last_state", "attention"])
+    def test_features_equal_embedding_then_dense_gru_bitwise(self, seq_len):
+        # the distinct-id path gives the loss and every gradient of the
+        # dense embedding -> GRU composition, as perfbench's segmented step runs it
+        config = ModelConfig(embed_dim=24, units=5, recurrent_dropout=0.5, attention_threshold=8)
+        m = build_text_path(12, seq_len, ["a", "b"], config=config, rng=np.random.default_rng(3))
+        tp = m.text_path
+        assert (tp.attention is not None) == (seq_len > 8)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(1, 12, size=(7, seq_len))
+        ids[rng.random(ids.shape) < 0.3] = 0
+        ids[:, :2] = 0  # left padding
+        ids[2, :-1] = 0  # a one-token text
+        coef = Tensor(rng.normal(size=(7, 5)).astype(np.float32))
+
+        def dense_features(token_ids, train, rng):
+            mask = token_ids != 0
+            states, last = tp.gru.forward(tp.embedding.forward(token_ids), mask=mask,
+                                          train=train, rng=rng)
+            return last if tp.attention is None else tp.attention.forward(states, mask)[0]
+
+        results = []
+        for features in (tp.features, dense_features):
+            m.zero_grads()
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(features(ids, True, np.random.default_rng(5)), coef))
+            tape.backward(loss)
+            results.append((loss.data.tobytes(), [p.grad.tobytes() for p in m.parameters()
+                                                  if p.grad is not None]))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert loss_a == loss_b
+        assert len(grads_a) == len(tp.parameters()) and grads_a == grads_b
 
 
 class TestMetadataPath:

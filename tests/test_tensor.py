@@ -160,6 +160,47 @@ class TestGatherRows:
         assert table.grad.tobytes() == expected.tobytes()
 
 
+class TestScatterAddRows:
+    """``_scatter_add_rows`` against ``np.add.at`` as the oracle, byte for byte."""
+
+    @staticmethod
+    def case(rng, d, dtype):
+        K = T.SCATTER_ROUNDS
+        V = 12
+        # index 3 is repeated far beyond the vectorized rounds, 5 and 7 sit
+        # at their boundary, the rest are drawn at random
+        idx = np.concatenate([np.full(3 * K + 5, 3), np.full(K, 5), np.full(K + 1, 7),
+                              rng.integers(0, V, size=60)])
+        idx = idx[rng.permutation(idx.size)]
+        g = rng.normal(size=(idx.size, d)) * 10.0 ** rng.uniform(-4, 4, size=(idx.size, 1))
+        g = g.astype(dtype)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        return V, idx, g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    @pytest.mark.parametrize("existing", [False, True], ids=["zero", "existing"])
+    @pytest.mark.parametrize("with_skip", [False, True], ids=["all", "skip"])
+    def test_equals_add_at_bitwise(self, dtype, d, existing, with_skip):
+        rng = np.random.default_rng(d)
+        V, idx, g = self.case(rng, d, dtype)
+        out = (rng.normal(size=(V, d)) if existing else np.zeros((V, d))).astype(dtype)
+        out[0] = -0.0  # an untouched or touched row holding signed zeros
+        skip = rng.random(idx.size) < 0.3 if with_skip else None
+        keep = np.ones(idx.size, dtype=bool) if skip is None else ~skip
+        expected = out.copy()
+        np.add.at(expected, idx[keep], g[keep])
+        T._scatter_add_rows(out, idx, g, skip=skip)
+        assert out.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_empty_and_all_skipped_leave_out_unchanged(self):
+        out = np.arange(6.0).reshape(3, 2)
+        T._scatter_add_rows(out, np.zeros(0, dtype=np.intp), np.zeros((0, 2)))
+        T._scatter_add_rows(out, np.array([1, 1]), np.ones((2, 2)), skip=np.array([True, True]))
+        np.testing.assert_array_equal(out, np.arange(6.0).reshape(3, 2))
+
+
 class TestConcatLast:
     def test_simple(self):
         out = T.concat_last(Tensor([[1.0, 2.0]]), Tensor([[3.0]]))
