@@ -57,7 +57,11 @@ class SocialGraph:
                         continue
                     if len(parts) != 3:
                         raise ValueError(f"attribute file line {lineno}: expected 'node followers friends'")
-                    g.add_node(parts[0], int(parts[1]), int(parts[2]))
+                    try:
+                        followers, friends = int(parts[1]), int(parts[2])
+                    except ValueError as e:
+                        raise ValueError(f"attribute file line {lineno}: {e}") from None
+                    g.add_node(parts[0], followers, friends)
         with open(edge_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()

@@ -11,6 +11,7 @@ import numpy as np
 
 from .tensor import (
     ContractError,
+    NumericError,
     Parameter,
     ShapeError,
     Tensor,
@@ -20,14 +21,11 @@ from .tensor import (
     active_tape,
     add_bias,
     gather_rows,
-    masked_softmax,
     matmul,
     op_output,
     reshape,
-    scale_cols,
     softmax,
     tanh,
-    weighted_sum_time,
 )
 
 
@@ -344,15 +342,60 @@ class AttentionLayer:
         return [self.W_a, self.v_a]
 
     def forward(self, states: Tensor, mask: np.ndarray):
-        """Returns (context [b,units], weights [b,T])."""
+        """Returns (context [b,units], weights [b,T]) as one tape op.
+
+        Only live (mask True) positions are scored: padded ones get weight
+        exactly 0 and gradient exactly 0, and a row with no live position
+        gets a zero context. ``weights`` is a readout and takes no gradient.
+        """
         if states.data.ndim != 3:
             raise ShapeError(f"attention expects [batch, T, units], got {states.shape}")
         b, steps, u = states.shape
-        flat = reshape(states, (b * steps, u))
-        scores = matmul(tanh(matmul(flat, self.W_a.tensor)), self.v_a.tensor)
-        scores = reshape(scores, (b, steps))
-        weights = masked_softmax(scores, mask)
-        return weighted_sum_time(states, weights), weights
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (b, steps):
+            raise ShapeError(f"attention mask shape {mask.shape} does not match states {(b, steps)}")
+        W, v = self.W_a.tensor, self.v_a.tensor
+        _check_dtypes(states, W, v)
+        # live positions row-major: those of rows[k] are live[starts[k]:ends[k]]
+        live = states.data[mask]
+        counts = np.count_nonzero(mask, axis=1)
+        rows = np.flatnonzero(counts)
+        counts = counts[rows]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        a = live @ W.data
+        np.tanh(a, out=a)
+        e = (a @ v.data)[:, 0]
+        if not np.isfinite(e).all():
+            raise NumericError("attention scores contain NaN or Inf")
+        e -= np.repeat(np.maximum.reduceat(e, starts), counts)
+        w = np.exp(e)
+        w /= np.repeat(np.add.reduceat(w, starts), counts)
+        weights = np.zeros((b, steps), dtype=states.dtype)
+        weights[mask] = w
+        context = np.zeros((b, u), dtype=states.dtype)
+        # a product per row: np.add.reduceat over the rows of w * live is
+        # many times slower
+        for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+            context[i] = w[lo:hi] @ live[lo:hi]
+
+        def back(g):
+            g_live = np.repeat(g[rows], counts, axis=0)
+            dw = np.einsum("nu,nu->n", live, g_live)
+            dw -= np.repeat(np.add.reduceat(w * dw, starts), counts)
+            de = w * dw
+            _accum(v, a.T @ de[:, None], owned=True)
+            dpre = de[:, None] * v.data[:, 0]
+            dpre *= 1.0 - a * a
+            _accum(W, live.T @ dpre, owned=True)
+            if states.requires_grad:
+                dstates = np.zeros_like(states.data)
+                dlive = dpre @ W.data.T
+                dlive += w[:, None] * g_live
+                dstates[mask] = dlive
+                _accum(states, dstates, owned=True)
+
+        return op_output(context, (states, W, v), back), Tensor(weights)
 
 
 class DenseLayer:
@@ -382,14 +425,18 @@ class DenseLayer:
         return out
 
 
-def _batchnorm_train(x: Tensor, gamma: Parameter, beta: Parameter, eps: float):
-    """Fused train-mode batch norm; returns (out, batch_mean, batch_var)."""
+def _batchnorm(x: Tensor, gamma: Parameter, beta: Parameter, mean: np.ndarray,
+               invstd: np.ndarray, batch_stats: bool) -> Tensor:
+    """Fused batch norm, (x - mean) * invstd * gamma + beta, as one tape op.
+
+    With ``batch_stats`` set, ``mean`` and ``invstd`` are the batch's own and
+    backward differentiates through them; otherwise they are constants and
+    backward is affine.
+    """
+    _check_dtypes(x, gamma.tensor, beta.tensor)
     d = x.data
     n = d.shape[0]
-    mu = d.mean(axis=0)
-    var = d.var(axis=0)
-    invstd = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mu) * invstd
+    xhat = (d - mean) * invstd
     out_data = xhat * gamma.data[None, :] + beta.data[None, :]
 
     def back(g):
@@ -397,12 +444,14 @@ def _batchnorm_train(x: Tensor, gamma: Parameter, beta: Parameter, eps: float):
         _accum(gamma.tensor, (g * xhat).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data[None, :]
-            dx = (invstd / n) * (n * dxhat - dxhat.sum(axis=0)
-                                 - xhat * (dxhat * xhat).sum(axis=0))
+            if batch_stats:
+                dx = (invstd / n) * (n * dxhat - dxhat.sum(axis=0)
+                                     - xhat * (dxhat * xhat).sum(axis=0))
+            else:
+                dx = dxhat * invstd
             _accum(x, dx.astype(d.dtype, copy=False))
 
-    out = op_output(out_data.astype(d.dtype, copy=False), (x, gamma.tensor, beta.tensor), back)
-    return out, mu, var
+    return op_output(out_data.astype(d.dtype, copy=False), (x, gamma.tensor, beta.tensor), back)
 
 
 class BatchNormLayer:
@@ -438,13 +487,14 @@ class BatchNormLayer:
         if train:
             if x.shape[0] < 2:
                 raise ContractError(f"train-mode batchnorm needs batch >= 2, got {x.shape[0]}")
-            out, mu, var = _batchnorm_train(x, self.gamma, self.beta, self.eps)
+            mean, var = x.data.mean(axis=0), x.data.var(axis=0)
+            out = _batchnorm(x, self.gamma, self.beta, mean, 1.0 / np.sqrt(var + self.eps),
+                             batch_stats=True)
             if update_stats:
                 m = self.momentum
-                self.running_mean.data[:] = m * self.running_mean.data + (1.0 - m) * mu
+                self.running_mean.data[:] = m * self.running_mean.data + (1.0 - m) * mean
                 self.running_var.data[:] = m * self.running_var.data + (1.0 - m) * var
             return out
         invstd = (1.0 / np.sqrt(self.running_var.data + self.eps)).astype(x.dtype, copy=False)
-        centered = add_bias(x, Tensor(-self.running_mean.data))
-        return add_bias(scale_cols(scale_cols(centered, Tensor(invstd)), self.gamma.tensor),
-                        self.beta.tensor)
+        return _batchnorm(x, self.gamma, self.beta, self.running_mean.data, invstd,
+                          batch_stats=False)

@@ -7,8 +7,9 @@ Training code runs in float32; gradient checking requires float64, where
 central finite differences are meaningful.
 
 Broadcasting is deliberately restricted: the only implicit broadcast is a
-bias vector over the batch axis (``add_bias``) and a per-column scale
-(``scale_cols``). Everything else must match shapes exactly.
+bias vector over the batch axis (``add_bias``). Everything else must match
+shapes exactly. Layers that need more register fused ops through
+``op_output``.
 """
 
 from __future__ import annotations
@@ -78,32 +79,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # Small amount of operator sugar; the explicit functions below are the API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter:
@@ -224,18 +202,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return op_output(a.data + b.data, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub requires equal shapes, got {a.shape} and {b.shape}")
-
-    def back(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return op_output(a.data - b.data, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     if a.shape != b.shape:
@@ -246,13 +212,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return op_output(a.data * b.data, (a, b), back)
-
-
-def mul_scalar(x: Tensor, c: float) -> Tensor:
-    def back(g):
-        _accum(x, g * c)
-
-    return op_output(x.data * c, (x,), back)
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -266,19 +225,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         _accum(b, g.sum(axis=0))
 
     return op_output(x.data + b.data[None, :], (x, b), back)
-
-
-def scale_cols(x: Tensor, s: Tensor) -> Tensor:
-    """x[batch, n] * s[n] column-wise."""
-    _check_dtypes(x, s)
-    if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[1] != s.shape[0]:
-        raise ShapeError(f"scale_cols expects [batch, n] * [n], got {x.shape} and {s.shape}")
-
-    def back(g):
-        _accum(x, g * s.data[None, :])
-        _accum(s, (g * x.data).sum(axis=0))
-
-    return op_output(x.data * s.data[None, :], (x, s), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -440,47 +386,6 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
         _accum(x, g.reshape(old))
 
     return op_output(x.data.reshape(shape), (x,), back)
-
-
-def masked_softmax(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Row-wise softmax over positions where mask is True; masked weights are exactly 0."""
-    d = scores.data
-    if d.ndim != 2:
-        raise ShapeError(f"masked_softmax expects [batch, T] scores, got {scores.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != d.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match scores {d.shape}")
-    if not mask.any(axis=1).all():
-        raise ContractError("masked_softmax: some sample has no unmasked positions")
-    if not np.all(np.isfinite(d[mask])):
-        raise NumericError("masked_softmax scores contain NaN or Inf")
-    neg = np.finfo(d.dtype).min
-    shifted = d - np.where(mask, d, neg).max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, shifted, 0.0)), 0.0)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
-        _accum(scores, y * (g - inner))
-
-    return op_output(y, (scores,), back)
-
-
-def weighted_sum_time(states: Tensor, weights: Tensor) -> Tensor:
-    """sum_t weights[b, t] * states[b, t, :] -> [b, d]."""
-    _check_dtypes(states, weights)
-    if states.data.ndim != 3 or weights.data.ndim != 2:
-        raise ShapeError(f"weighted_sum_time expects [b,T,d] and [b,T], got {states.shape} and {weights.shape}")
-    if states.shape[:2] != weights.shape:
-        raise ShapeError(f"leading dims disagree: {states.shape} vs {weights.shape}")
-
-    def back(g):
-        if states.requires_grad:
-            _accum(states, weights.data[:, :, None] * g[:, None, :])
-        if weights.requires_grad:
-            _accum(weights, np.einsum("btd,bd->bt", states.data, g))
-
-    return op_output(np.einsum("btd,bt->bd", states.data, weights.data), (states, weights), back)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -176,9 +176,13 @@ def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
             if len(parts) - 1 != dim:
                 raise ParseError(f"line {lineno}: expected {dim} values, got {len(parts) - 1}")
             try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                with np.errstate(over="ignore"):  # past float32's range reads as inf
+                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError as e:
                 raise ParseError(f"line {lineno}: {e}") from None
+            bad = np.flatnonzero(~np.isfinite(vec))
+            if bad.size:
+                raise ParseError(f"line {lineno}: non-finite value {parts[1 + bad[0]]!r}")
             vectors[parts[0]] = vec
     return vectors
 

@@ -214,6 +214,14 @@ class TestGraphStructure:
         assert g.followers_count["a"] == 100
         assert g.has_edge("a", "b")
 
+    def test_from_files_non_integer_count_reports_line(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b\n")
+        attrs = tmp_path / "nodes.txt"
+        attrs.write_text("# node followers friends\nb 5 5\na x 3\n")
+        with pytest.raises(ValueError, match="attribute file line 3: .*'x'"):
+            SocialGraph.from_files(edges, attrs)
+
     def test_node_features_block(self):
         g = graph_from_edges([("a", "b"), ("b", "a"), ("b", "c")])
         feats = node_features(g, "b", mentioned=["a"])

@@ -11,7 +11,7 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from abusenet.tensor import ContractError, Parameter, ShapeError, Tape, Tensor, grad_check
+from abusenet.tensor import ContractError, NumericError, Parameter, ShapeError, Tape, Tensor, grad_check
 
 
 def make_gru(d, u, dtype=np.float64, p=0.0, seed=1):
@@ -388,6 +388,31 @@ class TestGRU:
         assert last.shape == (1, 4)
 
 
+# attention masks: gaps inside a row, left padding, and an all-padded row
+ATTENTION_MASKS = {
+    "interior_gaps": ["x.x.xx", ".xx..x", "xxxxxx"],
+    "left_padding": ["..xxxx", "...xxx", ".....x"],
+    "all_padded_row": ["xx.xxx", "......", ".x.x.x"],
+}
+
+
+def attention_oracle(states, mask, W, v):
+    """Plain loop of e_t = v . tanh(h_t W), softmax over live steps, weighted sum."""
+    b, steps, u = states.shape
+    context, weights = np.zeros((b, u)), np.zeros((b, steps))
+    for i in range(b):
+        live = [t for t in range(steps) if mask[i, t]]
+        if not live:
+            continue
+        e = np.array([np.tanh(states[i, t] @ W) @ v for t in live])
+        alpha = np.exp(e - e.max())
+        alpha /= alpha.sum()
+        for a, t in zip(alpha, live):
+            weights[i, t] = a
+            context[i] += a * states[i, t]
+    return context, weights
+
+
 class TestAttention:
     def test_single_step_returns_state(self):
         att = AttentionLayer(3, rng=np.random.default_rng(0), dtype=np.float64)
@@ -429,10 +454,80 @@ class TestAttention:
         assert (w.data >= 0.0).all()
         np.testing.assert_allclose(w.data.sum(axis=1), np.ones(3), atol=1e-6)
 
-    def test_all_masked_sample_rejected(self):
+    def test_interior_masked_positions_exactly_zero(self):
+        att = AttentionLayer(2, rng=np.random.default_rng(9), dtype=np.float64)
+        states = np.random.default_rng(10).normal(size=(2, 3, 2))
+        mask = np.array([[True, False, True], [True, True, False]])
+        _, w = att.forward(Tensor(states), mask)
+        assert w.data[0, 1] == 0.0
+        assert w.data[1, 2] == 0.0
+        np.testing.assert_allclose(w.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
+
+    def test_context_is_weighted_state_sum(self):
+        att = AttentionLayer(3, rng=np.random.default_rng(11), dtype=np.float64)
+        states = np.arange(12.0).reshape(1, 4, 3) / 12.0
+        out, w = att.forward(Tensor(states), np.ones((1, 4), dtype=bool))
+        np.testing.assert_allclose(out.data, (states * w.data[:, :, None]).sum(axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
+    def test_matches_plain_oracle(self, rows):
+        mask = mask_of(rows)
+        att = AttentionLayer(4, rng=np.random.default_rng(12), dtype=np.float64)
+        states = np.random.default_rng(13).normal(size=(*mask.shape, 4))
+        context, weights = attention_oracle(states, mask, att.W_a.data, att.v_a.data[:, 0])
+        out, w = att.forward(Tensor(states), mask)
+        assert out.dtype == w.dtype == np.float64
+        np.testing.assert_allclose(w.data, weights, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.data, context, rtol=1e-12, atol=1e-12)
+
+    def test_all_padded_row_gives_zero_context_and_gradient(self):
+        # an empty text is an all-padded row: like the last-state readout's
+        # zero h0, it reads as zeros and sends back no gradient
         att = AttentionLayer(2, rng=np.random.default_rng(6), dtype=np.float64)
+        rng = np.random.default_rng(14)
+        states = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        coef = Tensor(rng.normal(size=(1, 2)))
+        with Tape() as tape:
+            out, w = att.forward(states, np.zeros((1, 3), dtype=bool))
+            loss = T.sum_all(T.mul(out, coef))
+        tape.backward(loss)
+        assert (out.data == 0.0).all() and (w.data == 0.0).all()
+        for grad in (states.grad, att.W_a.grad, att.v_a.grad):
+            assert grad is not None and (grad == 0.0).all()
+
+    def test_all_padded_row_leaves_other_rows_unchanged(self):
+        att = AttentionLayer(3, rng=np.random.default_rng(15), dtype=np.float64)
+        states = np.random.default_rng(16).normal(size=(3, 4, 3))
+        mask = mask_of(["x.xx", "....", ".xxx"])
+        out, w = att.forward(Tensor(states), mask)
+        alone, w_alone = att.forward(Tensor(states[[0, 2]]), mask[[0, 2]])
+        assert (out.data[1] == 0.0).all() and (w.data[1] == 0.0).all()
+        np.testing.assert_allclose(out.data[[0, 2]], alone.data, rtol=1e-12)
+        np.testing.assert_allclose(w.data[[0, 2]], w_alone.data, rtol=1e-12)
+
+    def test_rejects_bad_input(self):
+        att = AttentionLayer(2, rng=np.random.default_rng(17), dtype=np.float64)
+        states = np.zeros((2, 3, 2))
+        mask = np.ones((2, 3), dtype=bool)
+        with pytest.raises(ShapeError):
+            att.forward(Tensor(states[0]), mask)
+        with pytest.raises(ShapeError):
+            att.forward(Tensor(states), mask[:, :2])
         with pytest.raises(ContractError):
-            att.forward(Tensor(np.zeros((1, 3, 2), dtype=np.float64)), np.zeros((1, 3), dtype=bool))
+            att.forward(Tensor(states, dtype=np.float32), mask)
+        states[1, 2, 0] = np.nan
+        with pytest.raises(NumericError):
+            att.forward(Tensor(states), mask)
+        mask[1, 2] = False  # a padded position is never read
+        out, _ = att.forward(Tensor(states), mask)
+        assert np.isfinite(out.data).all()
+
+    def test_records_one_tape_op(self):
+        att = AttentionLayer(3, rng=np.random.default_rng(18))
+        states = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            att.forward(states, np.ones((2, 4), dtype=bool))
+        assert len(tape) == 1
 
     def test_grad_check(self):
         att = AttentionLayer(3, rng=np.random.default_rng(7), dtype=np.float64)
@@ -446,6 +541,24 @@ class TestAttention:
             return T.sum_all(T.mul(out, coef))
 
         assert grad_check(forward, att.parameters()) < 1e-4
+
+    @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
+    def test_grad_check_states(self, rows):
+        mask = mask_of(rows)
+        att = AttentionLayer(3, rng=np.random.default_rng(19), dtype=np.float64)
+        rng = np.random.default_rng(20)
+        states = Parameter("states", Tensor(rng.normal(size=(*mask.shape, 3)), dtype=np.float64))
+        coef = Tensor(rng.normal(size=(mask.shape[0], 3)))
+
+        def forward():
+            out, _ = att.forward(states.tensor, mask)
+            return T.sum_all(T.mul(out, coef))
+
+        assert grad_check(forward, [*att.parameters(), states]) < 1e-4
+        with Tape() as tape:
+            loss = forward()
+        tape.backward(loss)
+        assert (states.grad[~mask] == 0.0).all()
 
 
 class TestDense:
@@ -539,3 +652,44 @@ class TestBatchNorm:
             return T.sum_all(T.mul(bn.forward(x, train=False), coef))
 
         assert grad_check(forward, [bn.gamma, bn.beta]) < 1e-6
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "inference"])
+    def test_grad_check_includes_x(self, train):
+        bn = BatchNormLayer(3, dtype=np.float64)
+        rng = np.random.default_rng(4)
+        bn.gamma.data[:] = rng.normal(1.0, 0.1, size=3)
+        bn.beta.data[:] = rng.normal(size=3)
+        bn.running_mean.data[:] = rng.normal(size=3)
+        bn.running_var.data[:] = rng.uniform(0.5, 2.0, size=3)
+        x = Parameter("x", Tensor(rng.normal(size=(6, 3)), dtype=np.float64))
+        coef = Tensor(rng.normal(size=(6, 3)))
+
+        def forward():
+            return T.sum_all(T.mul(bn.forward(x.tensor, train=train, update_stats=False), coef))
+
+        assert grad_check(forward, [x, bn.gamma, bn.beta]) < 1e-4
+
+    def test_inference_equals_four_op_chain_bitwise(self):
+        # the chain it replaces: + (-mean), * invstd, * gamma, + beta
+        rng = np.random.default_rng(5)
+        bn = BatchNormLayer(30)
+        bn.gamma.data[:] = rng.normal(1.0, 0.2, size=30)
+        bn.beta.data[:] = rng.normal(size=30)
+        bn.running_mean.data[:] = rng.normal(size=30)
+        bn.running_var.data[:] = rng.uniform(0.1, 3.0, size=30)
+        x = Parameter("x", Tensor(rng.normal(2.0, 3.0, size=(512, 30)).astype(np.float32)))
+        g = rng.normal(size=(512, 30)).astype(np.float32)
+        with Tape() as tape:
+            out = bn.forward(x.tensor, train=False)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        assert len(tape) == 3  # batch norm, mul, sum
+        tape.backward(loss)
+
+        invstd = (1.0 / np.sqrt(bn.running_var.data + bn.eps)).astype(np.float32)
+        scaled = (x.data + (-bn.running_mean.data)) * invstd
+        expected = scaled * bn.gamma.data + bn.beta.data
+        assert out.dtype == np.float32
+        assert out.data.tobytes() == expected.tobytes()
+        assert x.grad.tobytes() == ((g * bn.gamma.data) * invstd).tobytes()
+        assert bn.gamma.grad.tobytes() == (g * scaled).sum(axis=0).tobytes()
+        assert bn.beta.grad.tobytes() == g.sum(axis=0).tobytes()

@@ -14,6 +14,7 @@ from abusenet.model import (
 )
 from abusenet import tensor as T
 from abusenet.tensor import ContractError, Tape, Tensor
+from abusenet.training import cross_entropy
 
 SMALL = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, recurrent_dropout=0.0)
 
@@ -77,6 +78,33 @@ class TestTextPath:
         (loss_a, grads_a), (loss_b, grads_b) = results
         assert loss_a == loss_b
         assert len(grads_a) == len(tp.parameters()) and grads_a == grads_b
+
+
+    def test_attention_scores_a_batch_with_an_empty_text(self):
+        config = ModelConfig(embed_dim=6, units=5, recurrent_dropout=0.5, attention_threshold=8)
+        m = build_text_path(12, 9, ["a", "b"], config=config, rng=np.random.default_rng(6))
+        tp = m.text_path
+        assert tp.attention is not None
+        ids = np.random.default_rng(7).integers(1, 12, size=(4, 9))
+        ids[:, :3] = 0
+        ids[1] = 0  # a text that tokenized to nothing
+        probs = m.forward(ids, None).data
+        assert np.isfinite(probs).all()
+        # the empty row reads zero features, as the last-state readout's zero h0 does
+        attention, tp.attention = tp.attention, None
+        try:
+            last_state = m.forward(ids, None).data
+        finally:
+            tp.attention = attention
+        assert probs[1].tobytes() == last_state[1].tobytes()
+
+        m.zero_grads()
+        with Tape() as tape:
+            loss = cross_entropy(m.forward(ids, None, train=True, rng=np.random.default_rng(8)),
+                                 np.array([0, 1, 0, 1]))
+        tape.backward(loss)
+        assert np.isfinite(loss.data)
+        assert all(np.isfinite(p.grad).all() for p in m.parameters() if p.grad is not None)
 
 
 class TestMetadataPath:

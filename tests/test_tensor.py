@@ -355,21 +355,3 @@ class TestShapeAlgebra:
     def test_reshape_bad_size(self):
         with pytest.raises(ShapeError):
             T.reshape(Tensor(np.zeros((2, 3))), (4, 2))
-
-    def test_masked_softmax_masked_positions_exactly_zero(self):
-        scores = Tensor(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.0]]))
-        mask = np.array([[True, False, True], [True, True, False]])
-        out = T.masked_softmax(scores, mask)
-        assert out.data[0, 1] == 0.0
-        assert out.data[1, 2] == 0.0
-        np.testing.assert_allclose(out.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
-
-    def test_masked_softmax_needs_one_live_position(self):
-        with pytest.raises(ContractError):
-            T.masked_softmax(Tensor(np.zeros((1, 2))), np.array([[False, False]]))
-
-    def test_weighted_sum_time(self):
-        states = np.arange(12.0).reshape(1, 4, 3)
-        w = np.array([[0.1, 0.2, 0.3, 0.4]])
-        out = T.weighted_sum_time(Tensor(states), Tensor(w))
-        np.testing.assert_allclose(out.data, (states * w[:, :, None]).sum(axis=1), rtol=1e-6)

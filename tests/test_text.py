@@ -170,3 +170,11 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError) as e:
             load_embeddings(path, self.make_vocab(), dim=4)
         assert "line 2" in str(e.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e39"])
+    def test_non_finite_reports_line(self, tmp_path, value):
+        # 1e39 is finite as a double but past float32's range
+        path = self.write(tmp_path, ["cat 1 2 3 4", f"dog 1 {value} 3 4"])
+        with pytest.raises(ParseError) as e:
+            load_embeddings(path, self.make_vocab(), dim=4)
+        assert "line 2" in str(e.value) and value in str(e.value)
