@@ -29,6 +29,7 @@ from .evaluation import (
     DEFAULT_ABLATION_MASKS,
     MetricsReport,
     build_and_fit,
+    checkpoint_meta,
     classification_metrics,
     encode_fold,
     encode_for_checkpoint,
@@ -39,13 +40,7 @@ from .evaluation import (
 )
 from .features import parse_mask
 from .graph import SocialGraph
-from .model import (
-    CheckpointMeta,
-    ModelConfig,
-    load_checkpoint,
-    parameter_count,
-    save_checkpoint,
-)
+from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .training import TrainingConfig, predict_probs
 
 STRATEGY_FLAGS = {"naive": "naive", "transfer": "transfer",
@@ -108,6 +103,9 @@ def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
 
 def _load(args):
     corpus = load_corpus(args.dataset, args.schema)
+    for flag, value in (("--nodes", args.nodes), ("--user-column", args.user_column)):
+        if value and not args.edges:
+            raise SchemaError(f"{flag} needs --edges: network features come from an edge list")
     if args.edges:
         if not args.user_column:
             raise SchemaError("--edges needs --user-column to join samples to nodes")
@@ -156,20 +154,8 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.ckpt"
-    vocab = artifacts["vocab"]
-    pipeline = artifacts["pipeline"]
-    save_checkpoint(ckpt_path, model, CheckpointMeta(
-        classes=corpus.classes,
-        kind=model.kind,
-        config=model_cfg,
-        seq_len=None if artifacts["spec"] is None else artifacts["spec"].seq_len,
-        vocab_tokens=[] if vocab is None else vocab.tokens(),
-        feature_dim=None if train_all.meta is None else int(train_all.meta.shape[1]),
-        schema=artifacts["schema"],
-        pipeline=None if pipeline is None else pipeline.to_config(),
-        mask=sorted(artifacts["mask"]),
-        extra={"strategy": training.strategy, "seed": training.seed},
-    ))
+    save_checkpoint(ckpt_path, model, checkpoint_meta(
+        model, model_cfg, artifacts, extra={"strategy": training.strategy, "seed": training.seed}))
 
     payload = {
         "command": "train",

@@ -128,12 +128,20 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
 def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str) -> Corpus:
     """Compute the NF block per sample from an edge list and merge it in.
 
-    Samples whose user is missing from the graph get zero NF features.
+    Samples whose user is missing from the graph get zero NF features; a
+    ``user_column`` the dataset does not have is a SchemaError (checked
+    against the file's header, or the records of an in-memory corpus).
     Mentioned accounts are read from @-tokens in the sample text. Every NF
     value but the power difference depends on the user alone, so
     `node_features` runs once per distinct user and only the power
     difference, which reads the sample's mentions, runs per sample.
     """
+    if corpus.header:
+        has_column = user_column in corpus.header
+    else:
+        has_column = any(user_column in rec for rec in corpus.records)
+    if not has_column:
+        raise SchemaError(f"user column {user_column!r} is not in the dataset")
     hub_auth = hits(graph)
     try:
         eigen = eigenvector_centrality(graph)

@@ -156,6 +156,19 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
     return EncodedDataset(labels=labels, classes=corpus.classes, text=text, meta=meta_block)
 
 
+def checkpoint_meta(model, config: ModelConfig, artifacts: dict, extra: dict | None = None):
+    """What a checkpoint stores besides the weights of a model fitted on
+    ``encode_fold``'s artifacts: the reverse of ``encode_for_checkpoint``."""
+    vocab, spec, pipeline = artifacts["vocab"], artifacts["spec"], artifacts["pipeline"]
+    md = model.metadata_path
+    return CheckpointMeta(
+        model.classes, model.kind, config, seq_len=None if spec is None else spec.seq_len,
+        vocab_tokens=[] if vocab is None else vocab.tokens(),
+        feature_dim=None if md is None else md.bn.features, schema=artifacts["schema"],
+        pipeline=None if pipeline is None else pipeline.to_config(),
+        mask=sorted(artifacts["mask"]), extra=extra or {})
+
+
 def build_and_fit(train: EncodedDataset, config: TrainingConfig, model_cfg: ModelConfig,
                   artifacts: dict, step_callback=None):
     """Build the model form the mask calls for and train it with the strategy."""

@@ -26,11 +26,14 @@ class SocialGraph:
         self.friends_count: dict[str, int] = {}
 
     def add_node(self, node: str, followers: int = 0, friends: int = 0) -> None:
-        node = str(node)
+        node, followers, friends = str(node), int(followers), int(friends)
+        if followers < 0 or friends < 0:
+            raise ValueError(f"node {node!r}: follower and friend counts must be >= 0, "
+                             f"got {followers} and {friends}")
         self._out.setdefault(node, set())
         self._in.setdefault(node, set())
-        self.followers_count[node] = int(followers)
-        self.friends_count[node] = int(friends)
+        self.followers_count[node] = followers
+        self.friends_count[node] = friends
 
     def add_edge(self, src: str, dst: str) -> None:
         src, dst = str(src), str(dst)
@@ -58,10 +61,9 @@ class SocialGraph:
                     if len(parts) != 3:
                         raise ValueError(f"attribute file line {lineno}: expected 'node followers friends'")
                     try:
-                        followers, friends = int(parts[1]), int(parts[2])
+                        g.add_node(*parts)
                     except ValueError as e:
                         raise ValueError(f"attribute file line {lineno}: {e}") from None
-                    g.add_node(parts[0], followers, friends)
         with open(edge_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()

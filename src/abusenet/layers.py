@@ -91,6 +91,8 @@ class GRULayer:
 
     def __init__(self, input_dim: int, units: int = 128, recurrent_dropout: float = 0.5,
                  rng: np.random.Generator | None = None, name: str = "gru", dtype=np.float32):
+        if not 0.0 <= recurrent_dropout < 1.0:
+            raise ContractError(f"recurrent_dropout must be in [0, 1), got {recurrent_dropout}")
         rng = rng or np.random.default_rng(0)
         self.units = units
         self.input_dim = input_dim
@@ -363,21 +365,27 @@ class AttentionLayer:
         counts = counts[rows]
         ends = np.cumsum(counts)
         starts = ends - counts
-        a = live @ W.data
-        np.tanh(a, out=a)
-        e = (a @ v.data)[:, 0]
-        if not np.isfinite(e).all():
-            raise NumericError("attention scores contain NaN or Inf")
-        e -= np.repeat(np.maximum.reduceat(e, starts), counts)
-        w = np.exp(e)
-        w /= np.repeat(np.add.reduceat(w, starts), counts)
+        # a non-finite live state is reported once, as a NumericError: tanh
+        # can saturate it into finite scores, but every live state reaches
+        # its row's context with a nonnegative weight
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = live @ W.data
+            np.tanh(a, out=a)
+            e = (a @ v.data)[:, 0]
+            if not np.isfinite(e).all():
+                raise NumericError("attention scores contain NaN or Inf")
+            e -= np.repeat(np.maximum.reduceat(e, starts), counts)
+            w = np.exp(e)
+            w /= np.repeat(np.add.reduceat(w, starts), counts)
+            context = np.zeros((b, u), dtype=states.dtype)
+            # a product per row: np.add.reduceat over the rows of w * live is
+            # many times slower
+            for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
+                context[i] = w[lo:hi] @ live[lo:hi]
+        if not np.isfinite(context).all():
+            raise NumericError("attention context contains NaN or Inf: a live GRU state is not finite")
         weights = np.zeros((b, steps), dtype=states.dtype)
         weights[mask] = w
-        context = np.zeros((b, u), dtype=states.dtype)
-        # a product per row: np.add.reduceat over the rows of w * live is
-        # many times slower
-        for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-            context[i] = w[lo:hi] @ live[lo:hi]
 
         def back(g):
             g_live = np.repeat(g[rows], counts, axis=0)

@@ -13,7 +13,8 @@ def roc_auc_binary(scores, labels) -> float:
     """Probability that a random positive outranks a random negative, ties 1/2.
 
     Computed from mid-ranks, which is exactly equivalent to trapezoidal ROC
-    integration and to brute-force pair counting.
+    integration and to brute-force pair counting. NaN scores have no rank
+    and raise ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -24,18 +25,12 @@ def roc_auc_binary(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # mid-rank for the tie block [i..j], 1-based
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum = ranks[pos].sum()
+    if np.isnan(scores).any():
+        raise ValueError("roc_auc scores contain NaN")
+    _, block, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    # 1-based mid-rank of each block of tied scores
+    mid = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum = mid[block][pos].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

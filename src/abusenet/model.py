@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,11 +42,8 @@ class ModelConfig:
     fusion_dim: int = DEFAULT_FUSION_DIM
     attention_threshold: int = ATTENTION_THRESHOLD
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", DEFAULT_HIDDEN))
-        return cls(**d)
+    def __post_init__(self):
+        self.hidden = tuple(self.hidden)  # a JSON header stores it as a list
 
 
 class TextPath:
@@ -309,6 +306,9 @@ def build_combined(text_model: ClassifierModel, metadata_model: ClassifierModel,
 
 @dataclass
 class CheckpointMeta:
+    """What a checkpoint stores besides the weights: its JSON header is these
+    fields plus ``format_version``, and a field a v1 header lacks loads as its default."""
+
     classes: list[str]
     kind: str
     config: ModelConfig
@@ -320,6 +320,30 @@ class CheckpointMeta:
     mask: list[str] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
+    @property
+    def vocab_size(self) -> int:
+        """Embedding rows: the stored tokens plus the padding and unknown rows."""
+        return len(self.vocab_tokens) + 2
+
+
+def _check_describes(model: ClassifierModel, meta: CheckpointMeta) -> None:
+    """Refuse a header that would rebuild a model other than ``model``."""
+
+    def same(what, described, actual):
+        if described != actual:
+            raise ContractError(f"checkpoint meta gives {what} {described!r} but the model has {actual!r}")
+
+    same("kind", meta.kind, model.kind)
+    same("classes", list(meta.classes), model.classes)
+    md = model.metadata_path
+    same("feature_dim", meta.feature_dim, None if md is None else md.bn.features)
+    text = model.text_path
+    if text is not None:
+        if meta.seq_len is None:
+            raise ContractError("checkpoint meta of a model with a text path needs seq_len")
+        same("vocabulary size", meta.vocab_size, text.embedding.vocab_size)
+        same("attention", meta.seq_len > meta.config.attention_threshold, text.attention is not None)
+
 
 def save_checkpoint(path, model: ClassifierModel, meta: CheckpointMeta) -> None:
     """Self-describing container: JSON header, then raw parameter records.
@@ -327,19 +351,8 @@ def save_checkpoint(path, model: ClassifierModel, meta: CheckpointMeta) -> None:
     Per-parameter record: name, path tag, trainable flag, shape, then the
     values as little-endian float32.
     """
-    header = {
-        "format_version": 1,
-        "classes": meta.classes,
-        "kind": meta.kind,
-        "config": asdict(meta.config),
-        "seq_len": meta.seq_len,
-        "vocab_tokens": meta.vocab_tokens,
-        "feature_dim": meta.feature_dim,
-        "schema": [list(c) for c in meta.schema],
-        "pipeline": meta.pipeline,
-        "mask": sorted(meta.mask),
-        "extra": meta.extra,
-    }
+    _check_describes(model, meta)
+    header = {**asdict(meta), "format_version": 1, "mask": sorted(meta.mask)}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -370,7 +383,7 @@ def _read_exact(fh, n: int) -> bytes:
 
 
 def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
-    """Rebuild the model named in the header and fill in the stored weights."""
+    """Rebuild the model named in the header and install the stored weights."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -380,7 +393,6 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
         records = {}
-        flags = {}
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         for _ in range(n_params):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
@@ -392,42 +404,44 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
             shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim))
             count = int(np.prod(shape)) if shape else 1
             data = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(shape)
-            records[name] = np.array(data, dtype=np.float32)
-            flags[name] = bool(trainable)
+            records[name] = (np.array(data, dtype=np.float32), bool(trainable))
 
-    meta = CheckpointMeta(
-        classes=list(header["classes"]),
-        kind=header["kind"],
-        config=ModelConfig.from_dict(header["config"]),
-        seq_len=header.get("seq_len"),
-        vocab_tokens=list(header.get("vocab_tokens", [])),
-        feature_dim=header.get("feature_dim"),
-        schema=[tuple(c) for c in header.get("schema", [])],
-        pipeline=header.get("pipeline"),
-        mask=list(header.get("mask", [])),
-        extra=dict(header.get("extra", {})),
-    )
+    try:
+        meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})
+        meta.config = ModelConfig(**meta.config)
+    except TypeError as e:
+        raise ValueError(f"checkpoint header does not describe a model: {e}") from None
+    meta.schema = [tuple(c) for c in meta.schema]
     model = _rebuild(meta)
     for p in model.parameters():
         if p.name not in records:
             raise ValueError(f"checkpoint missing parameter {p.name!r}")
-        stored = records[p.name]
+        stored, trainable = records.pop(p.name)
         if stored.shape != p.data.shape:
             raise ValueError(f"parameter {p.name!r} shape {stored.shape} != expected {p.data.shape}")
-        p.tensor.data = stored.copy()
-        p.trainable = flags[p.name]
+        p.tensor.data = stored
+        p.trainable = trainable
+    if records:
+        raise ValueError(f"checkpoint holds parameters the {meta.kind} model its header describes "
+                         f"does not have: {sorted(records)}")
     return model, meta
 
 
 def _rebuild(meta: CheckpointMeta) -> ClassifierModel:
-    rng = np.random.default_rng(0)
-    vocab_size = len(meta.vocab_tokens) + 2
+    """The model a header describes, its weights placeholders for the stored ones."""
+
+    def text() -> ClassifierModel:
+        table = np.zeros((meta.vocab_size, meta.config.embed_dim), dtype=np.float32)
+        return build_text_path(meta.vocab_size, meta.seq_len, meta.classes, config=meta.config,
+                               embedding=EmbeddingLayer(table))
+
+    def metadata() -> ClassifierModel:
+        return build_metadata_path(meta.feature_dim, meta.classes, config=meta.config)
+
     if meta.kind == "text":
-        return build_text_path(vocab_size, meta.seq_len, meta.classes, config=meta.config, rng=rng)
+        return text()
     if meta.kind == "metadata":
-        return build_metadata_path(meta.feature_dim, meta.classes, config=meta.config, rng=rng)
+        return metadata()
     if meta.kind == "combined":
-        text = build_text_path(vocab_size, meta.seq_len, meta.classes, config=meta.config, rng=rng)
-        md = build_metadata_path(meta.feature_dim, meta.classes, config=meta.config, rng=rng)
-        return build_combined(text, md, meta.classes, rng=rng)
+        return build_combined(text(), metadata(), meta.classes)
     raise ValueError(f"unknown model kind {meta.kind!r}")

@@ -8,6 +8,7 @@ from abusenet.cli import main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus
 from abusenet.evaluation import encode_fold
 from abusenet.model import load_checkpoint
+from abusenet.tensor import ContractError
 from abusenet.training import predict_probs
 
 
@@ -181,6 +182,17 @@ class TestEvaluateCommand:
         assert 0.0 <= json.loads(result.read_text())["metrics"]["auc"] <= 1.0
         with pytest.raises(SchemaError, match="nf_"):
             run(["evaluate", "--checkpoint", out / "model.ckpt", *io])
+
+    @pytest.mark.parametrize("flag, value", [("--user-column", "user"), ("--nodes", "nodes.txt")])
+    def test_network_flag_without_edges_rejected(self, synth_dir, tmp_path, flag, value):
+        out = tmp_path / "run"
+        with pytest.raises(SchemaError, match=f"{flag} needs --edges"):
+            run(train_args(synth_dir, out) + [flag, value])
+        assert not out.exists()
+
+    def test_recurrent_dropout_of_one_rejected(self, synth_dir, tmp_path):
+        with pytest.raises(ContractError, match="recurrent_dropout"):
+            run(train_args(synth_dir, tmp_path / "run", mask="WV") + ["--recurrent-dropout", "1.0"])
 
     def test_header_only_dataset_has_no_rows(self, synth_dir, tmp_path):
         out = tmp_path / "run"

@@ -193,6 +193,23 @@ class TestAttachPerUser:
         u0_power = {r["nf_power_difference"] for r in got.records if r["user"] == "u0"}
         assert len(u0_power) > 1  # a per-sample value, not a per-user one
 
+    def test_unknown_user_column_rejected(self, tmp_path):
+        g = SocialGraph()
+        g.add_node("u0", followers=3, friends=1)
+        corpus = synth_xor(n=4, seed=8)
+        for i, rec in enumerate(corpus.records):
+            rec["user"] = f"u{i}"
+        with pytest.raises(SchemaError, match="'account'"):
+            attach_network_features(corpus, g, "account")
+        # a file-backed corpus is checked against its header, rows or not
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        data_path.write_text(data_path.read_text().splitlines()[0] + ",user\n")
+        header_only = load_corpus(data_path, schema_path)
+        assert attach_network_features(header_only, g, "user").records == []
+        with pytest.raises(SchemaError, match="'account'"):
+            attach_network_features(header_only, g, "account")
+
     def test_graph_metrics_run_once_per_distinct_user(self, monkeypatch):
         calls = {"closeness": 0, "clustering_coefficient": 0}
         for name in calls:

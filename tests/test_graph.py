@@ -222,6 +222,22 @@ class TestGraphStructure:
         with pytest.raises(ValueError, match="attribute file line 3: .*'x'"):
             SocialGraph.from_files(edges, attrs)
 
+    def test_negative_count_rejected(self):
+        g = SocialGraph()
+        with pytest.raises(ValueError, match="must be >= 0"):
+            g.add_node("a", followers=-1, friends=3)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            g.add_node("a", followers=1, friends=-3)
+        assert len(g) == 0
+
+    def test_from_files_negative_count_reports_line(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b\n")
+        attrs = tmp_path / "nodes.txt"
+        attrs.write_text("b 5 5\na -4 3\n")
+        with pytest.raises(ValueError, match="attribute file line 2: node 'a'"):
+            SocialGraph.from_files(edges, attrs)
+
     def test_node_features_block(self):
         g = graph_from_edges([("a", "b"), ("b", "a"), ("b", "c")])
         feats = node_features(g, "b", mentioned=["a"])

@@ -195,6 +195,12 @@ class TestEmbedding:
 
 
 class TestGRU:
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+    def test_recurrent_dropout_outside_unit_interval_rejected(self, p):
+        # keep probability 1 - p: at p = 1 every state would be 0 * inf
+        with pytest.raises(ContractError, match="recurrent_dropout"):
+            make_gru(3, 4, p=p)
+
     def test_zero_weights_fixed_point(self):
         gru = make_gru(3, 4)
         for p in gru.parameters():
@@ -515,9 +521,13 @@ class TestAttention:
             att.forward(Tensor(states), mask[:, :2])
         with pytest.raises(ContractError):
             att.forward(Tensor(states, dtype=np.float32), mask)
-        states[1, 2, 0] = np.nan
-        with pytest.raises(NumericError):
-            att.forward(Tensor(states), mask)
+        # an Inf among zero states keeps every score finite (tanh saturates),
+        # so only the context shows it; the suite turns RuntimeWarning into
+        # an error, so a warning from numpy would surface instead
+        for bad in (np.nan, np.inf, -np.inf):
+            states[1, 2, 0] = bad
+            with pytest.raises(NumericError):
+                att.forward(Tensor(states), mask)
         mask[1, 2] = False  # a padded position is never read
         out, _ = att.forward(Tensor(states), mask)
         assert np.isfinite(out.data).all()

@@ -44,6 +44,39 @@ class TestRocAuc:
         labels = np.array([0, 1, 0, 1, 1, 0, 0, 1])
         assert abs(roc_auc_binary(scores, labels) - auc_pair_oracle(scores, labels)) < 1e-12
 
+    def test_matches_tie_block_loop_bitwise(self):
+        # reference: mid-ranks from a sequential walk over the tie blocks
+        def loop_auc(scores, labels):
+            order = np.argsort(scores, kind="mergesort")
+            ranked = scores[order]
+            ranks = np.empty(scores.size)
+            i = 0
+            while i < scores.size:
+                j = i
+                while j + 1 < scores.size and ranked[j + 1] == ranked[i]:
+                    j += 1
+                ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            n_pos = int((labels == 1).sum())
+            n_neg = labels.size - n_pos
+            return (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            n = int(rng.integers(2, 300))
+            scores = rng.integers(0, int(rng.integers(1, 12)), size=n) / 7.0
+            if trial % 5 == 0:
+                scores[rng.integers(0, n, size=2)] = [np.inf, -np.inf]
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            assert roc_auc_binary(scores, labels) == loop_auc(scores, labels)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc_binary([0.2, np.nan, 0.7], [0, 1, 1])
+        with pytest.raises(ValueError, match="NaN"):
+            roc_auc(np.array([[0.5, 0.5], [np.nan, np.nan], [0.1, 0.9]]), [0, 1, 1])
+
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc_binary([0.1, 0.2], [1, 1])

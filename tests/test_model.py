@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from abusenet.layers import DenseLayer, GRULayer
+from abusenet.layers import DenseLayer, EmbeddingLayer, GRULayer
 from abusenet.model import (
+    DEFAULT_HIDDEN,
     CheckpointMeta,
     ModelConfig,
     build_combined,
@@ -211,7 +215,123 @@ class TestParameterCount:
         assert parameter_count(combined, include_embeddings=True) == n + 5000 * 200
 
 
+def v1_bytes(header: dict, records) -> bytes:
+    """A format-v1 checkpoint assembled field by field, without save_checkpoint:
+    magic, header length and JSON, record count, then per record the name,
+    path tag, trainable flag, shape and little-endian float32 values."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    out = [b"ABNET1\x00", struct.pack("<I", len(blob)), blob, struct.pack("<I", len(records))]
+    for name, tag, trainable, values in records:
+        values = np.asarray(values, dtype="<f4")
+        out += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                struct.pack("<H", len(tag)), tag.encode("utf-8"),
+                struct.pack("<BB", trainable, values.ndim),
+                struct.pack(f"<{values.ndim}I", *values.shape), values.tobytes()]
+    return b"".join(out)
+
+
+V1_HEADER = {
+    "format_version": 1, "classes": ["a", "b"], "kind": "text",
+    "config": {"embed_dim": 2, "units": 2, "recurrent_dropout": 0.5, "hidden": [3],
+               "fusion_dim": 2, "attention_threshold": 100},
+    "seq_len": 3, "vocab_tokens": ["x", "y"], "feature_dim": None, "schema": [],
+    "pipeline": None, "mask": ["TF", "WV"], "extra": {"seed": 7, "strategy": "naive"},
+}
+
+
+def v1_text_records():
+    """Records of V1_HEADER's model (vocabulary 4, width 2, 2 GRU units) in
+    parameter order; the head is stored frozen."""
+    rng = np.random.default_rng(30)
+    table = rng.normal(size=(4, 2))
+    table[0] = 0.0
+    gru = ([(f"text.gru.{w}_{g}", (2, 2)) for w in "WU" for g in "zrh"]
+           + [(f"text.gru.b_{g}", (2,)) for g in "zrh"])
+    return ([("text.embedding.table", "text", 1, table)]
+            + [(name, "text", 1, rng.normal(size=shape)) for name, shape in gru]
+            + [("head.W", "head", 0, rng.normal(size=(2, 2))), ("head.b", "head", 0, rng.normal(size=2))])
+
+
 class TestCheckpoint:
+    def test_format_v1_pinned_both_ways(self, tmp_path):
+        records = v1_text_records()
+        raw = v1_bytes(V1_HEADER, records)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(raw)
+        model, meta = load_checkpoint(path)
+        assert meta == CheckpointMeta(
+            classes=["a", "b"], kind="text",
+            config=ModelConfig(embed_dim=2, units=2, hidden=(3,), fusion_dim=2),
+            seq_len=3, vocab_tokens=["x", "y"], mask=["TF", "WV"], extra={"seed": 7, "strategy": "naive"})
+        for (name, tag, trainable, values), p in zip(records, model.parameters(), strict=True):
+            assert (p.name, p.tag, p.trainable) == (name, tag, bool(trainable))
+            np.testing.assert_array_equal(p.data, np.asarray(values, dtype=np.float32))
+        again = tmp_path / "again.ckpt"
+        meta.mask = ["WV", "TF"]  # the writer sorts the mask
+        save_checkpoint(again, model, meta)
+        assert again.read_bytes() == raw
+
+    def test_v1_header_without_optional_keys_loads(self, tmp_path):
+        header = {key: V1_HEADER[key] for key in
+                  ("format_version", "classes", "kind", "seq_len", "vocab_tokens")}
+        header["config"] = {"embed_dim": 2, "units": 2}
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(v1_bytes(header, v1_text_records()))
+        model, meta = load_checkpoint(path)
+        assert meta.config == ModelConfig(embed_dim=2, units=2)
+        assert meta.config.hidden == DEFAULT_HIDDEN
+        assert (meta.feature_dim, meta.schema, meta.pipeline, meta.mask, meta.extra) == (None, [], None, [], {})
+        assert model.kind == "text" and model.text_path.attention is None
+
+    def test_header_without_a_required_key_rejected(self, tmp_path):
+        header = {k: v for k, v in V1_HEADER.items() if k != "classes"}
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(v1_bytes(header, v1_text_records()))
+        with pytest.raises(ValueError, match="classes"):
+            load_checkpoint(path)
+
+    def test_records_the_header_does_not_describe_rejected(self, tmp_path):
+        # attention weights stored under a header whose seq_len rebuilds no attention
+        extra = [("text.attention.W_a", "text", 1, np.ones((2, 2))),
+                 ("text.attention.v_a", "text", 1, np.ones((2, 1)))]
+        path = tmp_path / "extra.ckpt"
+        path.write_bytes(v1_bytes(V1_HEADER, v1_text_records() + extra))
+        with pytest.raises(ValueError, match="'text.attention.W_a', 'text.attention.v_a'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, what", [
+        ({"kind": "text"}, "kind"),
+        ({"classes": ["a", "c"]}, "classes"),
+        ({"feature_dim": 5}, "feature_dim"),
+        ({"feature_dim": None}, "feature_dim"),
+        ({"vocab_tokens": [f"t{i}" for i in range(17)]}, "vocabulary size"),
+        ({"seq_len": 200}, "attention"),
+        ({"seq_len": None}, "seq_len"),
+    ])
+    def test_save_rejects_meta_that_disagrees_with_model(self, tmp_path, change, what):
+        m = small_combined()
+        described = dict(classes=m.classes, kind="combined", config=SMALL, seq_len=6,
+                         vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=4)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError, match=what):
+            save_checkpoint(path, m, CheckpointMeta(**{**described, **change}))
+        assert not path.exists()
+
+    def test_load_draws_no_random_embedding_table(self, tmp_path, monkeypatch):
+        m = small_combined(seed=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, CheckpointMeta(
+            classes=m.classes, kind="combined", config=SMALL, seq_len=6,
+            vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random embedding table")
+
+        monkeypatch.setattr(EmbeddingLayer, "random", classmethod(refuse))
+        clone, _ = load_checkpoint(path)
+        for p in m.parameters():
+            np.testing.assert_array_equal(clone.param(p.name).data, p.data)
+
     def test_round_trip_bit_identical_forward(self, tmp_path):
         m = small_combined(seed=5)
         # nudge running stats away from defaults so they must round-trip too
