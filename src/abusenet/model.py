@@ -14,6 +14,8 @@ training strategies key off those tags.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -382,9 +384,22 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _read_values(fh, shape: tuple[int, ...], size: int) -> np.ndarray:
+    """One record's float32 values, read straight into their array; a shape
+    asking for more bytes than the file has left is refused before allocating."""
+    nbytes = 4 * math.prod(shape)
+    if nbytes > size - fh.tell():
+        raise ValueError("checkpoint truncated")
+    values = np.empty(shape, dtype="<f4")
+    if fh.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
+        raise ValueError("checkpoint truncated")
+    return values.astype(np.float32, copy=False)
+
+
 def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
     """Rebuild the model named in the header and install the stored weights."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
@@ -401,10 +416,8 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
             _read_exact(fh, tlen)  # tag is re-derived at build
             (trainable,) = struct.unpack("<B", _read_exact(fh, 1))
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, 4 * count), dtype="<f4").reshape(shape)
-            records[name] = (np.array(data, dtype=np.float32), bool(trainable))
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
+            records[name] = (_read_values(fh, shape, size), bool(trainable))
 
     try:
         meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})

@@ -395,6 +395,7 @@ class TestCriterion8NaiveBayes:
         matrix = tfidf.fit_transform(docs)
         nb = nb_fit(matrix, labels)
         _, posteriors = nb_predict(nb, matrix)
+        matrix = matrix.toarray()
 
         # independent brute-force Bayes computation, plain python loops
         n_terms = matrix.shape[1]
@@ -420,7 +421,7 @@ class TestCriterion8NaiveBayes:
 
         two = [["cat", "cat", "dog"], ["dog", "bird"]]
         model = TfidfModel(top_k=10)
-        got = model.fit_transform(two)
+        got = model.fit_transform(two).toarray()
         idf_rare = math.log(3 / 2) + 1.0
         row1 = np.array([2 * idf_rare, 1.0, 0.0])
         row1 /= math.sqrt((2 * idf_rare) ** 2 + 1.0)

@@ -231,6 +231,11 @@ class TestBaselineCommand:
         assert payload["model"] == "naive-bayes-tfidf"
         assert len(payload["cv"]["folds"]) == 3
 
+    def test_top_k_below_one_rejected(self, synth_dir):
+        with pytest.raises(ValueError, match="top_k must be at least 1, got 0"):
+            run(["baseline", "--dataset", synth_dir / "dataset.csv",
+                 "--schema", synth_dir / "schema.json", "--folds", "3", "--top-k", "0"])
+
     def test_deterministic_under_seed(self, synth_dir, tmp_path):
         outs = []
         for name in ("x", "y"):

@@ -357,6 +357,27 @@ class TestCheckpoint:
         clone, _ = load_checkpoint(path)
         assert all(not p.trainable for p in clone.parameters() if p.tag == "text")
 
+    def test_oversized_record_shape_rejected_before_allocating(self, tmp_path):
+        raw = v1_bytes(V1_HEADER, [("text.embedding.table", "text", 1, np.zeros((1, 1)))])
+        # the one record's shape is 1 x 1; claim 2**32-1 x 2**32-1 (64 EiB) instead
+        dims = struct.pack("<2I", 1, 1)
+        at = raw.rindex(dims)
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(raw[:at] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + raw[at + 8:])
+        with pytest.raises(ValueError, match="checkpoint truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_record_rejected(self, tmp_path):
+        records = v1_text_records()
+        raw = v1_bytes(V1_HEADER, records)
+        table = np.asarray(records[0][3], dtype="<f4").tobytes()
+        path = tmp_path / "short.ckpt"
+        # inside the last record's values, then 5 bytes into the first record's
+        for end in (len(raw) - 1, len(raw) - 3, raw.index(table) + 5):
+            path.write_bytes(raw[:end])
+            with pytest.raises(ValueError, match="checkpoint truncated"):
+                load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
