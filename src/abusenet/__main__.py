@@ -1,0 +1,8 @@
+"""``python -m abusenet``: the same command line as the installed ``abusenet``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

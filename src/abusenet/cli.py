@@ -41,6 +41,7 @@ from .evaluation import (
 from .features import parse_mask
 from .graph import SocialGraph
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
+from .tensor import ContractError
 from .training import TrainingConfig, predict_probs
 
 STRATEGY_FLAGS = {"naive": "naive", "transfer": "transfer",
@@ -101,6 +102,13 @@ def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
     return training, model
 
 
+def _check_fusion_widths(masks, model_cfg: ModelConfig) -> None:
+    """A mask with both paths fuses them, which needs equal feature widths."""
+    if model_cfg.units != model_cfg.fusion_dim and any("WV" in m and len(m) > 1 for m in masks):
+        raise ContractError(f"a mask with text and metadata groups fuses both paths, so --units "
+                            f"({model_cfg.units}) must equal --fusion-dim ({model_cfg.fusion_dim})")
+
+
 def _load(args):
     corpus = load_corpus(args.dataset, args.schema)
     for flag, value in (("--nodes", args.nodes), ("--user-column", args.user_column)):
@@ -136,6 +144,7 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
 
 def cmd_train(args) -> int:
     training, model_cfg = _configs(args)
+    _check_fusion_widths([parse_mask(args.mask)], model_cfg)
     corpus = _load(args)
     t0 = time.monotonic()
     report = run_cv(corpus, training, model_cfg, mask=args.mask, n_folds=args.folds,
@@ -205,11 +214,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     training, model_cfg = _configs(args)
-    corpus = _load(args)
     if args.masks:
         masks = [parse_mask(m) for m in args.masks.split(";") if m.strip()]
     else:
         masks = list(DEFAULT_ABLATION_MASKS)
+    _check_fusion_widths(masks, model_cfg)
+    corpus = _load(args)
     t0 = time.monotonic()
     rows = run_ablation(corpus, masks, training, model_cfg, n_folds=args.folds,
                         embeddings_path=args.embeddings, workers=args.workers)

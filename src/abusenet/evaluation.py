@@ -60,6 +60,8 @@ class MetricsReport:
 
 def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint folds covering every index, class proportions within one."""
+    if k < 2:
+        raise ContractError(f"cross-validation needs k >= 2 folds, got k={k}")
     labels = np.asarray(labels)
     counts = np.bincount(labels)
     low = counts[counts > 0]

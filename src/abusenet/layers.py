@@ -181,8 +181,15 @@ class GRULayer:
         [b, .] slices, a step with some padded rows gathers the live ones,
         and a step whose rows are all padded is skipped. Padded rows carry h
         unchanged into the states. Per step: one recurrent matmul against
-        [U_z|U_r], and (r * h * drop) U_h. When a tape records the op, the
-        live rows' inputs, gates and products are kept packed time-major.
+        [U_z|U_r], and (r * h * drop) U_h. Each product is a fresh
+        contiguous [k, .] array that accumulates its columns of the gathered
+        [k, 3u] projection, and the sigmoid, tanh and state update run in
+        place on it: the same passes over a column view of the projection
+        cost 2-4x, and IEEE addition commutes, so the bits are those of
+        adding the product into the view. When a tape records the op, the
+        live rows' inputs, gates and products are kept packed time-major,
+        z and r in their own [n, u] buffers so that backward's per-step
+        arithmetic reads contiguous rows.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
         matmul each; the inputs' gradient is then scatter-added into the rows.
@@ -209,7 +216,8 @@ class GRULayer:
         states = np.empty((b, steps, u), dtype=x.dtype)
         if record:
             x_all = rows[src]
-            zr_all = np.empty((n, 2 * u), dtype=x.dtype)
+            z_all = np.empty((n, u), dtype=x.dtype)
+            r_all = np.empty((n, u), dtype=x.dtype)
             c_all = np.empty((n, u), dtype=x.dtype)
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
@@ -237,16 +245,18 @@ class GRULayer:
                 a = (x_all[lo:hi] if record else rows[src[lo:hi]]) @ W
                 a += bias
             hm = h_t if drop_t is None else h_t * drop_t
-            zr = a[:, :2 * u]
-            zr += hm @ U_zr
+            # the fresh recurrent products accumulate the gathered inputs,
+            # so every in-place pass runs on a contiguous array
+            zr = hm @ U_zr
+            zr += a[:, :2 * u]
             _sigmoid(zr)
-            r = zr[:, u:]
+            z, r = zr[:, :u], zr[:, u:]
             rh = r * hm
-            c = a[:, 2 * u:]
-            c += rh @ U_h
+            c = rh @ U_h
+            c += a[:, 2 * u:]
             np.tanh(c, out=c)
             h_new = c - h_t
-            h_new *= zr[:, :u]
+            h_new *= z
             h_new += h_t
             if sel is None:
                 h = h_new
@@ -254,7 +264,8 @@ class GRULayer:
                 h[sel] = h_new  # padded rows keep h exactly
             states[:, t] = h
             if record:
-                zr_all[lo:hi] = zr
+                z_all[lo:hi] = z
+                r_all[lo:hi] = r
                 c_all[lo:hi] = c
                 hm_all[lo:hi] = hm
                 rh_all[lo:hi] = rh
@@ -274,7 +285,7 @@ class GRULayer:
                     sel = live_b[lo:hi]
                     dh_t, h_prev = dh[sel], h_prev[sel]
                     drop_t = None if drop is None else drop[sel]
-                z, r, c = zr_all[lo:hi, :u], zr_all[lo:hi, u:], c_all[lo:hi]
+                z, r, c = z_all[lo:hi], r_all[lo:hi], c_all[lo:hi]
                 da_t = da[lo:hi]
                 np.multiply(dh_t * z, 1.0 - c * c, out=da_t[:, 2 * u:])
                 drh = da_t[:, 2 * u:] @ U_h.T

@@ -46,6 +46,11 @@ class ModelConfig:
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)  # a JSON header stores it as a list
+        widths = {"embed_dim": self.embed_dim, "units": self.units, "fusion_dim": self.fusion_dim,
+                  **{f"hidden[{i}]": w for i, w in enumerate(self.hidden)}}
+        for name, width in widths.items():
+            if width < 1:
+                raise ContractError(f"{name} must be >= 1, got {width}")
 
 
 class TextPath:

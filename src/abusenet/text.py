@@ -100,6 +100,8 @@ class Vocabulary:
     def __init__(self, index: dict[str, int], counts: Counter):
         self._index = index
         self.counts = counts
+        # index -> token; the constructors number tokens 2, 3, ... without gaps
+        self._tokens = [PAD_TOKEN, UNK_TOKEN, *sorted(index, key=index.get)]
 
     @classmethod
     def build(cls, token_lists: Iterable[Sequence[str]]) -> "Vocabulary":
@@ -123,7 +125,7 @@ class Vocabulary:
 
     def tokens(self) -> list[str]:
         """Tokens ordered by index (index 2 first)."""
-        return sorted(self._index, key=self._index.get)
+        return self._tokens[2:]
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
@@ -131,14 +133,9 @@ class Vocabulary:
         return cls(index, Counter())
 
     def decode_index(self, idx: int) -> str:
-        if idx == PAD_INDEX:
-            return PAD_TOKEN
-        if idx == UNK_INDEX:
-            return UNK_TOKEN
-        for t, i in self._index.items():
-            if i == idx:
-                return t
-        raise KeyError(f"index {idx} not in vocabulary")
+        if not 0 <= idx < len(self._tokens):
+            raise KeyError(f"index {idx} not in vocabulary")
+        return self._tokens[idx]
 
 
 def encode_pad(tokens: Sequence[str], vocab: Vocabulary, spec: SequenceSpec) -> np.ndarray:

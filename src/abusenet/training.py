@@ -53,6 +53,8 @@ class TrainingConfig:
             raise ContractError(f"patience must sit in [0, max_epochs), got {self.patience}")
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +104,12 @@ class TestTrainCommand:
             checkpoints.append((out / "model.ckpt").read_bytes())
         assert reports[0] == reports[1]
         assert checkpoints[0] == checkpoints[1]
+
+    @pytest.mark.parametrize("folds", ["1", "0"])
+    def test_fewer_than_two_folds_rejected(self, synth_dir, tmp_path, folds):
+        with pytest.raises(ContractError, match=f"k={folds}"):
+            run(train_args(synth_dir, tmp_path / "run") + ["--folds", folds])
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvaluateCommand:
@@ -203,6 +213,43 @@ class TestEvaluateCommand:
         with pytest.raises(EmptyDatasetError, match="no data rows"):
             run(["evaluate", "--checkpoint", out / "model.ckpt",
                  "--dataset", header_only, "--schema", synth_dir / "schema.json"])
+
+
+# the configuration is checked before the dataset is opened: these runs name
+# a dataset that does not exist and still fail on the flag
+@pytest.mark.parametrize("flags, match", [
+    (["--learning-rate", "-1"], "learning_rate must be finite and > 0, got -1.0"),
+    (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
+    (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
+    (["--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
+    (["--units", "0", "--fusion-dim", "0"], "units must be >= 1, got 0"),
+    (["--metadata-sizes", "8,0"], r"hidden\[1\] must be >= 1, got 0"),
+    (["--units", "8", "--fusion-dim", "6"], r"--units \(8\) must equal --fusion-dim \(6\)"),
+], ids=["negative_lr", "zero_lr", "nan_lr", "zero_embed_dim", "zero_units", "zero_hidden",
+        "units_not_fusion_dim"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags, match):
+    io = ["--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
+          "--out", tmp_path / "run"]
+    masks = ["--mask", "WV+TF+UF"] if command == "train" else ["--masks", "UF;WV+UF"]
+    with pytest.raises(ContractError, match=match):
+        run([command, *io, *masks, *TINY, *flags])
+    assert not (tmp_path / "run").exists()
+
+
+def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):
+    # a text-only mask builds no fused head, so --units need not match --fusion-dim
+    assert run(train_args(synth_dir, tmp_path / "run", mask="WV") + ["--units", "8"]) == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "abusenet", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: abusenet")
+    for command in ("train", "evaluate", "ablate", "baseline", "synth"):
+        assert command in done.stdout
 
 
 class TestAblateCommand:

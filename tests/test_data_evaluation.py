@@ -29,6 +29,7 @@ from abusenet.graph import (
     node_features,
 )
 from abusenet.model import ModelConfig
+from abusenet.tensor import ContractError
 from abusenet.training import TrainingConfig
 
 TINY_MODEL = ModelConfig(embed_dim=5, units=6, hidden=(8,), fusion_dim=6, recurrent_dropout=0.25)
@@ -247,6 +248,12 @@ class TestKFold:
         b = stratified_kfold(labels, 5, seed=7)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, k):
+        labels = np.array([0, 1] * 10)
+        with pytest.raises(ContractError, match=f"k={k}"):
+            stratified_kfold(labels, k, seed=0)
 
     def test_small_class_warns(self):
         labels = np.array([0] * 50 + [1] * 4)

@@ -379,6 +379,32 @@ class TestGRU:
 
         assert grad_check(forward, gru.parameters() + [r, h0]) < 1e-4
 
+    @pytest.mark.parametrize("train", [True, False], ids=["dropout", "inference"])
+    @pytest.mark.parametrize("form", ["dense", "index"])
+    @pytest.mark.parametrize("mask", ["left_padding", "no_padding"])
+    def test_paper_width_states_equal_per_step_states_bitwise(self, mask, form, train):
+        # d=200, u=128 as the model runs; in inference with no padding the
+        # recurrent products read h itself, not a masked or dropped-out copy
+        b, steps, d, u = 12, 7, 200, 128
+        if mask == "no_padding":
+            mask = np.ones((b, steps), dtype=bool)
+        else:
+            lengths = np.random.default_rng(30).integers(0, steps + 1, size=b)
+            lengths[:2] = steps, 1
+            mask = np.arange(steps) >= steps - lengths[:, None]
+        gru = make_gru(d, u, dtype=np.float32, p=0.5, seed=31)
+        rows, index, dense = index_case(mask, 40, d, seed=32)
+        h0 = np.random.default_rng(33).normal(size=(b, u)).astype(np.float32)
+        x, idx = (Tensor(rows), index) if form == "index" else (Tensor(dense), None)
+        states, last = gru.forward(x, mask=mask, h0=Tensor(h0), index=idx, train=train,
+                                   rng=np.random.default_rng(5))
+        if train:
+            drop = (np.random.default_rng(5).random((b, u)) < 0.5).astype(np.float32) / np.float32(0.5)
+        else:
+            drop = np.ones((b, u), dtype=np.float32)
+        assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop).tobytes()
+        assert last.data.tobytes() == states.data[:, -1].tobytes()
+
     def test_index_form_validates_its_index(self):
         gru = make_gru(3, 4)
         rows = Tensor(np.zeros((2, 3)))

@@ -30,6 +30,18 @@ def small_combined(classes=("a", "b"), feature_dim=4, vocab_size=20, seq_len=6, 
     return build_combined(text, meta, list(classes), rng=rng)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("embed_dim", {"embed_dim": 0}),
+        ("units", {"units": -1}),
+        ("fusion_dim", {"fusion_dim": 0}),
+        (r"hidden\[1\]", {"hidden": (8, 0)}),
+    ])
+    def test_width_below_one_rejected(self, field, kwargs):
+        with pytest.raises(ContractError, match=f"{field} must be >= 1"):
+            ModelConfig(**kwargs)
+
+
 class TestTextPath:
     def test_tweet_config_disables_attention(self):
         m = build_text_path(50, 30, ["a", "b"], config=SMALL)

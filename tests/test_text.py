@@ -112,6 +112,18 @@ class TestEncodePad:
         out = encode_pad(["dog"], self.vocab, SequenceSpec(2))
         assert list(out) == [0, 1]
 
+    def test_decode_index_inverts_every_index(self):
+        assert [self.vocab.decode_index(i) for i in range(len(self.vocab))] == \
+            ["<pad>", "<unk>", *self.vocab.tokens()]
+        assert all(self.vocab.encode_token(self.vocab.decode_index(i)) == i
+                   for i in range(2, len(self.vocab)))
+
+    @pytest.mark.parametrize("idx", [-1, 5, 100])
+    def test_decode_unknown_index_raises(self, idx):
+        # the vocabulary holds pad, unk and three tokens: indices 0..4
+        with pytest.raises(KeyError, match=f"index {idx} not in vocabulary"):
+            self.vocab.decode_index(idx)
+
     def test_round_trip_recovers_known_tokens(self):
         tokens = ["cat", "sat", "mat"]
         out = encode_pad(tokens, self.vocab, self.spec)

@@ -413,3 +413,8 @@ class TestPredict:
             TrainingConfig(strategy="bogus")
         with pytest.raises(ContractError):
             TrainingConfig(patience=100, max_epochs=100)
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ContractError, match="learning_rate"):
+            TrainingConfig(learning_rate=lr)
