@@ -32,7 +32,7 @@ b = Parameter("b", Tensor(np.zeros(2), dtype=np.float64))
 inp = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
 
 def forward():
-    return T.mean_all(T.tanh(T.add_bias(T.matmul(inp, w.tensor), b.tensor)))
+    return T.mean_all(T.tanh(T.add_bias(T.matmul(inp, w), b)))
 
 err = grad_check(forward, [w, b], eps=1e-5)
 print(f"max relative error vs finite differences: {err:.2e}")

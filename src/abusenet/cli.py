@@ -29,6 +29,7 @@ from .evaluation import (
     DEFAULT_ABLATION_MASKS,
     MetricsReport,
     build_and_fit,
+    check_fold_count,
     checkpoint_meta,
     classification_metrics,
     encode_fold,
@@ -82,6 +83,7 @@ def _add_network_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
+    check_fold_count(args.folds)
     training = TrainingConfig(
         strategy=STRATEGY_FLAGS[args.strategy],
         batch_size=args.batch_size,
@@ -238,6 +240,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    check_fold_count(args.folds)
     corpus = load_corpus(args.dataset, args.schema)
     if corpus.labels is None:
         raise SchemaError("baseline needs labels")

@@ -58,10 +58,14 @@ class MetricsReport:
         return {"folds": self.folds, "mean": self.mean}
 
 
-def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """k disjoint folds covering every index, class proportions within one."""
+def check_fold_count(k: int) -> None:
     if k < 2:
         raise ContractError(f"cross-validation needs k >= 2 folds, got k={k}")
+
+
+def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """k disjoint folds covering every index, class proportions within one."""
+    check_fold_count(k)
     labels = np.asarray(labels)
     counts = np.bincount(labels)
     low = counts[counts > 0]
@@ -176,24 +180,21 @@ def build_and_fit(train: EncodedDataset, config: TrainingConfig, model_cfg: Mode
     """Build the model form the mask calls for and train it with the strategy."""
     classes = train.classes
     seed = config.seed
-    has_text = train.text is not None
-    has_meta = train.meta is not None
+    text_model = meta_model = None
+    if train.text is not None:
+        text_model = build_text_path(artifacts["vocab"], artifacts["spec"], classes,
+                                     config=model_cfg, rng=derive_rng(seed, "init", "text"),
+                                     embedding=artifacts.get("embedding"))
+    if train.meta is not None:
+        meta_model = build_metadata_path(train.meta.shape[1], classes, config=model_cfg,
+                                         rng=derive_rng(seed, "init", "meta"))
 
-    if has_text and not has_meta:
-        model = build_text_path(artifacts["vocab"], artifacts["spec"], classes,
-                                config=model_cfg, rng=derive_rng(seed, "init", "text"),
-                                embedding=artifacts.get("embedding"))
-        return model, fit(model, train, config, stream="text-only", step_callback=step_callback)
-    if has_meta and not has_text:
-        model = build_metadata_path(train.meta.shape[1], classes, config=model_cfg,
-                                    rng=derive_rng(seed, "init", "meta"))
-        return model, fit(model, train, config, stream="meta-only", step_callback=step_callback)
-
-    text_model = build_text_path(artifacts["vocab"], artifacts["spec"], classes,
-                                 config=model_cfg, rng=derive_rng(seed, "init", "text"),
-                                 embedding=artifacts.get("embedding"))
-    meta_model = build_metadata_path(train.meta.shape[1], classes, config=model_cfg,
-                                     rng=derive_rng(seed, "init", "meta"))
+    if meta_model is None:
+        return text_model, fit(text_model, train, config, stream="text-only",
+                               step_callback=step_callback)
+    if text_model is None:
+        return meta_model, fit(meta_model, train, config, stream="meta-only",
+                               step_callback=step_callback)
     if config.strategy in ("transfer", "transfer_ft"):
         return fit_transfer(text_model, meta_model, train, config,
                             fine_tune=config.strategy == "transfer_ft",

@@ -47,7 +47,7 @@ class EmbeddingLayer:
     def __init__(self, table: np.ndarray, name: str = "embedding", trainable: bool = True):
         table = np.array(table, copy=True)
         table[self.pad_index] = 0.0
-        self.table = Parameter(f"{name}.table", Tensor(table), trainable=trainable)
+        self.table = Parameter(f"{name}.table", table, trainable=trainable)
 
     @classmethod
     def random(cls, vocab_size: int, dim: int = 200, rng: np.random.Generator | None = None,
@@ -67,7 +67,7 @@ class EmbeddingLayer:
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim]."""
         ids = np.asarray(token_ids)
-        rows = gather_rows(self.table.tensor, ids.reshape(-1), padding_idx=self.pad_index)
+        rows = gather_rows(self.table, ids.reshape(-1), padding_idx=self.pad_index)
         return rows if ids.ndim == 1 else reshape(rows, (*ids.shape, self.dim))
 
     def parameters(self) -> list[Parameter]:
@@ -100,13 +100,13 @@ class GRULayer:
         self._dtype = np.dtype(dtype)
 
         def w(gate):
-            return Parameter(f"{name}.W_{gate}", Tensor(glorot_uniform(rng, input_dim, units, dtype=dtype)))
+            return Parameter(f"{name}.W_{gate}", glorot_uniform(rng, input_dim, units, dtype=dtype))
 
         def u(gate):
-            return Parameter(f"{name}.U_{gate}", Tensor(glorot_uniform(rng, units, units, dtype=dtype)))
+            return Parameter(f"{name}.U_{gate}", glorot_uniform(rng, units, units, dtype=dtype))
 
         def bias(gate):
-            return Parameter(f"{name}.b_{gate}", Tensor(np.zeros(units, dtype=dtype)))
+            return Parameter(f"{name}.b_{gate}", np.zeros(units, dtype=dtype))
 
         self.W_z, self.W_r, self.W_h = w("z"), w("r"), w("h")
         self.U_z, self.U_r, self.U_h = u("z"), u("r"), u("h")
@@ -194,7 +194,7 @@ class GRULayer:
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
         matmul each; the inputs' gradient is then scatter-added into the rows.
         """
-        inputs = (x, h0, *(p.tensor for p in self.parameters()))
+        inputs = (x, h0, *self.parameters())
         _check_dtypes(*inputs)
         b, steps = mask.shape
         u, d = self.units, self.input_dim
@@ -315,11 +315,11 @@ class GRULayer:
             dU_zr = hm_all.T @ da[:, :2 * u]
             for k, (w, bk) in enumerate(((self.W_z, self.b_z), (self.W_r, self.b_r),
                                          (self.W_h, self.b_h))):
-                _accum(w.tensor, dW[:, k * u:(k + 1) * u])
-                _accum(bk.tensor, db[k * u:(k + 1) * u])
-            _accum(self.U_z.tensor, dU_zr[:, :u])
-            _accum(self.U_r.tensor, dU_zr[:, u:])
-            _accum(self.U_h.tensor, rh_all.T @ da[:, 2 * u:])
+                _accum(w, dW[:, k * u:(k + 1) * u])
+                _accum(bk, db[k * u:(k + 1) * u])
+            _accum(self.U_z, dU_zr[:, :u])
+            _accum(self.U_r, dU_zr[:, u:])
+            _accum(self.U_h, rh_all.T @ da[:, 2 * u:])
 
         return op_output(states, inputs, back)
 
@@ -348,8 +348,8 @@ class AttentionLayer:
                  name: str = "attention", dtype=np.float32):
         rng = rng or np.random.default_rng(0)
         self.units = units
-        self.W_a = Parameter(f"{name}.W_a", Tensor(glorot_uniform(rng, units, units, dtype=dtype)))
-        self.v_a = Parameter(f"{name}.v_a", Tensor(glorot_uniform(rng, units, 1, shape=(units, 1), dtype=dtype)))
+        self.W_a = Parameter(f"{name}.W_a", glorot_uniform(rng, units, units, dtype=dtype))
+        self.v_a = Parameter(f"{name}.v_a", glorot_uniform(rng, units, 1, shape=(units, 1), dtype=dtype))
 
     def parameters(self) -> list[Parameter]:
         return [self.W_a, self.v_a]
@@ -367,7 +367,7 @@ class AttentionLayer:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (b, steps):
             raise ShapeError(f"attention mask shape {mask.shape} does not match states {(b, steps)}")
-        W, v = self.W_a.tensor, self.v_a.tensor
+        W, v = self.W_a, self.v_a
         _check_dtypes(states, W, v)
         # live positions row-major: those of rows[k] are live[starts[k]:ends[k]]
         live = states.data[mask]
@@ -429,14 +429,14 @@ class DenseLayer:
         rng = rng or np.random.default_rng(0)
         self.in_dim, self.out_dim = in_dim, out_dim
         self.activation = activation
-        self.W = Parameter(f"{name}.W", Tensor(glorot_uniform(rng, in_dim, out_dim, dtype=dtype)))
-        self.b = Parameter(f"{name}.b", Tensor(np.zeros(out_dim, dtype=dtype)))
+        self.W = Parameter(f"{name}.W", glorot_uniform(rng, in_dim, out_dim, dtype=dtype))
+        self.b = Parameter(f"{name}.b", np.zeros(out_dim, dtype=dtype))
 
     def parameters(self) -> list[Parameter]:
         return [self.W, self.b]
 
     def forward(self, x: Tensor) -> Tensor:
-        out = add_bias(matmul(x, self.W.tensor), self.b.tensor)
+        out = add_bias(matmul(x, self.W), self.b)
         if self.activation == "tanh":
             return tanh(out)
         if self.activation == "softmax":
@@ -452,15 +452,15 @@ def _batchnorm(x: Tensor, gamma: Parameter, beta: Parameter, mean: np.ndarray,
     backward differentiates through them; otherwise they are constants and
     backward is affine.
     """
-    _check_dtypes(x, gamma.tensor, beta.tensor)
+    _check_dtypes(x, gamma, beta)
     d = x.data
     n = d.shape[0]
     xhat = (d - mean) * invstd
     out_data = xhat * gamma.data[None, :] + beta.data[None, :]
 
     def back(g):
-        _accum(beta.tensor, g.sum(axis=0))
-        _accum(gamma.tensor, (g * xhat).sum(axis=0))
+        _accum(beta, g.sum(axis=0))
+        _accum(gamma, (g * xhat).sum(axis=0))
         if x.requires_grad:
             dxhat = g * gamma.data[None, :]
             if batch_stats:
@@ -470,7 +470,7 @@ def _batchnorm(x: Tensor, gamma: Parameter, beta: Parameter, mean: np.ndarray,
                 dx = dxhat * invstd
             _accum(x, dx.astype(d.dtype, copy=False))
 
-    return op_output(out_data.astype(d.dtype, copy=False), (x, gamma.tensor, beta.tensor), back)
+    return op_output(out_data.astype(d.dtype, copy=False), (x, gamma, beta), back)
 
 
 class BatchNormLayer:
@@ -488,14 +488,14 @@ class BatchNormLayer:
         self.features = features
         self.momentum = momentum
         self.eps = eps
-        self.gamma = Parameter(f"{name}.gamma", Tensor(np.ones(features, dtype=dtype)))
-        self.beta = Parameter(f"{name}.beta", Tensor(np.zeros(features, dtype=dtype)))
-        self.running_mean = Parameter(f"{name}.running_mean", Tensor(np.zeros(features, dtype=dtype)),
+        self.gamma = Parameter(f"{name}.gamma", np.ones(features, dtype=dtype))
+        self.beta = Parameter(f"{name}.beta", np.zeros(features, dtype=dtype))
+        self.running_mean = Parameter(f"{name}.running_mean", np.zeros(features, dtype=dtype),
                                       trainable=False)
-        self.running_var = Parameter(f"{name}.running_var", Tensor(np.ones(features, dtype=dtype)),
+        self.running_var = Parameter(f"{name}.running_var", np.ones(features, dtype=dtype),
                                      trainable=False)
-        self.running_mean.tensor.requires_grad = False
-        self.running_var.tensor.requires_grad = False
+        self.running_mean.requires_grad = False
+        self.running_var.requires_grad = False
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta, self.running_mean, self.running_var]

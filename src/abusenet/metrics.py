@@ -88,16 +88,9 @@ def prf1(preds, labels, n_classes: int) -> dict:
         f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
 
     accuracy = float(tp.sum() / n)
-    per_class = {
-        "precision": precision,
-        "recall": recall,
-        "f1": f1,
-        "support": support.astype(int),
-    }
     return {
         "precision": float((precision * support).sum() / n),
         "recall": accuracy,
         "f1": float((f1 * support).sum() / n),
         "accuracy": accuracy,
-        "per_class": per_class,
     }

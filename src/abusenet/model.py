@@ -46,6 +46,8 @@ class ModelConfig:
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)  # a JSON header stores it as a list
+        if not 0.0 <= self.recurrent_dropout < 1.0:
+            raise ContractError(f"recurrent_dropout must be in [0, 1), got {self.recurrent_dropout}")
         widths = {"embed_dim": self.embed_dim, "units": self.units, "fusion_dim": self.fusion_dim,
                   **{f"hidden[{i}]": w for i, w in enumerate(self.hidden)}}
         for name, width in widths.items():
@@ -60,11 +62,15 @@ class TextPath:
         self.embedding = embedding
         self.gru = gru
         self.attention = attention
-        self.frozen = False
 
     @property
     def feature_dim(self) -> int:
         return self.gru.units
+
+    @property
+    def frozen(self) -> bool:
+        """No parameter is trainable: training runs the path without dropout."""
+        return not any(p.trainable for p in self.parameters())
 
     def parameters(self) -> list[Parameter]:
         params = self.embedding.parameters() + self.gru.parameters()
@@ -96,11 +102,15 @@ class MetadataPath:
         self.bn = bn
         self.stack = stack
         self.out_layer = out_layer
-        self.frozen = False
 
     @property
     def feature_dim(self) -> int:
         return self.out_layer.out_dim
+
+    @property
+    def frozen(self) -> bool:
+        """No parameter is trainable: training folds no batch statistics in."""
+        return not any(p.trainable for p in self.parameters())
 
     def parameters(self) -> list[Parameter]:
         params = self.bn.parameters()
@@ -108,10 +118,9 @@ class MetadataPath:
             params += layer.parameters()
         return params + self.out_layer.parameters()
 
-    def features(self, meta: np.ndarray | Tensor, train: bool = False,
-                 update_stats: bool = True) -> Tensor:
-        x = meta if isinstance(meta, Tensor) else Tensor(np.asarray(meta))
-        h = self.bn.forward(x, train=train, update_stats=update_stats and train and not self.frozen)
+    def features(self, meta: np.ndarray, train: bool = False, update_stats: bool = True) -> Tensor:
+        h = self.bn.forward(Tensor(meta), train=train,
+                            update_stats=update_stats and train and not self.frozen)
         for layer in self.stack:
             h = layer.forward(h)
         return self.out_layer.forward(h)
@@ -192,27 +201,24 @@ class ClassifierModel:
 
     def zero_grads(self) -> None:
         for p in self.parameters():
-            p.tensor.zero_grad()
+            p.zero_grad()
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.parameters()}
 
     def restore(self, snap: dict[str, np.ndarray]) -> None:
         for p in self.parameters():
-            p.tensor.data = snap[p.name].copy()
+            p.data = snap[p.name].copy()
 
     def set_path_trainable(self, tag: str, trainable: bool) -> None:
-        found = False
-        for p in self.parameters():
-            if p.tag == tag:
-                p.trainable = trainable
-                found = True
-        if not found:
+        """Freeze or unfreeze a path; state that takes no gradient, such as
+        batch norm's running statistics, stays untrainable."""
+        tagged = [p for p in self.parameters() if p.tag == tag]
+        if not tagged:
             raise KeyError(f"no parameters tagged {tag!r}")
-        if tag == "text" and self.text_path is not None:
-            self.text_path.frozen = not trainable
-        if tag == "metadata" and self.metadata_path is not None:
-            self.metadata_path.frozen = not trainable
+        for p in tagged:
+            if p.requires_grad:
+                p.trainable = trainable
 
 
 def parameter_count(model: ClassifierModel, include_embeddings: bool = False) -> int:
@@ -437,7 +443,7 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         stored, trainable = records.pop(p.name)
         if stored.shape != p.data.shape:
             raise ValueError(f"parameter {p.name!r} shape {stored.shape} != expected {p.data.shape}")
-        p.tensor.data = stored
+        p.data = stored
         p.trainable = trainable
     if records:
         raise ValueError(f"checkpoint holds parameters the {meta.kind} model its header describes "

@@ -84,32 +84,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-class Parameter:
-    """Named, optionally trainable tensor. ``tag`` marks the model path."""
+class Parameter(Tensor):
+    """A tensor that takes gradients, named, with a model-path ``tag`` and a
+    ``trainable`` flag: the optimizer updates only trainable parameters."""
 
-    __slots__ = ("name", "tensor", "trainable", "tag")
+    __slots__ = ("name", "trainable", "tag")
 
     def __init__(self, name: str, value, trainable: bool = True, tag: str | None = None):
-        if isinstance(value, Tensor):
-            tensor = value
-        else:
-            tensor = Tensor(value)
-        tensor.requires_grad = True
+        super().__init__(value.data if isinstance(value, Tensor) else value, requires_grad=True)
         self.name = name
-        self.tensor = tensor
         self.trainable = bool(trainable)
         self.tag = tag
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.tensor.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
 
 
 class Tape:
@@ -420,9 +408,9 @@ def grad_check(forward: Callable[[], Tensor], params: Iterable[Parameter], eps: 
         raise ContractError("grad_check eps must be positive")
     params = list(params)
     for p in params:
-        if p.tensor.dtype != np.float64:
-            raise ContractError(f"grad_check requires float64 parameters ({p.name} is {p.tensor.dtype})")
-        p.tensor.zero_grad()
+        if p.dtype != np.float64:
+            raise ContractError(f"grad_check requires float64 parameters ({p.name} is {p.dtype})")
+        p.zero_grad()
 
     with Tape() as tape:
         loss = forward()
@@ -430,11 +418,11 @@ def grad_check(forward: Callable[[], Tensor], params: Iterable[Parameter], eps: 
         raise ContractError(f"grad_check forward must return a scalar, got {loss.shape}")
     tape.backward(loss)
     analytic = {
-        p.name: (p.tensor.grad.copy() if p.tensor.grad is not None else np.zeros_like(p.data))
+        p.name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
         for p in params
     }
     for p in params:
-        p.tensor.zero_grad()
+        p.zero_grad()
 
     worst = 0.0
     for p in params:

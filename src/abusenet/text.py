@@ -97,9 +97,8 @@ def choose_seq_len(token_counts: Sequence[int]) -> SequenceSpec:
 class Vocabulary:
     """token -> index map; indices >= 2, hapaxes excluded."""
 
-    def __init__(self, index: dict[str, int], counts: Counter):
+    def __init__(self, index: dict[str, int]):
         self._index = index
-        self.counts = counts
         # index -> token; the constructors number tokens 2, 3, ... without gaps
         self._tokens = [PAD_TOKEN, UNK_TOKEN, *sorted(index, key=index.get)]
 
@@ -111,7 +110,7 @@ class Vocabulary:
         kept = sorted((t for t, c in counts.items() if c >= 2),
                       key=lambda t: (-counts[t], t))
         index = {t: i + 2 for i, t in enumerate(kept)}
-        return cls(index, counts)
+        return cls(index)
 
     def __len__(self) -> int:
         # total index space including pad and unk
@@ -130,7 +129,7 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
         index = {t: i + 2 for i, t in enumerate(tokens)}
-        return cls(index, Counter())
+        return cls(index)
 
     def decode_index(self, idx: int) -> str:
         if not 0 <= idx < len(self._tokens):

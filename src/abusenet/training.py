@@ -40,9 +40,6 @@ class TrainingConfig:
     max_epochs: int = 100
     patience: int = 10
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     validation_fraction: float = 0.1
     seed: int = 0
 
@@ -55,6 +52,8 @@ class TrainingConfig:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ContractError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 < self.validation_fraction < 1:
+            raise ContractError(f"validation_fraction must be in (0, 1), got {self.validation_fraction}")
 
 
 @dataclass
@@ -147,7 +146,7 @@ class Adam:
 
     @classmethod
     def from_config(cls, config: TrainingConfig) -> "Adam":
-        return cls(config.learning_rate, config.beta1, config.beta2, config.epsilon)
+        return cls(config.learning_rate)
 
     def step(self, params: list[Parameter], allowed_tags: set[str] | None = None) -> None:
         self.t += 1
@@ -157,7 +156,7 @@ class Adam:
         for p in params:
             if not updates(p, allowed_tags):
                 continue
-            g = p.tensor.grad
+            g = p.grad
             if g is None:
                 continue
             if g.shape != p.data.shape:
@@ -181,7 +180,7 @@ class Adam:
             np.sqrt(q, out=q)
             q += self.epsilon
             s /= q
-            p.tensor.data -= s
+            p.data -= s
 
 
 class EarlyStopping:
@@ -249,7 +248,7 @@ def predict_probs(model: ClassifierModel, data: EncodedDataset, batch_size: int 
     for sl in batch_slices(len(data), batch_size):
         text = None if data.text is None else data.text[sl]
         meta = None if data.meta is None else data.meta[sl]
-        chunks.append(model.forward(text, meta, train=False).data.copy())
+        chunks.append(model.forward(text, meta, train=False).data)
     return np.concatenate(chunks, axis=0)
 
 
@@ -310,7 +309,7 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     params = model.parameters()
     best = model.snapshot()
 
-    grad_flags = [p.tensor.requires_grad for p in params]
+    grad_flags = [p.requires_grad for p in params]
     try:
         for epoch in range(config.max_epochs):
             shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
@@ -327,7 +326,7 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
                                    "view": view, "tags": tags, "model": model})
                 # no backward through a path this step does not update
                 for p, flag in zip(params, grad_flags):
-                    p.tensor.requires_grad = flag and updates(p, tags)
+                    p.requires_grad = flag and updates(p, tags)
                 drop_rng = derive_rng(config.seed, stream, "dropout", epoch, batch_number)
                 with Tape() as tape:
                     probs = model.forward(text, meta, train=True, rng=drop_rng, stats_tags=tags)
@@ -351,7 +350,7 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
                 break
     finally:
         for p, flag in zip(params, grad_flags):
-            p.tensor.requires_grad = flag
+            p.requires_grad = flag
 
     history.best_epoch = stopper.best_epoch
     model.restore(best)

@@ -225,8 +225,13 @@ class TestEvaluateCommand:
     (["--units", "0", "--fusion-dim", "0"], "units must be >= 1, got 0"),
     (["--metadata-sizes", "8,0"], r"hidden\[1\] must be >= 1, got 0"),
     (["--units", "8", "--fusion-dim", "6"], r"--units \(8\) must equal --fusion-dim \(6\)"),
+    (["--folds", "1"], "cross-validation needs k >= 2 folds, got k=1"),
+    (["--validation-fraction", "-1"], r"validation_fraction must be in \(0, 1\), got -1.0"),
+    (["--validation-fraction", "0"], r"validation_fraction must be in \(0, 1\), got 0.0"),
+    (["--recurrent-dropout", "1"], r"recurrent_dropout must be in \[0, 1\), got 1.0"),
 ], ids=["negative_lr", "zero_lr", "nan_lr", "zero_embed_dim", "zero_units", "zero_hidden",
-        "units_not_fusion_dim"])
+        "units_not_fusion_dim", "one_fold", "negative_validation_fraction",
+        "zero_validation_fraction", "recurrent_dropout_of_one"])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags, match):
     io = ["--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
@@ -235,6 +240,13 @@ def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags
     with pytest.raises(ContractError, match=match):
         run([command, *io, *masks, *TINY, *flags])
     assert not (tmp_path / "run").exists()
+
+
+def test_baseline_fold_count_rejected_before_data_is_read(tmp_path):
+    with pytest.raises(ContractError, match="cross-validation needs k >= 2 folds, got k=1"):
+        run(["baseline", "--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
+             "--folds", "1", "--out", tmp_path / "baseline.json"])
+    assert not (tmp_path / "baseline.json").exists()
 
 
 def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):

@@ -110,7 +110,8 @@ class TestCorpusIO:
         write_corpus(corpus, data_path, schema_path)
         import csv
 
-        rows = list(csv.reader(data_path.open()))
+        with data_path.open() as fh:
+            rows = list(csv.reader(fh))
         drop = rows[0].index("label")
         rows = [[c for i, c in enumerate(r) if i != drop] for r in rows]
         with data_path.open("w", newline="") as fh:

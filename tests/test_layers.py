@@ -70,7 +70,7 @@ def check_all_states_gradient(mask):
     coef = Tensor(rng.normal(size=(b, steps, 4)))
 
     def forward():
-        states, _ = gru.forward(x.tensor, mask=mask, h0=h0.tensor, train=True,
+        states, _ = gru.forward(x, mask=mask, h0=h0, train=True,
                                 rng=np.random.default_rng(99))
         return T.sum_all(T.mul(states, coef))
 
@@ -95,7 +95,7 @@ def gru_step(gru, x, mask, h0, index=None, dropout_seed=5):
     coef = Tensor(rng.normal(size=(*mask.shape, gru.units)).astype(x.dtype))
     coef_last = Tensor(rng.normal(size=(mask.shape[0], gru.units)).astype(x.dtype))
     for p in gru.parameters():
-        p.tensor.zero_grad()
+        p.zero_grad()
     with Tape() as tape:
         states, last = gru.forward(x, mask=mask, h0=h0, train=True, index=index,
                                    rng=np.random.default_rng(dropout_seed))
@@ -373,7 +373,7 @@ class TestGRU:
         coef = Tensor(rng.normal(size=(*mask.shape, 4)))
 
         def forward():
-            states, _ = gru.forward(r.tensor, mask=mask, h0=h0.tensor, index=index, train=True,
+            states, _ = gru.forward(r, mask=mask, h0=h0, index=index, train=True,
                                     rng=np.random.default_rng(99))
             return T.sum_all(T.mul(states, coef))
 
@@ -587,7 +587,7 @@ class TestAttention:
         coef = Tensor(rng.normal(size=(mask.shape[0], 3)))
 
         def forward():
-            out, _ = att.forward(states.tensor, mask)
+            out, _ = att.forward(states, mask)
             return T.sum_all(T.mul(out, coef))
 
         assert grad_check(forward, [*att.parameters(), states]) < 1e-4
@@ -701,7 +701,7 @@ class TestBatchNorm:
         coef = Tensor(rng.normal(size=(6, 3)))
 
         def forward():
-            return T.sum_all(T.mul(bn.forward(x.tensor, train=train, update_stats=False), coef))
+            return T.sum_all(T.mul(bn.forward(x, train=train, update_stats=False), coef))
 
         assert grad_check(forward, [x, bn.gamma, bn.beta]) < 1e-4
 
@@ -716,7 +716,7 @@ class TestBatchNorm:
         x = Parameter("x", Tensor(rng.normal(2.0, 3.0, size=(512, 30)).astype(np.float32)))
         g = rng.normal(size=(512, 30)).astype(np.float32)
         with Tape() as tape:
-            out = bn.forward(x.tensor, train=False)
+            out = bn.forward(x, train=False)
             loss = T.sum_all(T.mul(out, Tensor(g)))
         assert len(tape) == 3  # batch norm, mul, sum
         tape.backward(loss)

@@ -18,7 +18,7 @@ from abusenet.model import (
 )
 from abusenet import tensor as T
 from abusenet.tensor import ContractError, Tape, Tensor
-from abusenet.training import cross_entropy
+from abusenet.training import EncodedDataset, TrainingConfig, cross_entropy, fit
 
 SMALL = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, recurrent_dropout=0.0)
 
@@ -217,6 +217,14 @@ class TestParameterCount:
         m.set_path_trainable("text", False)
         assert parameter_count(m) == full - text_trainable
 
+    def test_unfreezing_keeps_running_stats_untrainable(self):
+        m = small_combined()
+        full = parameter_count(m)
+        m.set_path_trainable("metadata", True)
+        assert parameter_count(m) == full
+        assert not m.param("meta.bn.running_mean").trainable
+        assert not m.param("meta.bn.running_var").trainable
+
     def test_default_combined_order_of_magnitude(self):
         rng = np.random.default_rng(0)
         text = build_text_path(5000, 30, ["a", "b", "c"], rng=rng)
@@ -368,6 +376,25 @@ class TestCheckpoint:
             vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=4))
         clone, _ = load_checkpoint(path)
         assert all(not p.trainable for p in clone.parameters() if p.tag == "text")
+
+    def test_frozen_paths_stay_frozen_after_reload(self, tmp_path):
+        m = small_combined(seed=9)
+        m.set_path_trainable("text", False)
+        m.set_path_trainable("metadata", False)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, CheckpointMeta(
+            classes=m.classes, kind="combined", config=SMALL, seq_len=6,
+            vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=4))
+        clone, _ = load_checkpoint(path)
+        assert clone.text_path.frozen and clone.metadata_path.frozen
+        rng = np.random.default_rng(10)
+        data = EncodedDataset(labels=np.arange(20) % 2, classes=clone.classes,
+                              text=rng.integers(0, 20, size=(20, 6)),
+                              meta=rng.normal(size=(20, 4)).astype(np.float32))
+        before = clone.param("meta.bn.running_mean").data.copy()
+        # one step: 18 training rows in one batch of 32
+        fit(clone, data, TrainingConfig(strategy="naive", batch_size=32, max_epochs=1, patience=0))
+        np.testing.assert_array_equal(clone.param("meta.bn.running_mean").data, before)
 
     def test_oversized_record_shape_rejected_before_allocating(self, tmp_path):
         raw = v1_bytes(V1_HEADER, [("text.embedding.table", "text", 1, np.zeros((1, 1)))])

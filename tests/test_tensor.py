@@ -131,7 +131,7 @@ class TestGatherRows:
         coef = rng.normal(size=(4, 3))
 
         def forward():
-            out = T.gather_rows(p.tensor, idx)
+            out = T.gather_rows(p, idx)
             return T.sum_all(T.mul(out, Tensor(coef, dtype=np.float64)))
 
         assert grad_check(forward, [p]) < 1e-7
@@ -250,7 +250,7 @@ class TestBackward:
     def test_nontrainable_parameters_still_receive_grads(self):
         p = Parameter("w", np.ones(3), trainable=False)
         with Tape() as tape:
-            loss = T.sum_all(T.mul(p.tensor, p.tensor))
+            loss = T.sum_all(T.mul(p, p))
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0 * np.ones(3))
 
@@ -307,7 +307,7 @@ class TestGradCheck:
         x = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
 
         def forward():
-            return T.mean_all(T.add_bias(T.matmul(x, w.tensor), b.tensor))
+            return T.mean_all(T.add_bias(T.matmul(x, w), b))
 
         assert grad_check(forward, [w, b], eps=1e-5) < 1e-7
 
@@ -317,7 +317,7 @@ class TestGradCheck:
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float64))
 
         def forward():
-            h = T.tanh(T.matmul(x, w.tensor))
+            h = T.tanh(T.matmul(x, w))
             s = T.softmax(h)
             return T.mean_all(T.mul(s, s))
 
@@ -326,12 +326,12 @@ class TestGradCheck:
     def test_rejects_float32(self):
         w = Parameter("w", Tensor(np.zeros((2, 2)), dtype=np.float32))
         with pytest.raises(ContractError):
-            grad_check(lambda: T.sum_all(w.tensor), [w])
+            grad_check(lambda: T.sum_all(w), [w])
 
     def test_rejects_bad_eps(self):
         w = Parameter("w", Tensor(np.zeros(2), dtype=np.float64))
         with pytest.raises(ContractError):
-            grad_check(lambda: T.sum_all(w.tensor), [w], eps=0.0)
+            grad_check(lambda: T.sum_all(w), [w], eps=0.0)
 
 
 class TestShapeAlgebra:

@@ -84,7 +84,7 @@ class TestCrossEntropy:
         labels = np.array([0, 1, 2, 1, 0, 2])
 
         def forward():
-            return cross_entropy(T.softmax(T.add_bias(T.matmul(x, w.tensor), b.tensor)), labels)
+            return cross_entropy(T.softmax(T.add_bias(T.matmul(x, w), b)), labels)
 
         assert grad_check(forward, [w, b]) < 1e-6
 
@@ -92,7 +92,7 @@ class TestCrossEntropy:
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         p = Parameter("p", np.array([1.0, -2.0], dtype=np.float32))
-        p.tensor.grad = np.zeros(2, dtype=np.float32)
+        p.grad = np.zeros(2, dtype=np.float32)
         before = p.data.copy()
         Adam().step([p])
         np.testing.assert_array_equal(p.data, before)
@@ -108,14 +108,14 @@ class TestAdam:
         expected_delta = lr * mhat / (math.sqrt(vhat) + eps)
 
         p = Parameter("p", np.array([0.5], dtype=np.float64))
-        p.tensor.grad = np.array([g], dtype=np.float64)
+        p.grad = np.array([g], dtype=np.float64)
         Adam(lr, b1, b2, eps).step([p])
         assert float(0.5 - p.data[0]) == pytest.approx(expected_delta, rel=1e-9)
         assert expected_delta == pytest.approx(lr, rel=1e-4)  # near lr per coordinate
 
     def test_frozen_parameter_bit_identical(self):
         p = Parameter("p", np.array([1.0, 2.0], dtype=np.float32), trainable=False)
-        p.tensor.grad = np.ones(2, dtype=np.float32)
+        p.grad = np.ones(2, dtype=np.float32)
         before = p.data.copy()
         Adam().step([p])
         np.testing.assert_array_equal(p.data, before)
@@ -135,9 +135,9 @@ class TestAdam:
         for t in range(1, 5):
             g = (rng.normal(size=value.shape) * 10.0 ** rng.uniform(-6, 2)).astype(np.float32)
             g[t] = 0.0  # dense: a zero gradient row still decays its moments
-            live.tensor.grad = g.copy()
-            frozen.tensor.grad = np.ones(3, dtype=np.float32)
-            no_grad.tensor.grad = None
+            live.grad = g.copy()
+            frozen.grad = np.ones(3, dtype=np.float32)
+            no_grad.grad = None
             opt.step([live, frozen, no_grad])
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * (g * g)
@@ -150,8 +150,8 @@ class TestAdam:
     def test_tag_filter(self):
         a = Parameter("a", np.ones(2, dtype=np.float32), tag="text")
         b = Parameter("b", np.ones(2, dtype=np.float32), tag="head")
-        a.tensor.grad = np.ones(2, dtype=np.float32)
-        b.tensor.grad = np.ones(2, dtype=np.float32)
+        a.grad = np.ones(2, dtype=np.float32)
+        b.grad = np.ones(2, dtype=np.float32)
         Adam().step([a, b], allowed_tags={"head"})
         np.testing.assert_array_equal(a.data, np.ones(2))
         assert (b.data != np.ones(2)).all()
@@ -380,7 +380,7 @@ class TestInterleavedInvariants:
         config = quick_config(max_epochs=2, patience=1, batch_size=16)
 
         def flags():
-            return {p.name: p.tensor.requires_grad for p in model.parameters()}
+            return {p.name: p.requires_grad for p in model.parameters()}
 
         before = flags()
         assert not all(before.values())  # batch-norm running statistics stay off
