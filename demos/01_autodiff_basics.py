@@ -1,4 +1,4 @@
-"""Tour of the tensor engine: tapes, backward passes, gradient checking.
+"""Tour of the tensor engine: tapes, backward passes, a fused layer op, gradient checking.
 
 Run:  python3 demos/01_autodiff_basics.py
 """
@@ -6,7 +6,8 @@ Run:  python3 demos/01_autodiff_basics.py
 import numpy as np
 
 from abusenet import tensor as T
-from abusenet.tensor import Parameter, Tape, Tensor, grad_check
+from abusenet.layers import DenseLayer
+from abusenet.tensor import Tape, Tensor, grad_check
 
 # Forward ops record onto the innermost active Tape; backward replays the
 # tape in reverse execution order and accumulates gradients additively.
@@ -24,15 +25,20 @@ with Tape() as tape:
 tape.backward(loss)
 print("d(y+y)/dy:", y.grad)
 
+# Each layer records itself as one fused op: a DenseLayer's forward is
+# y = tanh(x @ W + b) in a single tape entry, with a hand-written backward.
+rng = np.random.default_rng(0)
+layer = DenseLayer(3, 2, activation="tanh", rng=rng, name="demo", dtype=np.float64)
+layer.b.data[:] = rng.normal(size=2)
+inp = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
+with Tape() as tape:
+    loss = T.mean_all(layer.forward(inp))
+print("tape ops for a dense layer plus its mean:", len(tape))
+
 # grad_check compares analytic gradients against central finite differences.
 # It requires float64; training itself runs in float32.
-rng = np.random.default_rng(0)
-w = Parameter("w", Tensor(rng.normal(size=(3, 2)), dtype=np.float64))
-b = Parameter("b", Tensor(np.zeros(2), dtype=np.float64))
-inp = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
-
 def forward():
-    return T.mean_all(T.tanh(T.add_bias(T.matmul(inp, w), b)))
+    return T.mean_all(layer.forward(inp))
 
-err = grad_check(forward, [w, b], eps=1e-5)
+err = grad_check(forward, layer.parameters(), eps=1e-5)
 print(f"max relative error vs finite differences: {err:.2e}")

@@ -103,6 +103,11 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
                 raise SchemaError(f"dataset is missing declared metadata column {col!r}")
         has_labels = label_col in header
         for rownum, row in enumerate(reader, start=2):
+            # DictReader files a longer row's extra fields under None and
+            # fills a shorter row's missing ones, the last field first, with None
+            if None in row or row[header[-1]] is None:
+                fields = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                raise SchemaError(f"row {rownum}: {fields} fields, but the header has {len(header)}")
             ids.append(row[id_col])
             texts.append(row[text_col] or "")
             if has_labels:

@@ -1,6 +1,7 @@
 """Neural layers: word embedding, GRU, additive attention, dense, batch norm.
 
-Layers own Parameters and compose tape ops from `tensor`; a layer instance is
+Layers own Parameters and record each forward call as one fused tape op
+(the GRU adds a second for its last-state readout); a layer instance is
 single-threaded. Weight init is Glorot-uniform with zero biases, drawn from a
 caller-supplied numpy Generator so builds are reproducible.
 """
@@ -19,13 +20,8 @@ from .tensor import (
     _check_dtypes,
     _scatter_add_rows,
     active_tape,
-    add_bias,
     gather_rows,
-    matmul,
     op_output,
-    reshape,
-    softmax,
-    tanh,
 )
 
 
@@ -44,10 +40,10 @@ class EmbeddingLayer:
 
     pad_index = 0
 
-    def __init__(self, table: np.ndarray, name: str = "embedding", trainable: bool = True):
+    def __init__(self, table: np.ndarray, name: str = "embedding"):
         table = np.array(table, copy=True)
         table[self.pad_index] = 0.0
-        self.table = Parameter(f"{name}.table", table, trainable=trainable)
+        self.table = Parameter(f"{name}.table", table)
 
     @classmethod
     def random(cls, vocab_size: int, dim: int = 200, rng: np.random.Generator | None = None,
@@ -66,9 +62,7 @@ class EmbeddingLayer:
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim]."""
-        ids = np.asarray(token_ids)
-        rows = gather_rows(self.table, ids.reshape(-1), padding_idx=self.pad_index)
-        return rows if ids.ndim == 1 else reshape(rows, (*ids.shape, self.dim))
+        return gather_rows(self.table, token_ids, padding_idx=self.pad_index)
 
     def parameters(self) -> list[Parameter]:
         return [self.table]
@@ -97,7 +91,6 @@ class GRULayer:
         self.units = units
         self.input_dim = input_dim
         self.recurrent_dropout = float(recurrent_dropout)
-        self._dtype = np.dtype(dtype)
 
         def w(gate):
             return Parameter(f"{name}.W_{gate}", glorot_uniform(rng, input_dim, units, dtype=dtype))
@@ -427,6 +420,7 @@ class DenseLayer:
         if activation not in self.ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         rng = rng or np.random.default_rng(0)
+        self.name = name
         self.in_dim, self.out_dim = in_dim, out_dim
         self.activation = activation
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, in_dim, out_dim, dtype=dtype))
@@ -436,12 +430,42 @@ class DenseLayer:
         return [self.W, self.b]
 
     def forward(self, x: Tensor) -> Tensor:
-        out = add_bias(matmul(x, self.W), self.b)
+        """One tape op: y = x @ W, y += b, then the activation in place on y.
+
+        Softmax subtracts each row's max before exponentiating. Backward
+        turns the output gradient g into the pre-activation one, g (1 - y^2)
+        for tanh and y (g - sum(g y)) for softmax, then gives db = sum(g),
+        dW = x^T g and dx = g W^T to whichever of b, W, x takes gradients.
+        """
+        W, b = self.W, self.b
+        _check_dtypes(x, W, b)
+        if x.data.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ShapeError(f"dense layer {self.name!r} takes [batch, {self.in_dim}] input, "
+                             f"got shape {x.shape}")
+        y = x.data @ W.data
+        y += b.data
         if self.activation == "tanh":
-            return tanh(out)
-        if self.activation == "softmax":
-            return softmax(out)
-        return out
+            np.tanh(y, out=y)
+        elif self.activation == "softmax":
+            if not np.isfinite(y).all():
+                raise NumericError(f"dense layer {self.name!r}: softmax input contains NaN or Inf")
+            y -= y.max(axis=-1, keepdims=True)
+            np.exp(y, out=y)
+            y /= y.sum(axis=-1, keepdims=True)
+
+        def back(g):
+            if self.activation == "tanh":
+                g = g * (1.0 - y * y)
+            elif self.activation == "softmax":
+                g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            if b.requires_grad:
+                _accum(b, g.sum(axis=0), owned=True)
+            if W.requires_grad:
+                _accum(W, x.data.T @ g, owned=True)
+            if x.requires_grad:
+                _accum(x, g @ W.data.T, owned=True)
+
+        return op_output(y, (x, W, b), back)
 
 
 def _batchnorm(x: Tensor, gamma: Parameter, beta: Parameter, mean: np.ndarray,

@@ -6,10 +6,8 @@ accumulates gradients additively into each tensor that requires them.
 Training code runs in float32; gradient checking requires float64, where
 central finite differences are meaningful.
 
-Broadcasting is deliberately restricted: the only implicit broadcast is a
-bias vector over the batch axis (``add_bias``). Everything else must match
-shapes exactly. Layers that need more register fused ops through
-``op_output``.
+The generic ops here broadcast nothing: their operands' shapes must match
+exactly. Each layer records itself as one fused op through ``op_output``.
 """
 
 from __future__ import annotations
@@ -175,7 +173,7 @@ def _check_dtypes(*tensors: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and affine ops
+# elementwise ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -202,82 +200,25 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return op_output(a.data * b.data, (a, b), back)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[batch, n] + b[n]; the one sanctioned broadcast."""
-    _check_dtypes(x, b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias expects [batch, n] + [n], got {x.shape} and {b.shape}")
-
-    def back(g):
-        _accum(x, g)
-        _accum(b, g.sum(axis=0))
-
-    return op_output(x.data + b.data[None, :], (x, b), back)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-
-    def back(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return op_output(a.data @ b.data, (a, b), back)
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def back(g):
-        _accum(x, g * (1.0 - y * y))
-
-    return op_output(y, (x,), back)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the trailing axis, computed with max subtraction."""
-    d = x.data
-    if d.ndim < 1 or d.shape[-1] < 1:
-        raise ShapeError(f"softmax needs at least one trailing element, got {x.shape}")
-    if not np.all(np.isfinite(d)):
-        raise NumericError("softmax input contains NaN or Inf")
-    shifted = d - d.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - inner))
-
-    return op_output(y, (x,), back)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
 
 def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tensor:
-    """Select rows of a [V, d] table; backward scatter-adds into the table.
+    """Rows of a [V, d] table for integer ids of any shape: [*ids.shape, d].
 
-    With ``padding_idx`` set, positions holding that index read a zero row
-    and are left out of the scatter, so that table row takes no gradient
-    from this op (PyTorch's ``padding_idx`` rule, with the row's value fixed
-    at zero so the gradient is the derivative of what the op computes).
+    Backward scatter-adds the gradient into the table. With ``padding_idx``
+    set, positions holding that index read a zero row and are left out of
+    the scatter, so that table row takes no gradient from this op
+    (PyTorch's ``padding_idx`` rule, with the row's value fixed at zero so
+    the gradient is the derivative of what the op computes).
     """
     idx = np.asarray(indices)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-d table, got {table.shape}")
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows expects flat indices, got shape {idx.shape}")
     if not np.issubdtype(idx.dtype, np.integer):
         raise ContractError("gather_rows indices must be integers")
-    V = table.shape[0]
+    V, d = table.shape
     if idx.size:
         bad = (idx < 0) | (idx >= V)
         if bad.any():
@@ -295,7 +236,8 @@ def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tenso
             return
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
-        _scatter_add_rows(table.grad, idx, g, skip=pad)
+        _scatter_add_rows(table.grad, idx.reshape(-1), g.reshape(-1, d),
+                          skip=None if pad is None else pad.reshape(-1))
 
     return op_output(rows, (table,), back)
 
@@ -363,17 +305,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g[..., p:])
 
     return op_output(np.concatenate([a.data, b.data], axis=-1), (a, b), back)
-
-
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    old = x.shape
-
-    def back(g):
-        _accum(x, g.reshape(old))
-
-    return op_output(x.data.reshape(shape), (x,), back)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -114,13 +114,6 @@ def cross_entropy(pred: Tensor, labels) -> Tensor:
     return op_output(value, (pred,), back)
 
 
-def cross_entropy_value(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Plain-array version of the loss for validation sweeps."""
-    rows = np.arange(labels.shape[0])
-    picked = np.maximum(probs[rows, labels], LOSS_FLOOR)
-    return float(-np.log(picked).mean())
-
-
 def updates(p: Parameter, allowed_tags: set[str] | None) -> bool:
     """Whether an optimizer step limited to ``allowed_tags`` (None: all) changes ``p``."""
     return p.trainable and (allowed_tags is None or p.tag in allowed_tags)
@@ -253,7 +246,7 @@ def predict_probs(model: ClassifierModel, data: EncodedDataset, batch_size: int 
 
 
 def evaluate_loss(model: ClassifierModel, data: EncodedDataset, batch_size: int = 512) -> float:
-    return cross_entropy_value(predict_probs(model, data, batch_size), data.labels)
+    return float(cross_entropy(Tensor(predict_probs(model, data, batch_size)), data.labels).data)
 
 
 def _interleaved_schedule(epoch: int, batch_number: int):
@@ -292,8 +285,9 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     drop, and the best epoch's weights are restored. ``schedule`` maps
     (epoch, batch_number) to (view_name, updatable_tags) for interleaving.
     Each step records the tape only through parameters the optimizer step
-    ``updates``; every ``requires_grad`` flag is restored when fit returns
-    or raises.
+    ``updates``; every ``requires_grad`` flag is restored right after the
+    step's backward pass (or its error), so step callbacks see the flags
+    fit was called with.
     """
     if np.unique(data.labels).size < 2:
         raise DegenerateLabelsError("training data contains a single class")
@@ -310,47 +304,47 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     best = model.snapshot()
 
     grad_flags = [p.requires_grad for p in params]
-    try:
-        for epoch in range(config.max_epochs):
-            shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
-            order = shuffle_rng.permutation(len(train))
-            epoch_losses = []
-            for batch_number, sl in enumerate(batch_slices(len(train), config.batch_size)):
-                take = order[sl]
-                text = None if train.text is None else train.text[take]
-                meta = None if train.meta is None else train.meta[take]
-                labels = train.labels[take]
-                view, tags = schedule(epoch, batch_number) if schedule else (None, None)
-                if step_callback is not None:
-                    step_callback({"phase": "pre", "epoch": epoch, "batch": batch_number,
-                                   "view": view, "tags": tags, "model": model})
-                # no backward through a path this step does not update
-                for p, flag in zip(params, grad_flags):
-                    p.requires_grad = flag and updates(p, tags)
-                drop_rng = derive_rng(config.seed, stream, "dropout", epoch, batch_number)
+    for epoch in range(config.max_epochs):
+        shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
+        order = shuffle_rng.permutation(len(train))
+        epoch_losses = []
+        for batch_number, sl in enumerate(batch_slices(len(train), config.batch_size)):
+            take = order[sl]
+            text = None if train.text is None else train.text[take]
+            meta = None if train.meta is None else train.meta[take]
+            labels = train.labels[take]
+            view, tags = schedule(epoch, batch_number) if schedule else (None, None)
+            if step_callback is not None:
+                step_callback({"phase": "pre", "epoch": epoch, "batch": batch_number,
+                               "view": view, "tags": tags, "model": model})
+            # no backward through a path this step does not update
+            for p, flag in zip(params, grad_flags):
+                p.requires_grad = flag and updates(p, tags)
+            drop_rng = derive_rng(config.seed, stream, "dropout", epoch, batch_number)
+            try:
                 with Tape() as tape:
                     probs = model.forward(text, meta, train=True, rng=drop_rng, stats_tags=tags)
                     loss = cross_entropy(probs, labels)
                 tape.backward(loss)
-                optimizer.step(params, allowed_tags=tags)
-                model.zero_grads()
-                tape.clear()
-                epoch_losses.append(float(loss.data))
-                if step_callback is not None:
-                    step_callback({"phase": "post", "epoch": epoch, "batch": batch_number,
-                                   "view": view, "tags": tags, "model": model})
+            finally:
+                for p, flag in zip(params, grad_flags):
+                    p.requires_grad = flag
+            optimizer.step(params, allowed_tags=tags)
+            model.zero_grads()
+            tape.clear()
+            epoch_losses.append(float(loss.data))
+            if step_callback is not None:
+                step_callback({"phase": "post", "epoch": epoch, "batch": batch_number,
+                               "view": view, "tags": tags, "model": model})
 
-            val_loss = evaluate_loss(model, val, config.batch_size)
-            history.train_loss.append(float(np.mean(epoch_losses)))
-            history.val_loss.append(val_loss)
-            history.epochs_run = epoch + 1
-            if val_loss < stopper.best:
-                best = model.snapshot()
-            if stopper.update(epoch, val_loss):
-                break
-    finally:
-        for p, flag in zip(params, grad_flags):
-            p.requires_grad = flag
+        val_loss = evaluate_loss(model, val, config.batch_size)
+        history.train_loss.append(float(np.mean(epoch_losses)))
+        history.val_loss.append(val_loss)
+        history.epochs_run = epoch + 1
+        if val_loss < stopper.best:
+            best = model.snapshot()
+        if stopper.update(epoch, val_loss):
+            break
 
     history.best_epoch = stopper.best_epoch
     model.restore(best)

@@ -119,6 +119,29 @@ class TestCorpusIO:
         loaded = load_corpus(data_path, schema_path)
         assert loaded.labels is None
 
+    @staticmethod
+    def ragged_copy(tmp_path, seed, change):
+        """A written 3-row corpus whose second data row (file row 3) is edited by ``change``."""
+        corpus = synth_xor(n=3, seed=seed)
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        lines = data_path.read_text().splitlines()
+        width = len(lines[0].split(","))
+        lines[2] = change(lines[2])
+        data_path.write_text("\n".join(lines) + "\n")
+        return data_path, schema_path, width
+
+    def test_short_row_names_row_and_field_counts(self, tmp_path):
+        data_path, schema_path, width = self.ragged_copy(
+            tmp_path, 9, lambda line: line.rsplit(",", 1)[0])
+        with pytest.raises(SchemaError, match=f"row 3: {width - 1} fields, but the header has {width}"):
+            load_corpus(data_path, schema_path)
+
+    def test_long_row_names_row_and_field_counts(self, tmp_path):
+        data_path, schema_path, width = self.ragged_copy(tmp_path, 10, lambda line: line + ",7,8")
+        with pytest.raises(SchemaError, match=f"row 3: {width + 2} fields, but the header has {width}"):
+            load_corpus(data_path, schema_path)
+
     def test_attach_network_features(self):
         corpus = synth_xor(n=6, seed=8)
         for i, rec in enumerate(corpus.records):

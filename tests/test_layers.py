@@ -619,6 +619,62 @@ class TestDense:
         with pytest.raises(ContractError):
             DenseLayer(2, 2, activation="relu")
 
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "no_x_grad"])
+    @pytest.mark.parametrize("activation", DenseLayer.ACTIVATIONS)
+    def test_fused_op_equals_numpy_chain_bitwise(self, activation, x_grad):
+        rng = np.random.default_rng(5)
+        layer = DenseLayer(7, 4, activation=activation, rng=rng)
+        layer.b.data[:] = rng.normal(size=4).astype(np.float32)
+        x = Tensor(rng.normal(size=(9, 7)).astype(np.float32), requires_grad=x_grad)
+        g = rng.normal(size=(9, 4)).astype(np.float32)
+        with Tape() as tape:
+            out = layer.forward(x)
+            loss = T.sum_all(T.mul(out, Tensor(g)))
+        tape.backward(loss)
+        assert len(tape) == 3  # the layer, mul and sum_all
+
+        W, b = layer.W.data, layer.b.data
+        y = x.data @ W + b
+        if activation == "tanh":
+            y = np.tanh(y)
+            gz = g * (1.0 - y * y)
+        elif activation == "softmax":
+            e = np.exp(y - y.max(axis=-1, keepdims=True))
+            y = e / e.sum(axis=-1, keepdims=True)
+            gz = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        else:
+            gz = g
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == y.tobytes()
+        assert layer.b.grad.tobytes() == gz.sum(axis=0).tobytes()
+        assert layer.W.grad.tobytes() == (x.data.T @ gz).tobytes()
+        if x_grad:
+            assert x.grad.tobytes() == (gz @ W.T).tobytes()
+        else:
+            assert x.grad is None
+
+    def test_frozen_weights_take_no_gradient(self):
+        layer = DenseLayer(3, 2, activation="tanh", rng=np.random.default_rng(6))
+        layer.W.requires_grad = False
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = T.sum_all(layer.forward(x))
+        tape.backward(loss)
+        assert layer.W.grad is None
+        assert layer.b.grad is not None and x.grad is not None
+
+    def test_wrong_width_names_layer_and_shape(self):
+        layer = DenseLayer(3, 2, name="meta.dense1")
+        with pytest.raises(ShapeError, match=r"'meta.dense1' takes \[batch, 3\] input, got shape \(4, 5\)"):
+            layer.forward(Tensor(np.zeros((4, 5), np.float32)))
+        with pytest.raises(ShapeError, match=r"got shape \(3,\)"):
+            layer.forward(Tensor(np.zeros(3, np.float32)))
+
+    def test_mixed_dtypes_rejected(self):
+        layer = DenseLayer(3, 2, dtype=np.float32)
+        with pytest.raises(ContractError, match="mixed dtypes"):
+            layer.forward(Tensor(np.zeros((1, 3), np.float64)))
+
 
 class TestBatchNorm:
     def test_constant_column_maps_to_beta(self):

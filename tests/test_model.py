@@ -193,6 +193,22 @@ class TestCombined:
         expected = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(full.data, expected, atol=1e-6)
 
+    @pytest.mark.parametrize("seq_len", [6, 120], ids=["last_state", "attention"])
+    def test_one_tape_op_per_layer(self, seq_len):
+        m = small_combined(seq_len=seq_len)
+        tp, mp = m.text_path, m.metadata_path
+        layers = [tp.embedding, tp.gru, tp.attention, mp.bn, *mp.stack, mp.out_layer, m.head]
+        layers = [layer for layer in layers if layer is not None]
+        assert (tp.attention is not None) == (seq_len == 120)
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, 20, size=(4, seq_len))
+        meta = rng.normal(size=(4, 4)).astype(np.float32)
+        with Tape() as tape:
+            probs = m.forward(ids, meta, train=True, rng=rng)
+            cross_entropy(probs, np.array([0, 1, 1, 0]))
+        # plus the GRU's last-state readout, concat_last and the loss
+        assert len(tape) == len(layers) + 3
+
     def test_forward_needs_both_inputs(self):
         m = small_combined()
         with pytest.raises(ContractError):

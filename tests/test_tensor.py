@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from abusenet import tensor as T
+from abusenet.layers import DenseLayer
 from abusenet.tensor import (
     ContractError,
     NumericError,
@@ -34,73 +35,89 @@ def softmax_oracle(row):
     return e / e.sum()
 
 
+def dense(W, b=None, activation="identity", name="dense"):
+    """A DenseLayer holding ``W`` and ``b`` (zero when None), in W's dtype."""
+    W = np.asarray(W)
+    layer = DenseLayer(*W.shape, activation=activation, name=name, dtype=W.dtype)
+    layer.W.data[...] = W
+    if b is not None:
+        layer.b.data[...] = b
+    return layer
+
+
+def softmax(x, shift=None):
+    """Rows of ``x`` through a softmax DenseLayer with W = I, so y = softmax(x + shift)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return dense(np.eye(x.shape[1]), shift, activation="softmax").forward(Tensor(x)).data
+
+
 class TestMatmul:
+    """The x @ W product inside DenseLayer's fused op (identity activation, zero bias)."""
+
     def test_identity(self):
         a = Tensor(np.eye(2))
-        b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(T.matmul(a, b).data, b.data)
+        b = np.array([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(dense(b).forward(a).data, b)
 
     def test_zeros_annihilate(self):
         a = Tensor(np.zeros((2, 3)))
-        b = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(T.matmul(a, b).data, np.zeros((2, 2)))
+        b = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(dense(b).forward(a).data, np.zeros((2, 2)))
 
     def test_against_triple_loop(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(3, 2))
-        got = T.matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).data
+        got = dense(b).forward(Tensor(a, dtype=np.float64)).data
         np.testing.assert_allclose(got, matmul_oracle(a, b), rtol=1e-12)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as e:
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-        assert "(2, 3)" in str(e.value)
+            dense(np.zeros((2, 3))).forward(Tensor(np.zeros((2, 3))))
+        assert "(2, 3)" in str(e.value) and "[batch, 2]" in str(e.value)
 
     def test_backward(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        layer = dense(rng.normal(size=(3, 4)))
         with Tape() as tape:
-            c = T.matmul(a, b)
+            c = layer.forward(a)
             loss = T.sum_all(c)
         tape.backward(loss)
-        g = np.ones((2, 4), dtype=np.float32)
-        np.testing.assert_allclose(a.grad, g @ b.data.T, rtol=1e-6)
-        np.testing.assert_allclose(b.grad, a.data.T @ g, rtol=1e-6)
+        g = np.ones((2, 4))
+        np.testing.assert_allclose(a.grad, g @ layer.W.data.T, rtol=1e-6)
+        np.testing.assert_allclose(layer.W.grad, a.data.T @ g, rtol=1e-6)
+        np.testing.assert_array_equal(layer.b.grad, g.sum(axis=0))
 
 
 class TestSoftmax:
+    """The softmax activation of DenseLayer's fused op, read through W = I."""
+
     def test_uniform_on_equal_inputs(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
+        np.testing.assert_allclose(softmax([0.0, 0.0, 0.0]), [[1 / 3] * 3], atol=1e-7)
 
     def test_shift_invariance(self):
         x = np.array([0.3, -1.2, 2.0], dtype=np.float64)
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x + 5.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-7)
+        np.testing.assert_allclose(softmax(x), softmax(x, shift=5.0), atol=1e-7)
 
     def test_matches_direct_formula(self):
-        got = T.softmax(Tensor([1.0, 2.0, 3.0], dtype=np.float64)).data
+        got = softmax([1.0, 2.0, 3.0])[0]
         np.testing.assert_allclose(got, softmax_oracle([1.0, 2.0, 3.0]), rtol=1e-14)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = T.softmax(Tensor(rng.normal(size=(5, 7))))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-6)
+        out = softmax(rng.normal(size=(5, 7)))
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones(5), atol=1e-6)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(NumericError):
-            T.softmax(Tensor([np.nan, 1.0]))
-        with pytest.raises(NumericError):
-            T.softmax(Tensor([np.inf, 1.0]))
+        # the non-finite value arrives through the bias, past a finite product
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NumericError, match="softmax input contains NaN or Inf"):
+                softmax([0.0, 1.0], shift=[bad, 0.0])
 
     def test_deterministic(self):
         x = np.random.default_rng(9).normal(size=(4, 4))
-        a = T.softmax(Tensor(x)).data
-        b = T.softmax(Tensor(x)).data
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(softmax(x), softmax(x))
 
 
 class TestGatherRows:
@@ -158,6 +175,27 @@ class TestGatherRows:
         tape.backward(loss)
         assert table.grad.dtype == np.float32
         assert table.grad.tobytes() == expected.tobytes()
+
+    def test_nd_ids_roundtrip(self):
+        # ids of any rank give [*ids.shape, d]; backward scatters the same rows
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        ids = np.array([[[1, 0], [5, 1]], [[0, 0], [2, 5]]])
+        coef = rng.normal(size=(*ids.shape, 3))
+        with Tape() as tape:
+            out = T.gather_rows(table, ids, padding_idx=0)
+            loss = T.sum_all(T.mul(out, Tensor(coef)))
+        tape.backward(loss)
+        assert out.shape == (2, 2, 2, 3)
+        expected = np.where((ids == 0)[..., None], 0.0, table.data[ids])
+        np.testing.assert_array_equal(out.data, expected)
+        grad = np.zeros((6, 3))
+        np.add.at(grad, ids[ids != 0], coef[ids != 0])
+        np.testing.assert_array_equal(table.grad, grad)
+
+    def test_rejects_table_not_2d(self):
+        with pytest.raises(ShapeError, match="2-d table"):
+            T.gather_rows(Tensor(np.zeros(6)), np.array([[1, 2]]))
 
 
 class TestScatterAddRows:
@@ -302,26 +340,25 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_layer_tight(self):
         rng = np.random.default_rng(5)
-        w = Parameter("w", Tensor(rng.normal(size=(3, 2)), dtype=np.float64))
-        b = Parameter("b", Tensor(np.zeros(2), dtype=np.float64))
+        layer = dense(rng.normal(size=(3, 2)))
         x = Tensor(rng.normal(size=(4, 3)).astype(np.float64))
 
         def forward():
-            return T.mean_all(T.add_bias(T.matmul(x, w), b))
+            return T.mean_all(layer.forward(x))
 
-        assert grad_check(forward, [w, b], eps=1e-5) < 1e-7
+        assert grad_check(forward, layer.parameters(), eps=1e-5) < 1e-7
 
     def test_nonlinear_chain(self):
         rng = np.random.default_rng(6)
-        w = Parameter("w", Tensor(rng.normal(size=(3, 3)), dtype=np.float64))
+        hidden = dense(rng.normal(size=(3, 3)), activation="tanh", name="hidden")
+        out = dense(rng.normal(size=(3, 3)), rng.normal(size=3), activation="softmax", name="out")
         x = Tensor(rng.normal(size=(2, 3)).astype(np.float64))
 
         def forward():
-            h = T.tanh(T.matmul(x, w))
-            s = T.softmax(h)
+            s = out.forward(hidden.forward(x))
             return T.mean_all(T.mul(s, s))
 
-        assert grad_check(forward, [w]) < 1e-6
+        assert grad_check(forward, hidden.parameters() + out.parameters()) < 1e-6
 
     def test_rejects_float32(self):
         w = Parameter("w", Tensor(np.zeros((2, 2)), dtype=np.float32))
@@ -342,16 +379,3 @@ class TestShapeAlgebra:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
-
-    def test_reshape_roundtrip(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        with Tape() as tape:
-            y = T.reshape(x, (3, 2))
-            loss = T.sum_all(T.mul(y, y))
-        tape.backward(loss)
-        assert x.grad.shape == (2, 3)
-        np.testing.assert_allclose(x.grad, 2.0 * x.data)
-
-    def test_reshape_bad_size(self):
-        with pytest.raises(ShapeError):
-            T.reshape(Tensor(np.zeros((2, 3))), (4, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from abusenet import tensor as T
+from abusenet.layers import DenseLayer
 from abusenet.model import ModelConfig, TextPath, build_combined, build_metadata_path, build_text_path
 from abusenet.tensor import ContractError, Parameter, Tensor, grad_check
 from abusenet.training import (
@@ -78,15 +79,23 @@ class TestCrossEntropy:
 
     def test_softmax_head_grad_check(self):
         rng = np.random.default_rng(2)
-        w = Parameter("w", Tensor(rng.normal(size=(4, 3)), dtype=np.float64))
-        b = Parameter("b", Tensor(np.zeros(3), dtype=np.float64))
+        head = DenseLayer(4, 3, activation="softmax", rng=rng, name="head", dtype=np.float64)
+        head.W.data[:] = rng.normal(size=(4, 3))
         x = Tensor(rng.normal(size=(6, 4)).astype(np.float64))
         labels = np.array([0, 1, 2, 1, 0, 2])
 
         def forward():
-            return cross_entropy(T.softmax(T.add_bias(T.matmul(x, w), b)), labels)
+            return cross_entropy(head.forward(x), labels)
 
-        assert grad_check(forward, [w, b]) < 1e-6
+        assert grad_check(forward, head.parameters()) < 1e-6
+
+    def test_evaluate_loss_is_the_loss_op_on_inference_probs(self):
+        model, data = build_fused(seed=3), toy_dataset(n=40, seed=4)
+        probs = predict_probs(model, data, batch_size=16)
+        rows = np.arange(len(data))
+        expected = -np.log(np.maximum(probs[rows, data.labels], 1e-12)).mean()
+        got = evaluate_loss(model, data, batch_size=16)
+        assert got == float(np.float32(expected))
 
 
 class TestAdam:
@@ -396,8 +405,26 @@ class TestInterleavedInvariants:
 
         with pytest.raises(RuntimeError, match="stop"):
             fit_interleaved(model, data, config, step_callback=fail_on_second_step)
-        assert during != before  # the first (view A) step had switched text off
+        assert during == before  # the first (view A) step's flags were restored after it
         assert flags() == before
+
+    def test_step_callback_can_freeze_a_path_after_a_view_a_step(self):
+        data = toy_dataset(n=64, seed=22)
+        model = build_fused(seed=23)
+        config = quick_config(max_epochs=2, patience=1, batch_size=16)
+        text = [p for p in model.parameters() if p.tag == "text"]
+        frozen_at = {}
+
+        def freeze_text_at_second_step(event):
+            if event["phase"] == "pre" and (event["epoch"], event["batch"]) == (0, 1):
+                model.set_path_trainable("text", False)
+                frozen_at.update({p.name: p.data.copy() for p in text})
+
+        fit_interleaved(model, data, config, step_callback=freeze_text_at_second_step)
+        assert not any(p.trainable for p in text)
+        # fit restores the best epoch's weights, taken after the freeze
+        for p in text:
+            np.testing.assert_array_equal(p.data, frozen_at[p.name])
 
 
 class TestPredict:
