@@ -40,5 +40,5 @@ print("tape ops for a dense layer plus its mean:", len(tape))
 def forward():
     return T.mean_all(layer.forward(inp))
 
-err = grad_check(forward, layer.parameters(), eps=1e-5)
+err = grad_check(forward, layer.parameters())
 print(f"max relative error vs finite differences: {err:.2e}")

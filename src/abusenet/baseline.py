@@ -28,15 +28,13 @@ def _load_stopwords() -> frozenset[str]:
 STOPWORDS = _load_stopwords()
 
 
-def preprocess_baseline(text: str, vocabulary: set[str] | None = None) -> list[str]:
-    """Lowercase, drop markers/punctuation/stop words; filter to the vocabulary."""
+def preprocess_baseline(text: str) -> list[str]:
+    """Lowercase, drop markers/punctuation/stop words."""
     tokens = []
     for tok in tokenize(text):
         if tok in MARKER_TOKENS or tok in STOPWORDS:
             continue
         if len(tok) == 1 and not tok.isalnum():
-            continue
-        if vocabulary is not None and tok not in vocabulary:
             continue
         tokens.append(tok)
     return tokens
@@ -166,19 +164,14 @@ def _as_term_matrix(matrix) -> TermMatrix:
 
 @dataclass
 class NaiveBayes:
-    """Multinomial NB with Laplace smoothing, consuming TF-IDF weights.
+    """Multinomial NB with add-one (Laplace) smoothing, consuming TF-IDF weights.
 
     Takes a TermMatrix or a dense documents x terms array.
     """
 
-    alpha: float = 1.0
     log_prior: np.ndarray | None = None
     log_likelihood: np.ndarray | None = None  # [classes, terms]
     n_classes: int = 0
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
     def fit(self, matrix, labels: np.ndarray, n_classes: int | None = None) -> "NaiveBayes":
         matrix = _as_term_matrix(matrix)
@@ -198,7 +191,7 @@ class NaiveBayes:
         keys = labels[matrix.row_ids()].astype(np.int64) * n_terms + matrix.indices
         weights = np.bincount(keys, weights=matrix.data,
                               minlength=self.n_classes * n_terms).reshape(self.n_classes, n_terms)
-        smoothed = weights + self.alpha
+        smoothed = weights + 1.0
         self.log_likelihood = np.log(smoothed / smoothed.sum(axis=1, keepdims=True))
         return self
 
@@ -217,9 +210,8 @@ class NaiveBayes:
         return scores + self.log_prior
 
 
-def nb_fit(matrix, labels: np.ndarray, n_classes: int | None = None,
-           alpha: float = 1.0) -> NaiveBayes:
-    return NaiveBayes(alpha=alpha).fit(matrix, labels, n_classes)
+def nb_fit(matrix, labels: np.ndarray, n_classes: int | None = None) -> NaiveBayes:
+    return NaiveBayes().fit(matrix, labels, n_classes)
 
 
 def nb_predict(model: NaiveBayes, matrix) -> tuple[np.ndarray, np.ndarray]:

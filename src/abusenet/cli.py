@@ -27,6 +27,8 @@ from .data import (
 )
 from .evaluation import (
     DEFAULT_ABLATION_MASKS,
+    DEFAULT_FOLDS,
+    DEFAULT_MASK,
     MetricsReport,
     build_and_fit,
     check_fold_count,
@@ -43,10 +45,10 @@ from .features import parse_mask
 from .graph import SocialGraph
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
-from .training import TrainingConfig, predict_probs
+from .training import STRATEGIES, TrainingConfig, predict_probs
 
-STRATEGY_FLAGS = {"naive": "naive", "transfer": "transfer",
-                  "transfer-ft": "transfer_ft", "interleaved": "interleaved"}
+# flag spelling -> TrainingConfig.strategy
+STRATEGY_FLAGS = {s.replace("_", "-"): s for s in STRATEGIES}
 
 
 def _add_common_io(p: argparse.ArgumentParser) -> None:
@@ -56,23 +58,24 @@ def _add_common_io(p: argparse.ArgumentParser) -> None:
 
 def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", default=None, help="pretrained embedding text file")
-    p.add_argument("--strategy", default="interleaved", choices=sorted(STRATEGY_FLAGS))
-    p.add_argument("--mask", default="WV+TF+UF+NF", help="feature groups, e.g. WV+TF+UF")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--max-epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--strategy", default=TrainingConfig.strategy.replace("_", "-"),
+                   choices=sorted(STRATEGY_FLAGS))
+    p.add_argument("--mask", default=DEFAULT_MASK, help="feature groups, e.g. WV+TF+UF")
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
+    p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainingConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainingConfig.patience)
+    p.add_argument("--validation-fraction", type=float, default=TrainingConfig.validation_fraction)
+    p.add_argument("--learning-rate", type=float, default=TrainingConfig.learning_rate)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--embed-dim", type=int, default=200)
-    p.add_argument("--units", type=int, default=128)
-    p.add_argument("--metadata-sizes", default="512,245,128,64,32",
+    p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
+    p.add_argument("--units", type=int, default=ModelConfig.units)
+    p.add_argument("--metadata-sizes", default=",".join(map(str, ModelConfig.hidden)),
                    help="comma list of dense widths (swap 245 for 256 here if wanted)")
-    p.add_argument("--fusion-dim", type=int, default=128)
-    p.add_argument("--recurrent-dropout", type=float, default=0.5)
-    p.add_argument("--attention-threshold", type=int, default=100)
+    p.add_argument("--fusion-dim", type=int, default=ModelConfig.fusion_dim)
+    p.add_argument("--recurrent-dropout", type=float, default=ModelConfig.recurrent_dropout)
+    p.add_argument("--attention-threshold", type=int, default=ModelConfig.attention_threshold)
 
 
 def _add_network_flags(p: argparse.ArgumentParser) -> None:
@@ -199,7 +202,7 @@ def cmd_evaluate(args) -> int:
     model, meta = load_checkpoint(args.checkpoint)
     corpus = _load(args)
     data = encode_for_checkpoint(corpus, meta)
-    probs = predict_probs(model, data, batch_size=512)
+    probs = predict_probs(model, data)
     payload = {"command": "evaluate", "checkpoint": str(args.checkpoint),
                "model": meta.kind, "samples": len(corpus)}
     if corpus.labels is not None:
@@ -313,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="naive bayes + tf-idf reference")
     _add_common_io(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--top-k", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
+    p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
+    p.add_argument("--top-k", type=int, default=TfidfModel.top_k)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_baseline)
 

@@ -57,6 +57,14 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def column_names(self) -> list[str]:
+        """The dataset file's columns; for a corpus built in memory, every
+        key its records carry, derived on each call so that keys added to
+        the records later count."""
+        if self.header:
+            return list(self.header)
+        return list(dict.fromkeys(key for rec in self.records for key in rec))
+
     def tokenized(self) -> list[list[str]]:
         if self._tokens is None:
             self._tokens = [text_mod.tokenize(t) for t in self.texts]
@@ -134,18 +142,13 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     """Compute the NF block per sample from an edge list and merge it in.
 
     Samples whose user is missing from the graph get zero NF features; a
-    ``user_column`` the dataset does not have is a SchemaError (checked
-    against the file's header, or the records of an in-memory corpus).
+    ``user_column`` not among the corpus's ``column_names`` is a SchemaError.
     Mentioned accounts are read from @-tokens in the sample text. Every NF
     value but the power difference depends on the user alone, so
     `node_features` runs once per distinct user and only the power
     difference, which reads the sample's mentions, runs per sample.
     """
-    if corpus.header:
-        has_column = user_column in corpus.header
-    else:
-        has_column = any(user_column in rec for rec in corpus.records)
-    if not has_column:
+    if user_column not in corpus.column_names():
         raise SchemaError(f"user column {user_column!r} is not in the dataset")
     hub_auth = hits(graph)
     try:
@@ -170,8 +173,9 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     columns = dict(corpus.columns)
     for name in NF_FEATURE_NAMES:
         columns[name] = ("NF", "numeric")
-    return replace(corpus, records=records, columns=columns,
-                   header=[*corpus.header, *NF_FEATURE_NAMES])
+    # an in-memory corpus keeps deriving its column names from its records
+    header = [*corpus.header, *NF_FEATURE_NAMES] if corpus.header else []
+    return replace(corpus, records=records, columns=columns, header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +191,9 @@ XOR_TRIGGER = "signalword"
 GROUPS_TOKEN = "alert"
 
 
-def _filler_text(rng, low=4, high=9) -> list[str]:
-    n = int(rng.integers(low, high + 1))
+def _filler_text(rng) -> list[str]:
+    """4 to 9 filler words."""
+    n = int(rng.integers(4, 10))
     return [str(_FILLER[int(i)]) for i in rng.integers(0, len(_FILLER), size=n)]
 
 
@@ -275,7 +280,7 @@ SYNTH_TASKS = {"xor": synth_xor, "groups": synth_groups}
 
 def write_corpus(corpus: Corpus, dataset_path, schema_path) -> None:
     """Emit dataset.csv plus schema.json in the ingestion format."""
-    meta_cols = sorted(corpus.columns)
+    meta_cols = sorted({*corpus.columns, *corpus.affect.values()})
     with open(dataset_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "text", "label"] + meta_cols)

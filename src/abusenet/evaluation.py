@@ -25,6 +25,7 @@ from .metrics import prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
 from .training import (
+    INFERENCE_BATCH,
     EncodedDataset,
     TrainingConfig,
     fit,
@@ -36,6 +37,9 @@ from .training import (
 from .utils import derive_rng
 
 METRIC_NAMES = ("auc", "accuracy", "precision", "recall", "f1")
+
+DEFAULT_MASK = "WV+TF+UF+NF"
+DEFAULT_FOLDS = 10
 
 # all nonempty subsets of {WV, TF, UF, NF}, smallest first: the default
 # ablation grid (15 rows)
@@ -96,8 +100,8 @@ def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
     return text, table.values, [(c.name, c.group) for c in table.schema]
 
 
-def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray,
-                mask, embeddings_path=None, embed_dim: int = 200, seed: int = 0):
+def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray, mask,
+                embeddings_path=None, embed_dim: int = ModelConfig.embed_dim, seed: int = 0):
     """Fit the text and feature pipelines on the training split and encode both.
 
     Returns (train, test, artifacts); artifacts carries vocab, spec, pipeline,
@@ -144,12 +148,12 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
         spec = text_mod.SequenceSpec(meta.seq_len)
     if meta.pipeline is not None:
         pipeline = FeaturePipeline.from_config(meta.pipeline)
-        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values()))
-                         - set(corpus.header))
+        provided = corpus.column_names()
+        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values())) - set(provided))
         if missing:
             raise SchemaError(
                 f"dataset is missing columns required by the checkpoint: {missing}; "
-                f"dataset provides: {sorted(corpus.header)}")
+                f"dataset provides: {sorted(provided)}")
     if len(corpus) == 0:
         raise EmptyDatasetError("dataset has a header but no data rows to score")
     text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, set(meta.mask) - {"WV"})
@@ -212,7 +216,7 @@ def classification_metrics(probs: np.ndarray, preds: np.ndarray, labels: np.ndar
             **{name: quality[name] for name in METRIC_NAMES[1:]}}
 
 
-def evaluate_model(model, data: EncodedDataset, batch_size: int = 512) -> dict:
+def evaluate_model(model, data: EncodedDataset, batch_size: int = INFERENCE_BATCH) -> dict:
     probs = predict_probs(model, data, batch_size)
     return classification_metrics(probs, probs.argmax(axis=1), data.labels)
 
@@ -237,7 +241,7 @@ def _run_fold(args) -> tuple[int, dict]:
 
 
 def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None = None,
-           mask="WV+TF+UF+NF", n_folds: int = 10, embeddings_path=None,
+           mask=DEFAULT_MASK, n_folds: int = DEFAULT_FOLDS, embeddings_path=None,
            workers: int = 1) -> MetricsReport:
     """Stratified k-fold cross validation with a fresh model per fold."""
     if corpus.labels is None:
@@ -261,7 +265,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
 
 
 def run_ablation(corpus: Corpus, masks, config: TrainingConfig,
-                 model_cfg: ModelConfig | None = None, n_folds: int = 10,
+                 model_cfg: ModelConfig | None = None, n_folds: int = DEFAULT_FOLDS,
                  embeddings_path=None, workers: int = 1) -> list[dict]:
     """One cross-validated run per feature-group mask.
 

@@ -198,7 +198,7 @@ class FeaturePipeline:
         self.encoders: dict[str, CategoricalEncoder] = {}
         self.fitted = False
 
-    def fit(self, records: list[dict], texts: list[str] | None = None) -> "FeaturePipeline":
+    def fit(self, records: list[dict]) -> "FeaturePipeline":
         for name, (group, kind) in self.columns.items():
             if kind == "categorical":
                 self.encoders[name] = CategoricalEncoder.fit(

@@ -243,19 +243,12 @@ NF_FEATURE_NAMES = (
 )
 
 
-def node_features(g: SocialGraph, node: str, mentioned: list[str] | None = None,
-                  hub_auth: tuple[dict, dict] | None = None,
-                  eigen: dict[str, float] | None = None) -> list[float]:
-    """The NF block for one node; global metrics may be passed in precomputed."""
+def node_features(g: SocialGraph, node: str, mentioned: list[str] | None = None, *,
+                  hub_auth: tuple[dict, dict], eigen: dict[str, float]) -> list[float]:
+    """The NF block for one node, given the graph's ``hits`` scores and
+    eigenvector centralities, which are computed once per graph."""
     g._require(node)
     node = str(node)
-    if hub_auth is None:
-        hub_auth = hits(g)
-    if eigen is None:
-        try:
-            eigen = eigenvector_centrality(g)
-        except DegenerateGraphError:
-            eigen = {n: 0.0 for n in g.nodes()}
     followers = float(g.followers_count[node])
     friends = float(g.friends_count[node])
     ratio = followers / friends if friends > 0 else 0.0

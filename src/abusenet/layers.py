@@ -46,10 +46,10 @@ class EmbeddingLayer:
         self.table = Parameter(f"{name}.table", table)
 
     @classmethod
-    def random(cls, vocab_size: int, dim: int = 200, rng: np.random.Generator | None = None,
-               name: str = "embedding", dtype=np.float32) -> "EmbeddingLayer":
+    def random(cls, vocab_size: int, dim: int, rng: np.random.Generator | None = None,
+               name: str = "embedding") -> "EmbeddingLayer":
         rng = rng or np.random.default_rng(0)
-        table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim)).astype(dtype)
+        table = rng.uniform(-0.05, 0.05, size=(vocab_size, dim)).astype(np.float32)
         return cls(table, name=name)
 
     @property
@@ -83,7 +83,7 @@ class GRULayer:
     the state through unchanged, so left-padding can never perturb the state.
     """
 
-    def __init__(self, input_dim: int, units: int = 128, recurrent_dropout: float = 0.5,
+    def __init__(self, input_dim: int, units: int, recurrent_dropout: float,
                  rng: np.random.Generator | None = None, name: str = "gru", dtype=np.float32):
         if not 0.0 <= recurrent_dropout < 1.0:
             raise ContractError(f"recurrent_dropout must be in [0, 1), got {recurrent_dropout}")
@@ -442,13 +442,16 @@ class DenseLayer:
         if x.data.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"dense layer {self.name!r} takes [batch, {self.in_dim}] input, "
                              f"got shape {x.shape}")
-        y = x.data @ W.data
-        y += b.data
+        # numpy's warnings on a non-finite operand are silenced: the check
+        # below reports it as one NumericError, whatever the activation
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = x.data @ W.data
+            y += b.data
+        if not np.isfinite(y).all():
+            raise NumericError(f"dense layer {self.name!r}: {self.activation} input contains NaN or Inf")
         if self.activation == "tanh":
             np.tanh(y, out=y)
         elif self.activation == "softmax":
-            if not np.isfinite(y).all():
-                raise NumericError(f"dense layer {self.name!r}: softmax input contains NaN or Inf")
             y -= y.max(axis=-1, keepdims=True)
             np.exp(y, out=y)
             y /= y.sum(axis=-1, keepdims=True)
@@ -507,11 +510,11 @@ class BatchNormLayer:
     non-trainable parameters so checkpoints carry them.
     """
 
-    def __init__(self, features: int, momentum: float = 0.99, eps: float = 1e-5,
-                 name: str = "bn", dtype=np.float32):
+    momentum = 0.99
+    eps = 1e-5
+
+    def __init__(self, features: int, name: str = "bn", dtype=np.float32):
         self.features = features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(f"{name}.gamma", np.ones(features, dtype=dtype))
         self.beta = Parameter(f"{name}.beta", np.zeros(features, dtype=dtype))
         self.running_mean = Parameter(f"{name}.running_mean", np.zeros(features, dtype=dtype),

@@ -34,7 +34,7 @@ def roc_auc_binary(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc(scores, labels, n_classes: int | None = None) -> float:
+def roc_auc(scores, labels) -> float:
     """Binary AUC for 1-d scores; macro one-vs-rest AUC for a score matrix.
 
     For the multiclass form ``scores`` is [n, c] of per-class scores (e.g.
@@ -47,12 +47,11 @@ def roc_auc(scores, labels, n_classes: int | None = None) -> float:
         return roc_auc_binary(scores, labels)
     if scores.ndim != 2:
         raise ValueError(f"scores must be 1-d or 2-d, got shape {scores.shape}")
-    c = scores.shape[1] if n_classes is None else n_classes
     present = np.unique(labels)
     if present.size < 2:
         raise UndefinedMetricError("roc_auc needs at least two classes present")
     aucs = []
-    for k in range(c):
+    for k in range(scores.shape[1]):
         if (labels == k).any() and (labels != k).any():
             aucs.append(roc_auc_binary(scores[:, k], (labels == k).astype(int)))
     return float(np.mean(aucs))

@@ -24,12 +24,6 @@ import numpy as np
 from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer
 from .tensor import ContractError, Parameter, Tensor
 
-DEFAULT_EMBED_DIM = 200
-DEFAULT_UNITS = 128
-DEFAULT_HIDDEN = (512, 245, 128, 64, 32)
-DEFAULT_FUSION_DIM = 128
-ATTENTION_THRESHOLD = 100
-
 CHECKPOINT_MAGIC = b"ABNET1\x00"
 
 
@@ -37,12 +31,12 @@ CHECKPOINT_MAGIC = b"ABNET1\x00"
 class ModelConfig:
     """Architecture knobs; defaults are the sizes used throughout."""
 
-    embed_dim: int = DEFAULT_EMBED_DIM
-    units: int = DEFAULT_UNITS
+    embed_dim: int = 200
+    units: int = 128
     recurrent_dropout: float = 0.5
-    hidden: tuple = DEFAULT_HIDDEN
-    fusion_dim: int = DEFAULT_FUSION_DIM
-    attention_threshold: int = ATTENTION_THRESHOLD
+    hidden: tuple = (512, 245, 128, 64, 32)
+    fusion_dim: int = 128
+    attention_threshold: int = 100
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)  # a JSON header stores it as a list
@@ -285,22 +279,21 @@ def build_metadata_path(feature_dim: int, classes: list[str], *,
     return ClassifierModel(classes, head, metadata_path=MetadataPath(bn, stack, out_layer))
 
 
-def build_combined(text_model: ClassifierModel, metadata_model: ClassifierModel,
-                   classes: list[str] | None = None, *,
+def build_combined(text_model: ClassifierModel, metadata_model: ClassifierModel, *,
                    rng: np.random.Generator | None = None) -> ClassifierModel:
     """Fuse two standalone classifiers at their penultimate layers.
 
     The classification layers of both inputs are dropped; a fresh softmax
-    head reads the concatenated feature vectors. The paths must expose
-    equal feature widths (128 each in the default configuration, fusing
-    into a 256-wide head input).
+    head over their common classes reads the concatenated feature vectors.
+    The paths must expose equal feature widths (128 each in the default
+    configuration, fusing into a 256-wide head input).
     """
     if text_model.text_path is None:
         raise ContractError("first argument must be a text classifier")
     if metadata_model.metadata_path is None:
         raise ContractError("second argument must be a metadata classifier")
-    classes = list(classes if classes is not None else text_model.classes)
-    if text_model.classes != metadata_model.classes:
+    classes = text_model.classes
+    if classes != metadata_model.classes:
         raise ContractError("path classifiers disagree on the class list")
     rng = rng or np.random.default_rng(0)
 
@@ -467,5 +460,5 @@ def _rebuild(meta: CheckpointMeta) -> ClassifierModel:
     if meta.kind == "metadata":
         return metadata()
     if meta.kind == "combined":
-        return build_combined(text(), metadata(), meta.classes)
+        return build_combined(text(), metadata())
     raise ValueError(f"unknown model kind {meta.kind!r}")

@@ -12,7 +12,6 @@ exactly. Each layer records itself as one fused op through ``op_output``.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,21 +31,13 @@ class ContractError(ValueError):
     """An API precondition was violated."""
 
 
-_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
+# entered tapes, innermost last
+_TAPES: list = []
 
 
 def active_tape():
-    """Tape currently recording on this thread, or None (inference)."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    """Tape currently recording, or None (inference)."""
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tensor:
@@ -101,7 +92,7 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of executed operations.
 
-    Acts as a context manager; entered tapes form a thread-local stack and
+    Acts as a context manager; entered tapes form one stack per process and
     all ops executed inside record onto the innermost one. ``clear`` drops
     the recorded closures, releasing the intermediate activations they hold.
     """
@@ -110,14 +101,13 @@ class Tape:
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _TAPES or _TAPES[-1] is not self:
             raise ContractError("tapes must be exited in the reverse order they were entered")
-        stack.pop()
+        _TAPES.pop()
 
     def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
         self._ops.append((out, backward_fn))
@@ -327,16 +317,18 @@ def mean_all(x: Tensor) -> Tensor:
 # gradient checking
 
 
-def grad_check(forward: Callable[[], Tensor], params: Iterable[Parameter], eps: float = 1e-5) -> float:
+GRAD_CHECK_EPS = 1e-5
+
+
+def grad_check(forward: Callable[[], Tensor], params: Iterable[Parameter]) -> float:
     """Max relative error between analytic gradients and central finite differences.
 
     ``forward`` must be a deterministic closure returning a scalar loss; it is
-    re-evaluated with each parameter entry perturbed by +/- eps. Error per
-    entry is |analytic - fd| / max(1, |analytic|, |fd|). Requires float64
-    parameters; finite differences are meaningless at float32.
+    re-evaluated with each parameter entry perturbed by +/- GRAD_CHECK_EPS.
+    Error per entry is |analytic - fd| / max(1, |analytic|, |fd|). Requires
+    float64 parameters; finite differences are meaningless at float32.
     """
-    if eps <= 0:
-        raise ContractError("grad_check eps must be positive")
+    eps = GRAD_CHECK_EPS
     params = list(params)
     for p in params:
         if p.dtype != np.float64:

@@ -183,7 +183,7 @@ def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
     return vectors
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int = 200, seed: int = 0) -> EmbeddingLayer:
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingLayer:
     """Build the embedding table for ``vocab`` from a text vector file.
 
     File format: one token per line followed by ``dim`` space-separated

@@ -28,6 +28,9 @@ STRATEGIES = ("naive", "transfer", "transfer_ft", "interleaved")
 
 LOSS_FLOOR = 1e-12
 
+# rows per forward call when a whole dataset is scored
+INFERENCE_BATCH = 512
+
 
 class DegenerateLabelsError(ValueError):
     """Training data carries fewer than two classes."""
@@ -128,12 +131,12 @@ class Adam:
     expression, so results equal it bit for bit.
     """
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._state: dict[str, np.ndarray] = {}  # per parameter: m, v, two scratch buffers
 
@@ -235,7 +238,8 @@ def stratified_split(labels: np.ndarray, fraction: float, rng: np.random.Generat
     return np.flatnonzero(mask), held_arr
 
 
-def predict_probs(model: ClassifierModel, data: EncodedDataset, batch_size: int = 512) -> np.ndarray:
+def predict_probs(model: ClassifierModel, data: EncodedDataset,
+                  batch_size: int = INFERENCE_BATCH) -> np.ndarray:
     """Inference-mode class probabilities for a whole dataset."""
     chunks = []
     for sl in batch_slices(len(data), batch_size):
@@ -245,7 +249,8 @@ def predict_probs(model: ClassifierModel, data: EncodedDataset, batch_size: int 
     return np.concatenate(chunks, axis=0)
 
 
-def evaluate_loss(model: ClassifierModel, data: EncodedDataset, batch_size: int = 512) -> float:
+def evaluate_loss(model: ClassifierModel, data: EncodedDataset,
+                  batch_size: int = INFERENCE_BATCH) -> float:
     return float(cross_entropy(Tensor(predict_probs(model, data, batch_size)), data.labels).data)
 
 
@@ -368,7 +373,7 @@ def fit_interleaved(model: ClassifierModel, data: EncodedDataset, config: Traini
 
 def fit_transfer(text_model: ClassifierModel, metadata_model: ClassifierModel,
                  data: EncodedDataset, config: TrainingConfig, fine_tune: bool = False,
-                 rng: np.random.Generator | None = None, fusion_callback=None):
+                 fusion_callback=None):
     """Pretrain both paths, fuse them, then train the head (and, with
     fine-tuning, the paths as well). Returns (combined_model, history)."""
     if data.text is None or data.meta is None:
@@ -380,7 +385,7 @@ def fit_transfer(text_model: ClassifierModel, metadata_model: ClassifierModel,
     history.stages["metadata_pretrain"] = fit(metadata_model, meta_data, config, stream="transfer-meta")
 
     combined = build_combined(text_model, metadata_model,
-                              rng=rng or derive_rng(config.seed, "transfer", "head"))
+                              rng=derive_rng(config.seed, "transfer", "head"))
     if not fine_tune:
         combined.set_path_trainable("text", False)
         combined.set_path_trainable("metadata", False)

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abusenet.cli import main
+from abusenet.cli import _configs, build_parser, main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus
 from abusenet.evaluation import encode_fold
-from abusenet.model import load_checkpoint
+from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
-from abusenet.training import predict_probs
+from abusenet.training import TrainingConfig, predict_probs
 
 
 def run(argv):
@@ -252,6 +252,11 @@ def test_baseline_fold_count_rejected_before_data_is_read(tmp_path):
 def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):
     # a text-only mask builds no fused head, so --units need not match --fusion-dim
     assert run(train_args(synth_dir, tmp_path / "run", mask="WV") + ["--units", "8"]) == 0
+
+
+def test_train_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["train", "--dataset", "d.csv", "--schema", "s.json", "--out", "run"])
+    assert _configs(args) == (TrainingConfig(), ModelConfig())
 
 
 def test_python_dash_m_runs_the_cli():

@@ -15,7 +15,10 @@ from abusenet.data import (
 )
 from abusenet.evaluation import (
     DEFAULT_ABLATION_MASKS,
+    build_and_fit,
+    checkpoint_meta,
     encode_fold,
+    encode_for_checkpoint,
     run_ablation,
     run_cv,
     stratified_kfold,
@@ -84,6 +87,32 @@ class TestCorpusIO:
         assert loaded.texts == corpus.texts
         np.testing.assert_array_equal(loaded.labels, corpus.labels)
         assert loaded.columns == corpus.columns
+
+    def test_round_trip_keeps_affect_columns(self, tmp_path):
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        data_path.write_text("id,text,label,sent\na,good day,benign,0.5\nb,bad day,flagged,-0.25\n")
+        schema_path.write_text('{"classes": ["benign", "flagged"], "affect": {"sentiment": "sent"}}')
+        corpus = load_corpus(data_path, schema_path)
+        out_data, out_schema = tmp_path / "d2.csv", tmp_path / "s2.json"
+        write_corpus(corpus, out_data, out_schema)
+        again = load_corpus(out_data, out_schema)
+        assert again.affect == {"sentiment": "sent"}
+        assert [r["sent"] for r in again.records] == ["0.5", "-0.25"]
+
+    def test_column_names(self, tmp_path):
+        corpus = synth_groups(n=4, seed=1)
+        assert corpus.column_names() == ["uf_signal", "uf_noise"]
+        for rec in corpus.records:
+            rec["user"] = "u0"  # added after construction, and still counted
+        assert corpus.column_names() == ["uf_signal", "uf_noise", "user"]
+        g = SocialGraph()
+        g.add_node("u0", followers=3, friends=1)
+        attached = attach_network_features(corpus, g, "user")
+        assert attached.column_names() == ["uf_signal", "uf_noise", "user", *NF_FEATURE_NAMES]
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        assert load_corpus(data_path, schema_path).column_names() == [
+            "id", "text", "label", "uf_noise", "uf_signal"]
 
     def test_missing_column_names_it(self, tmp_path):
         corpus = synth_xor(n=10, seed=5)
@@ -250,6 +279,16 @@ class TestAttachPerUser:
         users_in_graph = {r["user"] for r in corpus.records} & set(social_graph().nodes())
         assert len(corpus) == 40 and len(users_in_graph) == 8
         assert calls == {"closeness": 8, "clustering_coefficient": 8}
+
+
+def test_in_memory_corpus_scores_with_its_own_checkpoint():
+    corpus = synth_groups(n=80, seed=1)
+    idx = np.arange(len(corpus))
+    train, _, artifacts = encode_fold(corpus, idx, idx[:0], "WV+UF")
+    model, _ = build_and_fit(train, tiny_config(max_epochs=2, patience=1), TINY_MODEL, artifacts)
+    scored = encode_for_checkpoint(corpus, checkpoint_meta(model, TINY_MODEL, artifacts))
+    np.testing.assert_array_equal(scored.text, train.text)
+    np.testing.assert_array_equal(scored.meta, train.meta)
 
 
 class TestKFold:

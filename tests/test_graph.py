@@ -240,6 +240,7 @@ class TestGraphStructure:
 
     def test_node_features_block(self):
         g = graph_from_edges([("a", "b"), ("b", "a"), ("b", "c")])
-        feats = node_features(g, "b", mentioned=["a"])
+        feats = node_features(g, "b", mentioned=["a"], hub_auth=hits(g),
+                              eigen=eigenvector_centrality(g))
         assert len(feats) == 10
         assert all(np.isfinite(feats))

@@ -619,6 +619,15 @@ class TestDense:
         with pytest.raises(ContractError):
             DenseLayer(2, 2, activation="relu")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_non_finite_input_rejected(self, activation, bad):
+        layer = DenseLayer(3, 2, activation=activation, rng=np.random.default_rng(7), name="meta.dense1")
+        x = np.zeros((2, 3), np.float32)
+        x[1, 0] = bad
+        with pytest.raises(NumericError, match=f"'meta.dense1': {activation} input contains NaN or Inf"):
+            layer.forward(Tensor(x))
+
     @pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "no_x_grad"])
     @pytest.mark.parametrize("activation", DenseLayer.ACTIVATIONS)
     def test_fused_op_equals_numpy_chain_bitwise(self, activation, x_grad):

@@ -6,7 +6,6 @@ import pytest
 
 from abusenet.layers import DenseLayer, EmbeddingLayer, GRULayer
 from abusenet.model import (
-    DEFAULT_HIDDEN,
     CheckpointMeta,
     ModelConfig,
     build_combined,
@@ -27,7 +26,7 @@ def small_combined(classes=("a", "b"), feature_dim=4, vocab_size=20, seq_len=6, 
     rng = np.random.default_rng(seed)
     text = build_text_path(vocab_size, seq_len, list(classes), config=SMALL, rng=rng)
     meta = build_metadata_path(feature_dim, list(classes), config=SMALL, rng=rng)
-    return build_combined(text, meta, list(classes), rng=rng)
+    return build_combined(text, meta, rng=rng)
 
 
 class TestModelConfig:
@@ -221,7 +220,7 @@ class TestParameterCount:
         assert sum(p.data.size for p in layer.parameters()) == 9
 
     def test_gru_closed_form(self):
-        gru = GRULayer(200, 128)
+        gru = GRULayer(200, 128, 0.5)
         assert sum(p.data.size for p in gru.parameters()) == 3 * (200 * 128 + 128 * 128 + 128)
 
     def test_freezing_removes_from_count(self):
@@ -315,7 +314,7 @@ class TestCheckpoint:
         path.write_bytes(v1_bytes(header, v1_text_records()))
         model, meta = load_checkpoint(path)
         assert meta.config == ModelConfig(embed_dim=2, units=2)
-        assert meta.config.hidden == DEFAULT_HIDDEN
+        assert meta.config.hidden == ModelConfig.hidden
         assert (meta.feature_dim, meta.schema, meta.pipeline, meta.mask, meta.extra) == (None, [], None, [], {})
         assert model.kind == "text" and model.text_path.attention is None
 

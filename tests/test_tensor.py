@@ -346,7 +346,7 @@ class TestGradCheck:
         def forward():
             return T.mean_all(layer.forward(x))
 
-        assert grad_check(forward, layer.parameters(), eps=1e-5) < 1e-7
+        assert grad_check(forward, layer.parameters()) < 1e-7
 
     def test_nonlinear_chain(self):
         rng = np.random.default_rng(6)
@@ -364,11 +364,6 @@ class TestGradCheck:
         w = Parameter("w", Tensor(np.zeros((2, 2)), dtype=np.float32))
         with pytest.raises(ContractError):
             grad_check(lambda: T.sum_all(w), [w])
-
-    def test_rejects_bad_eps(self):
-        w = Parameter("w", Tensor(np.zeros(2), dtype=np.float64))
-        with pytest.raises(ContractError):
-            grad_check(lambda: T.sum_all(w), [w], eps=0.0)
 
 
 class TestShapeAlgebra:
