@@ -26,18 +26,12 @@ def _load_stopwords() -> frozenset[str]:
 
 
 STOPWORDS = _load_stopwords()
+_DROPPED = MARKER_TOKENS | STOPWORDS
 
 
 def preprocess_baseline(text: str) -> list[str]:
     """Lowercase, drop markers/punctuation/stop words."""
-    tokens = []
-    for tok in tokenize(text):
-        if tok in MARKER_TOKENS or tok in STOPWORDS:
-            continue
-        if len(tok) == 1 and not tok.isalnum():
-            continue
-        tokens.append(tok)
-    return tokens
+    return [t for t in tokenize(text) if t not in _DROPPED and (len(t) != 1 or t.isalnum())]
 
 
 @dataclass(frozen=True, eq=False)

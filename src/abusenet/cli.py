@@ -277,7 +277,9 @@ def cmd_baseline(args) -> int:
 
 def cmd_synth(args) -> int:
     maker = SYNTH_TASKS[args.task]
-    corpus = maker(n=args.samples, noise=args.noise, seed=args.seed)
+    given = {"n": args.samples, "noise": args.noise, "seed": args.seed}
+    # flags left out keep the task's own defaults
+    corpus = maker(**{k: v for k, v in given.items() if v is not None})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = out_dir / "dataset.csv"
@@ -324,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic fusion dataset")
     p.add_argument("--task", default="xor", choices=sorted(SYNTH_TASKS))
-    p.add_argument("--samples", type=int, default=5000)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=None, help="default: the task's own size")
+    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
     return parser

@@ -32,7 +32,9 @@ AFFECT_SLOTS = (
 
 ONE_HOT_MAX_CARDINALITY = 16
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+# case-insensitive by explicit classes: under re.IGNORECASE "s" also matches
+# U+017F, and the classes are several times faster to scan
+_URL_RE = re.compile(r"(?:[hH][tT][tT][pP][sS\u017f]?://|[wW][wW][wW]\.)\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 
@@ -64,13 +66,17 @@ def tweet_counters(text: str) -> list[float]:
     the shipped lexicon; uppercase words are letters-only chunks of length
     >= 2 that are entirely uppercase.
     """
-    n_urls = len(_URL_RE.findall(text))
-    stripped = _URL_RE.sub(" ", text)
+    stripped, n_urls = _URL_RE.subn(" ", text)
     n_mentions = len(_MENTION_RE.findall(stripped))
     n_hashtags = len(_HASHTAG_RE.findall(stripped))
     chunks = stripped.split()
-    n_emoticons = sum(1 for c in chunks if c in EMOTICONS)
-    n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
+    n_emoticons = sum(map(EMOTICONS.__contains__, chunks))
+    if stripped.isascii():
+        # an ASCII letter string equals its upper case exactly when it is
+        # isupper; beyond ASCII not ("ĸĸ" has no upper case, is not isupper)
+        n_upper = sum(1 for c in filter(str.isupper, chunks) if len(c) >= 2 and c.isalpha())
+    else:
+        n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
     return [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
 
 

@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,24 +56,45 @@ def tokenize(text: str) -> list[str]:
     URLs, @mentions and numbers collapse to marker tokens; hashtags emit a
     marker followed by the bare word; punctuation splits into single-char
     tokens; internal apostrophes stay inside words.
+
+    No token spans whitespace, so a text's tokens are its whitespace chunks'
+    tokens in order. An all-letter chunk (``str.isalpha``) is always one word
+    token and skips the regex; the other chunks are scanned by ``_TOKEN_RE``
+    in runs, each run joined with single spaces.
     """
     out: list[str] = []
+    run: list[str] = []
+    for chunk in text.split():
+        if chunk.isalpha():
+            if run:
+                _scan(" ".join(run), out)
+                run = []
+            out.append(chunk.lower())
+        else:
+            run.append(chunk)
+    if run:
+        _scan(" ".join(run), out)
+    return out
+
+
+def _scan(text: str, out: list[str]) -> None:
+    """Append the ``_TOKEN_RE`` tokens of ``text`` to ``out``; the commonest
+    kinds are tested first."""
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "url":
+        if kind == "word":
+            out.append(m[0].lower())
+        elif kind == "punct":
+            out.append(m[0])
+        elif kind == "url":
             out.append(URL_TOKEN)
         elif kind == "mention":
             out.append(USER_TOKEN)
         elif kind == "number":
             out.append(NUMBER_TOKEN)
-        elif kind == "hashtag":
+        else:  # hashtag
             out.append(HASHTAG_TOKEN)
-            out.append(m.group()[1:].lower())
-        elif kind == "word":
-            out.append(m.group().lower())
-        else:
-            out.append(m.group())
-    return out
+            out.append(m[0][1:].lower())
 
 
 @dataclass(frozen=True)
@@ -139,18 +161,19 @@ class Vocabulary:
 
 def encode_pad(tokens: Sequence[str], vocab: Vocabulary, spec: SequenceSpec) -> np.ndarray:
     """Left-pad with zeros up to seq_len; longer inputs keep their first tokens."""
-    n = spec.seq_len
-    kept = tokens[:n]
-    out = np.zeros(n, dtype=np.int32)
-    if kept:
-        ids = [vocab.encode_token(t) for t in kept]
-        out[n - len(ids):] = ids
-    return out
+    return encode_corpus([tokens], vocab, spec)[0]
 
 
 def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec: SequenceSpec) -> np.ndarray:
-    return np.stack([encode_pad(t, vocab, spec) for t in token_lists]) if token_lists else \
-        np.zeros((0, spec.seq_len), dtype=np.int32)
+    """``encode_pad`` of every token list: [len(token_lists), seq_len] int32."""
+    n = spec.seq_len
+    out = np.zeros((len(token_lists), n), dtype=np.int32)
+    index = vocab._index
+    for row, tokens in zip(out, token_lists):
+        kept = tokens[:n]
+        if kept:
+            row[n - len(kept):] = list(map(index.get, kept, repeat(UNK_INDEX)))
+    return out
 
 
 def decode(indices: Sequence[int], vocab: Vocabulary) -> list[str]:

@@ -1,0 +1,37 @@
+import random
+
+import pytest
+
+# Pieces the exactness fuzz concatenates. Whitespace appears several times so
+# that texts split into many chunks; the Unicode pieces are the ones where
+# case folding, letter tests or whitespace tests differ between code paths.
+_ASCII_PIECES = (
+    "a", "word", "Hello", "WOW", "OK", "XD", "xD", ":)", ":-(", "<3",
+    "http://", "https://", "HTTP://", "hTTpS://", "www.", "WWW.", "Www.", "t.co/x",
+    "@", "@sam", "#", "#Tag", "0", "42", "3.14", "1,000", "'", "don't", "O'NEIL",
+    ".", ",", "!", "?", "_", "-", "/", ":", "$",
+    " ", " ", " ", "  ", "\t", "\n", "\x1c",
+)
+_UNICODE_PIECES = (
+    "http\u017f://", "HTTP\u017f://", "\u0130", "\u00df", "\u212a", "\u0138", "\u01c5", "\u01c4",
+    "\u0301", "e\u0301", "\u00e9", "\u00c9COLE", "\u6f22\u5b57", "\u0939\u093f\u0928\u094d\u0926\u0940",
+    "\u0663", "\u3000", "\u3000", "\u00a0", "\u2003",
+)
+
+
+@pytest.fixture(scope="session")
+def fuzz_texts() -> list[str]:
+    """20k seeded texts; even ones are pure ASCII, odd ones mix in Unicode."""
+    rng = random.Random(20240615)
+    mixed = _ASCII_PIECES + _UNICODE_PIECES
+    texts = []
+    for i in range(20_000):
+        pool = _ASCII_PIECES if i % 2 == 0 else mixed
+        texts.append("".join(rng.choice(pool) for _ in range(rng.randint(0, 14))))
+    return texts
+
+
+@pytest.fixture(scope="session")
+def all_code_points() -> str:
+    """Every code point, surrogates included, in order."""
+    return "".join(map(chr, range(0x110000)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from abusenet.cli import _configs, build_parser, main
-from abusenet.data import EmptyDatasetError, SchemaError, load_corpus
+from abusenet.data import EmptyDatasetError, SchemaError, load_corpus, synth_groups, write_corpus
 from abusenet.evaluation import encode_fold
 from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
@@ -63,6 +63,13 @@ class TestSynthCommand:
         schema = json.loads((out / "schema.json").read_text())
         assert schema["classes"] == ["benign", "flagged"]
         assert schema["columns"]["signal"]["group"] == "UF"
+
+    def test_left_out_flags_keep_the_task_defaults(self, tmp_path):
+        # synth_groups() makes 3000 rows at noise 0 and seed 0, unlike synth_xor()
+        assert run(["synth", "--task", "groups", "--out", tmp_path / "cli"]) == 0
+        write_corpus(synth_groups(), tmp_path / "direct.csv", tmp_path / "direct.json")
+        assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+        assert (tmp_path / "cli" / "schema.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
 
 class TestTrainCommand:

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from abusenet.features import (
+    _URL_RE,
     AFFECT_SLOTS,
+    EMOTICONS,
     TWEET_COUNTER_NAMES,
     ConfigurationError,
     FeatureColumn,
@@ -14,6 +18,22 @@ from abusenet.features import (
     tweet_counters,
     tweet_features,
 )
+
+
+_REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+
+
+def reference_tweet_counters(text):
+    """The counters as computed before URLs were matched by explicit letter
+    classes in one ``subn`` scan and ASCII texts prefiltered by ``isupper``."""
+    n_urls = len(_REFERENCE_URL_RE.findall(text))
+    stripped = _REFERENCE_URL_RE.sub(" ", text)
+    n_mentions = len(re.findall(r"@\w+", stripped))
+    n_hashtags = len(re.findall(r"#\w+", stripped))
+    chunks = stripped.split()
+    n_emoticons = sum(1 for c in chunks if c in EMOTICONS)
+    n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
+    return [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
 
 
 def counters(text):
@@ -36,6 +56,21 @@ class TestTweetFeatures:
         assert c["n_emoticons"] == 1.0
         assert c["n_urls"] == 1.0
         assert c["n_uppercase"] == 1.0
+
+    def test_equals_reference_counters(self, fuzz_texts):
+        for text in fuzz_texts:
+            assert tweet_counters(text) == reference_tweet_counters(text), repr(text)
+
+    def test_url_letter_classes_are_the_ignorecase_matches(self, all_code_points):
+        # each class must hold exactly what its letter matches under
+        # re.IGNORECASE, over every code point (for "s" that includes U+017F)
+        classes = re.findall(r"\[[^\]]+\]", _URL_RE.pattern)
+        assert {c[1].lower() for c in classes} == set("htpsw")
+        for cls in classes:
+            matched = re.findall(cls, all_code_points)
+            assert matched == re.findall(cls[1], all_code_points, re.IGNORECASE), cls
+        for literal in ":/.":
+            assert re.findall(re.escape(literal), all_code_points, re.IGNORECASE) == [literal]
 
     def test_plain_word_imputed_affect(self):
         values, names = tweet_features("ok")

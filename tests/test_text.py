@@ -1,18 +1,60 @@
+import re
+from itertools import filterfalse
+
 import numpy as np
 import pytest
 
 from abusenet.tensor import ContractError
 from abusenet.text import (
+    _TOKEN_RE,
+    HASHTAG_TOKEN,
+    NUMBER_TOKEN,
+    UNK_INDEX,
+    URL_TOKEN,
+    USER_TOKEN,
     FormatError,
     ParseError,
     SequenceSpec,
     Vocabulary,
     choose_seq_len,
     decode,
+    encode_corpus,
     encode_pad,
     load_embeddings,
     tokenize,
 )
+
+
+def reference_tokenize(text):
+    """One ``_TOKEN_RE`` scan over the whole text, as tokenize did before it
+    split the text into whitespace chunks."""
+    out = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "url":
+            out.append(URL_TOKEN)
+        elif kind == "mention":
+            out.append(USER_TOKEN)
+        elif kind == "number":
+            out.append(NUMBER_TOKEN)
+        elif kind == "hashtag":
+            out.append(HASHTAG_TOKEN)
+            out.append(m.group()[1:].lower())
+        elif kind == "word":
+            out.append(m.group().lower())
+        else:
+            out.append(m.group())
+    return out
+
+
+def reference_encode_pad(tokens, vocab, spec):
+    n = spec.seq_len
+    kept = tokens[:n]
+    out = np.zeros(n, dtype=np.int32)
+    if kept:
+        ids = [vocab.encode_token(t) for t in kept]
+        out[n - len(ids):] = ids
+    return out
 
 
 class TestTokenize:
@@ -36,6 +78,30 @@ class TestTokenize:
 
     def test_uppercase_url_detected(self):
         assert tokenize("HTTP://t.co down") == ["<url>", "down"]
+
+    def test_equals_one_scan_of_the_whole_text(self, fuzz_texts):
+        for text in fuzz_texts:
+            assert tokenize(text) == reference_tokenize(text), repr(text)
+
+
+class TestTokenizePremises:
+    """Unicode facts the chunked tokenize rests on, checked over every code
+    point, so that a Python whose Unicode tables change them fails here."""
+
+    def test_split_separators_are_the_regex_whitespace(self, all_code_points):
+        # str.split() must cut exactly where the pattern's \s stops a token;
+        # the code points are distinct, so equal remainders mean equal sets
+        no_space = "".join(filterfalse(str.isspace, all_code_points))
+        assert "".join(all_code_points.split()) == no_space
+        assert re.compile(r"\s", _TOKEN_RE.flags).sub("", all_code_points) == no_space
+
+    def test_every_letter_is_a_word_token(self, all_code_points):
+        letters = list(filter(str.isalpha, all_code_points))
+        matches = list(_TOKEN_RE.finditer(" ".join(letters)))
+        assert [m.group() for m in matches] == letters
+        assert {m.lastgroup for m in matches} == {"word"}
+        # and a chunk of letters is one word, whatever letters follow each other
+        assert _TOKEN_RE.fullmatch("".join(letters)).lastgroup == "word"
 
 
 class TestChooseSeqLen:
@@ -128,6 +194,19 @@ class TestEncodePad:
         tokens = ["cat", "sat", "mat"]
         out = encode_pad(tokens, self.vocab, self.spec)
         assert decode(out, self.vocab) == tokens
+
+    def test_corpus_equals_stacked_rows(self):
+        # 0 tokens, exactly seq_len, more than seq_len, unknowns among them
+        rows = [[], ["cat", "dog", "sat", "mat", "cat"], ["mat"] * 3 + ["dog"] * 4, ["dog"], ["sat", "cat"]]
+        out = encode_corpus(rows, self.vocab, self.spec)
+        expected = np.stack([reference_encode_pad(t, self.vocab, self.spec) for t in rows])
+        assert out.dtype == expected.dtype == np.int32
+        np.testing.assert_array_equal(out, expected)
+        assert UNK_INDEX in out
+
+    def test_empty_corpus(self):
+        out = encode_corpus([], self.vocab, self.spec)
+        assert out.shape == (0, 5) and out.dtype == np.int32
 
 
 class TestLoadEmbeddings:
