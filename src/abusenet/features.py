@@ -71,12 +71,7 @@ def tweet_counters(text: str) -> list[float]:
     n_hashtags = len(_HASHTAG_RE.findall(stripped))
     chunks = stripped.split()
     n_emoticons = sum(map(EMOTICONS.__contains__, chunks))
-    if stripped.isascii():
-        # an ASCII letter string equals its upper case exactly when it is
-        # isupper; beyond ASCII not ("ĸĸ" has no upper case, is not isupper)
-        n_upper = sum(1 for c in filter(str.isupper, chunks) if len(c) >= 2 and c.isalpha())
-    else:
-        n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
+    n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
     return [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
 
 

@@ -141,8 +141,9 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def encode_token(self, token: str) -> int:
-        return self._index.get(token, UNK_INDEX)
+    def encode_tokens(self, tokens: Iterable[str]) -> list[int]:
+        """The index of each token; UNK_INDEX for tokens not in the vocabulary."""
+        return list(map(self._index.get, tokens, repeat(UNK_INDEX)))
 
     def tokens(self) -> list[str]:
         """Tokens ordered by index (index 2 first)."""
@@ -168,11 +169,10 @@ def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec:
     """``encode_pad`` of every token list: [len(token_lists), seq_len] int32."""
     n = spec.seq_len
     out = np.zeros((len(token_lists), n), dtype=np.int32)
-    index = vocab._index
     for row, tokens in zip(out, token_lists):
         kept = tokens[:n]
         if kept:
-            row[n - len(kept):] = list(map(index.get, kept, repeat(UNK_INDEX)))
+            row[n - len(kept):] = vocab.encode_tokens(kept)
     return out
 
 
@@ -218,8 +218,8 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> Embeddi
     table = np.zeros((len(vocab), dim), dtype=np.float32)
     rng = np.random.default_rng(seed)
     table[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32)
-    for token in vocab.tokens():
-        idx = vocab.encode_token(token)
+    tokens = vocab.tokens()
+    for token, idx in zip(tokens, vocab.encode_tokens(tokens)):
         vec = vectors.get(token)
         if vec is None:
             table[idx] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32)

@@ -25,7 +25,7 @@ _REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 
 def reference_tweet_counters(text):
     """The counters as computed before URLs were matched by explicit letter
-    classes in one ``subn`` scan and ASCII texts prefiltered by ``isupper``."""
+    classes in one ``subn`` scan."""
     n_urls = len(_REFERENCE_URL_RE.findall(text))
     stripped = _REFERENCE_URL_RE.sub(" ", text)
     n_mentions = len(re.findall(r"@\w+", stripped))

@@ -52,8 +52,7 @@ def reference_encode_pad(tokens, vocab, spec):
     kept = tokens[:n]
     out = np.zeros(n, dtype=np.int32)
     if kept:
-        ids = [vocab.encode_token(t) for t in kept]
-        out[n - len(ids):] = ids
+        out[n - len(kept):] = vocab.encode_tokens(kept)
     return out
 
 
@@ -133,19 +132,18 @@ class TestVocabulary:
         vocab = Vocabulary.build([["a", "b", "a"], ["b", "c"]])
         assert "a" in vocab and "b" in vocab
         assert "c" not in vocab
-        assert vocab.encode_token("c") == 1  # unknown
+        assert vocab.encode_tokens(["c"]) == [1]  # unknown
 
     def test_bijection_above_two(self):
         vocab = Vocabulary.build([["x", "y", "x", "y", "z", "z"]])
-        idxs = [vocab.encode_token(t) for t in ("x", "y", "z")]
+        idxs = vocab.encode_tokens(["x", "y", "z"])
         assert sorted(idxs) == [2, 3, 4]
         assert len(set(idxs)) == 3
 
     def test_full_coverage_when_no_hapaxes(self):
         docs = [["red", "blue"], ["red", "blue", "green"], ["green"]]
         vocab = Vocabulary.build(docs)
-        for tok in ("red", "blue", "green"):
-            assert vocab.encode_token(tok) >= 2
+        assert min(vocab.encode_tokens(["red", "blue", "green"])) >= 2
 
     def test_deterministic_ordering(self):
         docs = [["b", "a", "b", "a"], ["c", "c"]]
@@ -165,13 +163,12 @@ class TestEncodePad:
     def test_left_padding(self):
         out = encode_pad(["cat", "sat"], self.vocab, SequenceSpec(4))
         assert list(out[:2]) == [0, 0]
-        assert out[2] == self.vocab.encode_token("cat")
-        assert out[3] == self.vocab.encode_token("sat")
+        assert list(out[2:]) == self.vocab.encode_tokens(["cat", "sat"])
 
     def test_truncation_keeps_head(self):
         tokens = ["cat", "sat", "mat", "cat", "sat", "mat"]
         out = encode_pad(tokens, self.vocab, SequenceSpec(4))
-        expected = [self.vocab.encode_token(t) for t in tokens[:4]]
+        expected = self.vocab.encode_tokens(tokens[:4])
         assert list(out) == expected
 
     def test_unknown_maps_to_one(self):
@@ -181,8 +178,8 @@ class TestEncodePad:
     def test_decode_index_inverts_every_index(self):
         assert [self.vocab.decode_index(i) for i in range(len(self.vocab))] == \
             ["<pad>", "<unk>", *self.vocab.tokens()]
-        assert all(self.vocab.encode_token(self.vocab.decode_index(i)) == i
-                   for i in range(2, len(self.vocab)))
+        indices = list(range(2, len(self.vocab)))
+        assert self.vocab.encode_tokens(map(self.vocab.decode_index, indices)) == indices
 
     @pytest.mark.parametrize("idx", [-1, 5, 100])
     def test_decode_unknown_index_raises(self, idx):
@@ -223,14 +220,14 @@ class TestLoadEmbeddings:
         path = self.write(tmp_path, [f"cat {vec}"])
         vocab = self.make_vocab()
         emb = load_embeddings(path, vocab, dim=4, seed=0)
-        np.testing.assert_allclose(emb.table.data[vocab.encode_token("cat")],
+        np.testing.assert_allclose(emb.table.data[vocab.encode_tokens(["cat"])[0]],
                                    [0.0, 0.1, 0.2, 0.3], rtol=1e-6)
 
     def test_missing_tokens_get_small_random_rows(self, tmp_path):
         path = self.write(tmp_path, ["cat 1 2 3 4"])
         vocab = self.make_vocab()
         emb = load_embeddings(path, vocab, dim=4, seed=3)
-        row = emb.table.data[vocab.encode_token("dog")]
+        row = emb.table.data[vocab.encode_tokens(["dog"])[0]]
         assert (np.abs(row) < 0.05).all() and np.abs(row).max() > 0.0
 
     def test_same_seed_bit_identical(self, tmp_path):
