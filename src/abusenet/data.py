@@ -73,15 +73,37 @@ class Corpus:
 
 def load_schema(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        schema = json.load(fh)
+        try:
+            schema = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise SchemaError(f"{path}: schema is not UTF-8 JSON: {e}") from None
+    if not isinstance(schema, dict):
+        raise SchemaError(f"{path}: schema is not a JSON object")
     if "classes" not in schema or len(schema["classes"]) < 2:
         raise SchemaError("schema must declare at least two classes")
-    for name, spec in schema.get("columns", {}).items():
+    columns = schema.get("columns", {})
+    if not isinstance(columns, dict):
+        raise SchemaError(f"{path}: 'columns' must be an object mapping column names to specs")
+    for name, spec in columns.items():
+        if not isinstance(spec, dict):
+            raise SchemaError(f"{path}: column {name!r}: spec must be an object")
         if spec.get("group") not in GROUPS:
             raise SchemaError(f"column {name!r}: group must be one of {GROUPS}")
         if spec.get("kind", "numeric") not in ("numeric", "categorical"):
             raise SchemaError(f"column {name!r}: kind must be numeric or categorical")
     return schema
+
+
+def _first_undecodable_line(path) -> int | None:
+    """1-based number of the first line of ``path`` that is not UTF-8; no
+    UTF-8 sequence holds a newline byte, so lines split the bytes safely."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def load_corpus(dataset_path, schema_path) -> Corpus:
@@ -100,30 +122,35 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
     texts: list[str] = []
     labels: list[int] = []
     records: list[dict] = []
-    with open(dataset_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (id_col, text_col):
-            if col not in header:
-                raise SchemaError(f"dataset is missing required column {col!r}")
-        for col in list(columns) + list(affect.values()):
-            if col not in header:
-                raise SchemaError(f"dataset is missing declared metadata column {col!r}")
-        has_labels = label_col in header
-        for rownum, row in enumerate(reader, start=2):
-            # DictReader files a longer row's extra fields under None and
-            # fills a shorter row's missing ones, the last field first, with None
-            if None in row or row[header[-1]] is None:
-                fields = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
-                raise SchemaError(f"row {rownum}: {fields} fields, but the header has {len(header)}")
-            ids.append(row[id_col])
-            texts.append(row[text_col] or "")
-            if has_labels:
-                raw = row[label_col]
-                if raw not in class_index:
-                    raise SchemaError(f"row {rownum}: label {raw!r} not in declared classes")
-                labels.append(class_index[raw])
-            records.append(dict(row))
+    # utf-8-sig: a spreadsheet export's byte-order mark is not part of the first column's name
+    try:
+        with open(dataset_path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in (id_col, text_col):
+                if col not in header:
+                    raise SchemaError(f"dataset is missing required column {col!r}")
+            for col in list(columns) + list(affect.values()):
+                if col not in header:
+                    raise SchemaError(f"dataset is missing declared metadata column {col!r}")
+            has_labels = label_col in header
+            for rownum, row in enumerate(reader, start=2):
+                # DictReader files a longer row's extra fields under None and
+                # fills a shorter row's missing ones, the last field first, with None
+                if None in row or row[header[-1]] is None:
+                    fields = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
+                    raise SchemaError(f"row {rownum}: {fields} fields, but the header has {len(header)}")
+                ids.append(row[id_col])
+                texts.append(row[text_col] or "")
+                if has_labels:
+                    raw = row[label_col]
+                    if raw not in class_index:
+                        raise SchemaError(f"row {rownum}: label {raw!r} not in declared classes")
+                    labels.append(class_index[raw])
+                records.append(dict(row))
+    except UnicodeDecodeError:
+        raise SchemaError(f"{dataset_path}: line {_first_undecodable_line(dataset_path)}: "
+                          "bytes that are not UTF-8") from None
     if len(set(ids)) != len(ids):
         raise SchemaError("dataset ids are not unique")
     return Corpus(

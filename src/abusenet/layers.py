@@ -174,15 +174,16 @@ class GRULayer:
         [b, .] slices, a step with some padded rows gathers the live ones,
         and a step whose rows are all padded is skipped. Padded rows carry h
         unchanged into the states. Per step: one recurrent matmul against
-        [U_z|U_r], and (r * h * drop) U_h. Each product is a fresh
-        contiguous [k, .] array that accumulates its columns of the gathered
-        [k, 3u] projection, and the sigmoid, tanh and state update run in
-        place on it: the same passes over a column view of the projection
-        cost 2-4x, and IEEE addition commutes, so the bits are those of
-        adding the product into the view. When a tape records the op, the
-        live rows' inputs, gates and products are kept packed time-major,
-        z and r in their own [n, u] buffers so that backward's per-step
-        arithmetic reads contiguous rows.
+        [U_z|U_r], and (r * h * drop) U_h. Each product is a contiguous
+        [k, .] array that accumulates its columns of the gathered [k, 3u]
+        projection, and the sigmoid, tanh and state update run in place on
+        it: the same passes over a column view of the projection cost 2-4x,
+        and IEEE addition commutes, so the bits are those of adding the
+        product into the view. When a tape records the op, the live rows'
+        inputs, gates and products are kept packed time-major, z and r in
+        their own [n, u] buffers so that backward's per-step arithmetic
+        reads contiguous rows; r * h * drop and its U_h product are computed
+        straight into their packed rows.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
         matmul each; the inputs' gradient is then scatter-added into the rows.
@@ -244,8 +245,8 @@ class GRULayer:
             zr += a[:, :2 * u]
             _sigmoid(zr)
             z, r = zr[:, :u], zr[:, u:]
-            rh = r * hm
-            c = rh @ U_h
+            rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
+            c = np.matmul(rh, U_h, out=c_all[lo:hi] if record else None)
             c += a[:, 2 * u:]
             np.tanh(c, out=c)
             h_new = c - h_t
@@ -259,9 +260,7 @@ class GRULayer:
             if record:
                 z_all[lo:hi] = z
                 r_all[lo:hi] = r
-                c_all[lo:hi] = c
                 hm_all[lo:hi] = hm
-                rh_all[lo:hi] = rh
 
         def back(g):
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients

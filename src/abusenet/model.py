@@ -408,7 +408,12 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
-        header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise ValueError(f"{path}: checkpoint header is not valid JSON") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
         records = {}

@@ -122,13 +122,20 @@ def updates(p: Parameter, allowed_tags: set[str] | None) -> bool:
     return p.trainable and (allowed_tags is None or p.tag in allowed_tags)
 
 
+# Elements per block of Adam's update: the largest desk-size parameter fits
+# one block, and the scratch pair stays 1 MiB in float32.
+BLOCK = 131072
+
+
 class Adam:
     """Adam with bias correction; skips every parameter ``updates`` rules out.
 
     Dense: every updated parameter's moments decay each step, also where its
-    gradient is zero. A step allocates nothing: it works in two persistent
-    scratch buffers per parameter, in the float-op order of the textbook
-    expression, so results equal it bit for bit.
+    gradient is zero. Per parameter it keeps only the moments m and v. A step
+    runs over each parameter's flat view in blocks of ``BLOCK`` elements and
+    allocates nothing after the first: every block works in one scratch pair
+    per dtype, shared by all parameters, in the float-op order of the
+    textbook expression, so results equal it bit for bit.
     """
 
     beta1 = 0.9
@@ -138,7 +145,8 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self._state: dict[str, np.ndarray] = {}  # per parameter: m, v, two scratch buffers
+        self._moments: dict[str, np.ndarray] = {}  # per parameter: flat [2, size] m and v
+        self._scratch: dict[np.dtype, np.ndarray] = {}  # per dtype: [2, BLOCK]
 
     @classmethod
     def from_config(cls, config: TrainingConfig) -> "Adam":
@@ -157,26 +165,35 @@ class Adam:
                 continue
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
-            state = self._state.get(p.name)
-            if state is None:
-                state = self._state[p.name] = np.zeros((4, *p.data.shape), dtype=p.data.dtype)
-            m, v, s, q = state  # the two moments and two scratch buffers
-            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-            m *= b1
-            np.multiply(g, 1.0 - b1, out=s)
-            m += s
-            v *= b2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - b2
-            v += s
-            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-            np.divide(m, bias1, out=s)
-            s *= self.lr
-            np.divide(v, bias2, out=q)
-            np.sqrt(q, out=q)
-            q += self.epsilon
-            s /= q
-            p.data -= s
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)  # so that its flat view is not a copy
+            x, g = p.data.reshape(-1), g.reshape(-1)
+            moments = self._moments.get(p.name)
+            if moments is None:
+                moments = self._moments[p.name] = np.zeros((2, x.size), dtype=x.dtype)
+            scratch = self._scratch.get(x.dtype)
+            if scratch is None:
+                scratch = self._scratch[x.dtype] = np.empty((2, BLOCK), dtype=x.dtype)
+            for lo in range(0, x.size, BLOCK):
+                hi = min(lo + BLOCK, x.size)
+                m, v, gb = moments[0, lo:hi], moments[1, lo:hi], g[lo:hi]
+                s, q = scratch[0, :hi - lo], scratch[1, :hi - lo]
+                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+                m *= b1
+                np.multiply(gb, 1.0 - b1, out=s)
+                m += s
+                v *= b2
+                np.multiply(gb, gb, out=s)
+                s *= 1.0 - b2
+                v += s
+                # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+                np.divide(m, bias1, out=s)
+                s *= self.lr
+                np.divide(v, bias2, out=q)
+                np.sqrt(q, out=q)
+                q += self.epsilon
+                s /= q
+                x[lo:hi] -= s
 
 
 class EarlyStopping:

@@ -171,6 +171,39 @@ class TestCorpusIO:
         with pytest.raises(SchemaError, match=f"row 3: {width + 2} fields, but the header has {width}"):
             load_corpus(data_path, schema_path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        corpus = synth_xor(n=5, seed=11)
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        data_path.write_bytes(b"\xef\xbb\xbf" + data_path.read_bytes())
+        loaded = load_corpus(data_path, schema_path)
+        assert loaded.ids == corpus.ids
+        assert loaded.column_names()[0] == "id"
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        corpus = synth_xor(n=3, seed=12)
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        raw = data_path.read_bytes().split(b"\n")
+        raw[2] = raw[2].replace(b",", b",caf\xe9 ", 1)  # latin-1, not UTF-8
+        data_path.write_bytes(b"\n".join(raw))
+        with pytest.raises(SchemaError, match=f"{re.escape(str(data_path))}: line 3: "):
+            load_corpus(data_path, schema_path)
+
+    @pytest.mark.parametrize("schema, message", [
+        ("{not json", "schema is not UTF-8 JSON"),
+        ('["benign", "flagged"]', "schema is not a JSON object"),
+        ('{"classes": ["a", "b"], "columns": ["signal"]}', "'columns' must be an object"),
+        ('{"classes": ["a", "b"], "columns": {"signal": "UF"}}', "column 'signal': spec must be an object"),
+    ], ids=["not_json", "top_level_list", "columns_list", "spec_string"])
+    def test_malformed_schema_names_its_path(self, tmp_path, schema, message):
+        corpus = synth_xor(n=3, seed=13)
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        schema_path.write_text(schema)
+        with pytest.raises(SchemaError, match=f"{re.escape(str(schema_path))}: {re.escape(message)}"):
+            load_corpus(data_path, schema_path)
+
     def test_attach_network_features(self):
         corpus = synth_xor(n=6, seed=8)
         for i, rec in enumerate(corpus.records):

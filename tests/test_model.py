@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -431,6 +432,17 @@ class TestCheckpoint:
             path.write_bytes(raw[:end])
             with pytest.raises(ValueError, match="checkpoint truncated"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"{not json", "checkpoint header is not valid JSON"),
+        (b"\xff\xfe{}", "checkpoint header is not valid JSON"),
+        (b"[1]", "checkpoint header is not a JSON object"),
+    ], ids=["not_json", "not_utf8", "not_object"])
+    def test_junk_header_rejected(self, tmp_path, blob, message):
+        path = tmp_path / "junk_header.ckpt"
+        path.write_bytes(b"ABNET1\x00" + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from abusenet.layers import DenseLayer
 from abusenet.model import ModelConfig, TextPath, build_combined, build_metadata_path, build_text_path
 from abusenet.tensor import ContractError, Parameter, Tensor, grad_check
 from abusenet.training import (
+    BLOCK,
     Adam,
     DegenerateLabelsError,
     EarlyStopping,
@@ -155,6 +157,49 @@ class TestAdam:
             assert live.data.tobytes() == value.tobytes()
         for p in (frozen, no_grad):
             assert p.data.tobytes() == before[p.name].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3],
+                             ids=["one", "block_minus_1", "block", "block_plus_1", "two_blocks_plus_3"])
+    def test_blocked_update_matches_whole_array_textbook_bitwise(self, size, dtype):
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(size)
+        start = rng.normal(size=size).astype(dtype)
+        start[::7] = 0.0
+        start[3::7] = -0.0
+        live = Parameter("live", start.copy(), tag="head")
+        skipped = Parameter("skipped", rng.normal(size=(size,)).astype(dtype), tag="text")
+        before = skipped.data.copy()
+        value, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        opt = Adam(lr)
+        for t in range(1, 4):
+            g = (rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2)).astype(dtype)
+            g[t::5] = 0.0
+            g[t + 2::5] = -0.0
+            live.grad = g.copy()
+            skipped.grad = np.ones(size, dtype=dtype)
+            opt.step([skipped, live], allowed_tags={"head"})
+            # the whole-array textbook update
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            value = value - (lr * (m / (1.0 - b1 ** t))) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            assert value.dtype == dtype
+            assert live.data.tobytes() == value.tobytes()
+        assert skipped.data.tobytes() == before.tobytes()
+
+    def test_keeps_two_moments_and_one_shared_scratch_pair(self):
+        p = Parameter("table", np.zeros((20000, 200), dtype=np.float32))
+        p.grad = np.ones_like(p.data)
+        opt = Adam(1e-3)
+        tracemalloc.start()
+        try:
+            opt.step([p])
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # m and v, one [2, BLOCK] scratch pair, and a few KiB of Python objects
+        bound = 2 * p.data.nbytes + 2 * BLOCK * p.data.itemsize + 2**14
+        assert kept <= bound, f"kept {kept / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
     def test_tag_filter(self):
         a = Parameter("a", np.ones(2, dtype=np.float32), tag="text")
