@@ -15,8 +15,8 @@ from .layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from .text import SequenceSpec, Vocabulary, choose_seq_len, encode_pad, load_embeddings, tokenize
-from .features import FeaturePipeline, assemble, parse_mask, tweet_features
+from .text import SequenceSpec, Vocabulary, choose_seq_len, load_embeddings, tokenize
+from .features import FeaturePipeline, assemble, parse_mask
 from .graph import SocialGraph
 from .model import (
     ModelConfig,

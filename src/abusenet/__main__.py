@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -9,23 +9,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources as importlib_resources
 from itertools import chain, repeat
 
 import numpy as np
 
-from .text import HASHTAG_TOKEN, NUMBER_TOKEN, URL_TOKEN, USER_TOKEN, tokenize
+from .text import HASHTAG_TOKEN, NUMBER_TOKEN, URL_TOKEN, USER_TOKEN, read_word_list, tokenize
 
 MARKER_TOKENS = {URL_TOKEN, USER_TOKEN, NUMBER_TOKEN, HASHTAG_TOKEN}
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = importlib_resources.files("abusenet.resources").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines()
-                     if line.strip() and not line.startswith("#"))
-
-
-STOPWORDS = _load_stopwords()
+STOPWORDS = read_word_list("stopwords.txt")
 _DROPPED = MARKER_TOKENS | STOPWORDS
 
 

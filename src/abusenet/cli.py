@@ -20,6 +20,7 @@ import numpy as np
 from .baseline import TfidfModel, nb_fit, nb_predict, preprocess_baseline
 from .data import (
     SYNTH_TASKS,
+    EmptyDatasetError,
     SchemaError,
     attach_network_features,
     load_corpus,
@@ -41,11 +42,12 @@ from .evaluation import (
     run_cv,
     stratified_kfold,
 )
-from .features import parse_mask
-from .graph import SocialGraph
+from .features import ConfigurationError, NonFiniteFeatureError, parse_mask
+from .graph import DegenerateGraphError, SocialGraph
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
-from .training import STRATEGIES, TrainingConfig, predict_probs
+from .text import FormatError, ParseError
+from .training import STRATEGIES, DegenerateLabelsError, TrainingConfig, predict_probs
 
 # flag spelling -> TrainingConfig.strategy
 STRATEGY_FLAGS = {s.replace("_", "-"): s for s in STRATEGIES}
@@ -339,5 +341,16 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """The ``abusenet`` entry point: `main`, with bad input reported in one
+    ``abusenet: error: ...`` line and exit status 2, as argparse reports a bad flag."""
+    try:
+        return main(argv)
+    except (OSError, SchemaError, EmptyDatasetError, ParseError, FormatError, NonFiniteFeatureError,
+            ConfigurationError, ContractError, DegenerateGraphError, DegenerateLabelsError) as e:
+        print(f"abusenet: error: {e}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,8 +27,6 @@ from .graph import (
     power_difference,
 )
 from .utils import derive_rng
-
-_MENTION_RE = re.compile(r"@(\w+)")
 
 
 class SchemaError(ValueError):
@@ -125,8 +122,8 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
     # utf-8-sig: a spreadsheet export's byte-order mark is not part of the first column's name
     try:
         with open(dataset_path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             for col in (id_col, text_col):
                 if col not in header:
                     raise SchemaError(f"dataset is missing required column {col!r}")
@@ -134,20 +131,19 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
                 if col not in header:
                     raise SchemaError(f"dataset is missing declared metadata column {col!r}")
             has_labels = label_col in header
-            for rownum, row in enumerate(reader, start=2):
-                # DictReader files a longer row's extra fields under None and
-                # fills a shorter row's missing ones, the last field first, with None
-                if None in row or row[header[-1]] is None:
-                    fields = len(header) + len(row.get(None, ())) - list(row.values()).count(None)
-                    raise SchemaError(f"row {rownum}: {fields} fields, but the header has {len(header)}")
-                ids.append(row[id_col])
-                texts.append(row[text_col] or "")
+            # blank rows are skipped and not numbered
+            for rownum, row in enumerate(filter(None, reader), start=2):
+                if len(row) != len(header):
+                    raise SchemaError(f"row {rownum}: {len(row)} fields, but the header has {len(header)}")
+                record = dict(zip(header, row))
+                ids.append(record[id_col])
+                texts.append(record[text_col])
                 if has_labels:
-                    raw = row[label_col]
+                    raw = record[label_col]
                     if raw not in class_index:
                         raise SchemaError(f"row {rownum}: label {raw!r} not in declared classes")
                     labels.append(class_index[raw])
-                records.append(dict(row))
+                records.append(record)
     except UnicodeDecodeError:
         raise SchemaError(f"{dataset_path}: line {_first_undecodable_line(dataset_path)}: "
                           "bytes that are not UTF-8") from None
@@ -170,7 +166,7 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
 
     Samples whose user is missing from the graph get zero NF features; a
     ``user_column`` not among the corpus's ``column_names`` is a SchemaError.
-    Mentioned accounts are read from @-tokens in the sample text. Every NF
+    Mentioned accounts are read from the @-mentions in the raw sample text. Every NF
     value but the power difference depends on the user alone, so
     `node_features` runs once per distinct user and only the power
     difference, which reads the sample's mentions, runs per sample.
@@ -193,7 +189,8 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
                 per_user[user] = dict(zip(NF_FEATURE_NAMES, node_features(
                     graph, user, hub_auth=hub_auth, eigen=eigen)))
             rec.update(per_user[user])
-            rec["nf_power_difference"] = power_difference(graph, user, _MENTION_RE.findall(text))
+            mentioned = [m[1:] for m in text_mod.MENTION_RE.findall(text)]
+            rec["nf_power_difference"] = power_difference(graph, user, mentioned)
         else:
             rec.update(absent)
         records.append(rec)
@@ -306,14 +303,17 @@ SYNTH_TASKS = {"xor": synth_xor, "groups": synth_groups}
 
 
 def write_corpus(corpus: Corpus, dataset_path, schema_path) -> None:
-    """Emit dataset.csv plus schema.json in the ingestion format."""
+    """Emit dataset.csv plus schema.json in the ingestion format; a corpus
+    without labels gets no label column."""
     meta_cols = sorted({*corpus.columns, *corpus.affect.values()})
+    lead = {"id": corpus.ids, "text": corpus.texts}
+    if corpus.labels is not None:
+        lead["label"] = [corpus.classes[i] for i in corpus.labels]
     with open(dataset_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "text", "label"] + meta_cols)
+        writer.writerow([*lead, *meta_cols])
         for i in range(len(corpus)):
-            label = corpus.classes[corpus.labels[i]] if corpus.labels is not None else ""
-            writer.writerow([corpus.ids[i], corpus.texts[i], label]
+            writer.writerow([column[i] for column in lead.values()]
                             + [corpus.records[i].get(c, "") for c in meta_cols])
     schema = {
         "classes": corpus.classes,

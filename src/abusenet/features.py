@@ -9,12 +9,12 @@ are ingested from dataset columns when present and imputed with 0 plus an
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources as importlib_resources
 
 import numpy as np
+
+from .text import HASHTAG_RE, MENTION_RE, URL_RE, read_word_list
 
 GROUPS = ("TF", "UF", "NF")
 MASK_GROUPS = ("WV", "TF", "UF", "NF")
@@ -32,12 +32,6 @@ AFFECT_SLOTS = (
 
 ONE_HOT_MAX_CARDINALITY = 16
 
-# case-insensitive by explicit classes: under re.IGNORECASE "s" also matches
-# U+017F, and the classes are several times faster to scan
-_URL_RE = re.compile(r"(?:[hH][tT][tT][pP][sS\u017f]?://|[wW][wW][wW]\.)\S+")
-_MENTION_RE = re.compile(r"@\w+")
-_HASHTAG_RE = re.compile(r"#\w+")
-
 
 class ConfigurationError(ValueError):
     """A feature-group request cannot be satisfied by the dataset."""
@@ -47,13 +41,7 @@ class NonFiniteFeatureError(ValueError):
     """A metadata value is infinite or overflows float32."""
 
 
-def _load_emoticons() -> frozenset[str]:
-    text = importlib_resources.files("abusenet.resources").joinpath("emoticons.txt").read_text("utf-8")
-    return frozenset(line.strip() for line in text.splitlines()
-                     if line.strip() and not line.startswith("#"))
-
-
-EMOTICONS = _load_emoticons()
+EMOTICONS = read_word_list("emoticons.txt")
 
 TWEET_COUNTER_NAMES = ("n_hashtags", "n_mentions", "n_emoticons", "n_uppercase", "n_urls")
 
@@ -66,9 +54,9 @@ def tweet_counters(text: str) -> list[float]:
     the shipped lexicon; uppercase words are letters-only chunks of length
     >= 2 that are entirely uppercase.
     """
-    stripped, n_urls = _URL_RE.subn(" ", text)
-    n_mentions = len(_MENTION_RE.findall(stripped))
-    n_hashtags = len(_HASHTAG_RE.findall(stripped))
+    stripped, n_urls = URL_RE.subn(" ", text)
+    n_mentions = len(MENTION_RE.findall(stripped))
+    n_hashtags = len(HASHTAG_RE.findall(stripped))
     chunks = stripped.split()
     n_emoticons = sum(map(EMOTICONS.__contains__, chunks))
     n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
@@ -96,14 +84,6 @@ def _affect_block(slots: dict[str, np.ndarray], n: int) -> np.ndarray:
 
 
 TF_FEATURE_NAMES = (*TWEET_COUNTER_NAMES, *AFFECT_SLOTS, "affect_present")
-
-
-def tweet_features(text: str, affect: dict[str, float] | None = None) -> tuple[list[float], list[str]]:
-    """TF feature block for one post: counters plus affect passthrough slots."""
-    slots = {slot: np.array([np.nan if v is None else v], dtype=np.float64)
-             for slot, v in (affect or {}).items()}
-    values = tweet_counters(text) + _affect_block(slots, 1)[0].tolist()
-    return values, list(TF_FEATURE_NAMES)
 
 
 @dataclass
@@ -151,12 +131,6 @@ class CategoricalEncoder:
         return cls(column=cfg["column"], kind=cfg["kind"],
                    categories=list(cfg.get("categories", [])),
                    ranks={k: int(v) for k, v in cfg.get("ranks", {}).items()})
-
-
-def encode_categorical(values: list[str]) -> tuple[np.ndarray, list[str]]:
-    """Encode one categorical column; convenience wrapper over the encoder."""
-    enc = CategoricalEncoder.fit("value", values)
-    return enc.transform(values).astype(np.float32), enc.output_names()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from collections import deque
 
 import numpy as np
 
+from .text import FormatError, ParseError
+
 
 class DegenerateGraphError(ValueError):
     """The requested metric has no meaningful value on this graph."""
@@ -50,28 +52,15 @@ class SocialGraph:
 
     @classmethod
     def from_files(cls, edge_path, attr_path=None) -> "SocialGraph":
-        """Edge file: "src dst" per line; attribute file: "node followers friends"."""
+        """Edge file: "src dst" per line; attribute file: "node followers friends";
+        blank and ``#`` lines are skipped. A malformed line is a ParseError naming
+        the file and line, a graph with no nodes a FormatError naming the edge file."""
         g = cls()
         if attr_path is not None:
-            with open(attr_path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    parts = line.split()
-                    if not parts or parts[0].startswith("#"):
-                        continue
-                    if len(parts) != 3:
-                        raise ValueError(f"attribute file line {lineno}: expected 'node followers friends'")
-                    try:
-                        g.add_node(*parts)
-                    except ValueError as e:
-                        raise ValueError(f"attribute file line {lineno}: {e}") from None
-        with open(edge_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts or parts[0].startswith("#"):
-                    continue
-                if len(parts) != 2:
-                    raise ValueError(f"edge file line {lineno}: expected 'src dst'")
-                g.add_edge(parts[0], parts[1])
+            _read_lines(attr_path, "attribute file", "node followers friends", g.add_node)
+        _read_lines(edge_path, "edge file", "src dst", g.add_edge)
+        if len(g) == 0:
+            raise FormatError(f"{edge_path}: edge file holds no edges, and no attribute file adds nodes")
         return g
 
     def nodes(self) -> list[str]:
@@ -107,6 +96,22 @@ class SocialGraph:
             for dst in dsts:
                 a[pos[src], pos[dst]] = 1.0
         return a, order
+
+
+def _read_lines(path, kind: str, form: str, add) -> None:
+    """Call ``add`` with each line's fields, which must be those ``form`` names."""
+    width = len(form.split())
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != width:
+                raise ParseError(f"{path}: {kind} line {lineno}: expected {form!r}")
+            try:
+                add(*parts)
+            except ValueError as e:
+                raise ParseError(f"{path}: {kind} line {lineno}: {e}") from None
 
 
 def reciprocity(g: SocialGraph, node: str) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer
 from .tensor import ContractError, Parameter, Tensor
+from .text import FormatError
 
 CHECKPOINT_MAGIC = b"ABNET1\x00"
 
@@ -401,7 +402,15 @@ def _read_values(fh, shape: tuple[int, ...], size: int) -> np.ndarray:
 
 
 def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
-    """Rebuild the model named in the header and install the stored weights."""
+    """Rebuild the model named in the header and install the stored weights;
+    a file that is not a loadable checkpoint is a FormatError naming ``path``."""
+    try:
+        return _read_checkpoint(path)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
+
+
+def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = _read_exact(fh, len(CHECKPOINT_MAGIC))
@@ -411,9 +420,9 @@ def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         try:
             header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            raise ValueError(f"{path}: checkpoint header is not valid JSON") from None
+            raise ValueError("checkpoint header is not valid JSON") from None
         if not isinstance(header, dict):
-            raise ValueError(f"{path}: checkpoint header is not a JSON object")
+            raise ValueError("checkpoint header is not a JSON object")
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
         records = {}

@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from importlib import resources as importlib_resources
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -20,20 +21,24 @@ import numpy as np
 from .layers import EmbeddingLayer
 from .tensor import ContractError
 
-PAD_INDEX = 0
 UNK_INDEX = 1
 
 URL_TOKEN = "<url>"
 USER_TOKEN = "<user>"
 NUMBER_TOKEN = "<number>"
 HASHTAG_TOKEN = "<hashtag>"
-UNK_TOKEN = "<unk>"
-PAD_TOKEN = "<pad>"
+
+# The markup that the tokenizer, the TF counters and the NF mention scan read.
+# URLs are case-insensitive by explicit classes: under re.IGNORECASE "s" also
+# matches U+017F, and the classes scan several times faster. _TOKEN_RE is verbose, hence "\#".
+URL_RE = re.compile(r"(?:[hH][tT][tT][pP][sS\u017f]?://|[wW][wW][wW]\.)\S+")
+MENTION_RE = re.compile(r"@\w+")
+HASHTAG_RE = re.compile(r"\#\w+")
 
 _TOKEN_RE = re.compile(
-    r"""(?P<url>(?:https?://|www\.)\S+)
-      | (?P<mention>@\w+)
-      | (?P<hashtag>\#\w+)
+    rf"""(?P<url>{URL_RE.pattern})
+      | (?P<mention>{MENTION_RE.pattern})
+      | (?P<hashtag>{HASHTAG_RE.pattern})
       | (?P<number>\d+(?:[.,]\d+)*)
       | (?P<word>[^\W\d_]+(?:'[^\W\d_]+)*)
       | (?P<punct>[^\w\s])
@@ -43,11 +48,18 @@ _TOKEN_RE = re.compile(
 
 
 class ParseError(ValueError):
-    """A data file line could not be parsed; message carries the line number."""
+    """A data file line could not be parsed; message carries the path and line number."""
 
 
 class FormatError(ValueError):
-    """A data file disagrees with the expected format."""
+    """A data file disagrees with the expected format; message carries the path."""
+
+
+def read_word_list(name: str) -> frozenset[str]:
+    """The words of a shipped resource file: one per line, ``#`` lines are comments."""
+    text = importlib_resources.files("abusenet.resources").joinpath(name).read_text("utf-8")
+    return frozenset(line.strip() for line in text.splitlines()
+                     if line.strip() and not line.startswith("#"))
 
 
 def tokenize(text: str) -> list[str]:
@@ -121,8 +133,6 @@ class Vocabulary:
 
     def __init__(self, index: dict[str, int]):
         self._index = index
-        # index -> token; the constructors number tokens 2, 3, ... without gaps
-        self._tokens = [PAD_TOKEN, UNK_TOKEN, *sorted(index, key=index.get)]
 
     @classmethod
     def build(cls, token_lists: Iterable[Sequence[str]]) -> "Vocabulary":
@@ -146,27 +156,19 @@ class Vocabulary:
         return list(map(self._index.get, tokens, repeat(UNK_INDEX)))
 
     def tokens(self) -> list[str]:
-        """Tokens ordered by index (index 2 first)."""
-        return self._tokens[2:]
+        """Tokens ordered by index (index 2 first): both constructors insert
+        them in that order."""
+        return list(self._index)
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
         index = {t: i + 2 for i, t in enumerate(tokens)}
         return cls(index)
 
-    def decode_index(self, idx: int) -> str:
-        if not 0 <= idx < len(self._tokens):
-            raise KeyError(f"index {idx} not in vocabulary")
-        return self._tokens[idx]
-
-
-def encode_pad(tokens: Sequence[str], vocab: Vocabulary, spec: SequenceSpec) -> np.ndarray:
-    """Left-pad with zeros up to seq_len; longer inputs keep their first tokens."""
-    return encode_corpus([tokens], vocab, spec)[0]
-
 
 def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec: SequenceSpec) -> np.ndarray:
-    """``encode_pad`` of every token list: [len(token_lists), seq_len] int32."""
+    """Every token list's ids, left-padded with zeros up to seq_len; longer
+    lists keep their first tokens. [len(token_lists), seq_len] int32."""
     n = spec.seq_len
     out = np.zeros((len(token_lists), n), dtype=np.int32)
     for row, tokens in zip(out, token_lists):
@@ -174,11 +176,6 @@ def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec:
         if kept:
             row[n - len(kept):] = vocab.encode_tokens(kept)
     return out
-
-
-def decode(indices: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Inverse of encode_pad for inspection; drops padding."""
-    return [vocab.decode_index(int(i)) for i in indices if int(i) != PAD_INDEX]
 
 
 def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
@@ -190,18 +187,21 @@ def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
                 continue
             parts = line.split(" ")
             if lineno == 1 and len(parts) - 1 != dim:
+                if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                    raise FormatError(f"{path}: line 1 is a word2vec 'count dim' header; "
+                                      "the text format has none, so delete that line")
                 raise FormatError(
-                    f"embedding file holds {len(parts) - 1}-dimensional vectors, expected {dim}")
+                    f"{path}: embedding file holds {len(parts) - 1}-dimensional vectors, expected {dim}")
             if len(parts) - 1 != dim:
-                raise ParseError(f"line {lineno}: expected {dim} values, got {len(parts) - 1}")
+                raise ParseError(f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}")
             try:
                 with np.errstate(over="ignore"):  # past float32's range reads as inf
                     vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError as e:
-                raise ParseError(f"line {lineno}: {e}") from None
+                raise ParseError(f"{path}: line {lineno}: {e}") from None
             bad = np.flatnonzero(~np.isfinite(vec))
             if bad.size:
-                raise ParseError(f"line {lineno}: non-finite value {parts[1 + bad[0]]!r}")
+                raise ParseError(f"{path}: line {lineno}: non-finite value {parts[1 + bad[0]]!r}")
             vectors[parts[0]] = vec
     return vectors
 

@@ -276,6 +276,27 @@ def test_python_dash_m_runs_the_cli():
         assert command in done.stdout
 
 
+@pytest.mark.parametrize("case", ["missing_dataset", "junk_checkpoint"])
+def test_input_error_is_one_stderr_line_and_exit_2(synth_dir, tmp_path, case):
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"not a checkpoint")
+    named, argv = {
+        "missing_dataset": (tmp_path / "absent.csv",
+                            ["train", "--dataset", tmp_path / "absent.csv",
+                             "--schema", synth_dir / "schema.json", "--out", tmp_path / "out"]),
+        "junk_checkpoint": (junk, ["evaluate", "--checkpoint", junk, "--dataset", synth_dir / "dataset.csv",
+                                   "--schema", synth_dir / "schema.json"]),
+    }[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "abusenet", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("abusenet: error: "), done.stderr
+    assert str(named) in lines[0]
+
+
 class TestAblateCommand:
     def test_custom_masks_and_sorting(self, synth_dir, tmp_path):
         result = tmp_path / "ablation.json"

@@ -148,6 +148,28 @@ class TestCorpusIO:
         loaded = load_corpus(data_path, schema_path)
         assert loaded.labels is None
 
+    def test_unlabelled_corpus_round_trips(self, tmp_path):
+        corpus = synth_xor(n=6, seed=8)
+        corpus.labels = None
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        loaded = load_corpus(data_path, schema_path)
+        assert loaded.labels is None
+        assert "label" not in loaded.column_names()
+        assert (loaded.ids, loaded.texts) == (corpus.ids, corpus.texts)
+        out_data, out_schema = tmp_path / "d2.csv", tmp_path / "s2.json"
+        write_corpus(loaded, out_data, out_schema)
+        assert out_data.read_bytes() == data_path.read_bytes()
+
+    def test_blank_rows_are_skipped_and_not_numbered(self, tmp_path):
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        data_path.write_text("id,text,label\n\na,good day,benign\n\n\nb,bad day\n")
+        schema_path.write_text('{"classes": ["benign", "flagged"]}')
+        with pytest.raises(SchemaError, match="^row 3: 2 fields, but the header has 3$"):
+            load_corpus(data_path, schema_path)
+        data_path.write_text("id,text,label\n\na,good day,benign\n\nb,bad day,flagged\n")
+        assert load_corpus(data_path, schema_path).ids == ["a", "b"]
+
     @staticmethod
     def ragged_copy(tmp_path, seed, change):
         """A written 3-row corpus whose second data row (file row 3) is edited by ``change``."""
@@ -261,9 +283,10 @@ def social_graph(edges=True):
 
 def posting_corpus():
     """Users post several times with different mentions; u8 and u9 are not in
-    the graph, and some mentions name accounts the graph does not know."""
+    the graph, some mentions name accounts the graph does not know, and one
+    sits inside a URL, where the power difference still reads it."""
     corpus = synth_xor(n=40, seed=4)
-    mentions = ["", "@u1", "@u2 @u5", "@nobody", "@u0 @u0 @u3", "@u7 hi @zz"]
+    mentions = ["", "@u1", "@u2 @u5", "@nobody", "@u0 @u0 @u3", "@u7 hi @zz", "https://x.com/@u4"]
     for i, rec in enumerate(corpus.records):
         rec["user"] = f"u{i % 10}"
         corpus.texts[i] = f"{corpus.texts[i]} {mentions[(i * 5) % len(mentions)]}"

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from abusenet.features import (
-    _URL_RE,
     AFFECT_SLOTS,
     EMOTICONS,
+    TF_FEATURE_NAMES,
     TWEET_COUNTER_NAMES,
+    CategoricalEncoder,
     ConfigurationError,
     FeatureColumn,
     FeaturePipeline,
     NonFiniteFeatureError,
     assemble,
-    encode_categorical,
     parse_mask,
     tweet_counters,
-    tweet_features,
 )
+from abusenet.text import URL_RE
 
 
 _REFERENCE_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -37,8 +37,16 @@ def reference_tweet_counters(text):
 
 
 def counters(text):
-    values, names = tweet_features(text)
-    return dict(zip(names, values))
+    return dict(zip(TWEET_COUNTER_NAMES, tweet_counters(text)))
+
+
+def tf_features(text, affect=None):
+    """One post's TF block by name, its affect cells passed as dataset columns."""
+    affect = affect or {}
+    pipe = FeaturePipeline({}, {slot: f"aff_{slot}" for slot in affect}).fit([])
+    record = {f"aff_{slot}": value for slot, value in affect.items() if value is not None}
+    table = pipe.transform([record], [text])
+    return dict(zip(TF_FEATURE_NAMES, table.values[0].tolist()))
 
 
 class TestTweetFeatures:
@@ -64,7 +72,7 @@ class TestTweetFeatures:
     def test_url_letter_classes_are_the_ignorecase_matches(self, all_code_points):
         # each class must hold exactly what its letter matches under
         # re.IGNORECASE, over every code point (for "s" that includes U+017F)
-        classes = re.findall(r"\[[^\]]+\]", _URL_RE.pattern)
+        classes = re.findall(r"\[[^\]]+\]", URL_RE.pattern)
         assert {c[1].lower() for c in classes} == set("htpsw")
         for cls in classes:
             matched = re.findall(cls, all_code_points)
@@ -73,23 +81,20 @@ class TestTweetFeatures:
             assert re.findall(re.escape(literal), all_code_points, re.IGNORECASE) == [literal]
 
     def test_plain_word_imputed_affect(self):
-        values, names = tweet_features("ok")
-        c = dict(zip(names, values))
+        c = tf_features("ok")
         assert all(c[slot] == 0.0 for slot in AFFECT_SLOTS)
         assert c["affect_present"] == 0.0
 
     def test_affect_passthrough(self):
         affect = {slot: 0.1 * i for i, slot in enumerate(AFFECT_SLOTS)}
-        values, names = tweet_features("ok", affect)
-        c = dict(zip(names, values))
+        c = tf_features("ok", affect)
         for i, slot in enumerate(AFFECT_SLOTS):
             assert c[slot] == pytest.approx(0.1 * i)
         assert c["affect_present"] == 1.0
 
     @pytest.mark.parametrize("affect", [{"anger": 0.5, "joy": None}, {"anger": 0.5, "joy": float("nan")}])
     def test_partly_missing_affect_is_not_present(self, affect):
-        values, names = tweet_features("ok", affect)
-        c = dict(zip(names, values))
+        c = tf_features("ok", affect)
         assert (c["anger"], c["joy"], c["affect_present"]) == (0.5, 0.0, 0.0)
 
     def test_plain_words_never_change_counters(self):
@@ -97,6 +102,11 @@ class TestTweetFeatures:
         grown = counters("@a #x :) some more plain words here")
         for name in ("n_hashtags", "n_mentions", "n_emoticons", "n_urls"):
             assert base[name] == grown[name]
+
+
+def encode_categorical(values):
+    enc = CategoricalEncoder.fit("value", values)
+    return enc.transform(values), enc.output_names()
 
 
 class TestEncodeCategorical:

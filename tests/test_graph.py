@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from abusenet.text import FormatError, ParseError
 from abusenet.graph import (
     DegenerateGraphError,
     SocialGraph,
@@ -237,6 +240,42 @@ class TestGraphStructure:
         attrs.write_text("b 5 5\na -4 3\n")
         with pytest.raises(ValueError, match="attribute file line 2: node 'a'"):
             SocialGraph.from_files(edges, attrs)
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ("a b\nb c d\n", ParseError, "edge file line 2: expected 'src dst'"),
+        ("a\n", ParseError, "edge file line 1: expected 'src dst'"),
+        ("# src dst\n\na b\nb b\n", ParseError, "edge file line 4: self-loop rejected: 'b'"),
+        ("", FormatError, "edge file holds no edges"),
+        ("# src dst\n\n", FormatError, "edge file holds no edges"),
+    ], ids=["three_fields", "one_field", "self_loop", "empty", "comments_only"])
+    def test_bad_edge_file_names_path_and_line(self, tmp_path, edges, error, message):
+        path = tmp_path / "edges.txt"
+        path.write_text(edges)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            SocialGraph.from_files(path)
+
+    @pytest.mark.parametrize("nodes, message", [
+        ("a 1 2\nb 1\n", "attribute file line 2: expected 'node followers friends'"),
+        ("a 1 2 3\n", "attribute file line 1: expected 'node followers friends'"),
+        ("# node followers friends\nb 5 5\na x 3\n", "attribute file line 3: invalid literal"),
+        ("a 1.5 3\n", "attribute file line 1: invalid literal"),
+        ("\nb 5 5\na -4 3\n", "attribute file line 3: node 'a': follower and friend counts"),
+    ], ids=["two_fields", "four_fields", "non_integer", "fraction", "negative"])
+    def test_bad_node_file_names_path_and_line(self, tmp_path, nodes, message):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("a b\n")
+        path = tmp_path / "nodes.txt"
+        path.write_text(nodes)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            SocialGraph.from_files(edges, path)
+
+    def test_empty_edge_file_with_nodes_loads(self, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("")
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("a 3 1\n")
+        g = SocialGraph.from_files(edges, nodes)
+        assert (g.nodes(), g.n_edges()) == (["a"], 0)
 
     def test_node_features_block(self):
         g = graph_from_edges([("a", "b"), ("b", "a"), ("b", "c")])

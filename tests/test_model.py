@@ -18,6 +18,7 @@ from abusenet.model import (
 )
 from abusenet import tensor as T
 from abusenet.tensor import ContractError, Tape, Tensor
+from abusenet.text import FormatError
 from abusenet.training import EncodedDataset, TrainingConfig, cross_entropy, fit
 
 SMALL = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, recurrent_dropout=0.0)
@@ -442,6 +443,20 @@ class TestCheckpoint:
         path = tmp_path / "junk_header.ckpt"
         path.write_bytes(b"ABNET1\x00" + struct.pack("<I", len(blob)) + blob + struct.pack("<I", 0))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: b"not a checkpoint at all", "not a model checkpoint (bad magic)"),
+        (lambda raw: raw[:-1], "checkpoint truncated"),
+        (lambda raw: raw.replace(b'"format_version": 1', b'"format_version": 2'),
+         "unsupported checkpoint version 2"),
+        (lambda raw: raw.replace(b"text.gru.b_z", b"text.gru.b_q"), "checkpoint missing parameter"),
+        (lambda raw: raw.replace(b"head.W", b"head.\xff"), "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["bad_magic", "truncated", "version", "missing_parameter", "name_not_utf8"])
+    def test_bad_file_is_a_format_error_naming_the_path(self, tmp_path, damage, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(damage(v1_bytes(V1_HEADER, v1_text_records())))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -17,9 +17,7 @@ from abusenet.text import (
     SequenceSpec,
     Vocabulary,
     choose_seq_len,
-    decode,
     encode_corpus,
-    encode_pad,
     load_embeddings,
     tokenize,
 )
@@ -157,40 +155,37 @@ class TestEncodePad:
         self.vocab = Vocabulary.build([["cat", "sat", "cat", "sat", "mat", "mat"]])
         self.spec = SequenceSpec(seq_len=5)
 
+    def encode_one(self, tokens, spec):
+        return encode_corpus([tokens], self.vocab, spec)[0]
+
     def test_empty_is_all_padding(self):
-        np.testing.assert_array_equal(encode_pad([], self.vocab, self.spec), np.zeros(5, dtype=np.int32))
+        np.testing.assert_array_equal(self.encode_one([], self.spec), np.zeros(5, dtype=np.int32))
 
     def test_left_padding(self):
-        out = encode_pad(["cat", "sat"], self.vocab, SequenceSpec(4))
+        out = self.encode_one(["cat", "sat"], SequenceSpec(4))
         assert list(out[:2]) == [0, 0]
         assert list(out[2:]) == self.vocab.encode_tokens(["cat", "sat"])
 
     def test_truncation_keeps_head(self):
         tokens = ["cat", "sat", "mat", "cat", "sat", "mat"]
-        out = encode_pad(tokens, self.vocab, SequenceSpec(4))
+        out = self.encode_one(tokens, SequenceSpec(4))
         expected = self.vocab.encode_tokens(tokens[:4])
         assert list(out) == expected
 
     def test_unknown_maps_to_one(self):
-        out = encode_pad(["dog"], self.vocab, SequenceSpec(2))
+        out = self.encode_one(["dog"], SequenceSpec(2))
         assert list(out) == [0, 1]
 
-    def test_decode_index_inverts_every_index(self):
-        assert [self.vocab.decode_index(i) for i in range(len(self.vocab))] == \
-            ["<pad>", "<unk>", *self.vocab.tokens()]
-        indices = list(range(2, len(self.vocab)))
-        assert self.vocab.encode_tokens(map(self.vocab.decode_index, indices)) == indices
-
-    @pytest.mark.parametrize("idx", [-1, 5, 100])
-    def test_decode_unknown_index_raises(self, idx):
-        # the vocabulary holds pad, unk and three tokens: indices 0..4
-        with pytest.raises(KeyError, match=f"index {idx} not in vocabulary"):
-            self.vocab.decode_index(idx)
+    def test_tokens_follow_index_order(self):
+        for vocab in (self.vocab, Vocabulary.from_tokens(["mat", "cat", "sat"])):
+            assert vocab.encode_tokens(vocab.tokens()) == list(range(2, len(vocab)))
+        assert Vocabulary.from_tokens(["mat", "cat", "sat"]).tokens() == ["mat", "cat", "sat"]
 
     def test_round_trip_recovers_known_tokens(self):
         tokens = ["cat", "sat", "mat"]
-        out = encode_pad(tokens, self.vocab, self.spec)
-        assert decode(out, self.vocab) == tokens
+        out = self.encode_one(tokens, self.spec)
+        by_index = [None, None, *self.vocab.tokens()]
+        assert [by_index[i] for i in out if i] == tokens
 
     def test_corpus_equals_stacked_rows(self):
         # 0 tokens, exactly seq_len, more than seq_len, unknowns among them
@@ -258,6 +253,24 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError) as e:
             load_embeddings(path, self.make_vocab(), dim=4)
         assert "line 2" in str(e.value)
+
+    @pytest.mark.parametrize("lines, error, message", [
+        (["3 4", "cat 1 2 3 4"], FormatError, "line 1 is a word2vec 'count dim' header"),
+        (["cat 1 2 3"], FormatError, "embedding file holds 3-dimensional vectors, expected 4"),
+        (["cat 1 2 3 4", "dog 1 2"], ParseError, "line 2: expected 4 values, got 2"),
+        (["cat 1 2 3 4", "", "dog 1 2 3 4 5"], ParseError, "line 3: expected 4 values, got 5"),
+        (["cat 1 2 3 4", "dog 1 2 x 4"], ParseError, "line 2: could not convert string to float: 'x'"),
+        (["cat 1 2 3 4", "dog 1 inf 3 4"], ParseError, "line 2: non-finite value 'inf'"),
+    ], ids=["word2vec_header", "wrong_dim", "short_line", "long_line", "non_numeric", "non_finite"])
+    def test_bad_file_names_path_and_line(self, tmp_path, lines, error, message):
+        path = self.write(tmp_path, lines)
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            load_embeddings(path, self.make_vocab(), dim=4)
+
+    def test_two_integers_are_a_token_and_its_value_at_dim_1(self, tmp_path):
+        path = self.write(tmp_path, ["3 4"])
+        vocab = Vocabulary.from_tokens(["3"])
+        assert load_embeddings(path, vocab, dim=1).table.data[2, 0] == 4.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e39"])
     def test_non_finite_reports_line(self, tmp_path, value):
