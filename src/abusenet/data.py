@@ -21,6 +21,8 @@ from .graph import (
     NF_FEATURE_NAMES,
     DegenerateGraphError,
     SocialGraph,
+    closeness_scores,
+    clustering_scores,
     eigenvector_centrality,
     hits,
     node_features,
@@ -167,9 +169,10 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     Samples whose user is missing from the graph get zero NF features; a
     ``user_column`` not among the corpus's ``column_names`` is a SchemaError.
     Mentioned accounts are read from the @-mentions in the raw sample text. Every NF
-    value but the power difference depends on the user alone, so
-    `node_features` runs once per distinct user and only the power
-    difference, which reads the sample's mentions, runs per sample.
+    value but the power difference depends on the user alone, so closeness
+    and clustering run once over the distinct users in the graph,
+    `node_features` once per distinct user, and only the power difference,
+    which reads the sample's mentions, per sample.
     """
     if user_column not in corpus.column_names():
         raise SchemaError(f"user column {user_column!r} is not in the dataset")
@@ -178,6 +181,9 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
         eigen = eigenvector_centrality(graph)
     except DegenerateGraphError:
         eigen = {n: 0.0 for n in graph.nodes()}
+    users = [u for u in dict.fromkeys(str(rec.get(user_column, "")) for rec in corpus.records)
+             if u in graph.followers_count]
+    close, clust = closeness_scores(graph, users), clustering_scores(graph, users)
     absent = dict.fromkeys(NF_FEATURE_NAMES, 0.0)
     per_user: dict[str, dict[str, float]] = {}
     records = []
@@ -187,7 +193,8 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
         if user in graph.followers_count:
             if user not in per_user:
                 per_user[user] = dict(zip(NF_FEATURE_NAMES, node_features(
-                    graph, user, hub_auth=hub_auth, eigen=eigen)))
+                    graph, user, hub_auth=hub_auth, eigen=eigen,
+                    closeness=close, clustering=clust)))
             rec.update(per_user[user])
             mentioned = [m[1:] for m in text_mod.MENTION_RE.findall(text)]
             rec["nf_power_difference"] = power_difference(graph, user, mentioned)

@@ -7,11 +7,15 @@ edge list is usually a small neighborhood of the real network).
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .text import FormatError, ParseError
+
+
+# Bytes per bit array of `closeness_scores` and `clustering_scores`: each
+# keeps one bit per source for every node or edge, so their sources go in
+# chunks small enough that an array over all edges fits 1 MiB.
+BITSET_BYTES = 1 << 20
 
 
 class DegenerateGraphError(ValueError):
@@ -54,10 +58,17 @@ class SocialGraph:
     def from_files(cls, edge_path, attr_path=None) -> "SocialGraph":
         """Edge file: "src dst" per line; attribute file: "node followers friends";
         blank and ``#`` lines are skipped. A malformed line is a ParseError naming
-        the file and line, a graph with no nodes a FormatError naming the edge file."""
+        the file and line (so is a node listed twice in the attribute file), a graph
+        with no nodes a FormatError naming the edge file."""
         g = cls()
+
+        def add_listed_node(node, followers, friends):
+            if node in g.followers_count:  # attribute lines are read before edges
+                raise ValueError(f"node {node!r} is listed twice")
+            g.add_node(node, followers, friends)
+
         if attr_path is not None:
-            _read_lines(attr_path, "attribute file", "node followers friends", g.add_node)
+            _read_lines(attr_path, "attribute file", "node followers friends", add_listed_node)
         _read_lines(edge_path, "edge file", "src dst", g.add_edge)
         if len(g) == 0:
             raise FormatError(f"{edge_path}: edge file holds no edges, and no attribute file adds nodes")
@@ -87,14 +98,21 @@ class SocialGraph:
         if str(node) not in self._out:
             raise KeyError(f"unknown node: {node!r}")
 
-    def adjacency(self) -> tuple[np.ndarray, list[str]]:
-        """Dense 0/1 matrix A with A[i, j] = 1 for edge nodes[i] -> nodes[j]."""
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Each edge nodes[src[i]] -> nodes[dst[i]] as int64 index arrays, with nodes()."""
         order = self.nodes()
         pos = {n: i for i, n in enumerate(order)}
+        counts = [len(self._out[n]) for n in order]
+        src = np.repeat(np.arange(len(order), dtype=np.int64), counts)
+        dst = np.fromiter((pos[d] for n in order for d in self._out[n]),
+                          dtype=np.int64, count=len(src))
+        return src, dst, order
+
+    def adjacency(self) -> tuple[np.ndarray, list[str]]:
+        """Dense 0/1 matrix A with A[i, j] = 1 for edge nodes[i] -> nodes[j]."""
+        src, dst, order = self.edge_arrays()
         a = np.zeros((len(order), len(order)), dtype=np.float64)
-        for src, dsts in self._out.items():
-            for dst in dsts:
-                a[pos[src], pos[dst]] = 1.0
+        a[src, dst] = 1.0
         return a, order
 
 
@@ -179,44 +197,119 @@ def eigenvector_centrality(g: SocialGraph, iters: int = 100, tol: float = 1e-8) 
 
 
 def closeness(g: SocialGraph, node: str) -> float:
-    """Out-reachability closeness with the Wasserman-Faust correction.
-
-    With r nodes reachable from u (excluding u) at total BFS distance s over
-    n nodes: (r / s) * (r / (n - 1)); 0 when nothing is reachable.
-    """
-    g._require(node)
-    node = str(node)
-    out = g._out  # neighbours are nodes of g: no per-step _require
-    dist = {node: 0}
-    queue = deque([node])
-    while queue:
-        cur = queue.popleft()
-        for nxt in out[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
-    reachable = len(dist) - 1
-    if reachable == 0 or len(g) < 2:
-        return 0.0
-    total = sum(dist.values())
-    return (reachable / total) * (reachable / (len(g) - 1))
+    """`closeness_scores` of one node."""
+    return closeness_scores(g, [node])[str(node)]
 
 
 def clustering_coefficient(g: SocialGraph, node: str) -> float:
-    """Local clustering on the undirected projection; 0 below degree 2."""
-    g._require(node)
-    node = str(node)
-    neighbors = (g.out_neighbors(node) | g.in_neighbors(node)) - {node}
-    k = len(neighbors)
-    if k < 2:
-        return 0.0
-    linked = 0
-    ordered = sorted(neighbors)
-    for i, u in enumerate(ordered):
-        for v in ordered[i + 1:]:
-            if g.has_edge(u, v) or g.has_edge(v, u):
-                linked += 1
-    return linked / (k * (k - 1) / 2)
+    """`clustering_scores` of one node."""
+    return clustering_scores(g, [node])[str(node)]
+
+
+def closeness_scores(g: SocialGraph, nodes: list[str]) -> dict[str, float]:
+    """Out-reachability closeness with the Wasserman-Faust correction, per node.
+
+    With r nodes reachable from u (excluding u) at total BFS distance s over
+    n nodes: (r / s) * (r / (n - 1)); 0 when nothing is reachable. One
+    level-synchronous BFS runs from all of ``nodes`` at once, one bit per
+    source in each node's bit array (Then et al., VLDB 2014): a level ORs
+    each edge's source bits into its target, and the bits not seen before
+    count each source's nodes at that distance.
+    """
+    src, dst, order = g.edge_arrays()
+    names, sources = _sources(g, order, nodes)
+    n = len(order)
+    reach = np.zeros(len(sources), dtype=np.int64)
+    total = np.zeros(len(sources), dtype=np.int64)
+    by_dst = np.argsort(dst, kind="stable")
+    src, dst = src[by_dst], dst[by_dst]
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))  # each target's run of edges
+    targets = dst[starts]
+    for lo, hi, words in _chunks(len(sources), max(n, len(src))):
+        front, octets = _bits(n, words)
+        bit = np.arange(hi - lo)
+        octets[sources[lo:hi], bit >> 3] = 1 << (bit & 7)
+        seen = front.copy()
+        level = 0
+        while front.any():
+            level += 1
+            reached = np.zeros_like(front)
+            reached[targets] = np.bitwise_or.reduceat(front[src], starts, axis=0)
+            front = reached & ~seen
+            seen |= front
+            new = _bit_counts(front, hi - lo)
+            reach[lo:hi] += new
+            total[lo:hi] += level * new
+    return {name: 0.0 if r == 0 or n < 2 else (r / s) * (r / (n - 1))
+            for name, r, s in zip(names, reach.tolist(), total.tolist())}
+
+
+def clustering_scores(g: SocialGraph, nodes: list[str]) -> dict[str, float]:
+    """Local clustering on the undirected projection per node; 0 below degree 2.
+
+    Each source's bit is set on its neighbours, so the links among a source's
+    neighbours are the undirected edges with its bit set at both ends.
+    """
+    src, dst, order = g.edge_arrays()
+    names, sources = _sources(g, order, nodes)
+    n = len(order)
+    pairs = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a 2-cycle is one pair
+    low, high = np.divmod(pairs, n)
+    ends, others = np.r_[low, high], np.r_[high, low]
+    neighbours = others[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=n)
+    first = np.cumsum(degree) - degree
+    k = degree[sources]
+    linked = np.zeros(len(sources), dtype=np.int64)
+    for lo, hi, words in _chunks(len(sources), max(n, len(pairs))):
+        counts = k[lo:hi]
+        # positions in `neighbours` of each source's run, and the source's bit
+        offsets = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(first[sources[lo:hi]] - offsets, counts)
+        bit = np.repeat(np.arange(hi - lo), counts)
+        marks, octets = _bits(n, words)
+        np.bitwise_or.at(octets, (neighbours[at], bit >> 3), (1 << (bit & 7)).astype(np.uint8))
+        linked[lo:hi] = _bit_counts(marks[low] & marks[high], hi - lo)
+    return {name: 0.0 if kk < 2 else links / (kk * (kk - 1) / 2)
+            for name, kk, links in zip(names, k.tolist(), linked.tolist())}
+
+
+def _sources(g: SocialGraph, order: list[str], nodes: list[str]) -> tuple[list[str], np.ndarray]:
+    """``nodes`` without repeats, and their indices in ``order``; KeyError if unknown."""
+    names = list(dict.fromkeys(str(x) for x in nodes))
+    for name in names:
+        g._require(name)
+    pos = {n: i for i, n in enumerate(order)}
+    return names, np.array([pos[name] for name in names], dtype=np.int64)
+
+
+def _chunks(n_sources: int, rows: int):
+    """(lo, hi, words): sources lo..hi-1 take bits 0.. of ``words``-word rows, so
+    that an array of ``rows`` such rows stays within BITSET_BYTES."""
+    step = 64 * max(1, BITSET_BYTES // (8 * max(rows, 1)))
+    for lo in range(0, n_sources, step):
+        hi = min(lo + step, n_sources)
+        yield lo, hi, (hi - lo + 63) // 64
+
+
+def _bits(rows: int, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero bit array of little-endian 64-bit words, and its byte view, in which
+    bit j sits in byte j >> 3 at bit j & 7."""
+    bits = np.zeros((rows, words), dtype="<u8")
+    return bits, bits.view(np.uint8)
+
+
+def _bit_counts(bits: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``bits`` with bit j set, for j < ``count``; unpacked a block of
+    rows at a time, each block within BITSET_BYTES."""
+    octets = bits.view(np.uint8)
+    step = max(1, BITSET_BYTES // (8 * octets.shape[1]))
+    out = np.zeros(count, dtype=np.int64)
+    for lo in range(0, len(octets), step):
+        block = np.unpackbits(octets[lo:lo + step], axis=1, count=count, bitorder="little")
+        out += block.sum(axis=0, dtype=np.int32)
+    return out
 
 
 def power_difference(g: SocialGraph, node: str, mentioned: list[str]) -> float:
@@ -249,9 +342,12 @@ NF_FEATURE_NAMES = (
 
 
 def node_features(g: SocialGraph, node: str, mentioned: list[str] | None = None, *,
-                  hub_auth: tuple[dict, dict], eigen: dict[str, float]) -> list[float]:
+                  hub_auth: tuple[dict, dict], eigen: dict[str, float],
+                  closeness: dict[str, float], clustering: dict[str, float]) -> list[float]:
     """The NF block for one node, given the graph's ``hits`` scores and
-    eigenvector centralities, which are computed once per graph."""
+    eigenvector centralities, which are computed once per graph, and the
+    node's ``closeness_scores`` and ``clustering_scores``, which are computed
+    once for all the nodes that need them."""
     g._require(node)
     node = str(node)
     followers = float(g.followers_count[node])
@@ -266,6 +362,6 @@ def node_features(g: SocialGraph, node: str, mentioned: list[str] | None = None,
         hub_auth[0][node],
         hub_auth[1][node],
         eigen[node],
-        closeness(g, node),
-        clustering_coefficient(g, node),
+        closeness[node],
+        clustering[node],
     ]

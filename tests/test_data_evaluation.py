@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from abusenet import graph as graph_mod
+from abusenet import data as data_mod
 from abusenet.data import (
     Corpus,
     SchemaError,
@@ -27,6 +27,8 @@ from abusenet.graph import (
     NF_FEATURE_NAMES,
     DegenerateGraphError,
     SocialGraph,
+    closeness_scores,
+    clustering_scores,
     eigenvector_centrality,
     hits,
     node_features,
@@ -256,13 +258,15 @@ def per_sample_attach(corpus, graph, user_column):
         eigen = eigenvector_centrality(graph)
     except DegenerateGraphError:
         eigen = {n: 0.0 for n in graph.nodes()}
+    close, clust = closeness_scores(graph, graph.nodes()), clustering_scores(graph, graph.nodes())
     records = []
     for rec, text in zip(corpus.records, corpus.texts):
         rec = dict(rec)
         user = str(rec.get(user_column, ""))
         if user in graph.followers_count:
             values = node_features(graph, user, mentioned=re.findall(r"@(\w+)", text),
-                                   hub_auth=hub_auth, eigen=eigen)
+                                   hub_auth=hub_auth, eigen=eigen, closeness=close,
+                                   clustering=clust)
         else:
             values = [0.0] * len(NF_FEATURE_NAMES)
         rec.update(zip(NF_FEATURE_NAMES, values))
@@ -320,21 +324,22 @@ class TestAttachPerUser:
         with pytest.raises(SchemaError, match="'account'"):
             attach_network_features(header_only, g, "account")
 
-    def test_graph_metrics_run_once_per_distinct_user(self, monkeypatch):
-        calls = {"closeness": 0, "clustering_coefficient": 0}
+    def test_graph_metrics_run_once_over_distinct_users(self, monkeypatch):
+        calls = {"closeness_scores": [], "clustering_scores": []}
         for name in calls:
-            original = getattr(graph_mod, name)
+            original = getattr(data_mod, name)
 
-            def counted(g, node, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(g, node)
+            def counted(g, nodes, _name=name, _original=original):
+                calls[_name].append(list(nodes))
+                return _original(g, nodes)
 
-            monkeypatch.setattr(graph_mod, name, counted)
+            monkeypatch.setattr(data_mod, name, counted)
         corpus = posting_corpus()
         attach_network_features(corpus, social_graph(), "user")
         users_in_graph = {r["user"] for r in corpus.records} & set(social_graph().nodes())
         assert len(corpus) == 40 and len(users_in_graph) == 8
-        assert calls == {"closeness": 8, "clustering_coefficient": 8}
+        for nodes in calls.values():
+            assert len(nodes) == 1 and sorted(nodes[0]) == sorted(users_in_graph)
 
 
 def test_in_memory_corpus_scores_with_its_own_checkpoint():

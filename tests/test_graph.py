@@ -1,14 +1,20 @@
 import re
+import time
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
+from abusenet import graph as graph_mod
 from abusenet.text import FormatError, ParseError
 from abusenet.graph import (
     DegenerateGraphError,
     SocialGraph,
     closeness,
+    closeness_scores,
     clustering_coefficient,
+    clustering_scores,
     eigenvector_centrality,
     hits,
     node_features,
@@ -36,6 +42,121 @@ def dominant_eigvec(m):
     if v.sum() < 0:
         v = -v
     return vals.real[idx], v
+
+
+def reference_closeness(g, node):
+    """One breadth-first search from ``node``, as in the per-node definition."""
+    dist = {node: 0}
+    queue = deque([node])
+    while queue:
+        cur = queue.popleft()
+        for nxt in g.out_neighbors(cur):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    reachable = len(dist) - 1
+    if reachable == 0 or len(g) < 2:
+        return 0.0
+    total = sum(dist.values())
+    return (reachable / total) * (reachable / (len(g) - 1))
+
+
+def reference_clustering(g, node):
+    """Every pair of ``node``'s undirected neighbours, tested for an edge."""
+    neighbors = (g.out_neighbors(node) | g.in_neighbors(node)) - {node}
+    k = len(neighbors)
+    if k < 2:
+        return 0.0
+    linked = 0
+    ordered = sorted(neighbors)
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1:]:
+            if g.has_edge(u, v) or g.has_edge(v, u):
+                linked += 1
+    return linked / (k * (k - 1) / 2)
+
+
+def random_digraph(seed):
+    """A seeded digraph of 1 to 150 nodes: sparse or dense, with isolated nodes,
+    2-cycles, parts that do not touch, and edges added twice."""
+    rng = np.random.default_rng(seed)
+    n = 1 if seed == 0 else int(rng.integers(2, 151))
+    g = SocialGraph()
+    for i in range(n):
+        g.add_node(f"n{i}")
+    parts = int(rng.integers(1, 4))  # edges join only nodes equal modulo parts
+    for _ in range(int(rng.integers(0, 4 * n))):
+        i, j = rng.integers(0, n, size=2)
+        if i == j or i % parts != j % parts:
+            continue
+        g.add_edge(f"n{i}", f"n{j}")
+        if rng.random() < 0.2:
+            g.add_edge(f"n{j}", f"n{i}")
+        if rng.random() < 0.1:
+            g.add_edge(f"n{i}", f"n{j}")
+    return g
+
+
+class TestBatchedMetrics:
+    @pytest.mark.parametrize("bitset_bytes", [graph_mod.BITSET_BYTES, 1], ids=["one_chunk", "chunked"])
+    def test_equal_per_node_references(self, monkeypatch, bitset_bytes):
+        # 1 byte: 64 sources per chunk, and bit counts unpacked one row at a time
+        monkeypatch.setattr(graph_mod, "BITSET_BYTES", bitset_bytes)
+        for seed in range(30):
+            g = random_digraph(seed)
+            nodes = g.nodes()
+            asked = nodes[::-1] + nodes[:3]  # some nodes listed twice
+            close, clust = closeness_scores(g, asked), clustering_scores(g, asked)
+            assert sorted(close) == sorted(clust) == nodes
+            for node in nodes:
+                assert close[node] == reference_closeness(g, node), (seed, node)
+                assert clust[node] == reference_clustering(g, node), (seed, node)
+
+    def test_subset_and_unknown_nodes(self):
+        g = random_digraph(7)
+        some = g.nodes()[5:9]
+        assert closeness_scores(g, some) == {n: reference_closeness(g, n) for n in some}
+        assert clustering_scores(g, []) == {}
+        for metric in (closeness_scores, clustering_scores):
+            with pytest.raises(KeyError, match="'zz'"):
+                metric(g, [some[0], "zz"])
+
+    def test_adjacency_from_edge_arrays(self):
+        g = random_digraph(3)
+        a_mat, order = g.adjacency()
+        assert order == g.nodes()
+        assert a_mat.sum() == g.n_edges()
+        assert all(a_mat[i, j] == float(g.has_edge(u, v))
+                   for i, u in enumerate(order) for j, v in enumerate(order))
+
+
+class TestScale:
+    def test_all_nodes_in_seconds_and_memory_linear_in_nodes_and_edges(self):
+        # A per-node BFS takes about 14 s for closeness alone at this size. `hits`
+        # and `eigenvector_centrality` still build the dense adjacency, 122 MiB here.
+        n, e = 4000, 24000
+        rng = np.random.default_rng(18)
+        g = SocialGraph()
+        for i in range(n):
+            g.add_node(f"u{i}")
+        pairs = {(int(s), int(d)) for s, d in rng.integers(0, n, size=(e + 200, 2)) if s != d}
+        for src, dst in sorted(pairs)[:e]:
+            g.add_edge(f"u{src}", f"u{dst}")
+        nodes = g.nodes()
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            close, clust = closeness_scores(g, nodes), clustering_scores(g, nodes)
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n_edges() == e
+        assert len(close) == len(clust) == n and max(close.values()) > 0 < max(clust.values())
+        assert seconds < 10, f"{seconds:.1f} s"
+        # a bool nodes x nodes array alone would be 15 MiB
+        bound = 4 * graph_mod.BITSET_BYTES + 200 * (n + e)
+        assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
 
 
 class TestReciprocity:
@@ -260,7 +381,8 @@ class TestGraphStructure:
         ("# node followers friends\nb 5 5\na x 3\n", "attribute file line 3: invalid literal"),
         ("a 1.5 3\n", "attribute file line 1: invalid literal"),
         ("\nb 5 5\na -4 3\n", "attribute file line 3: node 'a': follower and friend counts"),
-    ], ids=["two_fields", "four_fields", "non_integer", "fraction", "negative"])
+        ("a 10 2\nb 1 1\na 99 7\n", "attribute file line 3: node 'a' is listed twice"),
+    ], ids=["two_fields", "four_fields", "non_integer", "fraction", "negative", "listed_twice"])
     def test_bad_node_file_names_path_and_line(self, tmp_path, nodes, message):
         edges = tmp_path / "edges.txt"
         edges.write_text("a b\n")
@@ -280,6 +402,7 @@ class TestGraphStructure:
     def test_node_features_block(self):
         g = graph_from_edges([("a", "b"), ("b", "a"), ("b", "c")])
         feats = node_features(g, "b", mentioned=["a"], hub_auth=hits(g),
-                              eigen=eigenvector_centrality(g))
+                              eigen=eigenvector_centrality(g), closeness=closeness_scores(g, ["b"]),
+                              clustering=clustering_scores(g, ["b"]))
         assert len(feats) == 10
         assert all(np.isfinite(feats))
