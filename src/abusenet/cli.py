@@ -35,15 +35,16 @@ from .evaluation import (
     check_fold_count,
     checkpoint_meta,
     classification_metrics,
+    cv_folds,
     encode_fold,
     encode_for_checkpoint,
     fold_split,
     run_ablation,
     run_cv,
-    stratified_kfold,
 )
 from .features import ConfigurationError, NonFiniteFeatureError, parse_mask
 from .graph import DegenerateGraphError, SocialGraph
+from .metrics import UndefinedMetricError
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
 from .text import FormatError, ParseError
@@ -221,10 +222,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     training, model_cfg = _configs(args)
-    if args.masks:
-        masks = [parse_mask(m) for m in args.masks.split(";") if m.strip()]
-    else:
+    if args.masks is None:
         masks = list(DEFAULT_ABLATION_MASKS)
+    else:
+        masks = [parse_mask(m) for m in args.masks.split(";") if m.strip()]
+        if not masks:
+            raise ConfigurationError(f"--masks {args.masks!r} names no mask")
     _check_fusion_widths(masks, model_cfg)
     corpus = _load(args)
     t0 = time.monotonic()
@@ -250,7 +253,7 @@ def cmd_baseline(args) -> int:
     if corpus.labels is None:
         raise SchemaError("baseline needs labels")
     t0 = time.monotonic()
-    folds = stratified_kfold(corpus.labels, args.folds, args.seed)
+    folds = cv_folds(corpus.labels, args.folds, args.seed)
     docs = [preprocess_baseline(t) for t in corpus.texts]
     report = MetricsReport()
     for i in range(len(folds)):
@@ -347,7 +350,8 @@ def run(argv=None) -> int:
     try:
         return main(argv)
     except (OSError, SchemaError, EmptyDatasetError, ParseError, FormatError, NonFiniteFeatureError,
-            ConfigurationError, ContractError, DegenerateGraphError, DegenerateLabelsError) as e:
+            ConfigurationError, ContractError, DegenerateGraphError, DegenerateLabelsError,
+            UndefinedMetricError) as e:
         print(f"abusenet: error: {e}", file=sys.stderr)
         return 2
 

@@ -78,8 +78,10 @@ def load_schema(path) -> dict:
             raise SchemaError(f"{path}: schema is not UTF-8 JSON: {e}") from None
     if not isinstance(schema, dict):
         raise SchemaError(f"{path}: schema is not a JSON object")
-    if "classes" not in schema or len(schema["classes"]) < 2:
-        raise SchemaError("schema must declare at least two classes")
+    classes = schema.get("classes")
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes) >= 2):
+        raise SchemaError(f"{path}: 'classes' must be a list of at least two distinct strings")
     columns = schema.get("columns", {})
     if not isinstance(columns, dict):
         raise SchemaError(f"{path}: 'columns' must be an object mapping column names to specs")
@@ -87,9 +89,9 @@ def load_schema(path) -> dict:
         if not isinstance(spec, dict):
             raise SchemaError(f"{path}: column {name!r}: spec must be an object")
         if spec.get("group") not in GROUPS:
-            raise SchemaError(f"column {name!r}: group must be one of {GROUPS}")
+            raise SchemaError(f"{path}: column {name!r}: group must be one of {GROUPS}")
         if spec.get("kind", "numeric") not in ("numeric", "categorical"):
-            raise SchemaError(f"column {name!r}: kind must be numeric or categorical")
+            raise SchemaError(f"{path}: column {name!r}: kind must be numeric or categorical")
     return schema
 
 
@@ -128,29 +130,36 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
             header = next(reader, [])
             for col in (id_col, text_col):
                 if col not in header:
-                    raise SchemaError(f"dataset is missing required column {col!r}")
+                    raise SchemaError(f"{dataset_path}: dataset is missing required column {col!r}")
             for col in list(columns) + list(affect.values()):
                 if col not in header:
-                    raise SchemaError(f"dataset is missing declared metadata column {col!r}")
+                    raise SchemaError(f"{dataset_path}: dataset is missing declared metadata column {col!r}")
             has_labels = label_col in header
             # blank rows are skipped and not numbered
             for rownum, row in enumerate(filter(None, reader), start=2):
                 if len(row) != len(header):
-                    raise SchemaError(f"row {rownum}: {len(row)} fields, but the header has {len(header)}")
+                    raise SchemaError(f"{dataset_path}: row {rownum}: {len(row)} fields, "
+                                      f"but the header has {len(header)}")
                 record = dict(zip(header, row))
                 ids.append(record[id_col])
                 texts.append(record[text_col])
                 if has_labels:
                     raw = record[label_col]
                     if raw not in class_index:
-                        raise SchemaError(f"row {rownum}: label {raw!r} not in declared classes")
+                        raise SchemaError(f"{dataset_path}: row {rownum}: label {raw!r} "
+                                          "not in declared classes")
                     labels.append(class_index[raw])
                 records.append(record)
     except UnicodeDecodeError:
         raise SchemaError(f"{dataset_path}: line {_first_undecodable_line(dataset_path)}: "
                           "bytes that are not UTF-8") from None
     if len(set(ids)) != len(ids):
-        raise SchemaError("dataset ids are not unique")
+        first_row: dict[str, int] = {}
+        for rownum, cid in enumerate(ids, start=2):
+            if cid in first_row:
+                raise SchemaError(f"{dataset_path}: row {rownum}: id {cid!r} is already used by row "
+                                  f"{first_row[cid]}")
+            first_row[cid] = rownum
     return Corpus(
         ids=ids,
         texts=texts,

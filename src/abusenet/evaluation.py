@@ -21,7 +21,7 @@ import numpy as np
 from . import text as text_mod
 from .data import Corpus, EmptyDatasetError, SchemaError
 from .features import FeaturePipeline, assemble, parse_mask
-from .metrics import prf1, roc_auc
+from .metrics import UndefinedMetricError, prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
 from .training import (
@@ -85,6 +85,17 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
         for j, sample in enumerate(idx):
             buckets[j % k].append(int(sample))
     return [np.sort(np.array(b, dtype=np.int64)) for b in buckets]
+
+
+def cv_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
+    """``stratified_kfold``'s folds, refused before any training when a fold's
+    test split holds a single class, whose AUC is undefined."""
+    folds = stratified_kfold(labels, k, seed)
+    for i, fold in enumerate(folds):
+        if np.unique(np.asarray(labels)[fold]).size < 2:
+            raise UndefinedMetricError(f"fold {i}: the test split holds a single class, so its AUC "
+                                       f"is undefined (some class has fewer than {k} samples)")
+    return folds
 
 
 def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
@@ -248,7 +259,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
         raise ContractError("cross validation needs labels")
     model_cfg = model_cfg or ModelConfig()
     mask = parse_mask(mask)
-    folds = stratified_kfold(corpus.labels, n_folds, config.seed)
+    folds = cv_folds(corpus.labels, n_folds, config.seed)
     jobs = [(corpus, config, model_cfg, mask, i, folds, embeddings_path)
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []

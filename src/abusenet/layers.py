@@ -35,13 +35,13 @@ class EmbeddingLayer:
 
     Padding positions read a zero vector and take no part in the backward
     scatter, so the padding row's gradient is exactly zero and the row stays
-    zero under training.
+    zero under training. The layer keeps the ``table`` it is given, not a
+    copy, and zeroes its padding row: every caller passes a fresh array.
     """
 
     pad_index = 0
 
     def __init__(self, table: np.ndarray, name: str = "embedding"):
-        table = np.array(table, copy=True)
         table[self.pad_index] = 0.0
         self.table = Parameter(f"{name}.table", table)
 

@@ -165,12 +165,6 @@ class ClassifierModel:
             params += self.metadata_path.parameters()
         return params + self.head.parameters()
 
-    def param(self, name: str) -> Parameter:
-        for p in self.parameters():
-            if p.name == name:
-                return p
-        raise KeyError(f"no parameter named {name!r}")
-
     def forward(self, text_ids: np.ndarray | None, meta: np.ndarray | None,
                 train: bool = False, rng: np.random.Generator | None = None,
                 stats_tags: set[str] | None = None) -> Tensor:
@@ -379,7 +373,7 @@ def save_checkpoint(path, model: ClassifierModel, meta: CheckpointMeta) -> None:
             fh.write(struct.pack("<B", len(shape)))
             for dim in shape:
                 fh.write(struct.pack("<I", dim))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -389,21 +383,10 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
-def _read_values(fh, shape: tuple[int, ...], size: int) -> np.ndarray:
-    """One record's float32 values, read straight into their array; a shape
-    asking for more bytes than the file has left is refused before allocating."""
-    nbytes = 4 * math.prod(shape)
-    if nbytes > size - fh.tell():
-        raise ValueError("checkpoint truncated")
-    values = np.empty(shape, dtype="<f4")
-    if fh.readinto(values.reshape(-1).view(np.uint8)) != nbytes:
-        raise ValueError("checkpoint truncated")
-    return values.astype(np.float32, copy=False)
-
-
 def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
-    """Rebuild the model named in the header and install the stored weights;
-    a file that is not a loadable checkpoint is a FormatError naming ``path``."""
+    """Rebuild the model named in the header and read each stored array into its
+    parameter's own (C-contiguous float32) array; a file that is not a loadable
+    checkpoint is a FormatError naming ``path``."""
     try:
         return _read_checkpoint(path)
     except ValueError as e:
@@ -425,36 +408,46 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
             raise ValueError("checkpoint header is not a JSON object")
         if header.get("format_version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-        records = {}
+        try:
+            meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})
+            meta.config = ModelConfig(**meta.config)
+        except TypeError as e:
+            raise ValueError(f"checkpoint header does not describe a model: {e}") from None
+        meta.schema = [tuple(c) for c in meta.schema]
+        model = _rebuild(meta)
+        params = {p.name: p for p in model.parameters()}
+        missing, unknown = dict(params), []
         (n_params,) = struct.unpack("<I", _read_exact(fh, 4))
         for _ in range(n_params):
             (nlen,) = struct.unpack("<H", _read_exact(fh, 2))
             name = _read_exact(fh, nlen).decode("utf-8")
             (tlen,) = struct.unpack("<H", _read_exact(fh, 2))
             _read_exact(fh, tlen)  # tag is re-derived at build
-            (trainable,) = struct.unpack("<B", _read_exact(fh, 1))
-            (ndim,) = struct.unpack("<B", _read_exact(fh, 1))
+            trainable, ndim = struct.unpack("<BB", _read_exact(fh, 2))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            records[name] = (_read_values(fh, shape, size), bool(trainable))
+            nbytes = 4 * math.prod(shape)
+            if nbytes > size - fh.tell():  # refused before a byte is read
+                raise ValueError("checkpoint truncated")
+            p = missing.pop(name, None)
+            if p is None and name in params:
+                raise ValueError(f"checkpoint stores parameter {name!r} twice")
+            if p is None:
+                unknown.append(name)
+                fh.seek(nbytes, os.SEEK_CUR)
+                continue
+            if shape != p.data.shape:
+                raise ValueError(f"parameter {name!r} shape {shape} != expected {p.data.shape}")
+            if fh.readinto(p.data) != nbytes:
+                raise ValueError("checkpoint truncated")
+            if not np.little_endian:
+                p.data.byteswap(inplace=True)
+            p.trainable = bool(trainable)
 
-    try:
-        meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})
-        meta.config = ModelConfig(**meta.config)
-    except TypeError as e:
-        raise ValueError(f"checkpoint header does not describe a model: {e}") from None
-    meta.schema = [tuple(c) for c in meta.schema]
-    model = _rebuild(meta)
-    for p in model.parameters():
-        if p.name not in records:
-            raise ValueError(f"checkpoint missing parameter {p.name!r}")
-        stored, trainable = records.pop(p.name)
-        if stored.shape != p.data.shape:
-            raise ValueError(f"parameter {p.name!r} shape {stored.shape} != expected {p.data.shape}")
-        p.data = stored
-        p.trainable = trainable
-    if records:
+    if missing:
+        raise ValueError(f"checkpoint missing parameter {next(iter(missing))!r}")
+    if unknown:
         raise ValueError(f"checkpoint holds parameters the {meta.kind} model its header describes "
-                         f"does not have: {sorted(records)}")
+                         f"does not have: {sorted(unknown)}")
     return model, meta
 
 

@@ -326,11 +326,15 @@ def fit(model: ClassifierModel, data: EncodedDataset, config: TrainingConfig, *,
     best = model.snapshot()
 
     grad_flags = [p.requires_grad for p in params]
+    batches = batch_slices(len(train), config.batch_size)
+    if len(batches) > 1 and len(train) % config.batch_size == 1:
+        # train-mode batch norm needs two rows: a one-row last batch joins the one before
+        batches[-2:] = [slice(batches[-2].start, len(train))]
     for epoch in range(config.max_epochs):
         shuffle_rng = derive_rng(config.seed, stream, "shuffle", epoch)
         order = shuffle_rng.permutation(len(train))
         epoch_losses = []
-        for batch_number, sl in enumerate(batch_slices(len(train), config.batch_size)):
+        for batch_number, sl in enumerate(batches):
             take = order[sl]
             text = None if train.text is None else train.text[take]
             meta = None if train.meta is None else train.meta[take]

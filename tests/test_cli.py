@@ -1,6 +1,9 @@
 import csv
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import abusenet
+from abusenet import cli
 from abusenet.cli import _configs, build_parser, main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus, synth_groups, write_corpus
 from abusenet.evaluation import encode_fold
+from abusenet.features import ConfigurationError
 from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
 from abusenet.training import TrainingConfig, predict_probs
@@ -254,6 +260,65 @@ def test_baseline_fold_count_rejected_before_data_is_read(tmp_path):
         run(["baseline", "--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
              "--folds", "1", "--out", tmp_path / "baseline.json"])
     assert not (tmp_path / "baseline.json").exists()
+
+
+def test_ablate_without_a_mask_rejected_before_data_is_read(tmp_path):
+    with pytest.raises(ConfigurationError, match="--masks ';' names no mask"):
+        run(["ablate", "--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
+             "--masks", ";", *TINY])
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_fold_with_a_single_class_is_one_error_line(tmp_path, capsys, command):
+    # 25 benign and 4 flagged rows in 5 folds: fold 4 tests benign rows only
+    rows = [f"r{i},word{i % 7} story,{'flagged' if i < 4 else 'benign'}" for i in range(29)]
+    (tmp_path / "d.csv").write_text("id,text,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "s.json").write_text('{"classes": ["benign", "flagged"]}')
+    io = ["--dataset", tmp_path / "d.csv", "--schema", tmp_path / "s.json", "--folds", "5"]
+    flags = {"train": ["--mask", "WV", "--out", tmp_path / "run", *TINY[:6]], "baseline": []}[command]
+    with pytest.warns(UserWarning, match="stratification degrades"):
+        assert cli.run([str(a) for a in [command, *io, *flags]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("abusenet: error: fold 4: the test split holds a single class")
+    assert err.count("\n") == 1
+
+
+# exceptions that mean a bug in the program, not bad input: the CLI lets them
+# reach the user with their traceback
+PROGRAMMING_ERRORS = {"ShapeError", "NumericError"}
+
+
+def package_exceptions() -> dict[str, type]:
+    found = {}
+    for info in pkgutil.iter_modules(abusenet.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"abusenet.{info.name}")
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == module.__name__:
+                found[name] = obj
+    return found
+
+
+def test_programming_errors_are_package_exceptions():
+    assert PROGRAMMING_ERRORS <= set(package_exceptions())
+
+
+@pytest.mark.parametrize("name", sorted(package_exceptions()))
+def test_every_input_error_is_one_cli_line(monkeypatch, capsys, name):
+    # a new input-error class fails here until cli.run reports it
+    error = package_exceptions()[name]
+
+    def fail(argv=None):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "main", fail)
+    if name in PROGRAMMING_ERRORS:
+        with pytest.raises(error):
+            cli.run([])
+    else:
+        assert cli.run([]) == 2
+        assert capsys.readouterr().err == "abusenet: error: bad input\n"
 
 
 def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):

@@ -17,6 +17,7 @@ from abusenet.evaluation import (
     DEFAULT_ABLATION_MASKS,
     build_and_fit,
     checkpoint_meta,
+    cv_folds,
     encode_fold,
     encode_for_checkpoint,
     run_ablation,
@@ -33,6 +34,7 @@ from abusenet.graph import (
     hits,
     node_features,
 )
+from abusenet.metrics import UndefinedMetricError
 from abusenet.model import ModelConfig
 from abusenet.tensor import ContractError
 from abusenet.training import TrainingConfig
@@ -167,7 +169,7 @@ class TestCorpusIO:
         data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
         data_path.write_text("id,text,label\n\na,good day,benign\n\n\nb,bad day\n")
         schema_path.write_text('{"classes": ["benign", "flagged"]}')
-        with pytest.raises(SchemaError, match="^row 3: 2 fields, but the header has 3$"):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(data_path))}: row 3: 2 fields, but the header has 3$"):
             load_corpus(data_path, schema_path)
         data_path.write_text("id,text,label\n\na,good day,benign\n\nb,bad day,flagged\n")
         assert load_corpus(data_path, schema_path).ids == ["a", "b"]
@@ -219,13 +221,42 @@ class TestCorpusIO:
         ('["benign", "flagged"]', "schema is not a JSON object"),
         ('{"classes": ["a", "b"], "columns": ["signal"]}', "'columns' must be an object"),
         ('{"classes": ["a", "b"], "columns": {"signal": "UF"}}', "column 'signal': spec must be an object"),
-    ], ids=["not_json", "top_level_list", "columns_list", "spec_string"])
+        ('{"classes": 5}', "'classes' must be a list of at least two distinct strings"),
+        ('{"classes": "ab"}', "'classes' must be a list of at least two distinct strings"),
+        ('{"classes": ["a"]}', "'classes' must be a list of at least two distinct strings"),
+        ('{"classes": ["a", "a"]}', "'classes' must be a list of at least two distinct strings"),
+        ('{"classes": ["a", 1]}', "'classes' must be a list of at least two distinct strings"),
+        ('{"columns": {}}', "'classes' must be a list of at least two distinct strings"),
+        ('{"classes": ["a", "b"], "columns": {"signal": {"group": "XX"}}}',
+         "column 'signal': group must be one of"),
+        ('{"classes": ["a", "b"], "columns": {"signal": {"group": "UF", "kind": "text"}}}',
+         "column 'signal': kind must be numeric or categorical"),
+    ], ids=["not_json", "top_level_list", "columns_list", "spec_string", "classes_int", "classes_string",
+            "one_class", "repeated_class", "class_not_string", "no_classes", "bad_group", "bad_kind"])
     def test_malformed_schema_names_its_path(self, tmp_path, schema, message):
         corpus = synth_xor(n=3, seed=13)
         data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
         write_corpus(corpus, data_path, schema_path)
         schema_path.write_text(schema)
         with pytest.raises(SchemaError, match=f"{re.escape(str(schema_path))}: {re.escape(message)}"):
+            load_corpus(data_path, schema_path)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda lines: [lines[0].replace("id,", "key,", 1)] + lines[1:],
+         "dataset is missing required column 'id'"),
+        (lambda lines: [lines[0].replace(",signal", ",other")] + lines[1:],
+         "dataset is missing declared metadata column 'signal'"),
+        (lambda lines: lines[:2] + [lines[2].replace(",benign,", ",other,").replace(",flagged,", ",other,")]
+         + lines[3:], "row 3: label 'other' not in declared classes"),
+        (lambda lines: lines + [lines[2]], "row 5: id 's1' is already used by row 3"),
+    ], ids=["id_column", "metadata_column", "unknown_label", "duplicate_id"])
+    def test_dataset_errors_name_the_file(self, tmp_path, change, message):
+        corpus = synth_xor(n=3, seed=14)
+        data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
+        write_corpus(corpus, data_path, schema_path)
+        lines = data_path.read_text().splitlines()
+        data_path.write_text("\n".join(change(lines)) + "\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(data_path))}: {re.escape(message)}"):
             load_corpus(data_path, schema_path)
 
     def test_attach_network_features(self):
@@ -378,6 +409,13 @@ class TestKFold:
         labels = np.array([0, 1] * 10)
         with pytest.raises(ContractError, match=f"k={k}"):
             stratified_kfold(labels, k, seed=0)
+
+    def test_fold_with_a_single_class_named_before_training(self):
+        # the 4 flagged rows go to folds 0-3, so fold 4 tests benign rows only
+        labels = np.array([0] * 25 + [1] * 4)
+        with pytest.warns(UserWarning), pytest.raises(UndefinedMetricError, match="^fold 4: "):
+            cv_folds(labels, 5, seed=0)
+        assert len(cv_folds(labels, 4, seed=0)) == 4
 
     def test_small_class_warns(self):
         labels = np.array([0] * 50 + [1] * 4)

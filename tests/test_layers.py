@@ -142,6 +142,12 @@ class TestEmbedding:
         emb = EmbeddingLayer.random(10, 4, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(emb.table.data[0], np.zeros(4))
 
+    def test_keeps_the_table_it_is_given(self):
+        table = np.ones((5, 4), dtype=np.float32)
+        emb = EmbeddingLayer(table)
+        assert emb.table.data is table
+        np.testing.assert_array_equal(table[0], np.zeros(4))
+
     def test_forward_shape_and_lookup(self):
         table = np.arange(20.0).reshape(5, 4)
         emb = EmbeddingLayer(table)

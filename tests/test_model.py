@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ class TestCombined:
         combined = build_combined(text, meta, rng=rng)
         assert text.text_path.feature_dim == 128
         assert meta.metadata_path.feature_dim == 128
-        assert combined.param("head.W").data.shape == (256, 2)
+        assert {p.name: p for p in combined.parameters()}["head.W"].data.shape == (256, 2)
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(0)
@@ -180,15 +181,16 @@ class TestCombined:
 
     def test_zeroed_metadata_path_reduces_to_text_affine(self):
         m = small_combined()
-        m.param("meta.fusion.W").data[:] = 0.0
-        m.param("meta.fusion.b").data[:] = 0.0
+        params = {p.name: p for p in m.parameters()}
+        params["meta.fusion.W"].data[:] = 0.0
+        params["meta.fusion.b"].data[:] = 0.0
         ids = np.random.default_rng(3).integers(0, 20, size=(4, 6))
         meta = np.random.default_rng(4).normal(size=(4, 4)).astype(np.float32)
         full = m.forward(ids, meta)
 
         feats = m.text_path.features(ids)
-        w = m.param("head.W").data
-        b = m.param("head.b").data
+        w = params["head.W"].data
+        b = params["head.b"].data
         logits = feats.data @ w[: feats.shape[1]] + b
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = e / e.sum(axis=1, keepdims=True)
@@ -239,8 +241,9 @@ class TestParameterCount:
         full = parameter_count(m)
         m.set_path_trainable("metadata", True)
         assert parameter_count(m) == full
-        assert not m.param("meta.bn.running_mean").trainable
-        assert not m.param("meta.bn.running_var").trainable
+        params = {p.name: p for p in m.parameters()}
+        assert not params["meta.bn.running_mean"].trainable
+        assert not params["meta.bn.running_var"].trainable
 
     def test_default_combined_order_of_magnitude(self):
         rng = np.random.default_rng(0)
@@ -366,8 +369,9 @@ class TestCheckpoint:
 
         monkeypatch.setattr(EmbeddingLayer, "random", classmethod(refuse))
         clone, _ = load_checkpoint(path)
-        for p in m.parameters():
-            np.testing.assert_array_equal(clone.param(p.name).data, p.data)
+        for p, q in zip(m.parameters(), clone.parameters(), strict=True):
+            assert p.name == q.name
+            np.testing.assert_array_equal(q.data, p.data)
 
     def test_round_trip_bit_identical_forward(self, tmp_path):
         m = small_combined(seed=5)
@@ -408,10 +412,11 @@ class TestCheckpoint:
         data = EncodedDataset(labels=np.arange(20) % 2, classes=clone.classes,
                               text=rng.integers(0, 20, size=(20, 6)),
                               meta=rng.normal(size=(20, 4)).astype(np.float32))
-        before = clone.param("meta.bn.running_mean").data.copy()
+        running_mean = {p.name: p for p in clone.parameters()}["meta.bn.running_mean"]
+        before = running_mean.data.copy()
         # one step: 18 training rows in one batch of 32
         fit(clone, data, TrainingConfig(strategy="naive", batch_size=32, max_epochs=1, patience=0))
-        np.testing.assert_array_equal(clone.param("meta.bn.running_mean").data, before)
+        np.testing.assert_array_equal(running_mean.data, before)
 
     def test_oversized_record_shape_rejected_before_allocating(self, tmp_path):
         raw = v1_bytes(V1_HEADER, [("text.embedding.table", "text", 1, np.zeros((1, 1)))])
@@ -422,6 +427,33 @@ class TestCheckpoint:
         path.write_bytes(raw[:at] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + raw[at + 8:])
         with pytest.raises(ValueError, match="checkpoint truncated"):
             load_checkpoint(path)
+
+    def test_parameter_stored_twice_rejected(self, tmp_path):
+        records = v1_text_records()
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(v1_bytes(V1_HEADER, records + [records[2]]))
+        with pytest.raises(FormatError, match="checkpoint stores parameter 'text.gru.W_r' twice"):
+            load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_each_array(self, tmp_path):
+        # a 20k-token table is nearly all of this model's bytes; the rebuilt
+        # model's own arrays take the stored values, with no second copy
+        config = ModelConfig(embed_dim=200, units=4, hidden=(4,), fusion_dim=4)
+        tokens = [f"w{i}" for i in range(20000)]
+        m = build_text_path(len(tokens) + 2, 6, ["a", "b"], config=config, rng=np.random.default_rng(11))
+        path = tmp_path / "table.ckpt"
+        save_checkpoint(path, m, CheckpointMeta(classes=m.classes, kind="text", config=config,
+                                                seq_len=6, vocab_tokens=tokens))
+        nbytes = sum(p.data.nbytes for p in m.parameters())
+        tracemalloc.start()
+        try:
+            clone, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * nbytes, (peak, nbytes)
+        for p, q in zip(m.parameters(), clone.parameters(), strict=True):
+            np.testing.assert_array_equal(q.data, p.data)
 
     def test_truncated_record_rejected(self, tmp_path):
         records = v1_text_records()

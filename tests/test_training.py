@@ -282,6 +282,26 @@ class TestFit:
             fusion = history.stages["fusion"]
             assert fusion.train_loss[-1] < history.stages["text_pretrain"].train_loss[0]
 
+    # 48 rows leave 41 for training at batch 8 (one row over), 49 leave 42, 47 leave 40
+    @pytest.mark.parametrize("n, batches", [(48, [8, 8, 8, 8, 9]), (49, [8, 8, 8, 8, 8, 2]),
+                                            (47, [8, 8, 8, 8, 8])])
+    def test_one_row_last_batch_joins_the_one_before(self, n, batches):
+        data = toy_dataset(n=n, seed=20)
+        data = EncodedDataset(labels=data.labels, classes=data.classes, meta=data.meta)
+        model = build_pair(seed=21)[1]
+        rows = []
+        forward = model.forward
+
+        def recording(text, meta, train=False, **kw):
+            if train:
+                rows.append(len(meta))
+            return forward(text, meta, train=train, **kw)
+
+        model.forward = recording
+        history = fit_naive(model, data, quick_config(batch_size=8, max_epochs=1, patience=0))
+        assert sum(batches) == n - history.val_indices.size
+        assert rows == batches
+
     def test_stratified_split_proportions(self):
         labels = np.array([0] * 40 + [1] * 20)
         train, held = stratified_split(labels, 0.1, np.random.default_rng(0))
@@ -388,7 +408,7 @@ class TestInterleavedInvariants:
         state = {}
 
         def callback(event):
-            head = event["model"].param("head.W").data
+            head = {p.name: p for p in event["model"].parameters()}["head.W"].data
             if event["phase"] == "pre":
                 state["head"] = head.copy()
             else:
