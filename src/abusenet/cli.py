@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -344,9 +345,16 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"abusenet: warning: {message}\n"
+
+
 def run(argv=None) -> int:
     """The ``abusenet`` entry point: `main`, with bad input reported in one
-    ``abusenet: error: ...`` line and exit status 2, as argparse reports a bad flag."""
+    ``abusenet: error: ...`` line and exit status 2, as argparse reports a bad flag,
+    and each warning shown as one ``abusenet: warning: ...`` line."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         return main(argv)
     except (OSError, SchemaError, EmptyDatasetError, ParseError, FormatError, NonFiniteFeatureError,
@@ -354,6 +362,8 @@ def run(argv=None) -> int:
             UndefinedMetricError) as e:
         print(f"abusenet: error: {e}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -183,10 +183,14 @@ class GRULayer:
         inputs, gates and products are kept packed time-major, z and r in
         their own [n, u] buffers so that backward's per-step arithmetic
         reads contiguous rows; r * h * drop and its U_h product are computed
-        straight into their packed rows.
+        straight into their packed rows, and so is c - h, which the state
+        update computes anyway.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
-        matmul each; the inputs' gradient is then scatter-added into the rows.
+        matmul each; the inputs' gradient is then scatter-added into the rows
+        straight from the packed product, through a map of its rows. Backward
+        first turns the recorded c into 1 - c^2 in one pass, so it runs once:
+        a second run raises ContractError.
         """
         inputs = (x, h0, *self.parameters())
         _check_dtypes(*inputs)
@@ -213,6 +217,7 @@ class GRULayer:
             z_all = np.empty((n, u), dtype=x.dtype)
             r_all = np.empty((n, u), dtype=x.dtype)
             c_all = np.empty((n, u), dtype=x.dtype)
+            ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
         shared = rows.shape[0] < n  # some row is read at several positions
@@ -249,8 +254,12 @@ class GRULayer:
             c = np.matmul(rh, U_h, out=c_all[lo:hi] if record else None)
             c += a[:, 2 * u:]
             np.tanh(c, out=c)
-            h_new = c - h_t
-            h_new *= z
+            if record:
+                h_new = np.subtract(c, h_t, out=ch_all[lo:hi]) * z
+            else:
+                h_new = c  # a fresh product: the update runs in place on it
+                h_new -= h_t
+                h_new *= z
             h_new += h_t
             if sel is None:
                 h = h_new
@@ -262,7 +271,15 @@ class GRULayer:
                 r_all[lo:hi] = r
                 hm_all[lo:hi] = hm
 
+        used = False
+
         def back(g):
+            nonlocal used
+            if used:
+                raise ContractError("a gru op's backward runs once: it overwrites what its forward recorded")
+            used = True
+            np.multiply(c_all, c_all, out=c_all)
+            np.subtract(1.0, c_all, out=c_all)  # 1 - c^2, tanh's derivative
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             dh = np.zeros((b, u), dtype=g.dtype)
             for t in range(steps - 1, -1, -1):
@@ -270,24 +287,24 @@ class GRULayer:
                 lo, hi = start[t], start[t + 1]
                 if lo == hi:
                     continue
-                h_prev = states[:, t - 1] if t else h0.data
                 if hi - lo == b:
                     sel, dh_t, drop_t = None, dh, drop
                 else:
                     sel = live_b[lo:hi]
-                    dh_t, h_prev = dh[sel], h_prev[sel]
+                    dh_t = dh[sel]
                     drop_t = None if drop is None else drop[sel]
-                z, r, c = z_all[lo:hi], r_all[lo:hi], c_all[lo:hi]
+                z, r = z_all[lo:hi], r_all[lo:hi]
+                one_minus_z = 1.0 - z
                 da_t = da[lo:hi]
-                np.multiply(dh_t * z, 1.0 - c * c, out=da_t[:, 2 * u:])
+                np.multiply(dh_t * z, c_all[lo:hi], out=da_t[:, 2 * u:])
                 drh = da_t[:, 2 * u:] @ U_h.T
-                np.multiply(dh_t * (c - h_prev), z * (1.0 - z), out=da_t[:, :u])
+                np.multiply(dh_t * ch_all[lo:hi], z * one_minus_z, out=da_t[:, :u])
                 np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
                 dhm = drh * r
                 dhm += da_t[:, :2 * u] @ U_zr.T
                 if drop_t is not None:
                     dhm *= drop_t
-                dhm += dh_t * (1.0 - z)
+                dhm += dh_t * one_minus_z
                 if sel is None:
                     dh = dhm
                 else:
@@ -300,7 +317,7 @@ class GRULayer:
                 packed[live_t, live_b] = np.arange(n)
                 bm = packed.T[mask]  # packed positions, batch-major
                 dx = np.zeros(x.shape, dtype=g.dtype)
-                _scatter_add_rows(dx.reshape(-1, d), src[bm], (da @ W.T)[bm])
+                _scatter_add_rows(dx.reshape(-1, d), src[bm], da @ W.T, row_map=bm)
                 _accum(x, dx, owned=True)
             dW = x_all.T @ da
             db = da.sum(axis=0)

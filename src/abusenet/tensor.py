@@ -238,7 +238,7 @@ SCATTER_ROUNDS = 16
 
 
 def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                      skip: np.ndarray | None = None) -> None:
+                      skip: np.ndarray | None = None, row_map: np.ndarray | None = None) -> None:
     """``np.add.at(out, idx, g)``, bit for bit, without ``np.add.at``.
 
     ``np.add.at`` adds the rows of ``g`` one at a time in position order, so
@@ -250,10 +250,14 @@ def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray,
     prefix of ``acc`` in one vectorized add. After ``SCATTER_ROUNDS``
     rounds, each index with more occurrences adds the rest with one
     ``np.cumsum`` seeded with its running sum, and ``acc`` is written back.
-    Positions where the boolean mask ``skip`` is True are left out.
+    Position j adds row ``row_map[j]`` of ``g`` (row j without a map), so a
+    caller need not reorder ``g``; positions where the boolean mask ``skip``
+    is True are left out.
     """
-    src = None if skip is None or not skip.any() else np.flatnonzero(~skip)
-    keys = idx if src is None else idx[src]
+    keys, src = idx, row_map  # src[j]: the row of g that position j adds
+    if skip is not None and skip.any():
+        keep = np.flatnonzero(~skip)
+        keys, src = idx[keep], keep if row_map is None else row_map[keep]
     if not keys.size:
         return
     if (keys[1:] > keys[:-1]).all():  # increasing, so no index repeats

@@ -131,11 +131,20 @@ class Adam:
     """Adam with bias correction; skips every parameter ``updates`` rules out.
 
     Dense: every updated parameter's moments decay each step, also where its
-    gradient is zero. Per parameter it keeps only the moments m and v. A step
-    runs over each parameter's flat view in blocks of ``BLOCK`` elements and
-    allocates nothing after the first: every block works in one scratch pair
-    per dtype, shared by all parameters, in the float-op order of the
-    textbook expression, so results equal it bit for bit.
+    gradient is zero. Per parameter it keeps only the moments m and v. The
+    moments of every parameter smaller than ``BLOCK`` live in one flat
+    [2, total] arena per dtype, laid out in the first step's parameter
+    order; a later step may list fewer of those parameters, but no new
+    ones. Consecutive updated small parameters of one dtype that sit side
+    by side in their arena form one run, and a run of up to ``BLOCK``
+    elements is updated in one block: its gradients are packed into the
+    scratch pair, so the moment arithmetic costs the same numpy calls for
+    twenty parameters as for one. A larger parameter keeps its own moments
+    and is updated over its flat view in blocks of ``BLOCK`` elements.
+    Every block works in one scratch pair per dtype, shared by all
+    parameters, in the float-op order of the textbook expression, so
+    results equal it bit for bit, and a step allocates nothing after the
+    first.
     """
 
     beta1 = 0.9
@@ -145,55 +154,100 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self._moments: dict[str, np.ndarray] = {}  # per parameter: flat [2, size] m and v
+        self._slots: dict[str, tuple[np.ndarray, int, int]] | None = None  # small parameter: (arena, offset, size)
+        self._moments: dict[str, np.ndarray] = {}  # per large parameter: flat [2, size] m and v
         self._scratch: dict[np.dtype, np.ndarray] = {}  # per dtype: [2, BLOCK]
 
     @classmethod
     def from_config(cls, config: TrainingConfig) -> "Adam":
         return cls(config.learning_rate)
 
-    def step(self, params: list[Parameter], allowed_tags: set[str] | None = None) -> None:
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self.t
-        bias2 = 1.0 - b2 ** self.t
+    def _lay_out(self, params: list[Parameter]) -> None:
+        offsets: dict[np.dtype, int] = {}
+        placed = []
         for p in params:
-            if not updates(p, allowed_tags):
+            if p.data.size < BLOCK:
+                at = offsets.get(p.data.dtype, 0)
+                placed.append((p, at))
+                offsets[p.data.dtype] = at + p.data.size
+        arenas = {dt: np.zeros((2, total), dtype=dt) for dt, total in offsets.items()}
+        self._slots = {p.name: (arenas[p.data.dtype], at, p.data.size) for p, at in placed}
+
+    def step(self, params: list[Parameter], allowed_tags: set[str] | None = None) -> None:
+        if self._slots is None:
+            self._lay_out(params)
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        run: list[tuple[np.ndarray, np.ndarray]] = []  # (flat value, flat gradient) of the open run
+        arena, lo, hi = None, 0, 0  # the open run's moments: arena[:, lo:hi]
+        for p in params:
+            if not updates(p, allowed_tags) or p.grad is None:
                 continue
             g = p.grad
-            if g is None:
-                continue
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)  # so that its flat view is not a copy
             x, g = p.data.reshape(-1), g.reshape(-1)
-            moments = self._moments.get(p.name)
-            if moments is None:
-                moments = self._moments[p.name] = np.zeros((2, x.size), dtype=x.dtype)
-            scratch = self._scratch.get(x.dtype)
-            if scratch is None:
-                scratch = self._scratch[x.dtype] = np.empty((2, BLOCK), dtype=x.dtype)
-            for lo in range(0, x.size, BLOCK):
-                hi = min(lo + BLOCK, x.size)
-                m, v, gb = moments[0, lo:hi], moments[1, lo:hi], g[lo:hi]
-                s, q = scratch[0, :hi - lo], scratch[1, :hi - lo]
-                # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-                m *= b1
-                np.multiply(gb, 1.0 - b1, out=s)
-                m += s
-                v *= b2
-                np.multiply(gb, gb, out=s)
-                s *= 1.0 - b2
-                v += s
-                # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-                np.divide(m, bias1, out=s)
-                s *= self.lr
-                np.divide(v, bias2, out=q)
-                np.sqrt(q, out=q)
-                q += self.epsilon
-                s /= q
-                x[lo:hi] -= s
+            if x.size >= BLOCK:
+                moments = self._moments.get(p.name)
+                if moments is None:
+                    moments = self._moments[p.name] = np.zeros((2, x.size), dtype=x.dtype)
+                for start in range(0, x.size, BLOCK):
+                    block = slice(start, start + BLOCK)
+                    self._update([(x[block], g[block])], moments[:, block], bias1, bias2)
+                continue
+            slot = self._slots.get(p.name)
+            if slot is None or slot[0].dtype != x.dtype or slot[2] != x.size:
+                raise ContractError(f"parameter {p.name!r} is not one of the {x.dtype} parameters "
+                                    f"of size {x.size} this optimizer laid out at its first step")
+            at_arena, at, size = slot
+            if run and (at_arena is not arena or at != hi or hi + size - lo > BLOCK):
+                self._update(run, arena[:, lo:hi], bias1, bias2)
+                run = []
+            if not run:
+                arena, lo = at_arena, at
+            run.append((x, g))
+            hi = at + size
+        if run:
+            self._update(run, arena[:, lo:hi], bias1, bias2)
+
+    def _update(self, run, moments, bias1, bias2) -> None:
+        """One block: the flat (value, gradient) pairs of ``run``, whose m and
+        v are the rows of ``moments``, side by side."""
+        b1, b2 = self.beta1, self.beta2
+        scratch = self._scratch.get(moments.dtype)
+        if scratch is None:
+            scratch = self._scratch[moments.dtype] = np.empty((2, BLOCK), dtype=moments.dtype)
+        m, v = moments
+        s, q = scratch[:, :moments.shape[1]]
+        if len(run) == 1:
+            g = run[0][1]
+        else:
+            g, at = q, 0  # q is free until the v / bias2 divide, after the last read of g
+            for _, gp in run:
+                g[at:at + gp.size] = gp
+                at += gp.size
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v += s
+        # p -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(m, bias1, out=s)
+        s *= self.lr
+        np.divide(v, bias2, out=q)
+        np.sqrt(q, out=q)
+        q += self.epsilon
+        s /= q
+        at = 0
+        for x, _ in run:
+            x -= s[at:at + x.size]
+            at += x.size
 
 
 class EarlyStopping:

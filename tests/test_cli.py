@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,34 @@ def test_fold_with_a_single_class_is_one_error_line(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("abusenet: error: fold 4: the test split holds a single class")
     assert err.count("\n") == 1
+
+
+def single_class_fold_case(tmp_path):
+    """25 benign and 4 flagged rows in 5 folds: fold 4 tests benign rows only."""
+    rows = [f"r{i},word{i % 7} story,{'flagged' if i < 4 else 'benign'}" for i in range(29)]
+    (tmp_path / "d.csv").write_text("id,text,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "s.json").write_text('{"classes": ["benign", "flagged"]}')
+    return ["baseline", "--dataset", tmp_path / "d.csv", "--schema", tmp_path / "s.json", "--folds", "5"]
+
+
+def test_warning_is_one_stderr_line_before_the_error(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "abusenet", *map(str, single_class_fold_case(tmp_path))],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        "abusenet: warning: some class has only 4 samples for 5 folds; "
+        "stratification degrades to best effort",
+        "abusenet: error: fold 4: the test split holds a single class, so its AUC is undefined "
+        "(some class has fewer than 5 samples)",
+    ]
+
+
+def test_run_restores_the_warning_format(tmp_path):
+    before = warnings.formatwarning
+    with pytest.warns(UserWarning, match="stratification degrades"):
+        assert cli.run([str(a) for a in single_class_fold_case(tmp_path)]) == 2
+    assert warnings.formatwarning is before
 
 
 # exceptions that mean a bug in the program, not bad input: the CLI lets them

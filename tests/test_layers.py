@@ -128,6 +128,69 @@ def per_step_states(gru, x, mask, h0, drop):
     return states
 
 
+def per_step_grads(gru, x, mask, h0, drop, g):
+    """Gradients of a plain BPTT for the upstream state gradient ``g``
+    [b, T, u], with the fused op's float operations in its order: the live
+    positions packed time-major, one [k, .] product per step, and the
+    weight and input gradients one product over all packed positions.
+    ``drop`` is the dropout mask or None. Returns the W, U and b gradients
+    by parameter name, the h0 gradient and the dense input's gradient."""
+    u = gru.units
+    b, steps = mask.shape
+    W = np.concatenate([gru.W_z.data, gru.W_r.data, gru.W_h.data], axis=1)
+    bias = np.concatenate([gru.b_z.data, gru.b_r.data, gru.b_h.data])
+    U_zr = np.concatenate([gru.U_z.data, gru.U_r.data], axis=1)
+    U_h = gru.U_h.data
+    h, sels, xs, zs, rs, cs, hms, rhs, h_prevs = h0.copy(), [], [], [], [], [], [], [], []
+    for t in range(steps):
+        sel = np.flatnonzero(mask[:, t])
+        sels.append(sel)
+        if not sel.size:
+            continue
+        h_prev = h[sel]
+        hm = h_prev if drop is None else h_prev * drop[sel]
+        a = x[sel, t] @ W
+        a += bias
+        zr = (np.tanh((a[:, :2 * u] + hm @ U_zr) * 0.5) + 1.0) * 0.5
+        z, r = zr[:, :u], zr[:, u:]
+        rh = r * hm
+        c = np.tanh(a[:, 2 * u:] + rh @ U_h)
+        h[sel] = (c - h_prev) * z + h_prev
+        for buf, val in zip((xs, zs, rs, cs, hms, rhs, h_prevs), (x[sel, t], z, r, c, hm, rh, h_prev)):
+            buf.append(val)
+    X, Z, R, C, HM, RH, H_prev = (np.concatenate(buf) for buf in (xs, zs, rs, cs, hms, rhs, h_prevs))
+    da = np.empty((X.shape[0], 3 * u), dtype=x.dtype)
+    ends = np.cumsum([sel.size for sel in sels]).tolist()
+    dh = np.zeros((b, u), dtype=x.dtype)
+    for t in range(steps - 1, -1, -1):
+        dh += g[:, t]
+        sel = sels[t]
+        if not sel.size:
+            continue
+        lo, hi = ends[t] - sel.size, ends[t]
+        dh_t = dh[sel]
+        z, r, c = Z[lo:hi], R[lo:hi], C[lo:hi]
+        da[lo:hi, 2 * u:] = (dh_t * z) * (1.0 - c * c)
+        drh = da[lo:hi, 2 * u:] @ U_h.T
+        da[lo:hi, :u] = (dh_t * (c - H_prev[lo:hi])) * (z * (1.0 - z))
+        da[lo:hi, u:2 * u] = (drh * HM[lo:hi]) * (r * (1.0 - r))
+        dhm = drh * r
+        dhm += da[lo:hi, :2 * u] @ U_zr.T
+        if drop is not None:
+            dhm *= drop[sel]
+        dhm += dh_t * (1.0 - z)
+        dh[sel] = dhm
+    dW, db, dU_zr = X.T @ da, da.sum(axis=0), HM.T @ da[:, :2 * u]
+    grads = [dW[:, :u], dW[:, u:2 * u], dW[:, 2 * u:], dU_zr[:, :u], dU_zr[:, u:],
+             RH.T @ da[:, 2 * u:], db[:u], db[u:2 * u], db[2 * u:]]
+    packed = np.empty((b, steps), dtype=np.intp)
+    for t, sel in enumerate(sels):
+        packed[sel, t] = np.arange(ends[t] - sel.size, ends[t])
+    dx = np.zeros_like(x)
+    dx[mask] += (da @ W.T)[packed[mask]]  # added to zero, as a scatter adds
+    return {p.name: grad for p, grad in zip(gru.parameters(), grads)}, dh, dx
+
+
 # masks for the rows+index form, on top of PACKED_MASKS: steps where one row
 # is live (a one-row product) and a batch with no padding
 INDEX_MASKS = {
@@ -367,6 +430,48 @@ class TestGRU:
                                 rng=np.random.default_rng(5))
         drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(np.float32) / np.float32(0.5)
         assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop).tobytes()
+
+    @pytest.mark.parametrize("form", ["dense", "index"])
+    @pytest.mark.parametrize("p", [0.5, 0.0], ids=["dropout", "no_dropout"])
+    @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
+    def test_gradients_equal_per_step_bptt_bitwise(self, mask, p, form):
+        mask = mask_of(mask)
+        b = mask.shape[0]
+        gru = make_gru(64, 16, dtype=np.float32, p=p, seed=34)
+        rows, index, dense = index_case(mask, 9, 64, seed=35)
+        rng = np.random.default_rng(36)
+        h0 = Tensor(rng.normal(size=(b, 16)).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(*mask.shape, 16)).astype(np.float32)
+        x, idx = (rows, index) if form == "index" else (dense, None)
+        x = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            states, _ = gru.forward(x, mask=mask, h0=h0, train=True, index=idx,
+                                    rng=np.random.default_rng(5))
+            loss = T.sum_all(T.mul(states, Tensor(g)))
+        tape.backward(loss)
+        drop = None
+        if p:
+            drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(np.float32) / np.float32(0.5)
+        grads, dh0, dx = per_step_grads(gru, dense, mask, h0.data, drop, g)
+        for param in gru.parameters():
+            assert param.grad.tobytes() == grads[param.name].tobytes(), param.name
+        assert h0.grad.tobytes() == dh0.tobytes()
+        if form == "index":
+            expected = np.zeros_like(rows)
+            np.add.at(expected, index[mask], dx[mask])
+            dx = expected
+        assert x.grad.tobytes() == dx.tobytes()
+
+    def test_second_backward_over_one_recorded_op_rejected(self):
+        gru = make_gru(3, 4, p=0.5)
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        with Tape() as tape:
+            states, _ = gru.forward(x, train=True, rng=np.random.default_rng(38))
+            loss = T.sum_all(T.mul(states, Tensor(rng.normal(size=(2, 5, 4)))))
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="backward runs once"):
+            tape.backward(loss)
 
     @pytest.mark.parametrize("mask", PACKED_MASKS.values(), ids=PACKED_MASKS.keys())
     def test_grad_check_index_form(self, mask):

@@ -210,6 +210,56 @@ class TestAdam:
         np.testing.assert_array_equal(a.data, np.ones(2))
         assert (b.data != np.ones(2)).all()
 
+    def test_runs_of_small_parameters_match_textbook_bitwise(self):
+        # small parameters share one moment arena per dtype and are updated a
+        # run at a time; every kind of skipped parameter sits between live
+        # ones, a float64 one between float32 ones, and a BLOCK - 1 parameter
+        # (in the arena) next to a BLOCK one (its own moments)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(8)
+        specs = [("a", (3, 4), np.float32, "head", True), ("frozen_later", (5,), np.float32, "head", True),
+                 ("b", (5,), np.float32, "head", True), ("frozen", (2, 3), np.float32, "head", False),
+                 ("c", (7,), np.float32, "head", True), ("no_grad", (4,), np.float32, "head", True),
+                 ("d", (3, 3), np.float64, "head", True), ("excluded", (6,), np.float64, "text", True),
+                 ("e", (2,), np.float64, "head", True), ("f", (4,), np.float32, "head", True),
+                 ("near", (BLOCK - 1,), np.float32, "head", True), ("big", (BLOCK,), np.float32, "head", True),
+                 ("g", (3,), np.float64, "head", True), ("h", (2, 2), np.float32, "head", True)]
+        params = [Parameter(name, np.zeros(shape, dtype=dtype), trainable=trainable, tag=tag)
+                  for name, shape, dtype, tag, trainable in specs]
+        value = {p.name: p.data.copy() for p in params}
+        m = {p.name: np.zeros_like(p.data) for p in params}
+        v = {p.name: np.zeros_like(p.data) for p in params}
+        opt = Adam(lr)
+        for t in range(1, 5):
+            if t == 3:
+                params[1].trainable = False
+            for p in params:
+                g = (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2)).astype(p.dtype)
+                g.reshape(-1)[t::5] = 0.0
+                p.grad = None if p.name == "no_grad" else g
+            opt.step(params, allowed_tags={"head"})
+            for p in params:
+                if not p.trainable or p.tag != "head" or p.grad is None:
+                    continue
+                g, n = p.grad, p.name
+                m[n] = b1 * m[n] + (1.0 - b1) * g
+                v[n] = b2 * v[n] + (1.0 - b2) * (g * g)
+                value[n] = value[n] - (lr * (m[n] / (1.0 - b1 ** t))) / (np.sqrt(v[n] / (1.0 - b2 ** t)) + eps)
+            for p in params:
+                assert value[p.name].dtype == p.dtype
+                assert p.data.tobytes() == value[p.name].tobytes(), (t, p.name)
+        for name in ("frozen", "no_grad", "excluded"):
+            assert not params[[p.name for p in params].index(name)].data.any()
+
+    def test_parameter_missing_from_the_first_steps_layout_rejected(self):
+        a = Parameter("a", np.zeros(3, dtype=np.float32))
+        late = Parameter("late", np.zeros(2, dtype=np.float32))
+        a.grad, late.grad = np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)
+        opt = Adam(1e-3)
+        opt.step([a])
+        with pytest.raises(ContractError, match="'late'"):
+            opt.step([a, late])
+
 
 class TestEarlyStopping:
     def test_always_improving_never_stops(self):
