@@ -13,7 +13,15 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .text import HASHTAG_TOKEN, NUMBER_TOKEN, URL_TOKEN, USER_TOKEN, read_word_list, tokenize
+from .text import (
+    HASHTAG_TOKEN,
+    NUMBER_TOKEN,
+    URL_TOKEN,
+    USER_TOKEN,
+    rank_by_count,
+    read_word_list,
+    tokenize,
+)
 
 MARKER_TOKENS = {URL_TOKEN, USER_TOKEN, NUMBER_TOKEN, HASHTAG_TOKEN}
 
@@ -22,9 +30,14 @@ STOPWORDS = read_word_list("stopwords.txt")
 _DROPPED = MARKER_TOKENS | STOPWORDS
 
 
+def baseline_terms(tokens: list[str]) -> list[str]:
+    """The tokens of ``tokenize`` the baseline keeps: no markers, punctuation or stop words."""
+    return [t for t in tokens if t not in _DROPPED and (len(t) != 1 or t.isalnum())]
+
+
 def preprocess_baseline(text: str) -> list[str]:
     """Lowercase, drop markers/punctuation/stop words."""
-    return [t for t in tokenize(text) if t not in _DROPPED and (len(t) != 1 or t.isalnum())]
+    return baseline_terms(tokenize(text))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +118,7 @@ class TfidfModel:
     def _fit(self, documents: list[list[str]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fit, and return the documents' term counts for a transform to reuse."""
         term_counts = Counter(chain.from_iterable(documents))
-        # count descending, ties alphabetical: the second sort is stable
-        kept = sorted(sorted(term_counts), key=term_counts.__getitem__, reverse=True)[: self.top_k]
+        kept = rank_by_count(list(term_counts), term_counts)[: self.top_k]
         self.vocabulary = {t: i for i, t in enumerate(kept)}
         self.n_documents = len(documents)
         counts = self._term_counts(documents)

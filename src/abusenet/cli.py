@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import TfidfModel, nb_fit, nb_predict, preprocess_baseline
+from .baseline import TfidfModel, baseline_terms, nb_fit, nb_predict
 from .data import (
     SYNTH_TASKS,
     EmptyDatasetError,
@@ -255,7 +255,7 @@ def cmd_baseline(args) -> int:
         raise SchemaError("baseline needs labels")
     t0 = time.monotonic()
     folds = cv_folds(corpus.labels, args.folds, args.seed)
-    docs = [preprocess_baseline(t) for t in corpus.texts]
+    docs = [baseline_terms(tokens) for tokens in corpus.tokenized()]
     report = MetricsReport()
     for i in range(len(folds)):
         train_idx, test_idx = fold_split(folds, i)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import text as text_mod
-from .features import GROUPS
+from .features import GROUPS, RowValues, parsed_columns
 from .graph import (
     NF_FEATURE_NAMES,
     DegenerateGraphError,
@@ -52,6 +52,7 @@ class Corpus:
     affect: dict[str, str] = field(default_factory=dict)
     header: list[str] = field(default_factory=list)  # the dataset file's columns; empty in memory
     _tokens: list[list[str]] | None = None
+    _values: RowValues = field(default_factory=RowValues, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -68,6 +69,14 @@ class Corpus:
         if self._tokens is None:
             self._tokens = [text_mod.tokenize(t) for t in self.texts]
         return self._tokens
+
+    def row_values(self, names=None) -> RowValues:
+        """The rows' tweet counters and parsed ``names`` columns (by default
+        every affect and numeric column of the schema), each computed on
+        first use and kept: no fold fits them, so every fold reads one copy."""
+        if names is None:
+            names = parsed_columns(self.columns, self.affect)
+        return self._values.fill(self.records, self.texts, names)
 
 
 def load_schema(path) -> dict:
@@ -93,18 +102,6 @@ def load_schema(path) -> dict:
         if spec.get("kind", "numeric") not in ("numeric", "categorical"):
             raise SchemaError(f"{path}: column {name!r}: kind must be numeric or categorical")
     return schema
-
-
-def _first_undecodable_line(path) -> int | None:
-    """1-based number of the first line of ``path`` that is not UTF-8; no
-    UTF-8 sequence holds a newline byte, so lines split the bytes safely."""
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return number
-    return None
 
 
 def load_corpus(dataset_path, schema_path) -> Corpus:
@@ -151,8 +148,7 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
                     labels.append(class_index[raw])
                 records.append(record)
     except UnicodeDecodeError:
-        raise SchemaError(f"{dataset_path}: line {_first_undecodable_line(dataset_path)}: "
-                          "bytes that are not UTF-8") from None
+        raise SchemaError(text_mod.not_utf8(dataset_path)) from None
     if len(set(ids)) != len(ids):
         first_row: dict[str, int] = {}
         for rownum, cid in enumerate(ids, start=2):
@@ -215,7 +211,8 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
         columns[name] = ("NF", "numeric")
     # an in-memory corpus keeps deriving its column names from its records
     header = [*corpus.header, *NF_FEATURE_NAMES] if corpus.header else []
-    return replace(corpus, records=records, columns=columns, header=header)
+    # new records: the values parsed from the old ones are not carried over
+    return replace(corpus, records=records, columns=columns, header=header, _values=RowValues())
 
 
 # ---------------------------------------------------------------------------

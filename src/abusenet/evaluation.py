@@ -20,7 +20,7 @@ import numpy as np
 
 from . import text as text_mod
 from .data import Corpus, EmptyDatasetError, SchemaError
-from .features import FeaturePipeline, assemble, parse_mask
+from .features import FeaturePipeline, assemble, parse_mask, parsed_columns
 from .metrics import UndefinedMetricError, prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
@@ -107,7 +107,8 @@ def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
     text = None if vocab is None else text_mod.encode_corpus(corpus.tokenized(), vocab, spec)
     if pipeline is None:
         return text, None, []
-    table, _ = assemble(pipeline.transform(corpus.records, corpus.texts), groups)
+    values = corpus.row_values(parsed_columns(pipeline.columns, pipeline.affect))
+    table, _ = assemble(pipeline.transform(corpus.records, corpus.texts, values), groups)
     return text, table.values, [(c.name, c.group) for c in table.schema]
 
 
@@ -260,6 +261,11 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
     model_cfg = model_cfg or ModelConfig()
     mask = parse_mask(mask)
     folds = cv_folds(corpus.labels, n_folds, config.seed)
+    # the corpus's fold-independent row work, done once here: workers receive it pickled
+    if "WV" in mask:
+        corpus.tokenized()
+    if mask - {"WV"}:
+        corpus.row_values()
     jobs = [(corpus, config, model_cfg, mask, i, folds, embeddings_path)
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []

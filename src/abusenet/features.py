@@ -86,6 +86,34 @@ def _affect_block(slots: dict[str, np.ndarray], n: int) -> np.ndarray:
 TF_FEATURE_NAMES = (*TWEET_COUNTER_NAMES, *AFFECT_SLOTS, "affect_present")
 
 
+def parsed_columns(columns: dict[str, tuple[str, str]], affect: dict[str, str]) -> list[str]:
+    """The dataset columns a pipeline over ``columns`` and ``affect`` reads as
+    numbers: each affect slot's column, then every numeric column."""
+    return [*(col for slot, col in affect.items() if slot in AFFECT_SLOTS),
+            *(name for name, (_, kind) in columns.items() if kind == "numeric")]
+
+
+@dataclass
+class RowValues:
+    """The per-row values ``FeaturePipeline.transform`` reads that no fitted
+    encoder changes: the tweet counters, [n, len(TWEET_COUNTER_NAMES)]
+    float64, and each parsed numeric or affect column by name, [n] float64
+    with NaN for a cell that is not a number."""
+
+    counters: np.ndarray | None = None
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def fill(self, records: list[dict], texts: list[str], names) -> "RowValues":
+        """Compute whatever of the counters and the ``names`` columns is missing."""
+        if self.counters is None:
+            self.counters = np.array([tweet_counters(t) for t in texts],
+                                     dtype=np.float64).reshape(len(texts), len(TWEET_COUNTER_NAMES))
+        for name in names:
+            if name not in self.columns:
+                self.columns[name] = _parse_column(records, name)
+        return self
+
+
 @dataclass
 class CategoricalEncoder:
     """One-hot for small value sets, frequency-rank ordinal otherwise."""
@@ -181,22 +209,29 @@ class FeaturePipeline:
         self.fitted = True
         return self
 
-    def transform(self, records: list[dict], texts: list[str]) -> FeatureTable:
-        """Encode every row a column at a time: [len(records), f] float32."""
+    def transform(self, records: list[dict], texts: list[str],
+                  values: RowValues | None = None) -> FeatureTable:
+        """Encode every row a column at a time: [len(records), f] float32.
+
+        ``values`` holds the rows' counters and every column in
+        ``parsed_columns(self.columns, self.affect)`` (a corpus keeps them,
+        see ``Corpus.row_values``); without it they are computed here.
+        """
         if not self.fitted:
             raise ConfigurationError("pipeline must be fitted before transform")
         if len(records) != len(texts):
             raise ConfigurationError("records and texts must align")
+        if values is None:
+            values = RowValues().fill(records, texts, parsed_columns(self.columns, self.affect))
         n = len(records)
-        counters = np.array([tweet_counters(t) for t in texts], dtype=np.float64)
-        affect = {slot: _parse_column(records, col) for slot, col in self.affect.items()
+        affect = {slot: values.columns[col] for slot, col in self.affect.items()
                   if slot in AFFECT_SLOTS}
-        blocks = [counters.reshape(n, len(TWEET_COUNTER_NAMES)), _affect_block(affect, n)]
+        blocks = [values.counters, _affect_block(affect, n)]
         schema = [FeatureColumn(name, "TF") for name in TF_FEATURE_NAMES]
         for name in sorted(self.columns):
             group, kind = self.columns[name]
             if kind == "numeric":
-                cells = _parse_column(records, name)
+                cells = values.columns[name]
                 blocks.append(np.where(np.isnan(cells), 0.0, cells)[:, None])
                 schema.append(FeatureColumn(name, group))
             else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .text import FormatError, ParseError
+from .text import FormatError, ParseError, not_utf8
 
 
 # Bytes per bit array of `closeness_scores` and `clustering_scores`: each
@@ -119,17 +119,20 @@ class SocialGraph:
 def _read_lines(path, kind: str, form: str, add) -> None:
     """Call ``add`` with each line's fields, which must be those ``form`` names."""
     width = len(form.split())
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != width:
-                raise ParseError(f"{path}: {kind} line {lineno}: expected {form!r}")
-            try:
-                add(*parts)
-            except ValueError as e:
-                raise ParseError(f"{path}: {kind} line {lineno}: {e}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts or parts[0].startswith("#"):
+                    continue
+                if len(parts) != width:
+                    raise ParseError(f"{path}: {kind} line {lineno}: expected {form!r}")
+                try:
+                    add(*parts)
+                except ValueError as e:
+                    raise ParseError(f"{path}: {kind} line {lineno}: {e}") from None
+    except UnicodeDecodeError:
+        raise ParseError(not_utf8(path, kind)) from None
 
 
 def reciprocity(g: SocialGraph, node: str) -> float:

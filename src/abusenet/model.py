@@ -400,6 +400,8 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         if magic != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
+        if hlen > size - fh.tell():  # refused before a byte is read, as records are
+            raise ValueError("checkpoint truncated")
         try:
             header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):

@@ -13,8 +13,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +53,19 @@ class ParseError(ValueError):
 
 class FormatError(ValueError):
     """A data file disagrees with the expected format; message carries the path."""
+
+
+def not_utf8(path, kind: str = "") -> str:
+    """The message for a text file with bytes that are not UTF-8: ``path``,
+    then the first such line (``kind`` names the file's kind before it).
+    No UTF-8 sequence holds a newline byte, so lines split the bytes safely."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return f"{path}: {kind + ' ' if kind else ''}line {number}: bytes that are not UTF-8"
+    return f"{path}: bytes that are not UTF-8"
 
 
 def read_word_list(name: str) -> frozenset[str]:
@@ -128,6 +141,14 @@ def choose_seq_len(token_counts: Sequence[int]) -> SequenceSpec:
     return SequenceSpec(seq_len=max(1, math.ceil(value)))
 
 
+def rank_by_count(terms: list[str], counts: Mapping[str, int]) -> list[str]:
+    """``terms``, sorted in place by count descending, ties in alphabetical
+    order (two sorts: the second is stable, also in reverse)."""
+    terms.sort()
+    terms.sort(key=counts.__getitem__, reverse=True)
+    return terms
+
+
 class Vocabulary:
     """token -> index map; indices >= 2, hapaxes excluded."""
 
@@ -136,13 +157,8 @@ class Vocabulary:
 
     @classmethod
     def build(cls, token_lists: Iterable[Sequence[str]]) -> "Vocabulary":
-        counts: Counter = Counter()
-        for tokens in token_lists:
-            counts.update(tokens)
-        kept = sorted((t for t, c in counts.items() if c >= 2),
-                      key=lambda t: (-counts[t], t))
-        index = {t: i + 2 for i, t in enumerate(kept)}
-        return cls(index)
+        counts = Counter(chain.from_iterable(token_lists))
+        return cls.from_tokens(rank_by_count([t for t, c in counts.items() if c >= 2], counts))
 
     def __len__(self) -> int:
         # total index space including pad and unk
@@ -170,15 +186,22 @@ def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec:
     """Every token list's ids, left-padded with zeros up to seq_len; longer
     lists keep their first tokens. [len(token_lists), seq_len] int32."""
     n = spec.seq_len
-    out = np.zeros((len(token_lists), n), dtype=np.int32)
-    for row, tokens in zip(out, token_lists):
-        kept = tokens[:n]
-        if kept:
-            row[n - len(kept):] = vocab.encode_tokens(kept)
+    kept = [tokens[:n] for tokens in token_lists]
+    lengths = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+    out = np.zeros((len(kept), n), dtype=np.int32)
+    # a row's ids fill its last len(kept) places; a boolean mask assigns in row-major order
+    out[np.arange(n) >= n - lengths[:, None]] = vocab.encode_tokens(chain.from_iterable(kept))
     return out
 
 
 def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
+    try:
+        return _parse_embedding_lines(path, dim)
+    except UnicodeDecodeError:
+        raise ParseError(not_utf8(path)) from None
+
+
+def _parse_embedding_lines(path, dim: int) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -174,11 +174,11 @@ class Adam:
         self._slots = {p.name: (arenas[p.data.dtype], at, p.data.size) for p, at in placed}
 
     def step(self, params: list[Parameter], allowed_tags: set[str] | None = None) -> None:
+        """Update every parameter ``updates`` allows that has a gradient; a
+        parameter that cannot be updated raises ContractError before any is."""
         if self._slots is None:
             self._lay_out(params)
-        self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
+        blocks: list[tuple[list, np.ndarray]] = []  # (run, its moments), checked before any update
         run: list[tuple[np.ndarray, np.ndarray]] = []  # (flat value, flat gradient) of the open run
         arena, lo, hi = None, 0, 0  # the open run's moments: arena[:, lo:hi]
         for p in params:
@@ -194,9 +194,7 @@ class Adam:
                 moments = self._moments.get(p.name)
                 if moments is None:
                     moments = self._moments[p.name] = np.zeros((2, x.size), dtype=x.dtype)
-                for start in range(0, x.size, BLOCK):
-                    block = slice(start, start + BLOCK)
-                    self._update([(x[block], g[block])], moments[:, block], bias1, bias2)
+                blocks.append(([(x, g)], moments))
                 continue
             slot = self._slots.get(p.name)
             if slot is None or slot[0].dtype != x.dtype or slot[2] != x.size:
@@ -204,14 +202,25 @@ class Adam:
                                     f"of size {x.size} this optimizer laid out at its first step")
             at_arena, at, size = slot
             if run and (at_arena is not arena or at != hi or hi + size - lo > BLOCK):
-                self._update(run, arena[:, lo:hi], bias1, bias2)
+                blocks.append((run, arena[:, lo:hi]))
                 run = []
             if not run:
                 arena, lo = at_arena, at
             run.append((x, g))
             hi = at + size
         if run:
-            self._update(run, arena[:, lo:hi], bias1, bias2)
+            blocks.append((run, arena[:, lo:hi]))
+        self.t += 1
+        bias1 = 1.0 - self.beta1 ** self.t
+        bias2 = 1.0 - self.beta2 ** self.t
+        for run, moments in blocks:
+            if moments.shape[1] <= BLOCK:
+                self._update(run, moments, bias1, bias2)
+                continue
+            (x, g), = run  # a large parameter, in blocks of BLOCK elements
+            for start in range(0, x.size, BLOCK):
+                block = slice(start, start + BLOCK)
+                self._update([(x[block], g[block])], moments[:, block], bias1, bias2)
 
     def _update(self, run, moments, bias1, bias2) -> None:
         """One block: the flat (value, gradient) pairs of ``run``, whose m and

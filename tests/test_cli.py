@@ -350,6 +350,26 @@ def test_every_input_error_is_one_cli_line(monkeypatch, capsys, name):
         assert capsys.readouterr().err == "abusenet: error: bad input\n"
 
 
+@pytest.mark.parametrize("reader", ["dataset", "edges", "nodes", "embeddings"])
+def test_non_utf8_input_is_one_cli_line_naming_file_and_line(synth_dir, tmp_path, capsys, reader):
+    files = {"dataset": tmp_path / "users.csv", "edges": tmp_path / "edges.txt",
+             "nodes": tmp_path / "nodes.txt", "embeddings": tmp_path / "vectors.txt"}
+    copy_with_user_column(synth_dir / "dataset.csv", files["dataset"], n_users=4)
+    files["edges"].write_text("u0 u1\nu1 u2\nu2 u3\n")
+    files["nodes"].write_text("u0 5 3\nu1 2 2\n")
+    files["embeddings"].write_text("alert 0.1 0.2 0.3 0.4 0.5\ngame 0.5 0.4 0.3 0.2 0.1\n")
+    bad = files[reader]
+    first, rest = bad.read_bytes().split(b"\n", 1)
+    bad.write_bytes(first + b"\n\xff" + rest)
+    argv = ["train", "--dataset", files["dataset"], "--schema", synth_dir / "schema.json",
+            "--edges", files["edges"], "--nodes", files["nodes"], "--user-column", "user",
+            "--embeddings", files["embeddings"], "--mask", "WV+TF+UF+NF",
+            "--out", tmp_path / "run"] + TINY
+    assert cli.run([str(a) for a in argv]) == 2
+    kind = {"edges": "edge file ", "nodes": "attribute file "}.get(reader, "")
+    assert capsys.readouterr().err == f"abusenet: error: {bad}: {kind}line 2: bytes that are not UTF-8\n"
+
+
 def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):
     # a text-only mask builds no fused head, so --units need not match --fusion-dim
     assert run(train_args(synth_dir, tmp_path / "run", mask="WV") + ["--units", "8"]) == 0

@@ -24,6 +24,7 @@ from abusenet.evaluation import (
     run_cv,
     stratified_kfold,
 )
+from abusenet.features import FeaturePipeline
 from abusenet.graph import (
     NF_FEATURE_NAMES,
     DegenerateGraphError,
@@ -383,6 +384,68 @@ def test_in_memory_corpus_scores_with_its_own_checkpoint():
     np.testing.assert_array_equal(scored.meta, train.meta)
 
 
+def varied_corpus():
+    """synth_groups rows plus a categorical column, a numeric column with
+    blank and unparseable cells, an affect column, and texts with URLs,
+    mentions, emoticons and uppercase words for the tweet counters."""
+    corpus = synth_groups(n=90, seed=21)
+    extras = ["", " @u1 LOL :)", " https://x.co/A WOW", " #tag :-( @u2 @u3", " OK www.y.org"]
+    for i, rec in enumerate(corpus.records):
+        rec["client"] = ["web", "ios", "android", "bot"][i % 4]
+        rec["age"] = ["", "3.5", "n/a", "1e3", "12"][i % 5]
+        rec["anger_score"] = f"{(i % 7) / 7:.4f}" if i % 6 else ""
+        corpus.texts[i] += extras[i % len(extras)]
+    corpus.columns.update({"client": ("UF", "categorical"), "age": ("UF", "numeric")})
+    corpus.affect = {"anger": "anger_score"}
+    return corpus
+
+
+def encoded_bytes(train, test, artifacts):
+    return (train.text.tobytes(), train.meta.tobytes(), test.text.tobytes(), test.meta.tobytes(),
+            artifacts["vocab"].tokens(), artifacts["spec"], artifacts["schema"])
+
+
+class TestCorpusRowValues:
+    def test_every_fold_from_one_cached_corpus_equals_a_fresh_corpus(self):
+        cached = varied_corpus()
+        folds = stratified_kfold(cached.labels, 4, seed=2)
+        for i, test_idx in enumerate(folds):
+            train_idx = np.sort(np.concatenate([f for j, f in enumerate(folds) if j != i]))
+            got = encode_fold(cached, train_idx, test_idx, "WV+TF+UF")
+            expected = encode_fold(varied_corpus(), train_idx, test_idx, "WV+TF+UF")
+            assert encoded_bytes(*got) == encoded_bytes(*expected), i
+
+    def test_transform_without_values_equals_transform_with_them(self):
+        corpus = varied_corpus()
+        pipe = FeaturePipeline(corpus.columns, corpus.affect).fit(corpus.records[:60])
+        raw = pipe.transform(corpus.records, corpus.texts)
+        cached = pipe.transform(corpus.records, corpus.texts, corpus.row_values())
+        assert raw.schema == cached.schema
+        assert raw.values.tobytes() == cached.values.tobytes()
+
+    def test_attach_network_features_leaves_no_stale_values(self):
+        # the corpus already has a column named like an NF feature, parsed
+        # before attach_network_features overwrites it
+        def corpus_with_stale_column():
+            corpus = posting_corpus()
+            for i, rec in enumerate(corpus.records):
+                rec[NF_FEATURE_NAMES[0]] = str(i)
+            corpus.columns[NF_FEATURE_NAMES[0]] = ("UF", "numeric")
+            return corpus
+
+        filled = corpus_with_stale_column()
+        filled.row_values()
+        idx = np.arange(len(filled))
+        got = encode_fold(attach_network_features(filled, social_graph(), "user"), idx, idx[:0], "TF+NF")
+        expected = encode_fold(attach_network_features(corpus_with_stale_column(), social_graph(), "user"),
+                               idx, idx[:0], "TF+NF")
+        assert got[2]["schema"] == expected[2]["schema"]
+        assert got[0].meta.tobytes() == expected[0].meta.tobytes()
+        # and the corpus the values were parsed from still reads its own column
+        column = filled.row_values([NF_FEATURE_NAMES[0]]).columns[NF_FEATURE_NAMES[0]]
+        np.testing.assert_array_equal(column, np.arange(len(filled)))
+
+
 class TestKFold:
     def test_partition_exact(self):
         labels = np.random.default_rng(0).integers(0, 3, size=97)
@@ -487,6 +550,13 @@ class TestWorkers:
                         n_folds=3, workers=1)
         parallel = run_cv(corpus, tiny_config(seed=3), TINY_MODEL, mask="UF",
                           n_folds=3, workers=2)
+        assert serial.to_dict() == parallel.to_dict()
+
+    def test_parallel_folds_from_a_fresh_corpus_match_serial(self):
+        # the parallel run's corpus is filled by run_cv itself, before its jobs are sent
+        config = tiny_config(seed=6, max_epochs=2, patience=1)
+        serial = run_cv(varied_corpus(), config, TINY_MODEL, mask="WV+TF+UF", n_folds=2, workers=1)
+        parallel = run_cv(varied_corpus(), config, TINY_MODEL, mask="WV+TF+UF", n_folds=2, workers=2)
         assert serial.to_dict() == parallel.to_dict()
 
     def test_parallel_folds_match_serial_text_path(self):

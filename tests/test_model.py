@@ -428,6 +428,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint truncated"):
             load_checkpoint(path)
 
+    def test_oversized_header_length_rejected_before_allocating(self, tmp_path):
+        # 32 bytes that claim a 64 MiB header
+        path = tmp_path / "huge_header.ckpt"
+        path.write_bytes(b"ABNET1\x00" + struct.pack("<I", 64 * 2**20) + b"{}".ljust(21))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: checkpoint truncated"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_parameter_stored_twice_rejected(self, tmp_path):
         records = v1_text_records()
         path = tmp_path / "twice.ckpt"

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from itertools import filterfalse
 
 import numpy as np
@@ -43,6 +44,16 @@ def reference_tokenize(text):
         else:
             out.append(m.group())
     return out
+
+
+def reference_build(token_lists):
+    """Vocabulary.build's index as it was built a token list at a time, with
+    one sort on (-count, token)."""
+    counts = Counter()
+    for tokens in token_lists:
+        counts.update(tokens)
+    kept = sorted((t for t, c in counts.items() if c >= 2), key=lambda t: (-counts[t], t))
+    return {t: i + 2 for i, t in enumerate(kept)}
 
 
 def reference_encode_pad(tokens, vocab, spec):
@@ -148,6 +159,26 @@ class TestVocabulary:
         v1 = Vocabulary.build(docs)
         v2 = Vocabulary.build(docs)
         assert v1.tokens() == v2.tokens()
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_build_and_encode_equal_the_per_list_reference(self, seed):
+        # a small alphabet gives many tied counts and hapaxes; lists run from
+        # empty to past seq_len
+        rng = np.random.default_rng(seed)
+        alphabet = [f"t{i}" for i in range(40)] + ["T0", "<url>", "!", "é"]
+        lists = [[alphabet[int(j)] for j in rng.integers(0, len(alphabet), size=int(rng.integers(0, 12)))]
+                 for _ in range(60)]
+        lists += [[], [], ["hapax"]]
+        vocab = Vocabulary.build(lists)
+        assert list(vocab.tokens()) == list(reference_build(lists))
+        assert len(set(map(len, lists))) > 5 and any(not t for t in lists)
+        for seq_len in (1, 5, 11, 20):
+            spec = SequenceSpec(seq_len)
+            expected = np.stack([reference_encode_pad(t, vocab, spec) for t in lists])
+            got = encode_corpus(lists, vocab, spec)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestEncodePad:

@@ -260,6 +260,48 @@ class TestAdam:
         with pytest.raises(ContractError, match="'late'"):
             opt.step([a, late])
 
+    @pytest.mark.parametrize("offender", ["wrong_grad_shape", "not_laid_out"])
+    def test_failed_step_changes_nothing(self, offender):
+        # closed runs, an open run and a large parameter all come before the
+        # offender; after the refused step the values and t are as before, and
+        # the next step equals that of an optimizer that never saw it
+        def make():
+            rng = np.random.default_rng(3)
+            specs = [((3,), np.float32), ((4, 2), np.float32), ((BLOCK,), np.float32),
+                     ((5,), np.float64), ((2, 2), np.float32)]
+            return [Parameter(f"p{i}", rng.normal(size=shape).astype(dtype))
+                    for i, (shape, dtype) in enumerate(specs)]
+
+        def set_grads(params, seed):
+            rng = np.random.default_rng(seed)
+            for p in params:
+                p.grad = rng.normal(size=p.shape).astype(p.dtype)
+
+        params, twins = make(), make()
+        opt, twin_opt = Adam(1e-2), Adam(1e-2)
+        bad = Parameter("bad", np.zeros(3, dtype=np.float32))
+        bad.grad = np.ones(3, dtype=np.float32)
+        for step_seed in (11, 12):
+            set_grads(params, step_seed)
+            set_grads(twins, step_seed)
+            opt.step(params + ([bad] if step_seed == 11 and offender == "wrong_grad_shape" else []))
+            twin_opt.step(twins)
+        if offender == "wrong_grad_shape":
+            bad.grad = np.ones(4, dtype=np.float32)
+        set_grads(params, 13)
+        before = [p.data.copy() for p in params]
+        with pytest.raises(ContractError, match="bad"):
+            opt.step(params + [bad])
+        assert opt.t == 2
+        for p, value in zip(params, before):
+            assert p.data.tobytes() == value.tobytes(), p.name
+        set_grads(params, 14)
+        set_grads(twins, 14)
+        opt.step(params)
+        twin_opt.step(twins)
+        for p, twin in zip(params, twins):
+            assert p.data.tobytes() == twin.data.tobytes(), p.name
+
 
 class TestEarlyStopping:
     def test_always_improving_never_stops(self):
