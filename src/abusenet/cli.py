@@ -54,6 +54,11 @@ from .training import STRATEGIES, DegenerateLabelsError, TrainingConfig, predict
 # flag spelling -> TrainingConfig.strategy
 STRATEGY_FLAGS = {s.replace("_", "-"): s for s in STRATEGIES}
 
+# what `run` reports as bad input: one error line and exit status 2
+INPUT_ERRORS = (OSError, SchemaError, EmptyDatasetError, ParseError, FormatError,
+                NonFiniteFeatureError, ConfigurationError, ContractError, DegenerateGraphError,
+                DegenerateLabelsError, UndefinedMetricError)
+
 
 def _add_common_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="delimited dataset file")
@@ -357,9 +362,7 @@ def run(argv=None) -> int:
     warnings.formatwarning = _warning_line
     try:
         return main(argv)
-    except (OSError, SchemaError, EmptyDatasetError, ParseError, FormatError, NonFiniteFeatureError,
-            ConfigurationError, ContractError, DegenerateGraphError, DegenerateLabelsError,
-            UndefinedMetricError) as e:
+    except INPUT_ERRORS as e:
         print(f"abusenet: error: {e}", file=sys.stderr)
         return 2
     finally:

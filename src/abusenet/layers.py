@@ -27,7 +27,16 @@ from .tensor import (
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None, dtype=np.float32) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out)).astype(dtype, copy=False)
+
+
+class ZeroDraws:
+    """Takes a weight ``Generator``'s place where every weight is about to be
+    overwritten, as a checkpoint's read does: each draw is zeros."""
+
+    @staticmethod
+    def uniform(low, high, size) -> np.ndarray:
+        return np.zeros(size, dtype=np.float32)
 
 
 class EmbeddingLayer:
@@ -109,15 +118,30 @@ class GRULayer:
         return [self.W_z, self.W_r, self.W_h, self.U_z, self.U_r, self.U_h,
                 self.b_z, self.b_r, self.b_h]
 
+    def input_parameters(self) -> list[Parameter]:
+        """The parameters ``project`` reads."""
+        return [self.W_z, self.W_r, self.W_h, self.b_z, self.b_r, self.b_h]
+
+    def project(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's gate inputs, ``rows @ [W_z|W_r|W_h] + [b_z|b_r|b_h]``
+        [m, 3 units], every row by gemm."""
+        P = _gemm_rows(rows, np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1))
+        P += np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
+        return P
+
     def forward(self, x: Tensor, mask: np.ndarray | None = None, h0: Tensor | None = None,
                 train: bool = False, rng: np.random.Generator | None = None,
-                index: np.ndarray | None = None):
+                index: np.ndarray | None = None, projected: tuple | None = None):
         """Run the recurrence; returns (all_states [b,T,units], last [b,units]).
 
         ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
         live (mask True) positions are read, so padded ones may hold any
         index. A row read at many positions is projected onto the gates once.
+        ``projected``, with ``index``, is ``(P, ids)``: ``P`` is ``project``
+        of a larger table whose row ``ids[j]`` is ``x``'s row j. A call that
+        records no tape then reads its steps' gate inputs from ``P`` instead
+        of projecting ``x``; a call that records ignores it.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -154,7 +178,7 @@ class GRULayer:
             keep = 1.0 - self.recurrent_dropout
             drop = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
 
-        states = self._recurrence(x, index, mask, h, drop)
+        states = self._recurrence(x, index, mask, h, drop, projected)
 
         def back_last(g):
             full = np.zeros_like(states.data)
@@ -164,13 +188,15 @@ class GRULayer:
         return states, op_output(states.data[:, -1].copy(), (states,), back_last)
 
     def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
-                    drop: np.ndarray | None) -> Tensor:
+                    drop: np.ndarray | None, projected: tuple | None) -> Tensor:
         """The whole recurrence as one tape op returning the states [b, T, units].
 
         When rows repeat, as a batch's token ids do, each row is projected
         once, ``P = rows @ [W_z|W_r|W_h] + b``, and a step gathers its live
-        (mask True) rows' ``P[index]``; otherwise a step multiplies its live
-        inputs by [W_z|W_r|W_h] itself. A step without padding works on whole
+        (mask True) rows' ``P[index]``; a call that records no tape gathers
+        them from the ``projected`` table instead, when it is given;
+        otherwise a step multiplies its live inputs by [W_z|W_r|W_h] itself.
+        A step without padding works on whole
         [b, .] slices, a step with some padded rows gathers the live ones,
         and a step whose rows are all padded is skipped. Padded rows carry h
         unchanged into the states. Per step: one recurrent matmul against
@@ -220,10 +246,12 @@ class GRULayer:
             ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
-        shared = rows.shape[0] < n  # some row is read at several positions
-        if shared:
-            P = _gemm_rows(rows, W)
-            P += bias
+        if projected is not None and not record:
+            P, src_p = projected[0], projected[1][src]  # the table row each live position reads
+        elif rows.shape[0] < n:  # some row is read at several positions
+            P, src_p = self.project(rows), src
+        else:
+            P = None
         h = h0.data.copy()
         for t in range(steps):
             lo, hi = start[t], start[t + 1]
@@ -236,8 +264,8 @@ class GRULayer:
                 sel = live_b[lo:hi]
                 h_t = h[sel]
                 drop_t = None if drop is None else drop[sel]
-            if shared and hi - lo > 1:
-                a = P[src[lo:hi]]
+            if P is not None and hi - lo > 1:
+                a = P[src_p[lo:hi]]
             else:
                 # also for a one-row step: numpy computes a one-row product
                 # with gemv, which rounds differently from P's gemm rows
@@ -353,6 +381,8 @@ class AttentionLayer:
     """Additive attention over GRU states: e_t = v . tanh(h_t W), softmax over
     unmasked steps, output is the weighted state sum."""
 
+    GATHER_ROWS = 64  # batch rows whose live states the forward gathers at once
+
     def __init__(self, units: int, rng: np.random.Generator | None = None,
                  name: str = "attention", dtype=np.float32):
         rng = rng or np.random.default_rng(0)
@@ -378,18 +408,25 @@ class AttentionLayer:
             raise ShapeError(f"attention mask shape {mask.shape} does not match states {(b, steps)}")
         W, v = self.W_a, self.v_a
         _check_dtypes(states, W, v)
-        # live positions row-major: those of rows[k] are live[starts[k]:ends[k]]
-        live = states.data[mask]
-        counts = np.count_nonzero(mask, axis=1)
-        rows = np.flatnonzero(counts)
-        counts = counts[rows]
+        # live positions row-major: those of rows[k] are live[starts[k]:ends[k]],
+        # and those of batch row i start at at[i]
+        per_row = np.count_nonzero(mask, axis=1)
+        rows = np.flatnonzero(per_row)
+        counts = per_row[rows]
         ends = np.cumsum(counts)
         starts = ends - counts
+        at = [0, *np.cumsum(per_row).tolist()]
         # a non-finite live state is reported once, as a NumericError: tanh
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
         with np.errstate(invalid="ignore", over="ignore"):
-            a = live @ W.data
+            # the live states are gathered a block of rows at a time, so
+            # that no [n, u] copy of them sits beside a; backward gathers
+            # them once
+            a = np.empty((at[-1], u), dtype=states.dtype)
+            for i in range(0, b, self.GATHER_ROWS):
+                j = min(i + self.GATHER_ROWS, b)
+                np.matmul(states.data[i:j][mask[i:j]], W.data, out=a[at[i]:at[j]])
             np.tanh(a, out=a)
             e = (a @ v.data)[:, 0]
             if not np.isfinite(e).all():
@@ -401,13 +438,14 @@ class AttentionLayer:
             # a product per row: np.add.reduceat over the rows of w * live is
             # many times slower
             for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-                context[i] = w[lo:hi] @ live[lo:hi]
+                context[i] = w[lo:hi] @ states.data[i, mask[i]]
         if not np.isfinite(context).all():
             raise NumericError("attention context contains NaN or Inf: a live GRU state is not finite")
         weights = np.zeros((b, steps), dtype=states.dtype)
         weights[mask] = w
 
         def back(g):
+            live = states.data[mask]
             g_live = np.repeat(g[rows], counts, axis=0)
             dw = np.einsum("nu,nu->n", live, g_live)
             dw -= np.repeat(np.add.reduceat(w * dw, starts), counts)
@@ -553,9 +591,10 @@ class BatchNormLayer:
             out = _batchnorm(x, self.gamma, self.beta, mean, 1.0 / np.sqrt(var + self.eps),
                              batch_stats=True)
             if update_stats:
+                # assigned, not written in place: a loaded checkpoint's arrays are read-only
                 m = self.momentum
-                self.running_mean.data[:] = m * self.running_mean.data + (1.0 - m) * mean
-                self.running_var.data[:] = m * self.running_var.data + (1.0 - m) * var
+                self.running_mean.data = m * self.running_mean.data + (1.0 - m) * mean
+                self.running_var.data = m * self.running_var.data + (1.0 - m) * var
             return out
         invstd = (1.0 / np.sqrt(self.running_var.data + self.eps)).astype(x.dtype, copy=False)
         return _batchnorm(x, self.gamma, self.beta, self.running_mean.data, invstd,

@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer
-from .tensor import ContractError, Parameter, Tensor
+from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer, ZeroDraws
+from .tensor import ContractError, Parameter, Tensor, active_tape
 from .text import FormatError
 
 CHECKPOINT_MAGIC = b"ABNET1\x00"
@@ -51,12 +51,20 @@ class ModelConfig:
 
 
 class TextPath:
-    """embedding -> GRU -> (attention | last state) feature readout."""
+    """embedding -> GRU -> (attention | last state) feature readout.
+
+    While the table and the GRU's input weights are read-only arrays, as a
+    loaded checkpoint's are, a forward that records no tape reads each
+    token's gate inputs from one projection of the whole table, built on
+    the first such forward and kept while those arrays stay the same
+    objects. It holds the bits of the per-batch projection it replaces.
+    """
 
     def __init__(self, embedding: EmbeddingLayer, gru: GRULayer, attention: AttentionLayer | None):
         self.embedding = embedding
         self.gru = gru
         self.attention = attention
+        self._projection: tuple[list[np.ndarray], np.ndarray] | None = None  # (its sources, P)
 
     @property
     def feature_dim(self) -> int:
@@ -82,12 +90,29 @@ class TextPath:
         ids, inverse = np.unique(token_ids[mask], return_inverse=True)
         index = np.zeros(token_ids.shape, dtype=np.intp)
         index[mask] = inverse
+        inputs = [self.embedding.table, *self.gru.parameters()]
+        records = active_tape() is not None and any(p.requires_grad for p in inputs)
+        P = None if records else self.projected_table()
+        # one-row steps still multiply their embedded row
         states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
-                                        train=train and not self.frozen, rng=rng)
+                                        train=train and not self.frozen, rng=rng,
+                                        projected=None if P is None else (P, ids))
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask)
             return context
         return last
+
+    def projected_table(self) -> np.ndarray | None:
+        """``gru.project`` of the whole table, or None (and the kept one
+        dropped) unless the table and the GRU's input weights are read-only
+        arrays that own their data."""
+        sources = [p.data for p in (self.embedding.table, *self.gru.input_parameters())]
+        if any(a.flags.writeable or a.base is not None for a in sources):
+            self._projection = None
+            return None
+        if self._projection is None or any(a is not b for a, b in zip(self._projection[0], sources)):
+            self._projection = (sources, self.gru.project(sources[0]))
+        return self._projection[1]
 
 
 class MetadataPath:
@@ -386,7 +411,11 @@ def _read_exact(fh, n: int) -> bytes:
 def load_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
     """Rebuild the model named in the header and read each stored array into its
     parameter's own (C-contiguous float32) array; a file that is not a loadable
-    checkpoint is a FormatError naming ``path``."""
+    checkpoint is a FormatError naming ``path``.
+
+    The arrays are read-only: training replaces each one it updates with a
+    writable copy, so the text path may keep what it computes from them.
+    """
     try:
         return _read_checkpoint(path)
     except ValueError as e:
@@ -413,9 +442,13 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         try:
             meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})
             meta.config = ModelConfig(**meta.config)
+            meta.schema = [tuple(c) for c in meta.schema]
         except TypeError as e:
             raise ValueError(f"checkpoint header does not describe a model: {e}") from None
-        meta.schema = [tuple(c) for c in meta.schema]
+        stored = _stored_bytes(meta)
+        if stored > size - fh.tell():  # refused before the model is built
+            raise ValueError(f"checkpoint truncated: its header describes {stored} bytes of "
+                             f"parameters, {size - fh.tell()} bytes follow it")
         model = _rebuild(meta)
         params = {p.name: p for p in model.parameters()}
         missing, unknown = dict(params), []
@@ -443,6 +476,7 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
                 raise ValueError("checkpoint truncated")
             if not np.little_endian:
                 p.data.byteswap(inplace=True)
+            p.data.flags.writeable = False
             p.trainable = bool(trainable)
 
     if missing:
@@ -453,21 +487,50 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
     return model, meta
 
 
+def _stored_bytes(meta: CheckpointMeta) -> int:
+    """The bytes of parameter values a checkpoint of the model ``meta``
+    describes holds: every parameter is stored, as float32."""
+    c = meta.config
+    if meta.kind not in ("text", "metadata", "combined"):
+        raise ValueError(f"unknown model kind {meta.kind!r}")
+    if not isinstance(meta.classes, list) or not all(isinstance(k, str) for k in meta.classes):
+        raise ValueError("checkpoint header's classes are not a list of strings")
+    if not isinstance(meta.vocab_tokens, list):
+        raise ValueError("checkpoint header's vocab_tokens is not a list")
+    text, metadata = meta.kind != "metadata", meta.kind != "text"
+    sizes = [c.embed_dim, c.units, c.fusion_dim, c.attention_threshold, *c.hidden]
+    sizes += [meta.seq_len] * text + [meta.feature_dim] * metadata
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in sizes):
+        raise ValueError("checkpoint header gives a width or length that is not an integer")
+    elements, head_in = 0, 0
+    if text:
+        # embedding, W, U and b per gate, attention's W_a and v_a
+        elements += meta.vocab_size * c.embed_dim + 3 * (c.embed_dim + c.units + 1) * c.units
+        if meta.seq_len > c.attention_threshold:
+            elements += c.units * (c.units + 1)
+        head_in += c.units
+    if metadata:
+        elements += 4 * meta.feature_dim  # batch norm: gamma, beta and the running statistics
+        for fan_in, fan_out in zip((meta.feature_dim, *c.hidden), (*c.hidden, c.fusion_dim)):
+            elements += (fan_in + 1) * fan_out
+        head_in += c.fusion_dim
+    return 4 * (elements + (head_in + 1) * len(meta.classes))
+
+
 def _rebuild(meta: CheckpointMeta) -> ClassifierModel:
-    """The model a header describes, its weights placeholders for the stored ones."""
+    """The model a header describes, its weights zero placeholders for the stored ones."""
+    zeros = ZeroDraws()
 
     def text() -> ClassifierModel:
         table = np.zeros((meta.vocab_size, meta.config.embed_dim), dtype=np.float32)
         return build_text_path(meta.vocab_size, meta.seq_len, meta.classes, config=meta.config,
-                               embedding=EmbeddingLayer(table))
+                               rng=zeros, embedding=EmbeddingLayer(table))
 
     def metadata() -> ClassifierModel:
-        return build_metadata_path(meta.feature_dim, meta.classes, config=meta.config)
+        return build_metadata_path(meta.feature_dim, meta.classes, config=meta.config, rng=zeros)
 
     if meta.kind == "text":
         return text()
     if meta.kind == "metadata":
         return metadata()
-    if meta.kind == "combined":
-        return build_combined(text(), metadata())
-    raise ValueError(f"unknown model kind {meta.kind!r}")
+    return build_combined(text(), metadata(), rng=zeros)

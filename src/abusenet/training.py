@@ -187,8 +187,10 @@ class Adam:
             g = p.grad
             if g.shape != p.data.shape:
                 raise ContractError(f"gradient shape {g.shape} mismatches {p.name} {p.data.shape}")
-            if not p.data.flags.c_contiguous:
-                p.data = np.ascontiguousarray(p.data)  # so that its flat view is not a copy
+            if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+                # so that its flat view is not a copy, and a read-only
+                # (loaded) array is copied on its first write
+                p.data = np.array(p.data, order="C")
             x, g = p.data.reshape(-1), g.reshape(-1)
             if x.size >= BLOCK:
                 moments = self._moments.get(p.name)

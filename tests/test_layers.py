@@ -669,6 +669,36 @@ class TestAttention:
         out, _ = att.forward(Tensor(states), mask)
         assert np.isfinite(out.data).all()
 
+    def test_blocked_gather_equals_one_gather_bitwise(self):
+        # the forward gathers the live states a block of rows at a time; the
+        # context and weights keep the bits of one gather of all of them
+        att = AttentionLayer(128, rng=np.random.default_rng(19))
+        rng = np.random.default_rng(20)
+        b, steps = 2 * AttentionLayer.GATHER_ROWS + 5, 40
+        states = rng.normal(size=(b, steps, 128)).astype(np.float32)
+        mask = np.arange(steps)[None, :] >= rng.integers(0, steps + 1, size=b)[:, None]  # left padding
+        mask[3] = rng.random(steps) < 0.5  # interior gaps
+        mask[7] = False  # an all-padded row
+        live = states[mask]
+        e = (np.tanh(live @ att.W_a.data) @ att.v_a.data)[:, 0]
+        counts = np.count_nonzero(mask, axis=1)
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        e -= np.repeat(np.maximum.reduceat(e, starts), counts[counts > 0])
+        w = np.exp(e)
+        w /= np.repeat(np.add.reduceat(w, starts), counts[counts > 0])
+        weights = np.zeros((b, steps), dtype=np.float32)
+        weights[mask] = w
+        context = np.zeros((b, 128), dtype=np.float32)
+        for i, lo in enumerate(np.cumsum(counts) - counts):
+            if counts[i]:
+                context[i] = w[lo:lo + counts[i]] @ live[lo:lo + counts[i]]
+        out, out_weights = att.forward(Tensor(states), mask)
+        with Tape():
+            recorded, _ = att.forward(Tensor(states, requires_grad=True), mask)
+        for got in (out, recorded):
+            np.testing.assert_array_equal(got.data, context)
+        np.testing.assert_array_equal(out_weights.data, weights)
+
     def test_records_one_tape_op(self):
         att = AttentionLayer(3, rng=np.random.default_rng(18))
         states = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -20,7 +21,7 @@ from abusenet.model import (
 from abusenet import tensor as T
 from abusenet.tensor import ContractError, Tape, Tensor
 from abusenet.text import FormatError
-from abusenet.training import EncodedDataset, TrainingConfig, cross_entropy, fit
+from abusenet.training import Adam, EncodedDataset, TrainingConfig, cross_entropy, fit, fit_interleaved
 
 SMALL = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, recurrent_dropout=0.0)
 
@@ -368,7 +369,11 @@ class TestCheckpoint:
             raise AssertionError("load_checkpoint drew a random embedding table")
 
         monkeypatch.setattr(EmbeddingLayer, "random", classmethod(refuse))
+        # no Generator can be made during the load, so none draws placeholder weights
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
         clone, _ = load_checkpoint(path)
+        monkeypatch.undo()
         for p, q in zip(m.parameters(), clone.parameters(), strict=True):
             assert p.name == q.name
             np.testing.assert_array_equal(q.data, p.data)
@@ -441,6 +446,41 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    def test_header_describing_more_parameter_bytes_than_follow_rejected_before_rebuild(self, tmp_path):
+        # an 880-byte file whose config asks for 1000 GRU units: 12,044,040 bytes of parameters
+        header = {**V1_HEADER, "config": {**V1_HEADER["config"], "units": 1000}}
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(v1_bytes(header, v1_text_records()))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: checkpoint truncated: "
+                                                  "its header describes 12044040 bytes of parameters"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("kind", ["text", "text_attention", "metadata", "combined"])
+    def test_described_parameter_bytes_are_the_stored_ones(self, tmp_path, kind):
+        config = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, attention_threshold=4)
+        rng = np.random.default_rng(13)
+        seq_len = 6 if kind == "text_attention" else 3
+        text = build_text_path(20, seq_len, ["a", "b", "c"], config=config, rng=rng)
+        meta = build_metadata_path(4, ["a", "b", "c"], config=config, rng=rng)
+        m = {"metadata": meta, "combined": build_combined(text, meta, rng=rng)}.get(kind, text)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, m, CheckpointMeta(
+            classes=m.classes, kind=m.kind, config=config, seq_len=seq_len,
+            vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=None if kind.startswith("text") else 4))
+        load_checkpoint(path)
+        stored = sum(p.data.nbytes for p in m.parameters())
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[7:11])
+        path.write_bytes(raw[:11 + hlen + stored // 2])  # cut inside the records
+        with pytest.raises(FormatError, match=f"its header describes {stored} bytes of parameters"):
+            load_checkpoint(path)
+
     def test_parameter_stored_twice_rejected(self, tmp_path):
         records = v1_text_records()
         path = tmp_path / "twice.ckpt"
@@ -509,3 +549,258 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def saved_and_loaded(tmp_path, m, seq_len, n_tokens, feature_dim=None, config=SMALL):
+    """(path, the model load_checkpoint rebuilds) for ``m`` saved with a fitting header."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m, CheckpointMeta(
+        classes=m.classes, kind=m.kind, config=config, seq_len=seq_len,
+        vocab_tokens=[f"t{i}" for i in range(n_tokens)], feature_dim=feature_dim))
+    return path, load_checkpoint(path)[0]
+
+
+@pytest.fixture
+def projections(monkeypatch):
+    """The row count of every GRULayer.project call."""
+    rows = []
+    project = GRULayer.project
+
+    def spy(self, x):
+        rows.append(x.shape[0])
+        return project(self, x)
+
+    monkeypatch.setattr(GRULayer, "project", spy)
+    return rows
+
+
+class TestLoadedModel:
+    """A loaded checkpoint's arrays are read-only, and its text path projects
+    the vocabulary onto the GRU's gates once."""
+
+    def test_paper_width_cached_probabilities_equal_per_batch_bitwise(self, tmp_path, projections):
+        config = ModelConfig()
+        vocab, seq_len = 600, 104
+        m = build_text_path(vocab, seq_len, ["a", "b"], config=config, rng=np.random.default_rng(21))
+        assert m.text_path.attention is not None
+        path, clone = saved_and_loaded(tmp_path, m, seq_len, vocab - 2, config=config)
+        rng = np.random.default_rng(22)
+        ids = rng.integers(1, vocab, size=(48, seq_len))
+        lengths = rng.integers(1, seq_len - 1, size=48)
+        lengths[5] = seq_len  # the only row live at step 0: a one-row step
+        ids[np.arange(seq_len)[None, :] < (seq_len - lengths)[:, None]] = 0  # left padding
+        for batch in (ids, ids[:9], ids[5:6]):
+            # the features too: a last-bit difference there can round away in the probabilities
+            np.testing.assert_array_equal(clone.text_path.features(batch).data,
+                                          m.text_path.features(batch).data)
+            np.testing.assert_array_equal(clone.forward(batch, None).data, m.forward(batch, None).data)
+        assert projections.count(vocab) == 1  # the loaded model projected its table once
+
+    def test_desk_width_cached_probabilities_equal_per_batch_bitwise(self, tmp_path, projections):
+        config = ModelConfig(embed_dim=16, units=16, hidden=(32, 16), fusion_dim=16)
+        rng = np.random.default_rng(23)
+        text = build_text_path(300, 29, ["a", "b"], config=config, rng=rng)
+        m = build_combined(text, build_metadata_path(4, ["a", "b"], config=config, rng=rng), rng=rng)
+        _, clone = saved_and_loaded(tmp_path, m, 29, 298, feature_dim=4, config=config)
+        assert clone.text_path.attention is None
+        ids = rng.integers(0, 300, size=(64, 29))
+        distinct = np.arange(1, 61).reshape(4, 15)  # every id read once: no per-batch projection
+        for batch in (ids, distinct):
+            meta = rng.normal(size=(len(batch), 4)).astype(np.float32)
+            np.testing.assert_array_equal(clone.text_path.features(batch).data,
+                                          m.text_path.features(batch).data)
+            np.testing.assert_array_equal(clone.forward(batch, meta).data, m.forward(batch, meta).data)
+        assert projections.count(300) == 1
+
+    def test_in_place_write_to_a_loaded_parameter_raises(self, tmp_path):
+        _, clone = saved_and_loaded(tmp_path, small_combined(seed=24), 6, 18, feature_dim=4)
+        for p in clone.parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data.reshape(-1)[0] = 1.0
+
+    @pytest.mark.parametrize("strategy", ["naive", "interleaved"])
+    def test_fit_on_loaded_model_equals_fit_on_the_saved_one_bitwise(self, tmp_path, strategy):
+        m = small_combined(seed=25)
+        _, clone = saved_and_loaded(tmp_path, m, 6, 18, feature_dim=4)
+        rng = np.random.default_rng(26)
+        data = EncodedDataset(labels=np.arange(60) % 2, classes=m.classes,
+                              text=rng.integers(0, 20, size=(60, 6)),
+                              meta=rng.normal(size=(60, 4)).astype(np.float32))
+        config = TrainingConfig(strategy=strategy, batch_size=16, max_epochs=3, patience=2, seed=27)
+        train = fit_interleaved if strategy == "interleaved" else fit
+        histories = [train(model, data, config) for model in (m, clone)]
+        assert histories[0].val_loss == histories[1].val_loss
+        for p, q in zip(m.parameters(), clone.parameters(), strict=True):
+            np.testing.assert_array_equal(q.data, p.data)
+
+    def test_replaced_arrays_drop_the_projection(self, tmp_path, projections):
+        m = small_combined(seed=28)
+        _, clone = saved_and_loaded(tmp_path, m, 6, 18, feature_dim=4)
+        rng = np.random.default_rng(29)
+        ids = rng.integers(1, 20, size=(8, 6))
+        meta = rng.normal(size=(8, 4)).astype(np.float32)
+        clone.forward(ids, meta)
+        assert projections == [20] and clone.text_path.projected_table() is not None
+        clone.restore(clone.snapshot())  # writable copies
+        assert clone.text_path.projected_table() is None
+        np.testing.assert_array_equal(clone.forward(ids, meta).data, m.forward(ids, meta).data)
+        assert 20 not in projections[1:]  # projected per batch again
+
+        projections.clear()
+        _, clone = saved_and_loaded(tmp_path, m, 6, 18, feature_dim=4)
+        clone.forward(ids, meta)
+        w_z = {p.name: p for p in clone.parameters()}["text.gru.W_z"]
+        w_z.grad = np.ones_like(w_z.data)
+        Adam(1e-3).step([w_z])  # a copy on write
+        assert w_z.data.flags.writeable and clone.text_path.projected_table() is None
+        m_w_z = {p.name: p for p in m.parameters()}["text.gru.W_z"]
+        m_w_z.grad = np.ones_like(m_w_z.data)
+        Adam(1e-3).step([m_w_z])
+        np.testing.assert_array_equal(clone.forward(ids, meta).data, m.forward(ids, meta).data)
+        assert projections.count(20) == 1
+
+    def test_saving_a_loaded_model_reproduces_the_checkpoint(self, tmp_path):
+        m = small_combined(seed=30)
+        path, clone = saved_and_loaded(tmp_path, m, 6, 18, feature_dim=4)
+        clone.forward(np.random.default_rng(31).integers(0, 20, size=(4, 6)),
+                      np.zeros((4, 4), dtype=np.float32))  # builds the projection
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, clone, load_checkpoint(path)[1])
+        assert again.read_bytes() == path.read_bytes()
+
+
+MUTATION_TOKENS = (b'"', b",", b":", b"{", b"}", b"[", b"]", b"null", b"true", b"-1", b"0", b"7",
+                   b"2.5", b'"x"', b"\xff")
+MUTATION_VALUES = (None, True, -1, 0, 1, 7, 2.5, "x", [], [7], {}, {"x": 1})
+# the most bytes a mutant may claim, so that a loader without checks
+# cannot exhaust memory
+MAX_CLAIM = 64 * 2**20
+
+
+def replace_header_value(raw: bytes, rng: np.random.Generator) -> bytes:
+    """``raw`` with one value of its (valid) header, at any depth, replaced by
+    another JSON value, and the header length field updated to match."""
+    (hlen,) = struct.unpack("<I", raw[7:11])
+    header = json.loads(raw[11:11 + hlen])
+    holder = header
+    while True:
+        keys = list(holder) if isinstance(holder, dict) else range(len(holder))
+        key = keys[int(rng.integers(len(keys)))]
+        if not (isinstance(holder[key], (dict, list)) and holder[key]) or rng.random() < 0.5:
+            break
+        holder = holder[key]
+    holder[key] = MUTATION_VALUES[int(rng.integers(len(MUTATION_VALUES)))]
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen:]
+
+
+def mutate(raw: bytes, rng: np.random.Generator) -> bytes:
+    """One to three seeded edits of ``raw``: a bit flip, a deletion, an
+    insertion of random bytes, a truncation, a JSON token injected into the
+    header, or (as the first edit) one header value replaced."""
+    edits = int(rng.integers(1, 4))
+    if rng.random() < 0.3:
+        raw = replace_header_value(raw, rng)
+        edits -= 1
+    out = bytearray(raw)
+    for _ in range(edits):
+        at = int(rng.integers(len(out) + 1))
+        kind = int(rng.integers(5))
+        if kind == 0 and at < len(out):
+            out[at] ^= 1 << int(rng.integers(8))
+        elif kind == 1:
+            del out[at:at + int(rng.integers(1, 9))]
+        elif kind == 2:
+            out[at:at] = rng.bytes(int(rng.integers(1, 9)))
+        elif kind == 3:
+            del out[at:]
+        else:
+            at = int(rng.integers(11, max(12, min(len(out), 11 + struct.unpack("<I", raw[7:11])[0]))))
+            out[at:at] = MUTATION_TOKENS[int(rng.integers(len(MUTATION_TOKENS)))]
+    return bytes(out)
+
+
+def claimed_bytes(raw: bytes) -> float:
+    """A generous bound, worked out apart from the loader, on what ``raw``'s
+    header length, header widths and record shapes could make a loader
+    allocate."""
+    if len(raw) < 11:
+        return 0
+    (hlen,) = struct.unpack("<I", raw[7:11])
+    claims = [hlen]
+    try:
+        header = json.loads(raw[11:11 + hlen])
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError):
+        header = None
+    numbers, todo = [], [header]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, dict):
+            todo += item.values()
+        elif isinstance(item, list):
+            numbers.append(len(item) + 2)
+            todo += item
+        elif isinstance(item, (int, float)):
+            numbers.append(abs(item))
+    width = max(numbers, default=0)
+    claims.append(4 * (len(numbers) + 16) * width ** 2 if math.isfinite(width) else math.inf)
+    at = 11 + hlen + 4  # the records: name, tag, trainable flag and ndim, shape, values
+    while at + 2 <= len(raw):
+        at += 2 + struct.unpack_from("<H", raw, at)[0]
+        if at + 2 > len(raw):
+            break
+        at += 2 + struct.unpack_from("<H", raw, at)[0] + 2
+        if at > len(raw) or at + 4 * raw[at - 1] > len(raw):
+            break
+        shape = struct.unpack_from(f"<{raw[at - 1]}I", raw, at)
+        at += 4 * len(shape) + 4 * math.prod(shape)
+        claims.append(4 * math.prod(shape))
+    return max(claims)
+
+
+class TestCheckpointMutation:
+    def sources(self, tmp_path) -> list[bytes]:
+        """A v1 text checkpoint and a combined one with attention."""
+        config = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, attention_threshold=4)
+        rng = np.random.default_rng(12)
+        text = build_text_path(20, 6, ["a", "b"], config=config, rng=rng)
+        combined = build_combined(text, build_metadata_path(4, ["a", "b"], config=config, rng=rng), rng=rng)
+        path = tmp_path / "combined.ckpt"
+        save_checkpoint(path, combined, CheckpointMeta(
+            classes=["a", "b"], kind="combined", config=config, seq_len=6,
+            vocab_tokens=[f"t{i}" for i in range(18)], feature_dim=4))
+        return [v1_bytes(V1_HEADER, v1_text_records()), path.read_bytes()]
+
+    def test_every_mutant_loads_or_is_refused_as_input_error_in_linear_memory(self, tmp_path):
+        from abusenet.cli import INPUT_ERRORS
+
+        rng = np.random.default_rng(2024)
+        sources = self.sources(tmp_path)
+        path = tmp_path / "mutant.ckpt"
+        outcomes, faults, drawn = {"loaded": 0, "refused": 0}, [], 0
+        tracemalloc.start()
+        try:
+            while sum(outcomes.values()) + len(faults) < 300:
+                raw = sources[drawn % len(sources)]
+                drawn += 1
+                mutant = mutate(raw, rng)
+                if claimed_bytes(mutant) > MAX_CLAIM:
+                    continue
+                path.write_bytes(mutant)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                try:
+                    load_checkpoint(path)
+                    outcomes["loaded"] += 1
+                except INPUT_ERRORS:
+                    outcomes["refused"] += 1
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                    if peak > 2**16 + 16 * len(mutant):
+                        faults.append(f"mutant {drawn} ({len(mutant)} bytes) refused at a {peak}-byte peak")
+                except Exception as e:  # noqa: BLE001 - every other class is the fault looked for
+                    faults.append(f"mutant {drawn}: {type(e).__name__}: {e}")
+        finally:
+            tracemalloc.stop()
+        assert not faults, faults[:10]
+        assert drawn - sum(outcomes.values()) < 60  # few mutants claim too much to be tried
+        assert outcomes["refused"] > 100 and outcomes["loaded"] > 0, outcomes
