@@ -131,8 +131,14 @@ class GRULayer:
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, h0: Tensor | None = None,
                 train: bool = False, rng: np.random.Generator | None = None,
-                index: np.ndarray | None = None, projected: tuple | None = None):
+                index: np.ndarray | None = None, projected: tuple | None = None,
+                keep_states: bool = True):
         """Run the recurrence; returns (all_states [b,T,units], last [b,units]).
+
+        With ``keep_states`` off it returns (None, last): the recurrence is
+        one op whose output is the last state, and no [b, T, units] states
+        or gradient for them exist. A readout that reads only the last
+        state, as the text path's does without attention, asks for that.
 
         ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
@@ -178,7 +184,9 @@ class GRULayer:
             keep = 1.0 - self.recurrent_dropout
             drop = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
 
-        states = self._recurrence(x, index, mask, h, drop, projected)
+        states = self._recurrence(x, index, mask, h, drop, projected, keep_states)
+        if not keep_states:
+            return None, states
 
         def back_last(g):
             full = np.zeros_like(states.data)
@@ -188,8 +196,9 @@ class GRULayer:
         return states, op_output(states.data[:, -1].copy(), (states,), back_last)
 
     def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
-                    drop: np.ndarray | None, projected: tuple | None) -> Tensor:
-        """The whole recurrence as one tape op returning the states [b, T, units].
+                    drop: np.ndarray | None, projected: tuple | None, keep_states: bool) -> Tensor:
+        """The whole recurrence as one tape op returning the states [b, T, units],
+        or with ``keep_states`` off the last state [b, units].
 
         When rows repeat, as a batch's token ids do, each row is projected
         once, ``P = rows @ [W_z|W_r|W_h] + b``, and a step gathers its live
@@ -208,9 +217,10 @@ class GRULayer:
         product into the view. When a tape records the op, the live rows'
         inputs, gates and products are kept packed time-major, z and r in
         their own [n, u] buffers so that backward's per-step arithmetic
-        reads contiguous rows; r * h * drop and its U_h product are computed
-        straight into their packed rows, and so is c - h, which the state
-        update computes anyway.
+        reads contiguous rows; h * drop, the sigmoid's last halving (z and
+        r), r * h * drop and its U_h product are computed straight into
+        their packed rows, and so is c - h, which the state update computes
+        anyway.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
         matmul each; the inputs' gradient is then scatter-added into the rows
@@ -237,7 +247,7 @@ class GRULayer:
         if n and (src.min() < 0 or src.max() >= rows.shape[0]):
             raise IndexError(f"gru index outside the {rows.shape[0]} input rows")
 
-        states = np.empty((b, steps, u), dtype=x.dtype)
+        states = np.empty((b, steps, u), dtype=x.dtype) if keep_states else None
         if record:
             x_all = rows[src]
             z_all = np.empty((n, u), dtype=x.dtype)
@@ -256,7 +266,8 @@ class GRULayer:
         for t in range(steps):
             lo, hi = start[t], start[t + 1]
             if lo == hi:
-                states[:, t] = h
+                if keep_states:
+                    states[:, t] = h
                 continue
             if hi - lo == b:
                 sel, h_t, drop_t = None, h, drop
@@ -271,13 +282,17 @@ class GRULayer:
                 # with gemv, which rounds differently from P's gemm rows
                 a = (x_all[lo:hi] if record else rows[src[lo:hi]]) @ W
                 a += bias
-            hm = h_t if drop_t is None else h_t * drop_t
+            if drop_t is not None:
+                hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
+            else:
+                hm = h_t
+                if record:
+                    hm_all[lo:hi] = h_t
             # the fresh recurrent products accumulate the gathered inputs,
             # so every in-place pass runs on a contiguous array
             zr = hm @ U_zr
             zr += a[:, :2 * u]
-            _sigmoid(zr)
-            z, r = zr[:, :u], zr[:, u:]
+            z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
             rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
             c = np.matmul(rh, U_h, out=c_all[lo:hi] if record else None)
             c += a[:, 2 * u:]
@@ -293,11 +308,8 @@ class GRULayer:
                 h = h_new
             else:
                 h[sel] = h_new  # padded rows keep h exactly
-            states[:, t] = h
-            if record:
-                z_all[lo:hi] = z
-                r_all[lo:hi] = r
-                hm_all[lo:hi] = hm
+            if keep_states:
+                states[:, t] = h
 
         used = False
 
@@ -310,8 +322,11 @@ class GRULayer:
             np.subtract(1.0, c_all, out=c_all)  # 1 - c^2, tanh's derivative
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             dh = np.zeros((b, u), dtype=g.dtype)
+            if not keep_states:
+                dh += g  # added to zeros, as the states gradient's last column is
             for t in range(steps - 1, -1, -1):
-                dh += g[:, t]
+                if keep_states:
+                    dh += g[:, t]
                 lo, hi = start[t], start[t + 1]
                 if lo == hi:
                     continue
@@ -358,7 +373,7 @@ class GRULayer:
             _accum(self.U_r, dU_zr[:, u:])
             _accum(self.U_h, rh_all.T @ da[:, 2 * u:])
 
-        return op_output(states, inputs, back)
+        return op_output(states if keep_states else h, inputs, back)
 
 
 def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -369,12 +384,18 @@ def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return a @ w
 
 
-def _sigmoid(a: np.ndarray) -> None:
-    """In-place logistic function in the one-transcendental form 0.5 * (1 + tanh(a / 2))."""
+def _sigmoid(a: np.ndarray, into: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """The logistic function in the one-transcendental form 0.5 * (1 + tanh(a / 2)),
+    in place on ``a``; returns its two column halves. With ``into``, two
+    arrays as wide as a half, the last halving writes the halves there."""
     a *= 0.5
     np.tanh(a, out=a)
     a += 1.0
-    a *= 0.5
+    k = a.shape[1] // 2
+    if into is None:
+        a *= 0.5
+        return a[:, :k], a[:, k:]
+    return np.multiply(a[:, :k], 0.5, out=into[0]), np.multiply(a[:, k:], 0.5, out=into[1])
 
 
 class AttentionLayer:

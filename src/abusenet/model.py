@@ -13,6 +13,7 @@ training strategies key off those tags.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -53,11 +54,15 @@ class ModelConfig:
 class TextPath:
     """embedding -> GRU -> (attention | last state) feature readout.
 
-    While the table and the GRU's input weights are read-only arrays, as a
-    loaded checkpoint's are, a forward that records no tape reads each
-    token's gate inputs from one projection of the whole table, built on
-    the first such forward and kept while those arrays stay the same
-    objects. It holds the bits of the per-batch projection it replaces.
+    Each batch's distinct live ids are embedded and projected onto the
+    GRU's gates once; they come from a presence table over the vocabulary,
+    not a sort. Without attention the GRU keeps only its last state, the
+    one state the readout reads. While the table and the GRU's input
+    weights are read-only arrays, as a loaded checkpoint's are, a forward
+    that records no tape reads each token's gate inputs from one projection
+    of the whole table, built on the first such forward and kept while
+    those arrays stay the same objects. It holds the bits of the per-batch
+    projection it replaces.
     """
 
     def __init__(self, embedding: EmbeddingLayer, gru: GRULayer, attention: AttentionLayer | None):
@@ -87,16 +92,15 @@ class TextPath:
         mask = token_ids != 0
         # each distinct live id is embedded and projected onto the GRU's
         # gates once; the GRU reads it back through index
-        ids, inverse = np.unique(token_ids[mask], return_inverse=True)
-        index = np.zeros(token_ids.shape, dtype=np.intp)
-        index[mask] = inverse
+        ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
         inputs = [self.embedding.table, *self.gru.parameters()]
         records = active_tape() is not None and any(p.requires_grad for p in inputs)
         P = None if records else self.projected_table()
         # one-row steps still multiply their embedded row
         states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
                                         train=train and not self.frozen, rng=rng,
-                                        projected=None if P is None else (P, ids))
+                                        projected=None if P is None else (P, ids),
+                                        keep_states=self.attention is not None)
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask)
             return context
@@ -113,6 +117,28 @@ class TextPath:
         if self._projection is None or any(a is not b for a, b in zip(self._projection[0], sources)):
             self._projection = (sources, self.gru.project(sources[0]))
         return self._projection[1]
+
+
+def distinct_ids(token_ids: np.ndarray, mask: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct live (mask True) ids in ascending order, and an index of
+    token_ids' shape giving each live position's place among them (0 at
+    padded positions): ``np.unique``'s values and inverse, from a presence
+    table over the vocabulary instead of a sort. An id outside
+    [0, vocab_size) raises IndexError, as the embedding's lookup does."""
+    live = token_ids[mask]
+    if not np.issubdtype(live.dtype, np.integer):
+        raise ContractError("token ids must be integers")
+    if live.size and (live.min() < 0 or live.max() >= vocab_size):
+        bad = live[(live < 0) | (live >= vocab_size)][0]
+        raise IndexError(f"token id {bad} out of range [0, {vocab_size})")
+    present = np.zeros(vocab_size, dtype=bool)
+    present[live] = True
+    ids = np.flatnonzero(present)
+    rank = np.empty(vocab_size, dtype=np.intp)
+    rank[ids] = np.arange(ids.size)
+    index = np.zeros(token_ids.shape, dtype=np.intp)
+    index[mask] = rank[live]
+    return ids, index
 
 
 class MetadataPath:
@@ -442,9 +468,10 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
         try:
             meta = CheckpointMeta(**{f.name: header[f.name] for f in fields(CheckpointMeta) if f.name in header})
             meta.config = ModelConfig(**meta.config)
-            meta.schema = [tuple(c) for c in meta.schema]
         except TypeError as e:
             raise ValueError(f"checkpoint header does not describe a model: {e}") from None
+        _check_field_types(meta)
+        meta.schema = [tuple(c) for c in meta.schema]
         stored = _stored_bytes(meta)
         if stored > size - fh.tell():  # refused before the model is built
             raise ValueError(f"checkpoint truncated: its header describes {stored} bytes of "
@@ -487,16 +514,28 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
     return model, meta
 
 
+def _check_field_types(meta: CheckpointMeta) -> None:
+    """Refuse a header field of the wrong type among those the rebuild and
+    ``encode_for_checkpoint`` read, so that a checkpoint that loads can be scored."""
+
+    def strings(value) -> bool:  # map runs isinstance at C speed over a vocabulary
+        return isinstance(value, list) and all(map(isinstance, value, itertools.repeat(str)))
+
+    for name in ("classes", "vocab_tokens", "mask"):
+        if not strings(getattr(meta, name)):
+            raise ValueError(f"checkpoint header's {name} is not a list of strings")
+    if not isinstance(meta.schema, list) or not all(strings(c) and len(c) == 2 for c in meta.schema):
+        raise ValueError("checkpoint header's schema is not a list of string pairs")
+    if meta.pipeline is not None and not isinstance(meta.pipeline, dict):
+        raise ValueError("checkpoint header's pipeline is not a mapping or null")
+
+
 def _stored_bytes(meta: CheckpointMeta) -> int:
     """The bytes of parameter values a checkpoint of the model ``meta``
     describes holds: every parameter is stored, as float32."""
     c = meta.config
     if meta.kind not in ("text", "metadata", "combined"):
         raise ValueError(f"unknown model kind {meta.kind!r}")
-    if not isinstance(meta.classes, list) or not all(isinstance(k, str) for k in meta.classes):
-        raise ValueError("checkpoint header's classes are not a list of strings")
-    if not isinstance(meta.vocab_tokens, list):
-        raise ValueError("checkpoint header's vocab_tokens is not a list")
     text, metadata = meta.kind != "metadata", meta.kind != "text"
     sizes = [c.embed_dim, c.units, c.fusion_dim, c.attention_threshold, *c.hidden]
     sizes += [meta.seq_len] * text + [meta.feature_dim] * metadata

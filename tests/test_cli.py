@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -409,6 +410,35 @@ def test_input_error_is_one_stderr_line_and_exit_2(synth_dir, tmp_path, case):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("abusenet: error: "), done.stderr
     assert str(named) in lines[0]
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained")
+    assert run(train_args(synth_dir, out)) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("field", ["mask", "pipeline", "vocab_tokens", "schema"])
+def test_wrong_typed_checkpoint_field_is_one_stderr_line_and_exit_2(synth_dir, tmp_path,
+                                                                     trained_checkpoint, field):
+    raw = trained_checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[7:11])
+    header = json.loads(raw[11:11 + hlen])
+    # a list of integers as long as the tokens keeps the parameter sizes
+    header[field] = list(range(len(header[field]))) if field == "vocab_tokens" else 7
+    blob = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen:])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "abusenet", "evaluate", "--checkpoint", str(bad),
+                           "--dataset", str(synth_dir / "dataset.csv"),
+                           "--schema", str(synth_dir / "schema.json")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"abusenet: error: {bad}: "), done.stderr
+    assert field in lines[0]
 
 
 class TestAblateCommand:

@@ -1,0 +1,41 @@
+"""numpy stays the only runtime dependency of the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# Imports every module of the package and runs ``python -m abusenet --help``,
+# then prints each top-level module it loaded that is neither in the standard
+# library nor numpy nor the package. Modules the interpreter loaded before
+# (site hooks) are not the package's.
+PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import importlib, pkgutil, runpy
+import abusenet
+for info in pkgutil.walk_packages(abusenet.__path__, "abusenet."):
+    importlib.import_module(info.name)
+sys.argv = ["abusenet", "--help"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        runpy.run_module("abusenet", run_name="__main__", alter_sys=True)
+    except SystemExit as e:
+        assert e.code == 0, e.code
+assert out.getvalue().startswith("usage: abusenet"), out.getvalue()
+# __mp_main__ is multiprocessing's alias of __main__
+allowed = set(sys.stdlib_module_names) | {"numpy", "abusenet", "__main__", "__mp_main__"}
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - allowed))
+print(len(loaded))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    foreign, count = done.stdout.splitlines()
+    assert foreign == "[]", foreign
+    assert int(count) > 10  # the probe did load the package and numpy

@@ -199,6 +199,14 @@ INDEX_MASKS = {
     "no_padding": ["xxxxxx", "xxxxxx", "xxxxxx", "xxxxxx"],
 }
 
+# masks for the last-state form: left padding, steps with one live row, and
+# rows with no live position (their last state is h0)
+LAST_STATE_MASKS = {
+    "left_padding": ["..xxxx", "...xxx", "xxxxxx", ".....x"],
+    "one_live_row_steps": ["...xxx", "....xx", "x....x", ".....x"],
+    "all_padded_rows": ["......", "xx.xxx", "......", ".x.x.x"],
+}
+
 
 class TestEmbedding:
     def test_pad_row_zero_at_init(self):
@@ -529,6 +537,66 @@ class TestGRU:
         # a padded position may hold any index
         _, last = gru.forward(rows, mask=mask, index=np.array([[1, 7]]))
         assert last.shape == (1, 4)
+
+    @pytest.mark.parametrize("form", ["dense", "index", "projected"])
+    @pytest.mark.parametrize("train", [True, False], ids=["dropout", "inference"])
+    @pytest.mark.parametrize("width", [(16, 16), (200, 128)], ids=["desk", "paper"])
+    @pytest.mark.parametrize("mask", LAST_STATE_MASKS.values(), ids=LAST_STATE_MASKS.keys())
+    def test_last_state_form_equals_last_of_states_bitwise(self, mask, width, train, form):
+        # the op that keeps only the last state gives states[:, -1] of the
+        # states form and, through a tape, every gradient of a loss on it;
+        # the projected table is read only by a forward without a tape
+        mask = mask_of(mask)
+        b, (d, u) = mask.shape[0], width
+        gru = make_gru(d, u, dtype=np.float32, p=0.5, seed=40)
+        rows, index, dense = index_case(mask, 9, d, seed=41)
+        rng = np.random.default_rng(42)
+        h0 = rng.normal(size=(b, u)).astype(np.float32)
+        coef = Tensor(rng.normal(size=(b, u)).astype(np.float32))
+        projected = None
+        if form == "projected":  # the rows are the rows `ids` of a larger table
+            table = rng.normal(size=(20, d)).astype(np.float32)
+            ids = rng.choice(20, size=9, replace=False)
+            table[ids] = rows
+            projected = (gru.project(table), ids)
+        results = []
+        for keep_states in (True, False):
+            x = Tensor((dense if form == "dense" else rows).copy(), requires_grad=True)
+            h = Tensor(h0.copy(), requires_grad=True)
+            for param in gru.parameters():
+                param.zero_grad()
+            kwargs = dict(mask=mask, h0=h, train=train, rng=np.random.default_rng(5),
+                          index=None if form == "dense" else index, keep_states=keep_states)
+            if projected is not None:
+                states, last = gru.forward(x, projected=projected, **kwargs)
+                results.append([last.data])
+            else:
+                with Tape() as tape:
+                    states, last = gru.forward(x, **kwargs)
+                    loss = T.sum_all(T.mul(last, coef))
+                assert len(tape) == 3 + keep_states  # the states form adds its readout op
+                tape.backward(loss)
+                results.append([last.data, x.grad, h.grad, *(p.grad for p in gru.parameters())])
+            assert (states is None) == (not keep_states)
+        for expected, got in zip(*results):
+            assert expected.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("mask", LAST_STATE_MASKS.values(), ids=LAST_STATE_MASKS.keys())
+    def test_grad_check_last_state_form(self, mask):
+        mask = mask_of(mask)
+        gru = make_gru(3, 4, seed=44, p=0.5)
+        rng = np.random.default_rng(45)
+        rows, index, _ = index_case(mask, 5, 3, seed=46, dtype=np.float64)
+        r = Parameter("rows", rows)
+        h0 = Parameter("h0", rng.normal(size=(mask.shape[0], 4)))
+        coef = Tensor(rng.normal(size=(mask.shape[0], 4)))
+
+        def forward():
+            _, last = gru.forward(r, mask=mask, h0=h0, index=index, train=True,
+                                  rng=np.random.default_rng(99), keep_states=False)
+            return T.sum_all(T.mul(last, coef))
+
+        assert grad_check(forward, gru.parameters() + [r, h0]) < 1e-4
 
 
 # attention masks: gaps inside a row, left padding, and an all-padded row

@@ -14,6 +14,7 @@ from abusenet.model import (
     build_combined,
     build_metadata_path,
     build_text_path,
+    distinct_ids,
     load_checkpoint,
     parameter_count,
     save_checkpoint,
@@ -64,6 +65,31 @@ class TestTextPath:
     def test_too_few_classes(self):
         with pytest.raises(ContractError):
             build_text_path(50, 8, ["only"], config=SMALL)
+
+    @pytest.mark.parametrize("shape", [(64, 29), (512, 31), (3, 4)], ids=["desk", "train_short", "small"])
+    def test_distinct_ids_equal_np_unique(self, shape):
+        rng = np.random.default_rng(shape[0])
+        vocab = 2000
+        ids = np.minimum(rng.zipf(1.3, size=shape), vocab - 1)
+        ids[rng.random(shape) < 0.3] = 0
+        mask = ids != 0
+        distinct, index = distinct_ids(ids, mask, vocab)
+        expected, inverse = np.unique(ids[mask], return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert index[mask].tolist() == inverse.tolist()
+        assert not index[~mask].any()
+        distinct, index = distinct_ids(ids, np.zeros(shape, dtype=bool), vocab)
+        assert distinct.size == 0 and not index.any()
+
+    @pytest.mark.parametrize("bad", [-1, -50, 50, 10**6])
+    def test_features_reject_an_id_outside_the_vocabulary(self, bad):
+        m = build_text_path(50, 6, ["a", "b"], config=SMALL)
+        ids = np.random.default_rng(8).integers(1, 50, size=(3, 6))
+        ids[1, 2] = bad
+        with pytest.raises(IndexError, match=f"token id {bad} out of range"):
+            m.text_path.features(ids)
+        with pytest.raises(ContractError, match="integers"):
+            m.text_path.features(ids.astype(np.float64))
 
     @pytest.mark.parametrize("seq_len", [6, 9], ids=["last_state", "attention"])
     def test_features_equal_embedding_then_dense_gru_bitwise(self, seq_len):
@@ -210,8 +236,9 @@ class TestCombined:
         with Tape() as tape:
             probs = m.forward(ids, meta, train=True, rng=rng)
             cross_entropy(probs, np.array([0, 1, 1, 0]))
-        # plus the GRU's last-state readout, concat_last and the loss
-        assert len(tape) == len(layers) + 3
+        # plus concat_last and the loss; with attention also the GRU's
+        # last-state readout (without it, the GRU's op is that readout)
+        assert len(tape) == len(layers) + (3 if tp.attention is not None else 2)
 
     def test_forward_needs_both_inputs(self):
         m = small_combined()
@@ -759,6 +786,26 @@ def claimed_bytes(raw: bytes) -> float:
 
 
 class TestCheckpointMutation:
+    # header values of the wrong type for fields encode_for_checkpoint reads
+    WRONG_TYPED = {
+        "mask_int": ("mask", 7),
+        "mask_of_ints": ("mask", [7]),
+        "pipeline_int": ("pipeline", 7),
+        "pipeline_list": ("pipeline", [{"x": 1}]),
+        "vocab_tokens_of_ints": ("vocab_tokens", [7, 8]),
+        "schema_int": ("schema", 7),
+        "schema_of_strings": ("schema", ["ab"]),
+        "schema_of_triples": ("schema", [["a", "b", "c"]]),
+        "schema_of_int_pairs": ("schema", [[1, 2]]),
+    }
+
+    @pytest.mark.parametrize("field, value", WRONG_TYPED.values(), ids=WRONG_TYPED.keys())
+    def test_wrong_typed_header_field_refused(self, tmp_path, field, value):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(v1_bytes({**V1_HEADER, field: value}, v1_text_records()))
+        with pytest.raises(FormatError, match=f"checkpoint header's {field} is not"):
+            load_checkpoint(path)
+
     def sources(self, tmp_path) -> list[bytes]:
         """A v1 text checkpoint and a combined one with attention."""
         config = ModelConfig(embed_dim=6, units=5, hidden=(8, 7), fusion_dim=5, attention_threshold=4)
