@@ -5,8 +5,8 @@ Run:  python3 demos/04_graph_metrics.py
 
 from abusenet.graph import (
     SocialGraph,
-    closeness,
-    clustering_coefficient,
+    closeness_scores,
+    clustering_scores,
     eigenvector_centrality,
     hits,
     power_difference,
@@ -25,10 +25,12 @@ for src, dst in [("bob", "alice"), ("alice", "bob"), ("dan", "alice"),
 
 hub, auth = hits(g)
 eigen = eigenvector_centrality(g)
+close = closeness_scores(g, g.nodes())
+clust = clustering_scores(g, g.nodes())
 print(f"{'node':>6} {'recip':>6} {'hub':>6} {'auth':>6} {'eigen':>6} {'close':>6} {'clust':>6}")
 for node in g.nodes():
     print(f"{node:>6} {reciprocity(g, node):6.3f} {hub[node]:6.3f} {auth[node]:6.3f} "
-          f"{eigen[node]:6.3f} {closeness(g, node):6.3f} {clustering_coefficient(g, node):6.3f}")
+          f"{eigen[node]:6.3f} {close[node]:6.3f} {clust[node]:6.3f}")
 
 print("\npower difference of alice vs her mentions [bob, dan]:",
       round(power_difference(g, "alice", ["bob", "dan"]), 3))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import text as text_mod
 from .data import Corpus, EmptyDatasetError, SchemaError
-from .features import FeaturePipeline, assemble, parse_mask, parsed_columns
+from .features import FeaturePipeline, assemble, mask_columns, parse_mask, parsed_columns
 from .metrics import UndefinedMetricError, prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
@@ -130,7 +130,7 @@ def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray, mas
             embedding = text_mod.load_embeddings(embeddings_path, vocab, dim=embed_dim, seed=seed)
     groups = mask - {"WV"}
     if groups:
-        pipeline = FeaturePipeline(corpus.columns, corpus.affect)
+        pipeline = FeaturePipeline(*mask_columns(corpus.columns, corpus.affect, groups))
         pipeline.fit([corpus.records[i] for i in train_idx])
     text, meta, schema = encode_inputs(corpus, vocab, spec, pipeline, groups)
     full = EncodedDataset(labels=corpus.labels, classes=corpus.classes, text=text, meta=meta)
@@ -149,17 +149,19 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
     """Encode a corpus with the pipelines a checkpoint was trained with.
 
     The dataset must carry the checkpoint's classes and every column its
-    feature pipeline reads, must have at least one data row, and must yield
-    the same feature schema. An unlabelled corpus gets zero placeholder labels.
+    pipeline reads for the mask's groups, have a data row, and yield the
+    same feature schema. An unlabelled corpus gets zero placeholder labels.
     """
     if corpus.classes != meta.classes:
         raise SchemaError(f"class lists differ: checkpoint {meta.classes} vs dataset {corpus.classes}")
     vocab = spec = pipeline = None
+    groups = set(meta.mask) - {"WV"}
     if meta.seq_len is not None:
         vocab = text_mod.Vocabulary.from_tokens(meta.vocab_tokens)
         spec = text_mod.SequenceSpec(meta.seq_len)
     if meta.pipeline is not None:
         pipeline = FeaturePipeline.from_config(meta.pipeline)
+        pipeline.columns, pipeline.affect = mask_columns(pipeline.columns, pipeline.affect, groups)
         provided = corpus.column_names()
         missing = sorted((set(pipeline.columns) | set(pipeline.affect.values())) - set(provided))
         if missing:
@@ -168,7 +170,7 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
                 f"dataset provides: {sorted(provided)}")
     if len(corpus) == 0:
         raise EmptyDatasetError("dataset has a header but no data rows to score")
-    text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, set(meta.mask) - {"WV"})
+    text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, groups)
     if schema != list(meta.schema):
         missing = [c for c in meta.schema if c not in schema]
         extra = [c for c in schema if c not in meta.schema]
@@ -265,7 +267,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
     if "WV" in mask:
         corpus.tokenized()
     if mask - {"WV"}:
-        corpus.row_values()
+        corpus.row_values(parsed_columns(*mask_columns(corpus.columns, corpus.affect, mask)))
     jobs = [(corpus, config, model_cfg, mask, i, folds, embeddings_path)
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -84,6 +85,12 @@ def _affect_block(slots: dict[str, np.ndarray], n: int) -> np.ndarray:
 
 
 TF_FEATURE_NAMES = (*TWEET_COUNTER_NAMES, *AFFECT_SLOTS, "affect_present")
+
+
+def mask_columns(columns: dict[str, tuple[str, str]], affect: dict[str, str], groups) -> tuple[dict, dict]:
+    """The ``columns`` and ``affect`` (TF features) a pipeline for the metadata ``groups`` reads."""
+    return ({name: spec for name, spec in columns.items() if spec[0] in groups},
+            affect if "TF" in groups else {})
 
 
 def parsed_columns(columns: dict[str, tuple[str, str]], affect: dict[str, str]) -> list[str]:
@@ -262,6 +269,33 @@ class FeaturePipeline:
         pipe.encoders = {k: CategoricalEncoder.from_config(e) for k, e in cfg.get("encoders", {}).items()}
         pipe.fitted = True
         return pipe
+
+
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(map(isinstance, value, repeat(str)))  # isinstance at C speed
+
+
+def check_pipeline_config(cfg, name: str) -> None:
+    """Refuse, with a ConfigurationError naming ``cfg`` ``name``, a config
+    ``FeaturePipeline.from_config`` cannot turn into a pipeline whose
+    ``transform`` runs."""
+
+    def maps(value, check) -> bool:
+        return isinstance(value, dict) and all(map(check, value.values()))
+
+    def encoder(e) -> bool:
+        return (isinstance(e, dict) and isinstance(e.get("column"), str) and e.get("kind") in ("onehot", "ordinal")
+                and is_string_list(e.get("categories", [])) and maps(e.get("ranks", {}), lambda r: type(r) is int))
+
+    columns = cfg.get("columns") if isinstance(cfg, dict) else None
+    if not maps(columns, lambda c: is_string_list(c) and len(c) == 2 and c[0] in GROUPS
+                and c[1] in ("numeric", "categorical")):
+        raise ConfigurationError(f"{name} is not a mapping whose columns are [group, kind] pairs")
+    if not maps(cfg.get("affect") or {}, lambda column: isinstance(column, str)):
+        raise ConfigurationError(f"{name} is not a pipeline: its affect does not map slots to columns")
+    encoders = cfg.get("encoders", {})
+    if not (maps(encoders, encoder) and all(n in encoders for n, (_, kind) in columns.items() if kind == "categorical")):
+        raise ConfigurationError(f"{name} is not a pipeline: a categorical column lacks a valid encoder")
 
 
 def _to_float(raw) -> float:

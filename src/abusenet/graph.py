@@ -199,16 +199,6 @@ def eigenvector_centrality(g: SocialGraph, iters: int = 100, tol: float = 1e-8) 
     return {node: float(x[i]) for i, node in enumerate(order)}
 
 
-def closeness(g: SocialGraph, node: str) -> float:
-    """`closeness_scores` of one node."""
-    return closeness_scores(g, [node])[str(node)]
-
-
-def clustering_coefficient(g: SocialGraph, node: str) -> float:
-    """`clustering_scores` of one node."""
-    return clustering_scores(g, [node])[str(node)]
-
-
 def closeness_scores(g: SocialGraph, nodes: list[str]) -> dict[str, float]:
     """Out-reachability closeness with the Wasserman-Faust correction, per node.
 

@@ -143,11 +143,11 @@ class GRULayer:
         ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
         live (mask True) positions are read, so padded ones may hold any
-        index. A row read at many positions is projected onto the gates once.
-        ``projected``, with ``index``, is ``(P, ids)``: ``P`` is ``project``
-        of a larger table whose row ``ids[j]`` is ``x``'s row j. A call that
-        records no tape then reads its steps' gate inputs from ``P`` instead
-        of projecting ``x``; a call that records ignores it.
+        index. Each row (in the dense form, each position's) is projected
+        onto the gates once. ``projected``, with ``index``, is ``(P, ids)``:
+        ``P`` is ``project`` of a larger table whose row ``ids[j]`` is ``x``'s
+        row j. A call that records no tape then reads its steps' gate inputs
+        from ``P`` instead of projecting ``x``; a call that records ignores it.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -200,27 +200,24 @@ class GRULayer:
         """The whole recurrence as one tape op returning the states [b, T, units],
         or with ``keep_states`` off the last state [b, units].
 
-        When rows repeat, as a batch's token ids do, each row is projected
-        once, ``P = rows @ [W_z|W_r|W_h] + b``, and a step gathers its live
-        (mask True) rows' ``P[index]``; a call that records no tape gathers
-        them from the ``projected`` table instead, when it is given;
-        otherwise a step multiplies its live inputs by [W_z|W_r|W_h] itself.
-        A step without padding works on whole
-        [b, .] slices, a step with some padded rows gathers the live ones,
-        and a step whose rows are all padded is skipped. Padded rows carry h
-        unchanged into the states. Per step: one recurrent matmul against
-        [U_z|U_r], and (r * h * drop) U_h. Each product is a contiguous
-        [k, .] array that accumulates its columns of the gathered [k, 3u]
-        projection, and the sigmoid, tanh and state update run in place on
-        it: the same passes over a column view of the projection cost 2-4x,
-        and IEEE addition commutes, so the bits are those of adding the
-        product into the view. When a tape records the op, the live rows'
-        inputs, gates and products are kept packed time-major, z and r in
-        their own [n, u] buffers so that backward's per-step arithmetic
-        reads contiguous rows; h * drop, the sigmoid's last halving (z and
-        r), r * h * drop and its U_h product are computed straight into
-        their packed rows, and so is c - h, which the state update computes
-        anyway.
+        Every row is projected once, ``P = rows @ [W_z|W_r|W_h] + b`` (a call
+        that records no tape reads a given ``projected`` table instead), and
+        a step with more than one live (mask True) row gathers its rows of P.
+        A one-row step multiplies its own row: numpy sends a one-row product
+        to gemv, which rounds differently from P's gemm rows. A step without
+        padding works on whole [b, .] slices, a step with some padded rows
+        gathers the live ones, one with none is skipped, and padded rows
+        carry h unchanged. Per step: one recurrent matmul against [U_z|U_r],
+        and (r * h * drop) U_h. Each product is a contiguous [k, .] array
+        that accumulates its columns of the gathered [k, 3u] projection, and
+        the sigmoid, tanh and state update run in place on it: passes over a
+        column view of the projection cost 2-4x, and IEEE addition commutes,
+        so the bits are those of adding the product into the view.
+        When a tape records the op, the live rows' inputs, gates and products
+        are kept packed time-major, z and r in their own [n, u] buffers so
+        that backward's per-step arithmetic reads contiguous rows; h * drop,
+        the sigmoid's last halving (z and r), r * h * drop, its U_h product
+        and c - h are computed straight into their packed rows.
         Backward is a reverse loop with two recurrent matmuls per step, after
         which the gradients of the packed inputs, W, U_z|U_r and U_h are one
         matmul each; the inputs' gradient is then scatter-added into the rows
@@ -258,10 +255,8 @@ class GRULayer:
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
         if projected is not None and not record:
             P, src_p = projected[0], projected[1][src]  # the table row each live position reads
-        elif rows.shape[0] < n:  # some row is read at several positions
-            P, src_p = self.project(rows), src
         else:
-            P = None
+            P, src_p = self.project(rows), src
         h = h0.data.copy()
         for t in range(steps):
             lo, hi = start[t], start[t + 1]
@@ -275,12 +270,10 @@ class GRULayer:
                 sel = live_b[lo:hi]
                 h_t = h[sel]
                 drop_t = None if drop is None else drop[sel]
-            if P is not None and hi - lo > 1:
+            if hi - lo > 1:
                 a = P[src_p[lo:hi]]
-            else:
-                # also for a one-row step: numpy computes a one-row product
-                # with gemv, which rounds differently from P's gemm rows
-                a = (x_all[lo:hi] if record else rows[src[lo:hi]]) @ W
+            else:  # by gemv, as numpy computes a one-row product
+                a = rows[src[lo:hi]] @ W
                 a += bias
             if drop_t is not None:
                 hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
@@ -288,8 +281,6 @@ class GRULayer:
                 hm = h_t
                 if record:
                     hm_all[lo:hi] = h_t
-            # the fresh recurrent products accumulate the gathered inputs,
-            # so every in-place pass runs on a contiguous array
             zr = hm @ U_zr
             zr += a[:, :2 * u]
             z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
@@ -297,12 +288,8 @@ class GRULayer:
             c = np.matmul(rh, U_h, out=c_all[lo:hi] if record else None)
             c += a[:, 2 * u:]
             np.tanh(c, out=c)
-            if record:
-                h_new = np.subtract(c, h_t, out=ch_all[lo:hi]) * z
-            else:
-                h_new = c  # a fresh product: the update runs in place on it
-                h_new -= h_t
-                h_new *= z
+            ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
+            h_new = np.multiply(ch, z, out=None if record else c)  # reuse c: a fresh array cost 4% at score-long
             h_new += h_t
             if sel is None:
                 h = h_new

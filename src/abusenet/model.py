@@ -13,7 +13,6 @@ training strategies key off those tags.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -22,8 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .features import check_pipeline_config, is_string_list
 from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer, ZeroDraws
-from .tensor import ContractError, Parameter, Tensor, active_tape
+from .tensor import ContractError, Parameter, Tensor, active_tape, concat_last
 from .text import FormatError
 
 CHECKPOINT_MAGIC = b"ABNET1\x00"
@@ -59,7 +59,7 @@ class TextPath:
     not a sort. Without attention the GRU keeps only its last state, the
     one state the readout reads. While the table and the GRU's input
     weights are read-only arrays, as a loaded checkpoint's are, a forward
-    that records no tape reads each token's gate inputs from one projection
+    with no tape active reads each token's gate inputs from one projection
     of the whole table, built on the first such forward and kept while
     those arrays stay the same objects. It holds the bits of the per-batch
     projection it replaces.
@@ -93,10 +93,7 @@ class TextPath:
         # each distinct live id is embedded and projected onto the GRU's
         # gates once; the GRU reads it back through index
         ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
-        inputs = [self.embedding.table, *self.gru.parameters()]
-        records = active_tape() is not None and any(p.requires_grad for p in inputs)
-        P = None if records else self.projected_table()
-        # one-row steps still multiply their embedded row
+        P = self.projected_table() if active_tape() is None else None
         states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
                                         train=train and not self.frozen, rng=rng,
                                         projected=None if P is None else (P, ids),
@@ -224,8 +221,6 @@ class ClassifierModel:
         ``stats_tags`` limits which paths fold batch statistics into their
         running averages this step (None means every unfrozen path does).
         """
-        from .tensor import concat_last
-
         feats: Tensor | None = None
         if self.text_path is not None:
             if text_ids is None:
@@ -517,17 +512,13 @@ def _read_checkpoint(path) -> tuple[ClassifierModel, CheckpointMeta]:
 def _check_field_types(meta: CheckpointMeta) -> None:
     """Refuse a header field of the wrong type among those the rebuild and
     ``encode_for_checkpoint`` read, so that a checkpoint that loads can be scored."""
-
-    def strings(value) -> bool:  # map runs isinstance at C speed over a vocabulary
-        return isinstance(value, list) and all(map(isinstance, value, itertools.repeat(str)))
-
     for name in ("classes", "vocab_tokens", "mask"):
-        if not strings(getattr(meta, name)):
+        if not is_string_list(getattr(meta, name)):
             raise ValueError(f"checkpoint header's {name} is not a list of strings")
-    if not isinstance(meta.schema, list) or not all(strings(c) and len(c) == 2 for c in meta.schema):
+    if not isinstance(meta.schema, list) or not all(is_string_list(c) and len(c) == 2 for c in meta.schema):
         raise ValueError("checkpoint header's schema is not a list of string pairs")
-    if meta.pipeline is not None and not isinstance(meta.pipeline, dict):
-        raise ValueError("checkpoint header's pipeline is not a mapping or null")
+    if meta.pipeline is not None:
+        check_pipeline_config(meta.pipeline, "checkpoint header's pipeline")
 
 
 def _stored_bytes(meta: CheckpointMeta) -> int:

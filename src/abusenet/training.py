@@ -131,16 +131,16 @@ class Adam:
     """Adam with bias correction; skips every parameter ``updates`` rules out.
 
     Dense: every updated parameter's moments decay each step, also where its
-    gradient is zero. Per parameter it keeps only the moments m and v. The
-    moments of every parameter smaller than ``BLOCK`` live in one flat
-    [2, total] arena per dtype, laid out in the first step's parameter
-    order; a later step may list fewer of those parameters, but no new
-    ones. Consecutive updated small parameters of one dtype that sit side
-    by side in their arena form one run, and a run of up to ``BLOCK``
-    elements is updated in one block: its gradients are packed into the
-    scratch pair, so the moment arithmetic costs the same numpy calls for
-    twenty parameters as for one. A larger parameter keeps its own moments
-    and is updated over its flat view in blocks of ``BLOCK`` elements.
+    gradient is zero. Per parameter it keeps only the moments m and v, a
+    flat [2, size] slot of an arena. The parameters smaller than ``BLOCK``
+    share one arena per dtype, laid out in the first step's parameter
+    order; a later step may list fewer of them, but no new ones. A larger
+    parameter's arena is its own, made at its first update. Updated
+    parameters side by side in one arena form a run, and a run of up to
+    ``BLOCK`` elements is updated in one block: its gradients are packed
+    into the scratch pair, so the moment arithmetic costs the same numpy
+    calls for twenty parameters as for one. A larger parameter, a run on
+    its own, is updated over its flat view in blocks of ``BLOCK`` elements.
     Every block works in one scratch pair per dtype, shared by all
     parameters, in the float-op order of the textbook expression, so
     results equal it bit for bit, and a step allocates nothing after the
@@ -154,8 +154,7 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self._slots: dict[str, tuple[np.ndarray, int, int]] | None = None  # small parameter: (arena, offset, size)
-        self._moments: dict[str, np.ndarray] = {}  # per large parameter: flat [2, size] m and v
+        self._slots: dict[str, tuple[np.ndarray, int, int]] | None = None  # per parameter: (arena, offset, size)
         self._scratch: dict[np.dtype, np.ndarray] = {}  # per dtype: [2, BLOCK]
 
     @classmethod
@@ -192,13 +191,9 @@ class Adam:
                 # (loaded) array is copied on its first write
                 p.data = np.array(p.data, order="C")
             x, g = p.data.reshape(-1), g.reshape(-1)
-            if x.size >= BLOCK:
-                moments = self._moments.get(p.name)
-                if moments is None:
-                    moments = self._moments[p.name] = np.zeros((2, x.size), dtype=x.dtype)
-                blocks.append(([(x, g)], moments))
-                continue
             slot = self._slots.get(p.name)
+            if slot is None and x.size >= BLOCK:
+                slot = self._slots[p.name] = (np.zeros((2, x.size), dtype=x.dtype), 0, x.size)
             if slot is None or slot[0].dtype != x.dtype or slot[2] != x.size:
                 raise ContractError(f"parameter {p.name!r} is not one of the {x.dtype} parameters "
                                     f"of size {x.size} this optimizer laid out at its first step")

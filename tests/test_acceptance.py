@@ -476,7 +476,7 @@ class TestCriterion9GraphOracles:
             lam_e, expect_e = dense_dominant(a_mat.T)
             worst_eig = max(worst_eig, float(np.abs(got_e - expect_e).max()))
 
-        from abusenet.graph import closeness, clustering_coefficient
+        from abusenet.graph import closeness_scores, clustering_scores
 
         def build(edges, nodes=()):
             g = SocialGraph()
@@ -491,12 +491,12 @@ class TestCriterion9GraphOracles:
         path = build([("a", "b"), ("b", "c")])
         complete = build([(a, b) for a in "abcd" for b in "abcd" if a != b])
         hand_ok = (
-            all(clustering_coefficient(triangle, v) == 1.0 for v in "abc")
-            and clustering_coefficient(star, "s") == 0.0
-            and closeness(path, "a") == pytest.approx(2 / 3)
-            and closeness(path, "c") == 0.0
-            and all(closeness(complete, v) == pytest.approx(1.0) for v in "abcd")
-            and all(clustering_coefficient(complete, v) == 1.0 for v in "abcd")
+            all(clustering_scores(triangle, [v])[v] == 1.0 for v in "abc")
+            and clustering_scores(star, ["s"])["s"] == 0.0
+            and closeness_scores(path, ["a"])["a"] == pytest.approx(2 / 3)
+            and closeness_scores(path, ["c"])["c"] == 0.0
+            and all(closeness_scores(complete, [v])[v] == pytest.approx(1.0) for v in "abcd")
+            and all(clustering_scores(complete, [v])[v] == 1.0 for v in "abcd")
         )
 
         ok = worst_hits < 1e-6 and worst_eig < 1e-6 and hand_ok

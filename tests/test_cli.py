@@ -187,6 +187,34 @@ class TestEvaluateCommand:
                  "--dataset", other / "dataset.csv", "--schema", other / "schema.json"])
 
 
+    def test_columns_of_groups_outside_the_mask_not_demanded(self, synth_dir, tmp_path):
+        # a WV+TF checkpoint scores a dataset without the UF columns, with the
+        # bits it gives the full dataset; also when its header, as older ones
+        # do, lists the UF columns in its pipeline
+        out = tmp_path / "run"
+        run(train_args(synth_dir, out, mask="WV+TF"))
+        full, reduced = tmp_path / "full", tmp_path / "reduced"
+        full.mkdir()
+        reduced.mkdir()
+        schema = json.loads((synth_dir / "schema.json").read_text())
+        (full / "schema.json").write_text(json.dumps(schema))
+        (reduced / "schema.json").write_text(json.dumps({**schema, "columns": {}}))
+        copy_without_column(synth_dir / "dataset.csv", full / "dataset.csv", "label")
+        copy_without_column(full / "dataset.csv", tmp_path / "one.csv", "uf_noise")
+        copy_without_column(tmp_path / "one.csv", reduced / "dataset.csv", "uf_signal")
+        older = tmp_path / "older.ckpt"
+        rewrite_header(out / "model.ckpt", older, lambda header: header["pipeline"]["columns"].update(
+            uf_noise=["UF", "numeric"], uf_signal=["UF", "numeric"]))
+        scores = {}
+        for ckpt in (out / "model.ckpt", older):
+            for d in (full, reduced):
+                result = tmp_path / f"{ckpt.stem}-{d.name}.json"
+                assert run(["evaluate", "--checkpoint", ckpt, "--dataset", d / "dataset.csv",
+                            "--schema", d / "schema.json", "--out", result]) == 0
+                scores[ckpt.stem, d.name] = json.loads(result.read_text())["scores"]
+        expected = json.dumps(scores["model", "full"])
+        assert all(json.dumps(s) == expected for s in scores.values())
+
     def test_network_features_checkpoint(self, synth_dir, tmp_path):
         # a checkpoint trained with the NF group needs the same graph at evaluation
         dataset = tmp_path / "users.csv"
@@ -419,26 +447,52 @@ def trained_checkpoint(synth_dir, tmp_path_factory):
     return out / "model.ckpt"
 
 
-@pytest.mark.parametrize("field", ["mask", "pipeline", "vocab_tokens", "schema"])
-def test_wrong_typed_checkpoint_field_is_one_stderr_line_and_exit_2(synth_dir, tmp_path,
-                                                                     trained_checkpoint, field):
-    raw = trained_checkpoint.read_bytes()
+def rewrite_header(src, dst, change) -> None:
+    """Copy the checkpoint ``src`` to ``dst`` with ``change`` applied to its
+    header (a function that edits the parsed header in place)."""
+    raw = src.read_bytes()
     (hlen,) = struct.unpack("<I", raw[7:11])
     header = json.loads(raw[11:11 + hlen])
-    # a list of integers as long as the tokens keeps the parameter sizes
-    header[field] = list(range(len(header[field]))) if field == "vocab_tokens" else 7
+    change(header)
     blob = json.dumps(header).encode("utf-8")
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen:])
+    dst.write_bytes(raw[:7] + struct.pack("<I", len(blob)) + blob + raw[11 + hlen:])
+
+
+def evaluate_in_subprocess(checkpoint, synth_dir):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-m", "abusenet", "evaluate", "--checkpoint", str(bad),
+    return subprocess.run([sys.executable, "-m", "abusenet", "evaluate", "--checkpoint", str(checkpoint),
                            "--dataset", str(synth_dir / "dataset.csv"),
                            "--schema", str(synth_dir / "schema.json")],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("field", ["mask", "pipeline", "vocab_tokens", "schema"])
+def test_wrong_typed_checkpoint_field_is_one_stderr_line_and_exit_2(synth_dir, tmp_path,
+                                                                     trained_checkpoint, field):
+    def change(header):
+        # a list of integers as long as the tokens keeps the parameter sizes
+        header[field] = list(range(len(header[field]))) if field == "vocab_tokens" else 7
+
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(trained_checkpoint, bad, change)
+    done = evaluate_in_subprocess(bad, synth_dir)
     assert done.returncode == 2, done.stderr
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"abusenet: error: {bad}: "), done.stderr
     assert field in lines[0]
+
+
+@pytest.mark.parametrize("pipeline", [{"x": 1}, {"columns": 7}, {"columns": {}, "encoders": {"lang": 3}}],
+                         ids=["no_columns", "columns_int", "encoder_int"])
+def test_malformed_checkpoint_pipeline_is_one_stderr_line_and_exit_2(synth_dir, tmp_path,
+                                                                      trained_checkpoint, pipeline):
+    bad = tmp_path / "bad.ckpt"
+    rewrite_header(trained_checkpoint, bad, lambda header: header.update(pipeline=pipeline))
+    done = evaluate_in_subprocess(bad, synth_dir)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"abusenet: error: {bad}: "), done.stderr
+    assert "pipeline" in lines[0]
 
 
 class TestAblateCommand:

@@ -1,5 +1,7 @@
-"""numpy stays the only runtime dependency of the package."""
+"""numpy stays the only runtime dependency of the package, and no module
+keeps an import it does not use."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +41,29 @@ def test_numpy_is_the_only_runtime_dependency():
     foreign, count = done.stdout.splitlines()
     assert foreign == "[]", foreign
     assert int(count) > 10  # the probe did load the package and numpy
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that ``source``'s module-level imports bind and that
+    nothing else in it reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    package = Path(__file__).resolve().parents[1] / "src" / "abusenet"
+    unused = {path.name: names for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+              for names in [unused_imports(path.read_text(encoding="utf-8"))] if names}
+    assert unused == {}, unused
+
+
+def test_unused_import_check_finds_one():
+    source = "from __future__ import annotations\nimport os, re as regex\nfrom x import y, z\nprint(os, z)\n"
+    assert unused_imports(source) == ["regex", "y"]

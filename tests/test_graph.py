@@ -11,9 +11,7 @@ from abusenet.text import FormatError, ParseError
 from abusenet.graph import (
     DegenerateGraphError,
     SocialGraph,
-    closeness,
     closeness_scores,
-    clustering_coefficient,
     clustering_scores,
     eigenvector_centrality,
     hits,
@@ -258,43 +256,43 @@ class TestEigenvector:
 class TestCloseness:
     def test_isolated_node(self):
         g = graph_from_edges([("a", "b")], nodes=["z"])
-        assert closeness(g, "z") == 0.0
+        assert closeness_scores(g, ["z"])["z"] == 0.0
 
     def test_path_head_by_hand(self):
         # a reaches b (1) and c (2): (2/3) * (2/2) = 2/3
         g = graph_from_edges([("a", "b"), ("b", "c")])
-        assert closeness(g, "a") == pytest.approx(2 / 3)
+        assert closeness_scores(g, ["a"])["a"] == pytest.approx(2 / 3)
 
     def test_complete_graph_everyone_one(self):
         edges = [(a, b) for a in "abcd" for b in "abcd" if a != b]
         g = graph_from_edges(edges)
         for n in "abcd":
-            assert closeness(g, n) == pytest.approx(1.0)
+            assert closeness_scores(g, [n])[n] == pytest.approx(1.0)
 
     def test_disconnection_scaling(self):
         # b reaches only c in a 4-node graph: (1/1) * (1/3)
         g = graph_from_edges([("a", "b"), ("b", "c")], nodes=["d"])
-        assert closeness(g, "b") == pytest.approx(1 / 3)
+        assert closeness_scores(g, ["b"])["b"] == pytest.approx(1 / 3)
 
 
 class TestClustering:
     def test_triangle_all_ones(self):
         g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
         for n in "abc":
-            assert clustering_coefficient(g, n) == 1.0
+            assert clustering_scores(g, [n])[n] == 1.0
 
     def test_star_center_zero(self):
         g = graph_from_edges([("a", "s"), ("b", "s"), ("c", "s")])
-        assert clustering_coefficient(g, "s") == 0.0
+        assert clustering_scores(g, ["s"])["s"] == 0.0
 
     def test_four_node_toy_matches_enumeration(self):
         # undirected projection: a-b, a-c, a-d, b-c; around a: pairs (b,c), (b,d), (c,d); one linked
         g = graph_from_edges([("a", "b"), ("c", "a"), ("a", "d"), ("b", "c")])
-        assert clustering_coefficient(g, "a") == pytest.approx(1 / 3)
+        assert clustering_scores(g, ["a"])["a"] == pytest.approx(1 / 3)
 
     def test_degree_below_two_zero(self):
         g = graph_from_edges([("a", "b")])
-        assert clustering_coefficient(g, "a") == 0.0
+        assert clustering_scores(g, ["a"])["a"] == 0.0
 
 
 class TestPowerDifference:

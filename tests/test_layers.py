@@ -80,10 +80,17 @@ def check_all_states_gradient(mask):
 def index_case(mask, m, d, seed, dtype=np.float32):
     """Rows [m, d], an index [b, T] reading them with repeats (padded
     positions hold an arbitrary row), and the dense input ``rows[index]``
-    whose padded positions hold values that must never be read."""
+    whose padded positions hold values that must never be read. With ``m``
+    None there is one row per live position, each read once."""
     rng = np.random.default_rng(seed)
-    rows = rng.normal(size=(m, d)).astype(dtype)
-    index = rng.integers(0, m, size=mask.shape)
+    if m is None:
+        m = int(mask.sum())
+        rows = rng.normal(size=(m, d)).astype(dtype)
+        index = np.zeros(mask.shape, dtype=np.intp)
+        index[mask] = rng.permutation(m)
+    else:
+        rows = rng.normal(size=(m, d)).astype(dtype)
+        index = rng.integers(0, m, size=mask.shape)
     dense = rows[index]
     dense[~mask] = rng.normal(size=(int((~mask).sum()), d))
     return rows, index, dense
@@ -400,7 +407,7 @@ class TestGRU:
     def test_grad_check_packed_steps(self, mask):
         check_all_states_gradient(mask_of(mask))
 
-    @pytest.mark.parametrize("m", [1, 3, 9], ids=["one_row", "three_rows", "nine_rows"])
+    @pytest.mark.parametrize("m", [1, 3, 9, None], ids=["one_row", "three_rows", "nine_rows", "all_distinct"])
     @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
     def test_index_form_equals_dense_form_bitwise(self, mask, m):
         # d and 3u wide enough that numpy's one-row product (gemv) rounds
@@ -424,7 +431,7 @@ class TestGRU:
         assert r.grad.tobytes() == expected.tobytes()
         assert not x.grad[~mask].any()
 
-    @pytest.mark.parametrize("m", [1, 9], ids=["one_row", "nine_rows"])
+    @pytest.mark.parametrize("m", [1, 9, None], ids=["one_row", "nine_rows", "all_distinct"])
     @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
     def test_index_form_equals_per_step_products_bitwise(self, mask, m):
         # projecting each distinct row once gives every step the bits of its

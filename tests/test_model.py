@@ -786,12 +786,15 @@ def claimed_bytes(raw: bytes) -> float:
 
 
 class TestCheckpointMutation:
-    # header values of the wrong type for fields encode_for_checkpoint reads
+    # header values of the wrong type or structure for fields encode_for_checkpoint reads
     WRONG_TYPED = {
         "mask_int": ("mask", 7),
         "mask_of_ints": ("mask", [7]),
         "pipeline_int": ("pipeline", 7),
         "pipeline_list": ("pipeline", [{"x": 1}]),
+        "pipeline_without_columns": ("pipeline", {"x": 1}),
+        "pipeline_columns_int": ("pipeline", {"columns": 7}),
+        "pipeline_encoder_int": ("pipeline", {"columns": {}, "encoders": {"lang": 3}}),
         "vocab_tokens_of_ints": ("vocab_tokens", [7, 8]),
         "schema_int": ("schema", 7),
         "schema_of_strings": ("schema", ["ab"]),
