@@ -4,7 +4,7 @@
 set -euo pipefail
 
 WORK=$(mktemp -d)
-SIZES=(--embed-dim 12 --units 16 --metadata-sizes 32,16 --fusion-dim 16
+SIZES=(--embed-dim 12 --units 16 --metadata-sizes 32,16
        --recurrent-dropout 0.25 --batch-size 128 --max-epochs 20 --patience 5 --folds 3)
 
 abusenet synth --task groups --samples 800 --seed 1 --out "$WORK/data"

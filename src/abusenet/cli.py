@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,12 @@ from .evaluation import (
     run_ablation,
     run_cv,
 )
-from .features import ConfigurationError, NonFiniteFeatureError, parse_mask
+from .features import ConfigurationError, NonFiniteFeatureError, mask_name, parse_mask
 from .graph import DegenerateGraphError, SocialGraph
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
-from .text import FormatError, ParseError
+from .text import FormatError, ParseError, parse_embedding_file
 from .training import STRATEGIES, DegenerateLabelsError, TrainingConfig, predict_probs
 
 # flag spelling -> TrainingConfig.strategy
@@ -79,10 +80,10 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--embed-dim", type=int, default=ModelConfig.embed_dim)
-    p.add_argument("--units", type=int, default=ModelConfig.units)
+    p.add_argument("--units", type=int, default=ModelConfig.units,
+                   help="GRU units; the metadata path ends at the same width")
     p.add_argument("--metadata-sizes", default=",".join(map(str, ModelConfig.hidden)),
                    help="comma list of dense widths (swap 245 for 256 here if wanted)")
-    p.add_argument("--fusion-dim", type=int, default=ModelConfig.fusion_dim)
     p.add_argument("--recurrent-dropout", type=float, default=ModelConfig.recurrent_dropout)
     p.add_argument("--attention-threshold", type=int, default=ModelConfig.attention_threshold)
 
@@ -110,17 +111,10 @@ def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
         units=args.units,
         recurrent_dropout=args.recurrent_dropout,
         hidden=tuple(int(x) for x in args.metadata_sizes.split(",") if x),
-        fusion_dim=args.fusion_dim,
+        fusion_dim=args.units,
         attention_threshold=args.attention_threshold,
     )
     return training, model
-
-
-def _check_fusion_widths(masks, model_cfg: ModelConfig) -> None:
-    """A mask with both paths fuses them, which needs equal feature widths."""
-    if model_cfg.units != model_cfg.fusion_dim and any("WV" in m and len(m) > 1 for m in masks):
-        raise ContractError(f"a mask with text and metadata groups fuses both paths, so --units "
-                            f"({model_cfg.units}) must equal --fusion-dim ({model_cfg.fusion_dim})")
 
 
 def _load(args):
@@ -136,6 +130,13 @@ def _load(args):
     return corpus
 
 
+def _vectors(args, corpus, masks, dim: int):
+    """The corpus's ``--embeddings`` vectors, read once for every fold; None if no mask reads text."""
+    if args.embeddings is None or not any("WV" in m for m in masks):
+        return None
+    return parse_embedding_file(args.embeddings, dim, keep=set(chain.from_iterable(corpus.tokenized())))
+
+
 def _write_json(path, payload) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -147,7 +148,7 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
     return {
         "training": asdict(training),
         "model": asdict(model_cfg),
-        "mask": "+".join(sorted(parse_mask(args.mask))),
+        "mask": mask_name(args.mask),
         "folds": args.folds,
         "workers": args.workers,
         "embeddings": args.embeddings,
@@ -158,18 +159,18 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
 
 def cmd_train(args) -> int:
     training, model_cfg = _configs(args)
-    _check_fusion_widths([parse_mask(args.mask)], model_cfg)
+    mask = parse_mask(args.mask)
     corpus = _load(args)
+    vectors = _vectors(args, corpus, [mask], model_cfg.embed_dim)
     t0 = time.monotonic()
-    report = run_cv(corpus, training, model_cfg, mask=args.mask, n_folds=args.folds,
-                    embeddings_path=args.embeddings, workers=args.workers)
+    report = run_cv(corpus, training, model_cfg, mask=mask, n_folds=args.folds,
+                    vectors=vectors, workers=args.workers)
     cv_seconds = time.monotonic() - t0
 
     # final model on the full corpus for the checkpoint
     t1 = time.monotonic()
     all_idx = np.arange(len(corpus))
-    train_all, _, artifacts = encode_fold(corpus, all_idx, all_idx[:0], args.mask,
-                                          embeddings_path=args.embeddings,
+    train_all, _, artifacts = encode_fold(corpus, all_idx, all_idx[:0], mask, vectors=vectors,
                                           embed_dim=model_cfg.embed_dim, seed=training.seed)
     model, final_history = build_and_fit(train_all, training, model_cfg, artifacts)
     fit_seconds = time.monotonic() - t1
@@ -234,11 +235,11 @@ def cmd_ablate(args) -> int:
         masks = [parse_mask(m) for m in args.masks.split(";") if m.strip()]
         if not masks:
             raise ConfigurationError(f"--masks {args.masks!r} names no mask")
-    _check_fusion_widths(masks, model_cfg)
     corpus = _load(args)
+    vectors = _vectors(args, corpus, masks, model_cfg.embed_dim)
     t0 = time.monotonic()
     rows = run_ablation(corpus, masks, training, model_cfg, n_folds=args.folds,
-                        embeddings_path=args.embeddings, workers=args.workers)
+                        vectors=vectors, workers=args.workers)
     payload = {
         "command": "ablate",
         "config": _echo_config(args, training, model_cfg),

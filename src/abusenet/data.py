@@ -51,6 +51,7 @@ class Corpus:
     columns: dict[str, tuple[str, str]]  # column -> (group, kind)
     affect: dict[str, str] = field(default_factory=dict)
     header: list[str] = field(default_factory=list)  # the dataset file's columns; empty in memory
+    path: str = ""  # the dataset file; empty in memory
     _tokens: list[list[str]] | None = None
     _values: RowValues = field(default_factory=RowValues, repr=False, compare=False)
 
@@ -105,7 +106,8 @@ def load_schema(path) -> dict:
 
 
 def load_corpus(dataset_path, schema_path) -> Corpus:
-    """Read a delimited dataset under its schema descriptor."""
+    """Read a delimited dataset under its schema descriptor; ``encode_inputs``
+    checks the metadata columns a run reads."""
     schema = load_schema(schema_path)
     id_col = schema.get("id_column", "id")
     text_col = schema.get("text_column", "text")
@@ -128,9 +130,6 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
             for col in (id_col, text_col):
                 if col not in header:
                     raise SchemaError(f"{dataset_path}: dataset is missing required column {col!r}")
-            for col in list(columns) + list(affect.values()):
-                if col not in header:
-                    raise SchemaError(f"{dataset_path}: dataset is missing declared metadata column {col!r}")
             has_labels = label_col in header
             # blank rows are skipped and not numbered
             for rownum, row in enumerate(filter(None, reader), start=2):
@@ -165,6 +164,7 @@ def load_corpus(dataset_path, schema_path) -> Corpus:
         columns=columns,
         affect=affect,
         header=list(header),
+        path=str(dataset_path),
     )
 
 

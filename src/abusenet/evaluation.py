@@ -20,7 +20,7 @@ import numpy as np
 
 from . import text as text_mod
 from .data import Corpus, EmptyDatasetError, SchemaError
-from .features import FeaturePipeline, assemble, mask_columns, parse_mask, parsed_columns
+from .features import MASK_GROUPS, FeaturePipeline, assemble, mask_columns, mask_name, parse_mask, parsed_columns
 from .metrics import UndefinedMetricError, prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
@@ -46,7 +46,7 @@ DEFAULT_FOLDS = 10
 DEFAULT_ABLATION_MASKS = tuple(
     frozenset(c)
     for size in range(1, 5)
-    for c in combinations(("WV", "TF", "UF", "NF"), size)
+    for c in combinations(MASK_GROUPS, size)
 )
 
 
@@ -98,6 +98,14 @@ def cv_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     return folds
 
 
+def check_columns(corpus: Corpus, columns: dict, affect: dict) -> None:
+    """Refuse, naming its file, a corpus without a column a pipeline over ``columns`` and ``affect`` reads."""
+    missing = sorted({*columns, *parsed_columns(columns, affect)} - set(corpus.column_names()))
+    if missing:
+        raise SchemaError(f"{corpus.path or 'in-memory corpus'}: dataset is missing metadata "
+                          f"columns {missing}, which the feature pipeline reads")
+
+
 def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
     """Encode every row of a corpus with already fitted text and feature pipelines.
 
@@ -107,17 +115,18 @@ def encode_inputs(corpus: Corpus, vocab, spec, pipeline, groups):
     text = None if vocab is None else text_mod.encode_corpus(corpus.tokenized(), vocab, spec)
     if pipeline is None:
         return text, None, []
+    check_columns(corpus, pipeline.columns, pipeline.affect)
     values = corpus.row_values(parsed_columns(pipeline.columns, pipeline.affect))
     table, _ = assemble(pipeline.transform(corpus.records, corpus.texts, values), groups)
     return text, table.values, [(c.name, c.group) for c in table.schema]
 
 
 def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray, mask,
-                embeddings_path=None, embed_dim: int = ModelConfig.embed_dim, seed: int = 0):
+                vectors=None, embed_dim: int = ModelConfig.embed_dim, seed: int = 0):
     """Fit the text and feature pipelines on the training split and encode both.
 
     Returns (train, test, artifacts); artifacts carries vocab, spec, pipeline,
-    schema and optionally a pretrained embedding layer for the model builder.
+    schema and, given pretrained ``vectors``, an embedding layer for the model builder.
     """
     mask = parse_mask(mask)
     vocab = spec = pipeline = embedding = None
@@ -126,8 +135,8 @@ def encode_fold(corpus: Corpus, train_idx: np.ndarray, test_idx: np.ndarray, mas
         train_tokens = [tokens[i] for i in train_idx]
         vocab = text_mod.Vocabulary.build(train_tokens)
         spec = text_mod.choose_seq_len([len(t) for t in train_tokens])
-        if embeddings_path is not None:
-            embedding = text_mod.load_embeddings(embeddings_path, vocab, dim=embed_dim, seed=seed)
+        if vectors is not None:
+            embedding = text_mod.embedding_table(vectors, vocab, embed_dim, seed)
     groups = mask - {"WV"}
     if groups:
         pipeline = FeaturePipeline(*mask_columns(corpus.columns, corpus.affect, groups))
@@ -162,12 +171,6 @@ def encode_for_checkpoint(corpus: Corpus, meta: CheckpointMeta) -> EncodedDatase
     if meta.pipeline is not None:
         pipeline = FeaturePipeline.from_config(meta.pipeline)
         pipeline.columns, pipeline.affect = mask_columns(pipeline.columns, pipeline.affect, groups)
-        provided = corpus.column_names()
-        missing = sorted((set(pipeline.columns) | set(pipeline.affect.values())) - set(provided))
-        if missing:
-            raise SchemaError(
-                f"dataset is missing columns required by the checkpoint: {missing}; "
-                f"dataset provides: {sorted(provided)}")
     if len(corpus) == 0:
         raise EmptyDatasetError("dataset has a header but no data rows to score")
     text, meta_block, schema = encode_inputs(corpus, vocab, spec, pipeline, groups)
@@ -242,20 +245,19 @@ def fold_split(folds: list[np.ndarray], fold_id: int) -> tuple[np.ndarray, np.nd
 
 
 def _run_fold(args) -> tuple[int, dict]:
-    (corpus, config, model_cfg, mask, fold_id, folds, embeddings_path) = args
+    (corpus, config, model_cfg, mask, fold_id, folds, vectors) = args
     train_idx, test_idx = fold_split(folds, fold_id)
     fold_config = replace(config, seed=int(derive_rng(
         config.seed, "fold", fold_id).integers(0, 2**31 - 1)))
     train, test, artifacts = encode_fold(corpus, train_idx, test_idx, mask,
-                                         embeddings_path=embeddings_path,
-                                         embed_dim=model_cfg.embed_dim,
+                                         vectors=vectors, embed_dim=model_cfg.embed_dim,
                                          seed=fold_config.seed)
     model, _ = build_and_fit(train, fold_config, model_cfg, artifacts)
     return fold_id, evaluate_model(model, test, config.batch_size)
 
 
 def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None = None,
-           mask=DEFAULT_MASK, n_folds: int = DEFAULT_FOLDS, embeddings_path=None,
+           mask=DEFAULT_MASK, n_folds: int = DEFAULT_FOLDS, vectors=None,
            workers: int = 1) -> MetricsReport:
     """Stratified k-fold cross validation with a fresh model per fold."""
     if corpus.labels is None:
@@ -268,7 +270,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
         corpus.tokenized()
     if mask - {"WV"}:
         corpus.row_values(parsed_columns(*mask_columns(corpus.columns, corpus.affect, mask)))
-    jobs = [(corpus, config, model_cfg, mask, i, folds, embeddings_path)
+    jobs = [(corpus, config, model_cfg, mask, i, folds, vectors)
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []
     if workers > 1:
@@ -285,20 +287,22 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
 
 def run_ablation(corpus: Corpus, masks, config: TrainingConfig,
                  model_cfg: ModelConfig | None = None, n_folds: int = DEFAULT_FOLDS,
-                 embeddings_path=None, workers: int = 1) -> list[dict]:
+                 vectors=None, workers: int = 1) -> list[dict]:
     """One cross-validated run per feature-group mask.
 
     The model form follows the mask: text-only for {WV}, metadata-only for
-    masks without WV, combined otherwise. Rows come back sorted by mean AUC
-    ascending.
+    masks without WV, combined otherwise. Every mask's columns are checked
+    before the first run. Rows come back sorted by mean AUC ascending.
     """
+    masks = [parse_mask(m) for m in masks]
+    for mask in masks:
+        check_columns(corpus, *mask_columns(corpus.columns, corpus.affect, mask))
     rows = []
     for mask in masks:
-        mask = parse_mask(mask)
         report = run_cv(corpus, config, model_cfg, mask=mask, n_folds=n_folds,
-                        embeddings_path=embeddings_path, workers=workers)
+                        vectors=vectors, workers=workers)
         rows.append({
-            "mask": "+".join(sorted(mask, key=("WV", "TF", "UF", "NF").index)),
+            "mask": mask_name(mask),
             "auc": report.mean["auc"],
             "metrics": report.mean,
         })

@@ -328,6 +328,11 @@ def parse_mask(spec: str | set[str] | frozenset[str]) -> frozenset[str]:
     return frozenset(parts)
 
 
+def mask_name(mask) -> str:
+    """A mask's one spelling: its groups in ``MASK_GROUPS`` order, joined by "+"."""
+    return "+".join(sorted(parse_mask(mask), key=MASK_GROUPS.index))
+
+
 def assemble(table: FeatureTable, mask: str | set[str] | frozenset[str]) -> tuple[FeatureTable, frozenset[str]]:
     """Filter the metadata table to the groups named in the mask.
 

@@ -47,10 +47,7 @@ class SocialGraph:
             raise ValueError(f"self-loop rejected: {src!r}")
         for n in (src, dst):
             if n not in self._out:
-                self._out[n] = set()
-                self._in[n] = set()
-                self.followers_count.setdefault(n, 0)
-                self.friends_count.setdefault(n, 0)
+                self.add_node(n)
         self._out[src].add(dst)  # duplicates collapse
         self._in[dst].add(src)
 

@@ -374,22 +374,16 @@ class CheckpointMeta:
 
 
 def _check_describes(model: ClassifierModel, meta: CheckpointMeta) -> None:
-    """Refuse a header that would rebuild a model other than ``model``."""
-
-    def same(what, described, actual):
-        if described != actual:
-            raise ContractError(f"checkpoint meta gives {what} {described!r} but the model has {actual!r}")
-
-    same("kind", meta.kind, model.kind)
-    same("classes", list(meta.classes), model.classes)
-    md = model.metadata_path
-    same("feature_dim", meta.feature_dim, None if md is None else md.bn.features)
-    text = model.text_path
-    if text is not None:
-        if meta.seq_len is None:
-            raise ContractError("checkpoint meta of a model with a text path needs seq_len")
-        same("vocabulary size", meta.vocab_size, text.embedding.vocab_size)
-        same("attention", meta.seq_len > meta.config.attention_threshold, text.attention is not None)
+    """Refuse a header that would rebuild a model other than ``model``: by kind,
+    classes, and the parameter bytes the loader sizes from it."""
+    try:
+        described = _stored_bytes(meta)
+    except ValueError as e:
+        raise ContractError(f"checkpoint meta does not size a model: {e}") from None
+    for what, given, actual in (("kind", meta.kind, model.kind), ("classes", list(meta.classes), model.classes),
+                                ("parameter bytes", described, 4 * sum(p.data.size for p in model.parameters()))):
+        if given != actual:
+            raise ContractError(f"checkpoint meta gives {what} {given!r} but the model has {actual!r}")
 
 
 def save_checkpoint(path, model: ClassifierModel, meta: CheckpointMeta) -> None:

@@ -194,58 +194,56 @@ def encode_corpus(token_lists: Sequence[Sequence[str]], vocab: Vocabulary, spec:
     return out
 
 
-def parse_embedding_file(path, dim: int) -> dict[str, np.ndarray]:
+def parse_embedding_file(path, dim: int, keep=None) -> dict[str, np.ndarray]:
+    """The vectors of a text vector file, every line checked; with ``keep``,
+    only those of the tokens in ``keep`` are held."""
+    vectors: dict[str, np.ndarray] = {}
     try:
-        return _parse_embedding_lines(path, dim)
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(" ")
+                if lineno == 1 and len(parts) - 1 != dim:
+                    if len(parts) == 2 and all(p.isdecimal() for p in parts):
+                        raise FormatError(f"{path}: line 1 is a word2vec 'count dim' header; "
+                                          "the text format has none, so delete that line")
+                    raise FormatError(
+                        f"{path}: embedding file holds {len(parts) - 1}-dimensional vectors, expected {dim}")
+                if len(parts) - 1 != dim:
+                    raise ParseError(f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}")
+                try:
+                    with np.errstate(over="ignore"):  # past float32's range reads as inf
+                        vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                except ValueError as e:
+                    raise ParseError(f"{path}: line {lineno}: {e}") from None
+                bad = np.flatnonzero(~np.isfinite(vec))
+                if bad.size:
+                    raise ParseError(f"{path}: line {lineno}: non-finite value {parts[1 + bad[0]]!r}")
+                if keep is None or parts[0] in keep:
+                    vectors[parts[0]] = vec
     except UnicodeDecodeError:
         raise ParseError(not_utf8(path)) from None
-
-
-def _parse_embedding_lines(path, dim: int) -> dict[str, np.ndarray]:
-    vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if lineno == 1 and len(parts) - 1 != dim:
-                if len(parts) == 2 and all(p.isdecimal() for p in parts):
-                    raise FormatError(f"{path}: line 1 is a word2vec 'count dim' header; "
-                                      "the text format has none, so delete that line")
-                raise FormatError(
-                    f"{path}: embedding file holds {len(parts) - 1}-dimensional vectors, expected {dim}")
-            if len(parts) - 1 != dim:
-                raise ParseError(f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}")
-            try:
-                with np.errstate(over="ignore"):  # past float32's range reads as inf
-                    vec = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-            except ValueError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from None
-            bad = np.flatnonzero(~np.isfinite(vec))
-            if bad.size:
-                raise ParseError(f"{path}: line {lineno}: non-finite value {parts[1 + bad[0]]!r}")
-            vectors[parts[0]] = vec
     return vectors
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingLayer:
-    """Build the embedding table for ``vocab`` from a text vector file.
-
-    File format: one token per line followed by ``dim`` space-separated
-    decimals. Vocabulary tokens absent from the file get seeded
-    uniform(-0.05, 0.05) rows; the pad row stays zero; every row is
-    trainable.
-    """
-    vectors = parse_embedding_file(path, dim)
+def embedding_table(vectors: Mapping[str, np.ndarray], vocab: Vocabulary, dim: int,
+                    seed: int = 0) -> EmbeddingLayer:
+    """The embedding table for ``vocab``, each token's row from ``vectors``. The
+    unknown row, then the rows of tokens ``vectors`` lacks in vocabulary order,
+    are seeded uniform(-0.05, 0.05) draws; the pad row is zero."""
     table = np.zeros((len(vocab), dim), dtype=np.float32)
     rng = np.random.default_rng(seed)
     table[UNK_INDEX] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32)
     tokens = vocab.tokens()
     for token, idx in zip(tokens, vocab.encode_tokens(tokens)):
         vec = vectors.get(token)
-        if vec is None:
-            table[idx] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32)
-        else:
-            table[idx] = vec
+        table[idx] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32) if vec is None else vec
     return EmbeddingLayer(table)
+
+
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingLayer:
+    """``embedding_table`` for ``vocab`` from a text vector file: one token per
+    line followed by ``dim`` space-separated decimals."""
+    return embedding_table(parse_embedding_file(path, dim, keep=vocab), vocab, dim, seed)

@@ -550,8 +550,7 @@ class TestCriterion11Reproducibility:
                   "--out", str(synth)])
         tiny = ["--batch-size", "16", "--max-epochs", "4", "--patience", "3",
                 "--folds", "2", "--embed-dim", "5", "--units", "6",
-                "--metadata-sizes", "8", "--fusion-dim", "6",
-                "--recurrent-dropout", "0.25"]
+                "--metadata-sizes", "8", "--recurrent-dropout", "0.25"]
         payloads, blobs = [], []
         for name in ("r1", "r2"):
             out = tmp_path / name

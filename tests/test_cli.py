@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 import abusenet
-from abusenet import cli
+from abusenet import cli, evaluation
 from abusenet.cli import _configs, build_parser, main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus, synth_groups, write_corpus
-from abusenet.evaluation import encode_fold
+from abusenet.evaluation import build_and_fit, encode_fold
 from abusenet.features import ConfigurationError
 from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
+from abusenet.text import load_embeddings
 from abusenet.training import TrainingConfig, predict_probs
 
 
@@ -37,7 +38,7 @@ def synth_dir(tmp_path_factory):
 
 TINY = ["--batch-size", "16", "--max-epochs", "4", "--patience", "3",
         "--folds", "2", "--embed-dim", "5", "--units", "6",
-        "--metadata-sizes", "8", "--fusion-dim", "6", "--recurrent-dropout", "0.25"]
+        "--metadata-sizes", "8", "--recurrent-dropout", "0.25"]
 
 
 def copy_without_column(src, dst, column):
@@ -265,15 +266,14 @@ class TestEvaluateCommand:
     (["--learning-rate", "0"], "learning_rate must be finite and > 0, got 0.0"),
     (["--learning-rate", "nan"], "learning_rate must be finite and > 0, got nan"),
     (["--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
-    (["--units", "0", "--fusion-dim", "0"], "units must be >= 1, got 0"),
+    (["--units", "0"], "units must be >= 1, got 0"),
     (["--metadata-sizes", "8,0"], r"hidden\[1\] must be >= 1, got 0"),
-    (["--units", "8", "--fusion-dim", "6"], r"--units \(8\) must equal --fusion-dim \(6\)"),
     (["--folds", "1"], "cross-validation needs k >= 2 folds, got k=1"),
     (["--validation-fraction", "-1"], r"validation_fraction must be in \(0, 1\), got -1.0"),
     (["--validation-fraction", "0"], r"validation_fraction must be in \(0, 1\), got 0.0"),
     (["--recurrent-dropout", "1"], r"recurrent_dropout must be in \[0, 1\), got 1.0"),
 ], ids=["negative_lr", "zero_lr", "nan_lr", "zero_embed_dim", "zero_units", "zero_hidden",
-        "units_not_fusion_dim", "one_fold", "negative_validation_fraction",
+        "one_fold", "negative_validation_fraction",
         "zero_validation_fraction", "recurrent_dropout_of_one"])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags, match):
@@ -399,9 +399,13 @@ def test_non_utf8_input_is_one_cli_line_naming_file_and_line(synth_dir, tmp_path
     assert capsys.readouterr().err == f"abusenet: error: {bad}: {kind}line 2: bytes that are not UTF-8\n"
 
 
-def test_unequal_path_widths_allowed_without_fusion(synth_dir, tmp_path):
-    # a text-only mask builds no fused head, so --units need not match --fusion-dim
-    assert run(train_args(synth_dir, tmp_path / "run", mask="WV") + ["--units", "8"]) == 0
+@pytest.mark.parametrize("mask", ["UF", "WV+UF"])
+def test_metadata_path_ends_at_units_width(synth_dir, tmp_path, mask):
+    # the metadata path's last layer is --units wide, fused with the text path or not
+    assert run(train_args(synth_dir, tmp_path / "run", mask=mask) + ["--units", "7"]) == 0
+    model, meta = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    assert meta.config.fusion_dim == 7
+    assert model.metadata_path.feature_dim == 7
 
 
 def test_train_flag_defaults_are_the_config_defaults():
@@ -509,6 +513,81 @@ class TestAblateCommand:
         aucs = [r["auc"] for r in payload["rows"]]
         assert aucs == sorted(aucs)
         assert len(payload["rows"]) == 2
+
+
+class TestDatasetWithoutUnreadColumn:
+    """The training schema declares uf_noise; a run that reads no UF column
+    does not demand it, and one that does names the file."""
+
+    @pytest.fixture
+    def reduced(self, synth_dir, tmp_path):
+        path = tmp_path / "no_uf_noise.csv"
+        copy_without_column(synth_dir / "dataset.csv", path, "uf_noise")
+        return path
+
+    def test_evaluate_scores_it_as_the_full_dataset(self, synth_dir, tmp_path, reduced):
+        out = tmp_path / "run"
+        run(train_args(synth_dir, out, mask="WV+TF"))
+        scores = []
+        for dataset in (synth_dir / "dataset.csv", reduced):
+            unlabeled, result = tmp_path / "unlabeled.csv", tmp_path / "scores.json"
+            copy_without_column(dataset, unlabeled, "label")
+            assert run(["evaluate", "--checkpoint", out / "model.ckpt", "--dataset", unlabeled,
+                        "--schema", synth_dir / "schema.json", "--out", result]) == 0
+            scores.append(json.loads(result.read_text())["scores"])
+        assert len(scores[0]) == 160
+        assert json.dumps(scores[0]) == json.dumps(scores[1])
+
+    def test_baseline_reads_no_metadata_column(self, synth_dir, reduced):
+        assert run(["baseline", "--dataset", reduced, "--schema", synth_dir / "schema.json",
+                    "--folds", "2"]) == 0
+
+    def test_ablate_checks_every_mask_before_any_fold_trains(self, synth_dir, tmp_path, reduced,
+                                                              monkeypatch, capsys):
+        io = ["--dataset", reduced, "--schema", synth_dir / "schema.json", *TINY]
+        assert run(["ablate", *io, "--masks", "WV+TF"]) == 0
+        fits = []
+        monkeypatch.setattr(evaluation, "build_and_fit", lambda *args, **kwargs: fits.append(args))
+        capsys.readouterr()
+        assert cli.run([str(a) for a in ["ablate", *io, "--masks", "WV+TF;WV+UF"]]) == 2
+        assert fits == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"abusenet: error: {reduced}: "), lines
+        assert "'uf_noise'" in lines[0]
+
+
+def test_train_reads_embeddings_once(synth_dir, tmp_path, monkeypatch):
+    vectors = tmp_path / "vectors.txt"
+    rng = np.random.default_rng(5)
+    words = ["alert", "game", "night", "tag1", "not_in_corpus", "<hashtag>"]
+    vectors.write_text("".join(f"{w} {' '.join(f'{v:.5f}' for v in rng.normal(size=5))}\n" for w in words))
+    opened = []
+    builtin_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(vectors):
+            opened.append(file)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    argv = [str(a) for a in train_args(synth_dir, tmp_path / "run") + ["--embeddings", vectors, "--folds", "3"]]
+    assert main(argv) == 0
+    assert len(opened) == 1
+    # the checkpoint is the one a final fit on the one-off reader's table makes
+    training, model_cfg = _configs(build_parser().parse_args(argv))
+    corpus = load_corpus(synth_dir / "dataset.csv", synth_dir / "schema.json")
+    idx = np.arange(len(corpus))
+    train_all, _, artifacts = encode_fold(corpus, idx, idx[:0], "WV+TF+UF")
+    artifacts["embedding"] = load_embeddings(vectors, artifacts["vocab"], model_cfg.embed_dim, training.seed)
+    expected, _ = build_and_fit(train_all, training, model_cfg, artifacts)
+    got, _ = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    assert [p.name for p in got.parameters()] == [p.name for p in expected.parameters()]
+    assert all(p.data.tobytes() == q.data.tobytes() for p, q in zip(got.parameters(), expected.parameters()))
+
+
+def test_report_spells_the_mask_in_group_order(synth_dir, tmp_path):
+    assert run(train_args(synth_dir, tmp_path / "run", mask="UF+TF+WV")) == 0
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["config"]["mask"] == "WV+TF+UF"
 
 
 class TestBaselineCommand:

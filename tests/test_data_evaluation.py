@@ -119,15 +119,19 @@ class TestCorpusIO:
         assert load_corpus(data_path, schema_path).column_names() == [
             "id", "text", "label", "uf_noise", "uf_signal"]
 
-    def test_missing_column_names_it(self, tmp_path):
+    def test_missing_column_names_it_when_read(self, tmp_path):
+        # a declared column the dataset lacks is refused by the first encode
+        # that reads it, not at load
         corpus = synth_xor(n=10, seed=5)
         data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"
         write_corpus(corpus, data_path, schema_path)
         schema = schema_path.read_text().replace('"signal"', '"absent_col"')
         schema_path.write_text(schema)
-        with pytest.raises(SchemaError) as e:
-            load_corpus(data_path, schema_path)
-        assert "absent_col" in str(e.value)
+        loaded = load_corpus(data_path, schema_path)
+        idx = np.arange(len(loaded))
+        encode_fold(loaded, idx, idx[:0], "WV")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(data_path))}: .*'absent_col'"):
+            encode_fold(loaded, idx, idx[:0], "WV+UF")
 
     def test_unknown_label_rejected(self, tmp_path):
         corpus = synth_xor(n=10, seed=6)
@@ -245,12 +249,10 @@ class TestCorpusIO:
     @pytest.mark.parametrize("change, message", [
         (lambda lines: [lines[0].replace("id,", "key,", 1)] + lines[1:],
          "dataset is missing required column 'id'"),
-        (lambda lines: [lines[0].replace(",signal", ",other")] + lines[1:],
-         "dataset is missing declared metadata column 'signal'"),
         (lambda lines: lines[:2] + [lines[2].replace(",benign,", ",other,").replace(",flagged,", ",other,")]
          + lines[3:], "row 3: label 'other' not in declared classes"),
         (lambda lines: lines + [lines[2]], "row 5: id 's1' is already used by row 3"),
-    ], ids=["id_column", "metadata_column", "unknown_label", "duplicate_id"])
+    ], ids=["id_column", "unknown_label", "duplicate_id"])
     def test_dataset_errors_name_the_file(self, tmp_path, change, message):
         corpus = synth_xor(n=3, seed=14)
         data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"

@@ -1,10 +1,11 @@
-"""numpy stays the only runtime dependency of the package, and no module
-keeps an import it does not use."""
+"""numpy stays the only runtime dependency of the package, no module keeps an
+import it does not use, and no private module-level name is left unread."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 # Imports every module of the package and runs ``python -m abusenet --help``,
@@ -67,3 +68,46 @@ def test_no_module_imports_a_name_it_does_not_use():
 def test_unused_import_check_finds_one():
     source = "from __future__ import annotations\nimport os, re as regex\nfrom x import y, z\nprint(os, z)\n"
     assert unused_imports(source) == ["regex", "y"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level name of ``sources`` (module ->
+    source) that starts with a single underscore and that no code in any of
+    them reads outside that name's own definition."""
+
+    def reads(node) -> Counter:
+        found = Counter()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                found[n.id] += 1
+            elif isinstance(n, ast.Attribute):
+                found[n.attr] += 1
+            elif isinstance(n, ast.alias):  # from .module import _name
+                found[n.name] += 1
+        return found
+
+    def defines(node) -> list[str]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}:{name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign))
+            for name in defines(node)
+            if name.startswith("_") and not name.startswith("__") and total[name] == reads(node)[name]]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    package = Path(__file__).resolve().parents[1] / "src" / "abusenet"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_check_finds_one():
+    sources = {"a.py": "_used = 1\n_left: int = 2\n__dunder__ = 3\n\ndef _recursive(n):\n    return _recursive(n)\n\n"
+                       "def _helper():\n    return _used\n",
+               "b.py": "from .a import _helper\n"}
+    assert unread_private_names(sources) == ["a.py:_left", "a.py:_recursive"]

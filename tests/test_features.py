@@ -14,6 +14,7 @@ from abusenet.features import (
     FeaturePipeline,
     NonFiniteFeatureError,
     assemble,
+    mask_name,
     parse_mask,
     tweet_counters,
 )
@@ -205,6 +206,10 @@ class TestPipelineAndAssemble:
         table = pipe.transform([{"followers": "1"}], ["hey"])
         with pytest.raises(ConfigurationError):
             assemble(table, "NF")
+
+    @pytest.mark.parametrize("spec", ["UF+TF+WV", "tf, wv, uf", frozenset({"WV", "UF", "TF"})])
+    def test_mask_name_spells_groups_in_mask_groups_order(self, spec):
+        assert mask_name(spec) == "WV+TF+UF"
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -367,15 +367,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'text.attention.W_a', 'text.attention.v_a'"):
             load_checkpoint(path)
 
+    # kind and classes are compared as such; every other fact by the parameter
+    # bytes the loader would size from it, and a fact it cannot size is refused
     @pytest.mark.parametrize("change, what", [
         ({"kind": "text"}, "kind"),
         ({"classes": ["a", "c"]}, "classes"),
-        ({"feature_dim": 5}, "feature_dim"),
-        ({"feature_dim": None}, "feature_dim"),
-        ({"vocab_tokens": [f"t{i}" for i in range(17)]}, "vocabulary size"),
-        ({"seq_len": 200}, "attention"),
-        ({"seq_len": None}, "seq_len"),
-    ])
+        ({"feature_dim": 5}, "parameter bytes"),
+        ({"feature_dim": None}, "does not size a model"),
+        ({"vocab_tokens": [f"t{i}" for i in range(17)]}, "parameter bytes"),
+        ({"seq_len": 200}, "parameter bytes"),
+        ({"seq_len": None}, "does not size a model"),
+        ({"config": ModelConfig(embed_dim=6, units=5, hidden=(8, 6), fusion_dim=5)}, "parameter bytes"),
+    ], ids=["kind", "classes", "feature_dim", "no_feature_dim", "vocabulary_size", "attention",
+            "no_seq_len", "hidden_widths"])
     def test_save_rejects_meta_that_disagrees_with_model(self, tmp_path, change, what):
         m = small_combined()
         described = dict(classes=m.classes, kind="combined", config=SMALL, seq_len=6,
@@ -383,6 +387,19 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         with pytest.raises(ContractError, match=what):
             save_checkpoint(path, m, CheckpointMeta(**{**described, **change}))
+        assert not path.exists()
+
+    def test_save_refuses_widths_the_loader_would_refuse(self, tmp_path):
+        config = ModelConfig(embed_dim=6, units=16, hidden=(32, 16), fusion_dim=16)
+        rng = np.random.default_rng(0)
+        m = build_combined(build_text_path(20, 6, ["a", "b"], config=config, rng=rng),
+                           build_metadata_path(4, ["a", "b"], config=config, rng=rng), rng=rng)
+        described = CheckpointMeta(classes=["a", "b"], kind="combined", seq_len=6, feature_dim=4,
+                                   config=ModelConfig(embed_dim=6, units=16, hidden=(32, 8), fusion_dim=16),
+                                   vocab_tokens=[f"t{i}" for i in range(18)])
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ContractError, match="parameter bytes"):
+            save_checkpoint(path, m, described)
         assert not path.exists()
 
     def test_load_draws_no_random_embedding_table(self, tmp_path, monkeypatch):

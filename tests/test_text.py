@@ -18,8 +18,10 @@ from abusenet.text import (
     SequenceSpec,
     Vocabulary,
     choose_seq_len,
+    embedding_table,
     encode_corpus,
     load_embeddings,
+    parse_embedding_file,
     tokenize,
 )
 
@@ -297,6 +299,21 @@ class TestLoadEmbeddings:
         path = self.write(tmp_path, lines)
         with pytest.raises(error, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
             load_embeddings(path, self.make_vocab(), dim=4)
+
+    def test_kept_vectors_build_the_one_off_table(self, tmp_path):
+        # a command keeps only its corpus's vectors and builds each fold's
+        # table from them, with the draws of a one-off load
+        path = self.write(tmp_path, ["cat 1 2 3 4", "yak 5 6 7 8", "emu 0 1 0 1"])
+        vocab = self.make_vocab()
+        kept = parse_embedding_file(path, 4, keep={"cat", "dog", "emu", "fox"})
+        assert sorted(kept) == ["cat", "emu"]
+        expected = load_embeddings(path, vocab, dim=4, seed=5).table.data
+        assert embedding_table(kept, vocab, 4, seed=5).table.data.tobytes() == expected.tobytes()
+
+    def test_lines_of_tokens_not_kept_are_still_checked(self, tmp_path):
+        path = self.write(tmp_path, ["cat 1 2 3 4", "yak 1 nan 3 4"])
+        with pytest.raises(ParseError, match="line 2: non-finite value 'nan'"):
+            parse_embedding_file(path, 4, keep={"cat"})
 
     def test_two_integers_are_a_token_and_its_value_at_dim_1(self, tmp_path):
         path = self.write(tmp_path, ["3 4"])
