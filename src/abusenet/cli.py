@@ -70,7 +70,6 @@ def _add_training_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", default=None, help="pretrained embedding text file")
     p.add_argument("--strategy", default=TrainingConfig.strategy.replace("_", "-"),
                    choices=sorted(STRATEGY_FLAGS))
-    p.add_argument("--mask", default=DEFAULT_MASK, help="feature groups, e.g. WV+TF+UF")
     p.add_argument("--seed", type=int, default=TrainingConfig.seed)
     p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
     p.add_argument("--max-epochs", type=int, default=TrainingConfig.max_epochs)
@@ -148,7 +147,6 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
     return {
         "training": asdict(training),
         "model": asdict(model_cfg),
-        "mask": mask_name(args.mask),
         "folds": args.folds,
         "workers": args.workers,
         "embeddings": args.embeddings,
@@ -184,7 +182,7 @@ def cmd_train(args) -> int:
     payload = {
         "command": "train",
         "model": model.kind,
-        "config": _echo_config(args, training, model_cfg),
+        "config": {**_echo_config(args, training, model_cfg), "mask": mask_name(args.mask)},
         "dataset_summary": {
             "samples": len(corpus),
             "classes": corpus.classes,
@@ -310,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p)
     _add_training_flags(p)
     _add_network_flags(p)
+    p.add_argument("--mask", default=DEFAULT_MASK, help="feature groups, e.g. WV+TF+UF")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_train)
 
@@ -320,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="feature-group ablation grid")
+    # no abbreviations: train's --mask would otherwise be read as --masks
+    p = sub.add_parser("ablate", help="feature-group ablation grid", allow_abbrev=False)
     _add_common_io(p)
     _add_training_flags(p)
     _add_network_flags(p)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import text as text_mod
-from .features import GROUPS, RowValues, parsed_columns
+from .features import AFFECT_SLOTS, GROUPS, RowValues, parsed_columns
 from .graph import (
     NF_FEATURE_NAMES,
     DegenerateGraphError,
@@ -25,6 +25,7 @@ from .graph import (
     clustering_scores,
     eigenvector_centrality,
     hits,
+    logged_followers,
     node_features,
     power_difference,
 )
@@ -102,6 +103,14 @@ def load_schema(path) -> dict:
             raise SchemaError(f"{path}: column {name!r}: group must be one of {GROUPS}")
         if spec.get("kind", "numeric") not in ("numeric", "categorical"):
             raise SchemaError(f"{path}: column {name!r}: kind must be numeric or categorical")
+    affect = schema.get("affect", {})
+    if not isinstance(affect, dict):
+        raise SchemaError(f"{path}: 'affect' must be an object mapping affect slots to column names")
+    for slot, column in affect.items():
+        if slot not in AFFECT_SLOTS:
+            raise SchemaError(f"{path}: affect slot {slot!r} is not one of {AFFECT_SLOTS}")
+        if not isinstance(column, str):
+            raise SchemaError(f"{path}: affect slot {slot!r}: column must be a column name string")
     return schema
 
 
@@ -189,6 +198,7 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
     users = [u for u in dict.fromkeys(str(rec.get(user_column, "")) for rec in corpus.records)
              if u in graph.followers_count]
     close, clust = closeness_scores(graph, users), clustering_scores(graph, users)
+    logged = logged_followers(graph)
     absent = dict.fromkeys(NF_FEATURE_NAMES, 0.0)
     per_user: dict[str, dict[str, float]] = {}
     records = []
@@ -202,7 +212,7 @@ def attach_network_features(corpus: Corpus, graph: SocialGraph, user_column: str
                     closeness=close, clustering=clust)))
             rec.update(per_user[user])
             mentioned = [m[1:] for m in text_mod.MENTION_RE.findall(text)]
-            rec["nf_power_difference"] = power_difference(graph, user, mentioned)
+            rec["nf_power_difference"] = power_difference(graph, user, mentioned, logged)
         else:
             rec.update(absent)
         records.append(rec)

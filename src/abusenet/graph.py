@@ -302,19 +302,29 @@ def _bit_counts(bits: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def power_difference(g: SocialGraph, node: str, mentioned: list[str]) -> float:
+def logged_followers(g: SocialGraph, nodes=None) -> dict[str, float]:
+    """log10(1 + followers) of each of ``nodes`` (default: every node), the
+    counts `power_difference` compares. A caller scoring many samples builds
+    the table once per graph state: it is not kept on the mutable graph."""
+    counts = g.followers_count
+    return {n: np.log10(1.0 + counts[n]) for n in (counts if nodes is None else nodes)}
+
+
+def power_difference(g: SocialGraph, node: str, mentioned: list[str],
+                     logged: dict[str, float] | None = None) -> float:
     """log10(1 + followers(u)) minus the mean over mentioned accounts; 0 with none.
 
     Reconstructed convention: logged counts bound the magnitude regardless of
-    account size.
+    account size. ``logged`` is ``logged_followers(g)``; without it the
+    counts of ``node`` and the mentioned accounts are logged here.
     """
     g._require(node)
     known = [m for m in (str(x) for x in mentioned) if m in g.followers_count]
     if not known:
         return 0.0
-    own = np.log10(1.0 + g.followers_count[str(node)])
-    others = np.mean([np.log10(1.0 + g.followers_count[m]) for m in known])
-    return float(own - others)
+    if logged is None:
+        logged = logged_followers(g, [str(node), *known])
+    return float(logged[str(node)] - np.mean([logged[m] for m in known]))
 
 
 NF_FEATURE_NAMES = (

@@ -69,9 +69,10 @@ class EmbeddingLayer:
     def vocab_size(self) -> int:
         return self.table.data.shape[0]
 
-    def forward(self, token_ids: np.ndarray) -> Tensor:
-        """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim]."""
-        return gather_rows(self.table, token_ids, padding_idx=self.pad_index)
+    def forward(self, token_ids: np.ndarray, out: np.ndarray | None = None) -> Tensor:
+        """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim],
+        written into ``out`` when it is given."""
+        return gather_rows(self.table, token_ids, padding_idx=self.pad_index, out=out)
 
     def parameters(self) -> list[Parameter]:
         return [self.table]
@@ -132,13 +133,19 @@ class GRULayer:
     def forward(self, x: Tensor, mask: np.ndarray | None = None, h0: Tensor | None = None,
                 train: bool = False, rng: np.random.Generator | None = None,
                 index: np.ndarray | None = None, projected: tuple | None = None,
-                keep_states: bool = True):
+                keep_states: bool = True, out: np.ndarray | None = None):
         """Run the recurrence; returns (all_states [b,T,units], last [b,units]).
 
         With ``keep_states`` off it returns (None, last): the recurrence is
         one op whose output is the last state, and no [b, T, units] states
         or gradient for them exist. A readout that reads only the last
         state, as the text path's does without attention, asks for that.
+
+        ``out``, a [b, T, units] array of the input's dtype, receives the
+        states, and the returned states are it; ``last`` is still a fresh
+        array. Only a call that records no tape may pass it: a recorded
+        op's backward would read states the next call overwrites. Without
+        it the states are a fresh array.
 
         ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
@@ -166,6 +173,10 @@ class GRULayer:
             raise ContractError("gru received an empty sequence (T=0)")
         if d != self.input_dim:
             raise ShapeError(f"gru built for input dim {self.input_dim}, got {d}")
+        if out is not None and (not keep_states or out.shape != (b, steps, self.units)
+                                or out.dtype != x.dtype):
+            raise ShapeError(f"gru states out must be a kept [batch, T, units]={(b, steps, self.units)} "
+                             f"{x.dtype} array, got {out.shape} {out.dtype}")
         if mask is None:
             mask = np.ones((b, steps), dtype=bool)
         else:
@@ -184,7 +195,7 @@ class GRULayer:
             keep = 1.0 - self.recurrent_dropout
             drop = (rng.random((b, self.units)) < keep).astype(x.dtype) / x.dtype.type(keep)
 
-        states = self._recurrence(x, index, mask, h, drop, projected, keep_states)
+        states = self._recurrence(x, index, mask, h, drop, projected, keep_states, out)
         if not keep_states:
             return None, states
 
@@ -196,7 +207,8 @@ class GRULayer:
         return states, op_output(states.data[:, -1].copy(), (states,), back_last)
 
     def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
-                    drop: np.ndarray | None, projected: tuple | None, keep_states: bool) -> Tensor:
+                    drop: np.ndarray | None, projected: tuple | None, keep_states: bool,
+                    out: np.ndarray | None) -> Tensor:
         """The whole recurrence as one tape op returning the states [b, T, units],
         or with ``keep_states`` off the last state [b, units].
 
@@ -235,6 +247,8 @@ class GRULayer:
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
         U_h = self.U_h.data
         record = active_tape() is not None and any(t.requires_grad for t in inputs)
+        if record and out is not None:
+            raise ContractError("a gru call that records a tape keeps its states in a fresh array, not in out")
         # live (mask True) positions in time-major order; step t's live rows
         # are live_b[start[t]:start[t + 1]], its slice of the packed buffers
         live_t, live_b = np.nonzero(mask.T)
@@ -244,7 +258,7 @@ class GRULayer:
         if n and (src.min() < 0 or src.max() >= rows.shape[0]):
             raise IndexError(f"gru index outside the {rows.shape[0]} input rows")
 
-        states = np.empty((b, steps, u), dtype=x.dtype) if keep_states else None
+        states = out if out is not None or not keep_states else np.empty((b, steps, u), dtype=x.dtype)
         if record:
             x_all = rows[src]
             z_all = np.empty((n, u), dtype=x.dtype)
@@ -401,12 +415,18 @@ class AttentionLayer:
     def parameters(self) -> list[Parameter]:
         return [self.W_a, self.v_a]
 
-    def forward(self, states: Tensor, mask: np.ndarray):
+    def forward(self, states: Tensor, mask: np.ndarray, out: np.ndarray | None = None):
         """Returns (context [b,units], weights [b,T]) as one tape op.
 
         Only live (mask True) positions are scored: padded ones get weight
         exactly 0 and gradient exactly 0, and a row with no live position
         gets a zero context. ``weights`` is a readout and takes no gradient.
+
+        The score input tanh(h_t W), one [units] row per live position, is
+        the largest array the forward makes. ``out``, an [n live, units]
+        array of the states' dtype, receives it; only a call that records
+        no tape may pass it, since backward reads it. Without it the score
+        input is a fresh array. Context and weights are always fresh.
         """
         if states.data.ndim != 3:
             raise ShapeError(f"attention expects [batch, T, units], got {states.shape}")
@@ -416,6 +436,8 @@ class AttentionLayer:
             raise ShapeError(f"attention mask shape {mask.shape} does not match states {(b, steps)}")
         W, v = self.W_a, self.v_a
         _check_dtypes(states, W, v)
+        if out is not None and active_tape() is not None and any(t.requires_grad for t in (states, W, v)):
+            raise ContractError("an attention call that records a tape keeps its scores in a fresh array, not in out")
         # live positions row-major: those of rows[k] are live[starts[k]:ends[k]],
         # and those of batch row i start at at[i]
         per_row = np.count_nonzero(mask, axis=1)
@@ -424,6 +446,13 @@ class AttentionLayer:
         ends = np.cumsum(counts)
         starts = ends - counts
         at = [0, *np.cumsum(per_row).tolist()]
+        if out is None:
+            a = np.empty((at[-1], u), dtype=states.dtype)
+        elif out.shape == (at[-1], u) and out.dtype == states.dtype:
+            a = out
+        else:
+            raise ShapeError(f"attention score out must be an [n live, units]={(at[-1], u)} "
+                             f"{states.dtype} array, got {out.shape} {out.dtype}")
         # a non-finite live state is reported once, as a NumericError: tanh
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
@@ -431,7 +460,6 @@ class AttentionLayer:
             # the live states are gathered a block of rows at a time, so
             # that no [n, u] copy of them sits beside a; backward gathers
             # them once
-            a = np.empty((at[-1], u), dtype=states.dtype)
             for i in range(0, b, self.GATHER_ROWS):
                 j = min(i + self.GATHER_ROWS, b)
                 np.matmul(states.data[i:j][mask[i:j]], W.data, out=a[at[i]:at[j]])

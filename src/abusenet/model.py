@@ -63,6 +63,19 @@ class TextPath:
     of the whole table, built on the first such forward and kept while
     those arrays stay the same objects. It holds the bits of the per-batch
     projection it replaces.
+
+    With attention on, a forward with no tape active writes its large
+    per-batch arrays into a workspace the path owns, so that scoring batch
+    after batch reuses the same memory instead of asking the allocator for
+    it again. Per dtype it holds two flat buffers: the GRU's [b, T, units]
+    states, and one region shared by the batch's m distinct embedding rows
+    [m, embed_dim] and attention's [n, units] score input over its n live
+    positions (the rows are dead before attention starts). So it holds
+    ``b*T*units + max(m*embed_dim, n*units)`` floats per dtype, for the
+    largest batch scored so far: each buffer grows to fit a larger batch
+    and never shrinks, and it lives as long as the path. No array that
+    ``features`` returns is workspace memory. A taped forward, and any
+    forward without attention, allocates its arrays afresh.
     """
 
     def __init__(self, embedding: EmbeddingLayer, gru: GRULayer, attention: AttentionLayer | None):
@@ -70,6 +83,7 @@ class TextPath:
         self.gru = gru
         self.attention = attention
         self._projection: tuple[list[np.ndarray], np.ndarray] | None = None  # (its sources, P)
+        self._workspace: dict[tuple[np.dtype, str], np.ndarray] = {}  # (dtype, part) -> flat buffer
 
     @property
     def feature_dim(self) -> int:
@@ -93,15 +107,39 @@ class TextPath:
         # each distinct live id is embedded and projected onto the GRU's
         # gates once; the GRU reads it back through index
         ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
-        P = self.projected_table() if active_tape() is None else None
-        states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
-                                        train=train and not self.frozen, rng=rng,
+        untaped = active_tape() is None
+        P = self.projected_table() if untaped else None
+        rows_out = states_out = scores_out = None
+        if untaped and self.attention is not None:
+            rows_out, states_out, scores_out = self._workspace_views(ids.size, mask)
+        states, last = self.gru.forward(self.embedding.forward(ids, out=rows_out), mask=mask,
+                                        index=index, train=train and not self.frozen, rng=rng,
                                         projected=None if P is None else (P, ids),
-                                        keep_states=self.attention is not None)
+                                        keep_states=self.attention is not None, out=states_out)
         if self.attention is not None:
-            context, _ = self.attention.forward(states, mask)
+            context, _ = self.attention.forward(states, mask, out=scores_out)
             return context
         return last
+
+    def _workspace_views(self, m: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One batch's views of the workspace: the embedding rows [m, embed_dim],
+        the GRU's states [b, T, units] and attention's score input [n, units];
+        the first and the last share memory."""
+        (b, steps), d, u = mask.shape, self.embedding.dim, self.gru.units
+        n = int(np.count_nonzero(mask))
+        dtype = self.embedding.table.data.dtype
+        shared = self._workspace_part(dtype, "shared", max(m * d, n * u))
+        states = self._workspace_part(dtype, "states", b * steps * u)
+        return shared[:m * d].reshape(m, d), states.reshape(b, steps, u), shared[:n * u].reshape(n, u)
+
+    def _workspace_part(self, dtype: np.dtype, part: str, size: int) -> np.ndarray:
+        """The first ``size`` elements of one workspace buffer, grown to fit;
+        the old buffer is let go before the larger one is made."""
+        key = (dtype, part)
+        if key not in self._workspace or self._workspace[key].size < size:
+            self._workspace.pop(key, None)
+            self._workspace[key] = np.empty(size, dtype=dtype)
+        return self._workspace[key][:size]
 
     def projected_table(self) -> np.ndarray | None:
         """``gru.project`` of the whole table, or None (and the kept one

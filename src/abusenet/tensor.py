@@ -194,8 +194,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # structural ops
 
 
-def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tensor:
-    """Rows of a [V, d] table for integer ids of any shape: [*ids.shape, d].
+def gather_rows(table: Tensor, indices, padding_idx: int | None = None,
+                out: np.ndarray | None = None) -> Tensor:
+    """Rows of a [V, d] table for integer ids of any shape: [*ids.shape, d],
+    written into ``out`` when it is given.
 
     Backward scatter-adds the gradient into the table. With ``padding_idx``
     set, positions holding that index read a zero row and are left out of
@@ -214,7 +216,10 @@ def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tenso
         if bad.any():
             offender = int(idx[bad][0])
             raise IndexError(f"gather_rows index {offender} out of range [0, {V})")
-    rows = table.data[idx]
+    if out is None:
+        rows = table.data[idx]
+    else:  # the ids are checked above: "clip" clips none, and unlike "raise" writes out unbuffered
+        rows = np.take(table.data, idx, axis=0, out=out, mode="clip")
     pad = None
     if padding_idx is not None:
         pad = idx == padding_idx

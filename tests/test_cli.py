@@ -499,6 +499,21 @@ def test_malformed_checkpoint_pipeline_is_one_stderr_line_and_exit_2(synth_dir, 
     assert "pipeline" in lines[0]
 
 
+@pytest.mark.parametrize("command, affect", [("baseline", [1]), ("train", {"sentiment": ["uf_signal"]})],
+                         ids=["affect_list_under_baseline", "affect_column_list_under_train"])
+def test_malformed_affect_is_one_cli_line(synth_dir, tmp_path, capsys, command, affect):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({**json.loads((synth_dir / "schema.json").read_text()), "affect": affect}))
+    io = ["--dataset", synth_dir / "dataset.csv", "--schema", schema]
+    argv = {"baseline": ["baseline", *io, "--folds", "2"],
+            "train": ["train", *io, "--mask", "TF", "--out", tmp_path / "run", *TINY]}[command]
+    assert cli.run([str(a) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"abusenet: error: {schema}: "), lines
+    assert ("'sentiment'" if isinstance(affect, dict) else "'affect'") in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
 class TestAblateCommand:
     def test_custom_masks_and_sorting(self, synth_dir, tmp_path):
         result = tmp_path / "ablation.json"
@@ -513,6 +528,17 @@ class TestAblateCommand:
         aucs = [r["auc"] for r in payload["rows"]]
         assert aucs == sorted(aucs)
         assert len(payload["rows"]) == 2
+        assert "mask" not in payload["config"]  # each row carries its own
+
+    def test_mask_flag_refused(self, synth_dir, tmp_path, capsys):
+        # ablate runs the masks of --masks; a --mask it would ignore is a usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.run([str(a) for a in ["ablate", "--dataset", synth_dir / "dataset.csv",
+                                      "--schema", synth_dir / "schema.json", "--masks", "UF;WV",
+                                      "--mask", "NF", "--out", tmp_path / "ablation.json"]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mask NF" in capsys.readouterr().err
+        assert not (tmp_path / "ablation.json").exists()
 
 
 class TestDatasetWithoutUnreadColumn:

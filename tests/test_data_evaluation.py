@@ -236,8 +236,15 @@ class TestCorpusIO:
          "column 'signal': group must be one of"),
         ('{"classes": ["a", "b"], "columns": {"signal": {"group": "UF", "kind": "text"}}}',
          "column 'signal': kind must be numeric or categorical"),
+        ('{"classes": ["a", "b"], "affect": [1]}', "'affect' must be an object mapping affect slots"),
+        ('{"classes": ["a", "b"], "affect": {"sentiment": ["s"]}}',
+         "affect slot 'sentiment': column must be a column name string"),
+        ('{"classes": ["a", "b"], "affect": {"anger": null}}',
+         "affect slot 'anger': column must be a column name string"),
+        ('{"classes": ["a", "b"], "affect": {"mood": "s"}}', "affect slot 'mood' is not one of"),
     ], ids=["not_json", "top_level_list", "columns_list", "spec_string", "classes_int", "classes_string",
-            "one_class", "repeated_class", "class_not_string", "no_classes", "bad_group", "bad_kind"])
+            "one_class", "repeated_class", "class_not_string", "no_classes", "bad_group", "bad_kind",
+            "affect_list", "affect_column_list", "affect_column_null", "affect_unknown_slot"])
     def test_malformed_schema_names_its_path(self, tmp_path, schema, message):
         corpus = synth_xor(n=3, seed=13)
         data_path, schema_path = tmp_path / "d.csv", tmp_path / "s.json"

@@ -6,8 +6,10 @@ from collections import deque
 import numpy as np
 import pytest
 
+from abusenet import data as data_mod
 from abusenet import graph as graph_mod
-from abusenet.text import FormatError, ParseError
+from abusenet.data import attach_network_features, synth_xor
+from abusenet.text import MENTION_RE, FormatError, ParseError
 from abusenet.graph import (
     DegenerateGraphError,
     SocialGraph,
@@ -128,18 +130,26 @@ class TestBatchedMetrics:
                    for i, u in enumerate(order) for j, v in enumerate(order))
 
 
+def scale_graph(followers=None):
+    """4000 nodes u0..u3999 and 24000 seeded random edges; each node's
+    follower count is 0 unless ``followers`` gives the counts."""
+    n, e = 4000, 24000
+    rng = np.random.default_rng(18)
+    g = SocialGraph()
+    for i in range(n):
+        g.add_node(f"u{i}", followers=0 if followers is None else int(followers[i]))
+    pairs = {(int(s), int(d)) for s, d in rng.integers(0, n, size=(e + 200, 2)) if s != d}
+    for src, dst in sorted(pairs)[:e]:
+        g.add_edge(f"u{src}", f"u{dst}")
+    return g
+
+
 class TestScale:
     def test_all_nodes_in_seconds_and_memory_linear_in_nodes_and_edges(self):
         # A per-node BFS takes about 14 s for closeness alone at this size. `hits`
         # and `eigenvector_centrality` still build the dense adjacency, 122 MiB here.
         n, e = 4000, 24000
-        rng = np.random.default_rng(18)
-        g = SocialGraph()
-        for i in range(n):
-            g.add_node(f"u{i}")
-        pairs = {(int(s), int(d)) for s, d in rng.integers(0, n, size=(e + 200, 2)) if s != d}
-        for src, dst in sorted(pairs)[:e]:
-            g.add_edge(f"u{src}", f"u{dst}")
+        g = scale_graph()
         nodes = g.nodes()
         tracemalloc.start()
         try:
@@ -312,6 +322,35 @@ class TestPowerDifference:
 
     def test_log_arithmetic(self):
         assert power_difference(self.make(), "u", ["m"]) == pytest.approx(2.0)
+
+    def test_attached_column_equals_the_per_mention_formula_bitwise(self, monkeypatch):
+        # attach_network_features logs each node's count once per call; every
+        # sample keeps the bits of logging each mention's count where it is
+        # read, over the same mentions in the same order
+        g = scale_graph(followers=np.random.default_rng(19).integers(0, 10**7, size=4000))
+        # the dense adjacency these build (122 MiB here) plays no part in the column
+        monkeypatch.setattr(data_mod, "hits", lambda graph: ({n: 0.0 for n in graph.nodes()},) * 2)
+        monkeypatch.setattr(data_mod, "eigenvector_centrality", lambda graph: {n: 0.0 for n in graph.nodes()})
+        corpus = synth_xor(n=300, seed=20)
+        rng = np.random.default_rng(21)
+        for i, rec in enumerate(corpus.records):
+            rec["user"] = f"u{rng.integers(0, 50)}" if i % 9 else "stranger"
+            mentions = [f"@u{k}" for k in rng.integers(0, 4000, size=rng.integers(0, 5))]
+            if i % 3 == 0:
+                mentions += mentions[:1] + ["@nobody"]  # a repeated and an unknown mention
+            corpus.texts[i] += " " + " ".join(mentions)
+        got = attach_network_features(corpus, g, "user")
+        counts = g.followers_count
+        nonzero = 0
+        for rec, text in zip(got.records, corpus.texts):
+            known = [m[1:] for m in MENTION_RE.findall(text) if m[1:] in counts]
+            expected = 0.0
+            if rec["user"] in counts and known:
+                own = np.log10(1.0 + counts[rec["user"]])
+                expected = float(own - np.mean([np.log10(1.0 + counts[m]) for m in known]))
+            assert rec["nf_power_difference"] == expected
+            nonzero += expected != 0.0
+        assert nonzero > 150
 
 
 class TestGraphStructure:

@@ -606,6 +606,36 @@ class TestGRU:
         assert grad_check(forward, gru.parameters() + [r, h0]) < 1e-4
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_states_written_into_out_equal_fresh_ones_bitwise(self, dtype):
+        mask = mask_of(PACKED_MASKS["interior_gaps"])
+        rows, index, _ = index_case(mask, 5, 3, seed=61, dtype=dtype)
+        gru = make_gru(3, 4, dtype=dtype, seed=62)
+        fresh, last = gru.forward(Tensor(rows), mask=mask, index=index)
+        out = np.full((*mask.shape, 4), np.nan, dtype=dtype)  # what a reused buffer held before
+        states, last_out = gru.forward(Tensor(rows), mask=mask, index=index, out=out)
+        assert states.data is out and not np.shares_memory(last_out.data, out)
+        assert states.data.tobytes() == fresh.data.tobytes()
+        assert last_out.data.tobytes() == last.data.tobytes()
+        # without out every call's arrays are its own
+        again, last_again = gru.forward(Tensor(rows), mask=mask, index=index)
+        for a in (again.data, last_again.data):
+            assert not any(np.shares_memory(a, b) for b in (fresh.data, last.data, out, last_out.data))
+
+    def test_out_refused_unless_it_fits_an_untaped_call(self):
+        mask = mask_of(PACKED_MASKS["interior_gaps"])
+        rows, index, _ = index_case(mask, 5, 3, seed=63, dtype=np.float64)
+        gru = make_gru(3, 4, seed=64)
+        out = np.zeros((*mask.shape, 4))
+        with Tape(), pytest.raises(ContractError, match="fresh array"):
+            gru.forward(Tensor(rows), mask=mask, index=index, out=out)
+        for bad, kwargs in ((out, {"keep_states": False}), (out[:, 1:], {}),
+                            (out.astype(np.float32), {})):
+            with pytest.raises(ShapeError, match="states out"):
+                gru.forward(Tensor(rows), mask=mask, index=index, out=bad, **kwargs)
+        assert not out.any()
+
+
 # attention masks: gaps inside a row, left padding, and an all-padded row
 ATTENTION_MASKS = {
     "interior_gaps": ["x.x.xx", ".xx..x", "xxxxxx"],
@@ -812,6 +842,31 @@ class TestAttention:
         tape.backward(loss)
         assert (states.grad[~mask] == 0.0).all()
 
+
+    @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
+    def test_scores_written_into_out_give_fresh_outputs_bitwise(self, rows):
+        mask = mask_of(rows)
+        att = AttentionLayer(3, rng=np.random.default_rng(21))
+        states = Tensor(np.random.default_rng(22).normal(size=(*mask.shape, 3)).astype(np.float32))
+        context, weights = att.forward(states, mask)
+        out = np.full((int(mask.sum()), 3), np.nan, dtype=np.float32)  # what a reused buffer held before
+        context_out, weights_out = att.forward(states, mask, out=out)
+        assert context_out.data.tobytes() == context.data.tobytes()
+        assert weights_out.data.tobytes() == weights.data.tobytes()
+        for a in (context_out.data, weights_out.data):
+            assert not any(np.shares_memory(a, b) for b in (out, states.data, context.data, weights.data))
+
+    def test_out_refused_unless_it_fits_an_untaped_call(self):
+        att = AttentionLayer(2, rng=np.random.default_rng(23), dtype=np.float64)
+        mask = mask_of(ATTENTION_MASKS["interior_gaps"])
+        states = Tensor(np.random.default_rng(24).normal(size=(*mask.shape, 2)))
+        out = np.zeros((int(mask.sum()), 2))
+        with Tape(), pytest.raises(ContractError, match="fresh array"):
+            att.forward(states, mask, out=out)
+        for bad in (out[1:], out.astype(np.float32)):
+            with pytest.raises(ShapeError, match="score out"):
+                att.forward(states, mask, out=bad)
+        assert not out.any()
 
 class TestDense:
     def test_affine_grad_check_tight(self):

@@ -713,6 +713,108 @@ class TestLoadedModel:
         assert again.read_bytes() == path.read_bytes()
 
 
+ATTENTION = ModelConfig(embed_dim=6, units=5, recurrent_dropout=0.5, attention_threshold=8)
+
+
+def attention_model(seed, dtype=np.float32, vocab=40, seq_len=12):
+    m = build_text_path(vocab, seq_len, ["a", "b"], config=ATTENTION, rng=np.random.default_rng(seed))
+    assert m.text_path.attention is not None
+    for p in m.parameters():
+        p.data = p.data.astype(dtype)
+    return m
+
+
+def text_batch(rng, b, steps, vocab=40):
+    """Left-padded ids whose first row alone is live at step 0: a one-row step."""
+    ids = rng.integers(1, vocab, size=(b, steps))
+    lengths = rng.integers(1, steps, size=b)
+    lengths[0] = steps
+    ids[np.arange(steps)[None, :] < (steps - lengths)[:, None]] = 0
+    return ids
+
+
+class TestWorkspace:
+    """An attention text path scores through buffers it owns; nothing it
+    returns lives there, and a taped forward does not use them."""
+
+    def test_batches_of_any_shape_score_as_on_a_fresh_load_bitwise(self, tmp_path):
+        path, loaded = saved_and_loaded(tmp_path, attention_model(41), 12, 38, config=ATTENTION)
+        rng = np.random.default_rng(42)
+        batches = [text_batch(rng, 32, 14), text_batch(rng, 3, 5), text_batch(rng, 32, 14)]
+        got = [loaded.forward(ids, None).data for ids in batches]  # big, small, big
+        assert loaded.text_path._workspace
+        for ids, probs in zip(batches, got):
+            alone = load_checkpoint(path)[0].forward(ids, None).data
+            assert probs.tobytes() == alone.tobytes()
+
+    def test_no_returned_array_is_workspace_memory(self, tmp_path):
+        _, loaded = saved_and_loaded(tmp_path, attention_model(43), 12, 38, config=ATTENTION)
+        tp = loaded.text_path
+        rng = np.random.default_rng(44)
+        previous: list[np.ndarray] = []
+        for ids in (text_batch(rng, 16, 12), text_batch(rng, 16, 12)):
+            mask = ids != 0
+            returned = [tp.features(ids).data, loaded.forward(ids, None).data]
+            states, last = tp.gru.forward(tp.embedding.forward(ids), mask=mask)
+            returned += [states.data, last.data, *(t.data for t in tp.attention.forward(states, mask))]
+            work = list(tp._workspace.values())
+            assert len(work) == 2
+            for a in returned:
+                assert not any(np.shares_memory(a, b) for b in work + previous)
+            previous += returned
+
+    def test_float32_and_float64_paths_keep_their_own_buffers(self):
+        rng = np.random.default_rng(45)
+        batches = [text_batch(rng, 16, 12), text_batch(rng, 4, 9), text_batch(rng, 16, 12)]
+        models = {dt: attention_model(46, dtype=dt) for dt in (np.float32, np.float64)}
+        for ids in batches:  # the two models take turns
+            for dt, m in models.items():
+                probs = m.forward(ids, None).data
+                assert probs.dtype == dt
+                assert probs.tobytes() == attention_model(46, dtype=dt).forward(ids, None).data.tobytes()
+        work32, work64 = (list(m.text_path._workspace.items()) for m in models.values())
+        assert {key[0] for key, _ in work32} == {np.dtype(np.float32)}
+        assert {key[0] for key, _ in work64} == {np.dtype(np.float64)}
+        assert not any(np.shares_memory(a, b) for _, a in work32 for _, b in work64)
+
+        # one path whose weights change dtype keeps a workspace per dtype
+        m = models[np.float32]
+        for p in m.parameters():
+            p.data = p.data.astype(np.float64)
+        probs = m.forward(batches[0], None).data
+        assert probs.tobytes() == models[np.float64].forward(batches[0], None).data.tobytes()
+        assert {key[0] for key in m.text_path._workspace} == {np.dtype(np.float32), np.dtype(np.float64)}
+
+    def test_taped_forward_leaves_the_workspace_alone(self):
+        rng = np.random.default_rng(47)
+        ids, labels = text_batch(rng, 12, 12), rng.integers(0, 2, size=12)
+
+        def train_step(m):
+            m.zero_grads()
+            with Tape() as tape:
+                loss = cross_entropy(m.forward(ids, None, train=True, rng=np.random.default_rng(48)), labels)
+            tape.backward(loss)
+            return [p.grad.tobytes() for p in m.parameters()]
+
+        fresh = attention_model(49)
+        expected = train_step(fresh)
+        assert fresh.text_path._workspace == {}
+
+        m = attention_model(49)
+        m.forward(text_batch(rng, 20, 14), None)  # a larger batch fills the workspace first
+        before = {key: (buf, buf.copy()) for key, buf in m.text_path._workspace.items()}
+        assert train_step(m) == expected
+        assert m.text_path._workspace.keys() == before.keys()
+        for key, (buf, copy) in before.items():
+            assert m.text_path._workspace[key] is buf and buf.tobytes() == copy.tobytes()
+
+    def test_path_without_attention_has_no_workspace(self):
+        m = small_combined(seed=50)
+        assert m.text_path.attention is None
+        m.forward(np.random.default_rng(51).integers(0, 20, size=(8, 6)), np.zeros((8, 4), dtype=np.float32))
+        assert m.text_path._workspace == {}
+
+
 MUTATION_TOKENS = (b'"', b",", b":", b"{", b"}", b"[", b"]", b"null", b"true", b"-1", b"0", b"7",
                    b"2.5", b'"x"', b"\xff")
 MUTATION_VALUES = (None, True, -1, 0, 1, 7, 2.5, "x", [], [7], {}, {"x": 1})
