@@ -324,7 +324,11 @@ def power_difference(g: SocialGraph, node: str, mentioned: list[str],
         return 0.0
     if logged is None:
         logged = logged_followers(g, [str(node), *known])
-    return float(logged[str(node)] - np.mean([logged[m] for m in known]))
+    values = [logged[m] for m in known]
+    # below 8 values numpy's pairwise sum adds in sequence, so a plain sum
+    # gives np.mean's bits at a tenth of its cost
+    mean = sum(values) / len(values) if len(values) < 8 else np.mean(values)
+    return float(logged[str(node)] - mean)
 
 
 NF_FEATURE_NAMES = (

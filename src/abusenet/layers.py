@@ -134,14 +134,19 @@ class GRULayer:
                 train: bool = False, rng: np.random.Generator | None = None,
                 index: np.ndarray | None = None, projected: tuple | None = None,
                 keep_states: bool = True, out: np.ndarray | None = None):
-        """Run the recurrence; returns (all_states [b,T,units], last [b,units]).
+        """Run the recurrence; returns (states [n live, units], last [b, units]).
 
-        With ``keep_states`` off it returns (None, last): the recurrence is
-        one op whose output is the last state, and no [b, T, units] states
-        or gradient for them exist. A readout that reads only the last
-        state, as the text path's does without attention, asks for that.
+        The states are packed batch-major: one row per live (mask True)
+        position, in the order ``dense[mask]`` lists them for the [b, T,
+        units] array of every position's state. A padded position carries
+        its row's state through unchanged and has no row. ``last`` is each
+        row's state after the last step: that of its last live position, or
+        h0 for a row with none. With ``keep_states`` off it returns (None,
+        last): the recurrence is one op whose output is the last state, and
+        no states or gradient for them exist. A readout that reads only the
+        last state, as the text path's does without attention, asks for that.
 
-        ``out``, a [b, T, units] array of the input's dtype, receives the
+        ``out``, an [n live, units] array of the input's dtype, receives the
         states, and the returned states are it; ``last`` is still a fresh
         array. Only a call that records no tape may pass it: a recorded
         op's backward would read states the next call overwrites. Without
@@ -149,12 +154,15 @@ class GRULayer:
 
         ``x`` is the input [b, T, d]; or, with ``index`` [b, T], a table of
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
-        live (mask True) positions are read, so padded ones may hold any
-        index. Each row (in the dense form, each position's) is projected
-        onto the gates once. ``projected``, with ``index``, is ``(P, ids)``:
-        ``P`` is ``project`` of a larger table whose row ``ids[j]`` is ``x``'s
-        row j. A call that records no tape then reads its steps' gate inputs
-        from ``P`` instead of projecting ``x``; a call that records ignores it.
+        live positions are read, so padded ones may hold any index. Each
+        row (in the dense form, each position's) is projected onto the gates
+        once. ``projected``, with ``index``, is ``(P, rows_of)``: ``P`` is
+        ``project`` of a table and ``rows_of`` [b, T] gives the table row
+        each live position reads. A call that records no tape then takes the
+        gate inputs of its steps with more than one live row from ``P``
+        instead of projecting ``x``, and reads ``x`` only at its one-row
+        steps, which multiply their own row; ``x`` need hold only those rows.
+        A call that records ignores ``projected``.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -173,16 +181,16 @@ class GRULayer:
             raise ContractError("gru received an empty sequence (T=0)")
         if d != self.input_dim:
             raise ShapeError(f"gru built for input dim {self.input_dim}, got {d}")
-        if out is not None and (not keep_states or out.shape != (b, steps, self.units)
-                                or out.dtype != x.dtype):
-            raise ShapeError(f"gru states out must be a kept [batch, T, units]={(b, steps, self.units)} "
-                             f"{x.dtype} array, got {out.shape} {out.dtype}")
         if mask is None:
             mask = np.ones((b, steps), dtype=bool)
         else:
             mask = np.asarray(mask, dtype=bool)
             if mask.shape != (b, steps):
                 raise ShapeError(f"gru mask shape {mask.shape} does not match input {(b, steps)}")
+        n = int(np.count_nonzero(mask))
+        if out is not None and (not keep_states or out.shape != (n, self.units) or out.dtype != x.dtype):
+            raise ShapeError(f"gru states out must be a kept [n live, units]={(n, self.units)} "
+                             f"{x.dtype} array, got {out.shape} {out.dtype}")
 
         h = h0 if h0 is not None else Tensor(np.zeros((b, self.units), dtype=x.dtype))
         if h.shape != (b, self.units):
@@ -198,19 +206,27 @@ class GRULayer:
         states = self._recurrence(x, index, mask, h, drop, projected, keep_states, out)
         if not keep_states:
             return None, states
+        # each row's last live position in the packed states; a row with
+        # none keeps h0
+        per_row = np.count_nonzero(mask, axis=1)
+        has, at = per_row > 0, np.cumsum(per_row) - 1
+        last = h.data.copy()
+        last[has] = states.data[at[has]]
 
         def back_last(g):
-            full = np.zeros_like(states.data)
-            full[:, -1] = g
-            _accum(states, full, owned=True)
+            gs = np.zeros_like(states.data)
+            gs[at[has]] = g[has]
+            _accum(states, gs, owned=True)
+            if not has.all():
+                _accum(h, np.where(has[:, None], g.dtype.type(0), g), owned=True)
 
-        return states, op_output(states.data[:, -1].copy(), (states,), back_last)
+        return states, op_output(last, (states, h), back_last)
 
     def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
                     drop: np.ndarray | None, projected: tuple | None, keep_states: bool,
                     out: np.ndarray | None) -> Tensor:
-        """The whole recurrence as one tape op returning the states [b, T, units],
-        or with ``keep_states`` off the last state [b, units].
+        """The whole recurrence as one tape op returning the packed states
+        [n, units], or with ``keep_states`` off the last state [b, units].
 
         Every row is projected once, ``P = rows @ [W_z|W_r|W_h] + b`` (a call
         that records no tape reads a given ``projected`` table instead), and
@@ -219,23 +235,27 @@ class GRULayer:
         to gemv, which rounds differently from P's gemm rows. A step without
         padding works on whole [b, .] slices, a step with some padded rows
         gathers the live ones, one with none is skipped, and padded rows
-        carry h unchanged. Per step: one recurrent matmul against [U_z|U_r],
-        and (r * h * drop) U_h. Each product is a contiguous [k, .] array
-        that accumulates its columns of the gathered [k, 3u] projection, and
-        the sigmoid, tanh and state update run in place on it: passes over a
-        column view of the projection cost 2-4x, and IEEE addition commutes,
-        so the bits are those of adding the product into the view.
+        carry h unchanged. Each step scatters its new live rows to their
+        packed (batch-major) state rows. Per step: one recurrent matmul
+        against [U_z|U_r], and (r * h * drop) U_h. Each product is a
+        contiguous [k, .] array that accumulates its columns of the gathered
+        [k, 3u] projection, and the sigmoid, tanh and state update run in
+        place on it: passes over a column view of the projection cost 2-4x,
+        and IEEE addition commutes, so the bits are those of adding the
+        product into the view.
         When a tape records the op, the live rows' inputs, gates and products
         are kept packed time-major, z and r in their own [n, u] buffers so
         that backward's per-step arithmetic reads contiguous rows; h * drop,
         the sigmoid's last halving (z and r), r * h * drop, its U_h product
         and c - h are computed straight into their packed rows.
-        Backward is a reverse loop with two recurrent matmuls per step, after
-        which the gradients of the packed inputs, W, U_z|U_r and U_h are one
-        matmul each; the inputs' gradient is then scatter-added into the rows
-        straight from the packed product, through a map of its rows. Backward
-        first turns the recorded c into 1 - c^2 in one pass, so it runs once:
-        a second run raises ContractError.
+        Backward is a reverse loop with two recurrent matmuls per step; each
+        step adds its live rows' packed state gradients into dh, and padded
+        rows pass dh through untouched. The gradients of the packed inputs,
+        W, U_z|U_r and U_h are then one matmul each; the inputs' gradient is
+        scatter-added into the rows straight from the packed product,
+        through a map of its rows. Backward first turns the recorded c into
+        1 - c^2 in one pass, so it runs once: a second run raises
+        ContractError.
         """
         inputs = (x, h0, *self.parameters())
         _check_dtypes(*inputs)
@@ -250,15 +270,28 @@ class GRULayer:
         if record and out is not None:
             raise ContractError("a gru call that records a tape keeps its states in a fresh array, not in out")
         # live (mask True) positions in time-major order; step t's live rows
-        # are live_b[start[t]:start[t + 1]], its slice of the packed buffers
+        # are live_b[start[t]:start[t + 1]], its slice of the time-major
+        # buffers, and pos gives each one's packed (batch-major) state row
         live_t, live_b = np.nonzero(mask.T)
         start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
         n = live_b.size
-        src = index[live_b, live_t]  # the input row each live position reads
-        if n and (src.min() < 0 or src.max() >= rows.shape[0]):
-            raise IndexError(f"gru index outside the {rows.shape[0]} input rows")
+        pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t] if keep_states else None
+        if projected is not None and not record:
+            P, rows_of = projected
+            rows_of = np.asarray(rows_of)
+            if rows_of.shape != mask.shape:
+                raise ShapeError(f"gru projected rows {rows_of.shape} do not match the mask {mask.shape}")
+            src_p = rows_of[live_b, live_t]  # the P row each live position reads
+            _check_rows(src_p, P.shape[0], "projected table")
+            one = [lo for lo, hi in zip(start, start[1:]) if hi - lo == 1]
+            src = None
+            _check_rows(index[live_b[one], live_t[one]], rows.shape[0], "input")
+        else:
+            src = index[live_b, live_t]  # the input row each live position reads
+            _check_rows(src, rows.shape[0], "input")
+            P, src_p = self.project(rows), src
 
-        states = out if out is not None or not keep_states else np.empty((b, steps, u), dtype=x.dtype)
+        states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
         if record:
             x_all = rows[src]
             z_all = np.empty((n, u), dtype=x.dtype)
@@ -267,16 +300,10 @@ class GRULayer:
             ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
-        if projected is not None and not record:
-            P, src_p = projected[0], projected[1][src]  # the table row each live position reads
-        else:
-            P, src_p = self.project(rows), src
         h = h0.data.copy()
         for t in range(steps):
             lo, hi = start[t], start[t + 1]
             if lo == hi:
-                if keep_states:
-                    states[:, t] = h
                 continue
             if hi - lo == b:
                 sel, h_t, drop_t = None, h, drop
@@ -287,7 +314,7 @@ class GRULayer:
             if hi - lo > 1:
                 a = P[src_p[lo:hi]]
             else:  # by gemv, as numpy computes a one-row product
-                a = rows[src[lo:hi]] @ W
+                a = rows[index[live_b[lo:hi], t]] @ W
                 a += bias
             if drop_t is not None:
                 hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
@@ -310,7 +337,7 @@ class GRULayer:
             else:
                 h[sel] = h_new  # padded rows keep h exactly
             if keep_states:
-                states[:, t] = h
+                states[pos[lo:hi]] = h_new
 
         used = False
 
@@ -324,10 +351,8 @@ class GRULayer:
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             dh = np.zeros((b, u), dtype=g.dtype)
             if not keep_states:
-                dh += g  # added to zeros, as the states gradient's last column is
+                dh += g  # added to zeros, as the recurrence's own gradient is
             for t in range(steps - 1, -1, -1):
-                if keep_states:
-                    dh += g[:, t]
                 lo, hi = start[t], start[t + 1]
                 if lo == hi:
                     continue
@@ -337,6 +362,8 @@ class GRULayer:
                     sel = live_b[lo:hi]
                     dh_t = dh[sel]
                     drop_t = None if drop is None else drop[sel]
+                if keep_states:
+                    dh_t += g[pos[lo:hi]]
                 z, r = z_all[lo:hi], r_all[lo:hi]
                 one_minus_z = 1.0 - z
                 da_t = da[lo:hi]
@@ -377,6 +404,11 @@ class GRULayer:
         return op_output(states if keep_states else h, inputs, back)
 
 
+def _check_rows(src: np.ndarray, count: int, what: str) -> None:
+    if src.size and (src.min() < 0 or src.max() >= count):
+        raise IndexError(f"gru index outside the {count} {what} rows")
+
+
 def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``a @ w`` with every row computed by gemm, so each row's bits do not
     depend on the other rows; numpy sends a one-row product to gemv."""
@@ -403,8 +435,6 @@ class AttentionLayer:
     """Additive attention over GRU states: e_t = v . tanh(h_t W), softmax over
     unmasked steps, output is the weighted state sum."""
 
-    GATHER_ROWS = 64  # batch rows whose live states the forward gathers at once
-
     def __init__(self, units: int, rng: np.random.Generator | None = None,
                  name: str = "attention", dtype=np.float32):
         rng = rng or np.random.default_rng(0)
@@ -418,8 +448,10 @@ class AttentionLayer:
     def forward(self, states: Tensor, mask: np.ndarray, out: np.ndarray | None = None):
         """Returns (context [b,units], weights [b,T]) as one tape op.
 
-        Only live (mask True) positions are scored: padded ones get weight
-        exactly 0 and gradient exactly 0, and a row with no live position
+        ``states`` are the GRU's packed states [n live, units]: one row per
+        live (mask True) position of the [b, T] mask, batch-major, as
+        ``GRULayer.forward`` returns them. Only live positions are scored:
+        padded ones get weight exactly 0, and a row with no live position
         gets a zero context. ``weights`` is a readout and takes no gradient.
 
         The score input tanh(h_t W), one [units] row per live position, is
@@ -428,41 +460,36 @@ class AttentionLayer:
         no tape may pass it, since backward reads it. Without it the score
         input is a fresh array. Context and weights are always fresh.
         """
-        if states.data.ndim != 3:
-            raise ShapeError(f"attention expects [batch, T, units], got {states.shape}")
-        b, steps, u = states.shape
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (b, steps):
-            raise ShapeError(f"attention mask shape {mask.shape} does not match states {(b, steps)}")
+        if states.data.ndim != 2 or mask.ndim != 2:
+            raise ShapeError(f"attention expects packed [n live, units] states and a [batch, T] mask, "
+                             f"got {states.shape} and {mask.shape}")
+        (b, steps), (n, u) = mask.shape, states.shape
+        # live positions row-major: those of rows[k] are states[starts[k]:ends[k]]
+        per_row = np.count_nonzero(mask, axis=1)
+        if per_row.sum() != n:
+            raise ShapeError(f"attention mask has {per_row.sum()} live positions, states have {n} rows")
         W, v = self.W_a, self.v_a
         _check_dtypes(states, W, v)
         if out is not None and active_tape() is not None and any(t.requires_grad for t in (states, W, v)):
             raise ContractError("an attention call that records a tape keeps its scores in a fresh array, not in out")
-        # live positions row-major: those of rows[k] are live[starts[k]:ends[k]],
-        # and those of batch row i start at at[i]
-        per_row = np.count_nonzero(mask, axis=1)
         rows = np.flatnonzero(per_row)
         counts = per_row[rows]
         ends = np.cumsum(counts)
         starts = ends - counts
-        at = [0, *np.cumsum(per_row).tolist()]
         if out is None:
-            a = np.empty((at[-1], u), dtype=states.dtype)
-        elif out.shape == (at[-1], u) and out.dtype == states.dtype:
+            a = np.empty((n, u), dtype=states.dtype)
+        elif out.shape == (n, u) and out.dtype == states.dtype:
             a = out
         else:
-            raise ShapeError(f"attention score out must be an [n live, units]={(at[-1], u)} "
+            raise ShapeError(f"attention score out must be an [n live, units]={(n, u)} "
                              f"{states.dtype} array, got {out.shape} {out.dtype}")
+        live = states.data
         # a non-finite live state is reported once, as a NumericError: tanh
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
         with np.errstate(invalid="ignore", over="ignore"):
-            # the live states are gathered a block of rows at a time, so
-            # that no [n, u] copy of them sits beside a; backward gathers
-            # them once
-            for i in range(0, b, self.GATHER_ROWS):
-                j = min(i + self.GATHER_ROWS, b)
-                np.matmul(states.data[i:j][mask[i:j]], W.data, out=a[at[i]:at[j]])
+            np.matmul(live, W.data, out=a)
             np.tanh(a, out=a)
             e = (a @ v.data)[:, 0]
             if not np.isfinite(e).all():
@@ -474,14 +501,13 @@ class AttentionLayer:
             # a product per row: np.add.reduceat over the rows of w * live is
             # many times slower
             for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-                context[i] = w[lo:hi] @ states.data[i, mask[i]]
+                context[i] = w[lo:hi] @ live[lo:hi]
         if not np.isfinite(context).all():
             raise NumericError("attention context contains NaN or Inf: a live GRU state is not finite")
         weights = np.zeros((b, steps), dtype=states.dtype)
         weights[mask] = w
 
         def back(g):
-            live = states.data[mask]
             g_live = np.repeat(g[rows], counts, axis=0)
             dw = np.einsum("nu,nu->n", live, g_live)
             dw -= np.repeat(np.add.reduceat(w * dw, starts), counts)
@@ -491,11 +517,9 @@ class AttentionLayer:
             dpre *= 1.0 - a * a
             _accum(W, live.T @ dpre, owned=True)
             if states.requires_grad:
-                dstates = np.zeros_like(states.data)
                 dlive = dpre @ W.data.T
                 dlive += w[:, None] * g_live
-                dstates[mask] = dlive
-                _accum(states, dstates, owned=True)
+                _accum(states, dlive, owned=True)
 
         return op_output(context, (states, W, v), back), Tensor(weights)
 

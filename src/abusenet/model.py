@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -57,25 +58,30 @@ class TextPath:
     Each batch's distinct live ids are embedded and projected onto the
     GRU's gates once; they come from a presence table over the vocabulary,
     not a sort. Without attention the GRU keeps only its last state, the
-    one state the readout reads. While the table and the GRU's input
-    weights are read-only arrays, as a loaded checkpoint's are, a forward
-    with no tape active reads each token's gate inputs from one projection
+    one state the readout reads; with it, the GRU's states come packed,
+    one row per live position, batch-major, and attention reads them as
+    they are. While the table and the GRU's input weights are read-only
+    arrays, as a loaded checkpoint's are, a forward with no tape active
+    reads each live position's gate inputs by token id from one projection
     of the whole table, built on the first such forward and kept while
     those arrays stay the same objects. It holds the bits of the per-batch
-    projection it replaces.
+    projection it replaces. Such a forward embeds only the rows of the
+    steps with one live row, which the GRU multiplies itself, possibly
+    none, and gathers no distinct ids.
 
     With attention on, a forward with no tape active writes its large
     per-batch arrays into a workspace the path owns, so that scoring batch
     after batch reuses the same memory instead of asking the allocator for
-    it again. Per dtype it holds two flat buffers: the GRU's [b, T, units]
-    states, and one region shared by the batch's m distinct embedding rows
-    [m, embed_dim] and attention's [n, units] score input over its n live
-    positions (the rows are dead before attention starts). So it holds
-    ``b*T*units + max(m*embed_dim, n*units)`` floats per dtype, for the
-    largest batch scored so far: each buffer grows to fit a larger batch
-    and never shrinks, and it lives as long as the path. No array that
-    ``features`` returns is workspace memory. A taped forward, and any
-    forward without attention, allocates its arrays afresh.
+    it again. Per dtype it holds two flat buffers: the GRU's packed [n,
+    units] states over the batch's n live positions, and one region shared
+    by the m embedding rows the batch reads [m, embed_dim] and attention's
+    [n, units] score input (the rows are dead before attention starts). So
+    it holds ``n*units + max(m*embed_dim, n*units)`` floats per dtype, for
+    the largest batch scored so far: each buffer grows to fit a larger
+    batch and never shrinks, and it lives as long as the path, so dropping
+    the model is what frees it. No array that ``features`` returns is
+    workspace memory. A taped forward, and any forward without attention,
+    allocates its arrays afresh.
     """
 
     def __init__(self, embedding: EmbeddingLayer, gru: GRULayer, attention: AttentionLayer | None):
@@ -104,17 +110,21 @@ class TextPath:
                  rng: np.random.Generator | None = None) -> Tensor:
         token_ids = np.asarray(token_ids)
         mask = token_ids != 0
-        # each distinct live id is embedded and projected onto the GRU's
-        # gates once; the GRU reads it back through index
-        ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
         untaped = active_tape() is None
         P = self.projected_table() if untaped else None
+        if P is None:
+            # each distinct live id is embedded and projected onto the GRU's
+            # gates once; the GRU reads it back through index
+            ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
+        else:
+            check_ids(token_ids, self.embedding.vocab_size)
+            ids, index = one_row_ids(token_ids, mask)
         rows_out = states_out = scores_out = None
         if untaped and self.attention is not None:
             rows_out, states_out, scores_out = self._workspace_views(ids.size, mask)
         states, last = self.gru.forward(self.embedding.forward(ids, out=rows_out), mask=mask,
                                         index=index, train=train and not self.frozen, rng=rng,
-                                        projected=None if P is None else (P, ids),
+                                        projected=None if P is None else (P, token_ids),
                                         keep_states=self.attention is not None, out=states_out)
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask, out=scores_out)
@@ -123,22 +133,27 @@ class TextPath:
 
     def _workspace_views(self, m: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One batch's views of the workspace: the embedding rows [m, embed_dim],
-        the GRU's states [b, T, units] and attention's score input [n, units];
+        the GRU's packed states [n, units] and attention's score input [n, units];
         the first and the last share memory."""
-        (b, steps), d, u = mask.shape, self.embedding.dim, self.gru.units
+        d, u = self.embedding.dim, self.gru.units
         n = int(np.count_nonzero(mask))
         dtype = self.embedding.table.data.dtype
         shared = self._workspace_part(dtype, "shared", max(m * d, n * u))
-        states = self._workspace_part(dtype, "states", b * steps * u)
-        return shared[:m * d].reshape(m, d), states.reshape(b, steps, u), shared[:n * u].reshape(n, u)
+        states = self._workspace_part(dtype, "states", n * u)
+        return shared[:m * d].reshape(m, d), states.reshape(n, u), shared[:n * u].reshape(n, u)
 
     def _workspace_part(self, dtype: np.dtype, part: str, size: int) -> np.ndarray:
-        """The first ``size`` elements of one workspace buffer, grown to fit;
-        the old buffer is let go before the larger one is made."""
+        """The first ``size`` elements of one workspace buffer, grown to fit.
+
+        Each buffer is an anonymous memory map of its own, unmapped before
+        the larger one is made: a buffer taken from the heap could leave its
+        old pages resident, since the allocator keeps a freed block between
+        live ones, and growing both parts once that way held 15 MB more at
+        score-long. Dropping the path hands every page back."""
         key = (dtype, part)
         if key not in self._workspace or self._workspace[key].size < size:
             self._workspace.pop(key, None)
-            self._workspace[key] = np.empty(size, dtype=dtype)
+            self._workspace[key] = np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype)
         return self._workspace[key][:size]
 
     def projected_table(self) -> np.ndarray | None:
@@ -154,18 +169,25 @@ class TextPath:
         return self._projection[1]
 
 
+def check_ids(token_ids: np.ndarray, vocab_size: int) -> None:
+    """Refuse token ids that are not integers (ContractError) or that lie
+    outside [0, vocab_size) (IndexError naming the first such id), as the
+    embedding's lookup does."""
+    if not np.issubdtype(token_ids.dtype, np.integer):
+        raise ContractError("token ids must be integers")
+    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= vocab_size):
+        bad = token_ids[(token_ids < 0) | (token_ids >= vocab_size)][0]
+        raise IndexError(f"token id {bad} out of range [0, {vocab_size})")
+
+
 def distinct_ids(token_ids: np.ndarray, mask: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct live (mask True) ids in ascending order, and an index of
     token_ids' shape giving each live position's place among them (0 at
     padded positions): ``np.unique``'s values and inverse, from a presence
-    table over the vocabulary instead of a sort. An id outside
-    [0, vocab_size) raises IndexError, as the embedding's lookup does."""
+    table over the vocabulary instead of a sort. Ids are checked as
+    ``check_ids`` checks them."""
     live = token_ids[mask]
-    if not np.issubdtype(live.dtype, np.integer):
-        raise ContractError("token ids must be integers")
-    if live.size and (live.min() < 0 or live.max() >= vocab_size):
-        bad = live[(live < 0) | (live >= vocab_size)][0]
-        raise IndexError(f"token id {bad} out of range [0, {vocab_size})")
+    check_ids(live, vocab_size)
     present = np.zeros(vocab_size, dtype=bool)
     present[live] = True
     ids = np.flatnonzero(present)
@@ -174,6 +196,18 @@ def distinct_ids(token_ids: np.ndarray, mask: np.ndarray, vocab_size: int) -> tu
     index = np.zeros(token_ids.shape, dtype=np.intp)
     index[mask] = rank[live]
     return ids, index
+
+
+def one_row_ids(token_ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ids at the steps of a [b, T] batch that have one live (mask True)
+    row, in step order, and an index of token_ids' shape giving each such
+    position's place among them (0 elsewhere): the rows a GRU that reads
+    its other gate inputs from a projected table multiplies itself."""
+    steps = np.flatnonzero(np.count_nonzero(mask, axis=0) == 1)
+    rows = mask[:, steps].argmax(axis=0)
+    index = np.zeros(token_ids.shape, dtype=np.intp)
+    index[rows, steps] = np.arange(steps.size)
+    return token_ids[rows, steps], index
 
 
 class MetadataPath:

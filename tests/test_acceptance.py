@@ -111,8 +111,9 @@ class TestCriterion1Gradients:
         results["gru"] = grad_check(gru_loss, gru.parameters())
 
         att = AttentionLayer(4, rng=rng, dtype=np.float64)
-        states = Tensor(rng.normal(size=(2, 5, 4)).astype(np.float64))
+        every = rng.normal(size=(2, 5, 4)).astype(np.float64)
         amask = np.array([[True] * 5, [False, True, True, True, False]])
+        states = Tensor(every[amask])  # packed: one row per live position, as the GRU gives them
         acoef = Tensor(rng.normal(size=(2, 4)).astype(np.float64))
         results["attention"] = grad_check(
             lambda: T.sum_all(T.mul(att.forward(states, amask)[0], acoef)), att.parameters())

@@ -17,6 +17,7 @@ from abusenet.graph import (
     clustering_scores,
     eigenvector_centrality,
     hits,
+    logged_followers,
     node_features,
     power_difference,
     reciprocity,
@@ -322,6 +323,23 @@ class TestPowerDifference:
 
     def test_log_arithmetic(self):
         assert power_difference(self.make(), "u", ["m"]) == pytest.approx(2.0)
+
+    def test_mean_of_any_length_keeps_np_mean_bits(self):
+        # a plain sum stands in for np.mean below 8 values, where numpy's
+        # pairwise sum adds in sequence; from 8 on np.mean itself is taken
+        rng = np.random.default_rng(22)
+        g = SocialGraph()
+        g.add_node("u", followers=int(rng.integers(0, 10**7)))
+        names = [f"m{k}" for k in range(40)]
+        for name in names:
+            g.add_node(name, followers=int(rng.integers(0, 10**7)))
+        logged = logged_followers(g)
+        for length in range(1, 21):
+            for _ in range(200):
+                mentioned = list(rng.choice(names, size=length))
+                expected = float(logged["u"] - np.mean([logged[m] for m in mentioned]))
+                assert power_difference(g, "u", mentioned, logged).hex() == expected.hex()
+                assert power_difference(g, "u", mentioned).hex() == expected.hex()
 
     def test_attached_column_equals_the_per_mention_formula_bitwise(self, monkeypatch):
         # attach_network_features logs each node's count once per call; every

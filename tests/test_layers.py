@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
+from abusenet.model import one_row_ids
 from abusenet.tensor import ContractError, NumericError, Parameter, ShapeError, Tape, Tensor, grad_check
 
 
@@ -48,15 +50,21 @@ def check_plain_recurrence(mask):
 
     w = {name: p.data for name, p in zip(("Wz", "Wr", "Wh", "Uz", "Ur", "Uh", "bz", "br", "bh"),
                                          gru.parameters())}
-    h = h0
+    h, dense = h0, np.empty((b, steps, 4))
     for t in range(steps):
         hm = h * drop
         z = sig(x[:, t] @ w["Wz"] + hm @ w["Uz"] + w["bz"])
         r = sig(x[:, t] @ w["Wr"] + hm @ w["Ur"] + w["br"])
         c = np.tanh(x[:, t] @ w["Wh"] + (r * hm) @ w["Uh"] + w["bh"])
-        h = np.where(mask[:, t, None], (1.0 - z) * h + z * c, h)
-        np.testing.assert_allclose(states.data[:, t], h, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(last.data, states.data[:, -1])
+        h = dense[:, t] = np.where(mask[:, t, None], (1.0 - z) * h + z * c, h)
+    # the packed states are the live positions' rows, batch-major
+    assert states.shape == (int(mask.sum()), 4)
+    np.testing.assert_allclose(states.data, dense[mask], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(last.data, h, rtol=0, atol=1e-12)
+    # last is each row's last packed state, or h0 for a row with none
+    has, at = mask.any(axis=1), np.cumsum(mask.sum(axis=1)) - 1
+    np.testing.assert_array_equal(last.data[has], states.data[at[has]])
+    np.testing.assert_array_equal(last.data[~has], h0[~has])
 
 
 def check_all_states_gradient(mask):
@@ -67,7 +75,7 @@ def check_all_states_gradient(mask):
     rng = np.random.default_rng(9)
     x = Parameter("x", rng.normal(size=(b, steps, 3)))
     h0 = Parameter("h0", rng.normal(size=(b, 4)))
-    coef = Tensor(rng.normal(size=(b, steps, 4)))
+    coef = Tensor(rng.normal(size=(int(mask.sum()), 4)))
 
     def forward():
         states, _ = gru.forward(x, mask=mask, h0=h0, train=True,
@@ -97,9 +105,9 @@ def index_case(mask, m, d, seed, dtype=np.float32):
 
 
 def gru_step(gru, x, mask, h0, index=None, dropout_seed=5):
-    """States, last and every gradient of a loss over all states and the last state."""
+    """Packed states, last and every gradient of a loss over all states and the last state."""
     rng = np.random.default_rng(dropout_seed + 1)
-    coef = Tensor(rng.normal(size=(*mask.shape, gru.units)).astype(x.dtype))
+    coef = Tensor(rng.normal(size=(int(mask.sum()), gru.units)).astype(x.dtype))
     coef_last = Tensor(rng.normal(size=(mask.shape[0], gru.units)).astype(x.dtype))
     for p in gru.parameters():
         p.zero_grad()
@@ -113,8 +121,10 @@ def gru_step(gru, x, mask, h0, index=None, dropout_seed=5):
 
 
 def per_step_states(gru, x, mask, h0, drop):
-    """States of a plain loop that multiplies each step's live inputs by
-    [W_z|W_r|W_h] itself, with the fused op's float operations in its order."""
+    """States [b, T, u] of every position, padded ones included, from a plain
+    loop that multiplies each step's live inputs by [W_z|W_r|W_h] itself,
+    with the fused op's float operations in its order. The GRU's packed
+    states are its ``[mask]``."""
     u = gru.units
     W = np.concatenate([gru.W_z.data, gru.W_r.data, gru.W_h.data], axis=1)
     bias = np.concatenate([gru.b_z.data, gru.b_r.data, gru.b_h.data])
@@ -136,12 +146,14 @@ def per_step_states(gru, x, mask, h0, drop):
 
 
 def per_step_grads(gru, x, mask, h0, drop, g):
-    """Gradients of a plain BPTT for the upstream state gradient ``g``
-    [b, T, u], with the fused op's float operations in its order: the live
-    positions packed time-major, one [k, .] product per step, and the
-    weight and input gradients one product over all packed positions.
-    ``drop`` is the dropout mask or None. Returns the W, U and b gradients
-    by parameter name, the h0 gradient and the dense input's gradient."""
+    """Gradients of a plain BPTT for the upstream gradient ``g`` [n, u] of
+    the packed states, with the fused op's float operations in its order:
+    the live positions packed time-major, one [k, .] product per step, each
+    step adding its live rows' state gradients and padded rows passing dh
+    through untouched, and the weight and input gradients one product over
+    all packed positions. ``drop`` is the dropout mask or None. Returns the
+    W, U and b gradients by parameter name, the h0 gradient and the dense
+    input's gradient."""
     u = gru.units
     b, steps = mask.shape
     W = np.concatenate([gru.W_z.data, gru.W_r.data, gru.W_h.data], axis=1)
@@ -169,13 +181,14 @@ def per_step_grads(gru, x, mask, h0, drop, g):
     da = np.empty((X.shape[0], 3 * u), dtype=x.dtype)
     ends = np.cumsum([sel.size for sel in sels]).tolist()
     dh = np.zeros((b, u), dtype=x.dtype)
+    g_dense = np.zeros((b, steps, u), dtype=x.dtype)
+    g_dense[mask] = g
     for t in range(steps - 1, -1, -1):
-        dh += g[:, t]
         sel = sels[t]
         if not sel.size:
             continue
         lo, hi = ends[t] - sel.size, ends[t]
-        dh_t = dh[sel]
+        dh_t = dh[sel] + g_dense[sel, t]
         z, r, c = Z[lo:hi], R[lo:hi], C[lo:hi]
         da[lo:hi, 2 * u:] = (dh_t * z) * (1.0 - c * c)
         drh = da[lo:hi, 2 * u:] @ U_h.T
@@ -204,6 +217,16 @@ INDEX_MASKS = {
     **PACKED_MASKS,
     "one_live_row_steps": ["...xxx", "....xx", "x....x", ".....x"],
     "no_padding": ["xxxxxx", "xxxxxx", "xxxxxx", "xxxxxx"],
+}
+
+# masks for the packed states' contract: left padding, gaps inside rows,
+# right padding, rows with no live position, and steps with one live row
+PACKED_STATE_MASKS = {
+    "left_padding": ["..xxxx", "...xxx", "xxxxxx", ".....x"],
+    "holes": ["x.x.xx", "xx..xx", "x.xxx.", "xxxxxx"],
+    "right_padding": ["xxxx..", "xxx...", "xxxxxx", "x....."],
+    "all_padding_rows": ["......", "xx.xxx", "......", ".x.x.x"],
+    "one_row_steps": ["...xxx", "....xx", "x....x", ".....x"],
 }
 
 # masks for the last-state form: left padding, steps with one live row, and
@@ -291,7 +314,7 @@ class TestGRU:
             p.data[:] = 0.0
         x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 3)).astype(np.float64))
         states, last = gru.forward(x)
-        np.testing.assert_array_equal(states.data, np.zeros((2, 5, 4)))
+        np.testing.assert_array_equal(states.data, np.zeros((10, 4)))
         np.testing.assert_array_equal(last.data, np.zeros((2, 4)))
 
     def test_single_step_matches_hand_recurrence(self):
@@ -444,7 +467,7 @@ class TestGRU:
         states, _ = gru.forward(Tensor(rows), mask=mask, h0=Tensor(h0), index=index, train=True,
                                 rng=np.random.default_rng(5))
         drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(np.float32) / np.float32(0.5)
-        assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop).tobytes()
+        assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop)[mask].tobytes()
 
     @pytest.mark.parametrize("form", ["dense", "index"])
     @pytest.mark.parametrize("p", [0.5, 0.0], ids=["dropout", "no_dropout"])
@@ -456,7 +479,7 @@ class TestGRU:
         rows, index, dense = index_case(mask, 9, 64, seed=35)
         rng = np.random.default_rng(36)
         h0 = Tensor(rng.normal(size=(b, 16)).astype(np.float32), requires_grad=True)
-        g = rng.normal(size=(*mask.shape, 16)).astype(np.float32)
+        g = rng.normal(size=(int(mask.sum()), 16)).astype(np.float32)
         x, idx = (rows, index) if form == "index" else (dense, None)
         x = Tensor(x.copy(), requires_grad=True)
         with Tape() as tape:
@@ -483,7 +506,7 @@ class TestGRU:
         x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         with Tape() as tape:
             states, _ = gru.forward(x, train=True, rng=np.random.default_rng(38))
-            loss = T.sum_all(T.mul(states, Tensor(rng.normal(size=(2, 5, 4)))))
+            loss = T.sum_all(T.mul(states, Tensor(rng.normal(size=(10, 4)))))
         tape.backward(loss)
         with pytest.raises(ContractError, match="backward runs once"):
             tape.backward(loss)
@@ -496,7 +519,7 @@ class TestGRU:
         rows, index, _ = index_case(mask, 5, 3, seed=25, dtype=np.float64)
         r = Parameter("rows", rows)
         h0 = Parameter("h0", rng.normal(size=(mask.shape[0], 4)))
-        coef = Tensor(rng.normal(size=(*mask.shape, 4)))
+        coef = Tensor(rng.normal(size=(int(mask.sum()), 4)))
 
         def forward():
             states, _ = gru.forward(r, mask=mask, h0=h0, index=index, train=True,
@@ -504,6 +527,39 @@ class TestGRU:
             return T.sum_all(T.mul(states, coef))
 
         assert grad_check(forward, gru.parameters() + [r, h0]) < 1e-4
+
+    @pytest.mark.parametrize("form", ["taped", "untaped", "projected"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask", PACKED_STATE_MASKS.values(), ids=PACKED_STATE_MASKS.keys())
+    def test_packed_states_equal_per_step_states_of_live_positions_bitwise(self, mask, dtype, form):
+        # the states are the live positions' rows of every position's state,
+        # batch-major, and last is the state after the last step; the
+        # projected form reads multi-row steps from a projected table and
+        # is given only the rows of its one-row steps
+        mask = mask_of(mask)
+        b = mask.shape[0]
+        gru = make_gru(64, 16, dtype=dtype, p=0.5, seed=70)
+        rows, index, dense = index_case(mask, 9, 64, seed=71, dtype=dtype)
+        h0 = np.random.default_rng(72).normal(size=(b, 16)).astype(dtype)
+        kwargs = dict(mask=mask, h0=Tensor(h0), train=True, rng=np.random.default_rng(5))
+        if form == "taped":
+            with Tape() as tape:
+                states, last = gru.forward(Tensor(rows, requires_grad=True), index=index, **kwargs)
+            assert len(tape) == 2
+        elif form == "untaped":
+            states, last = gru.forward(Tensor(rows), index=index, **kwargs)
+        else:
+            table = np.random.default_rng(73).normal(size=(20, 64)).astype(dtype)
+            ids = np.random.default_rng(74).choice(np.arange(1, 20), size=9, replace=False)
+            table[ids] = rows
+            one_ids, one_index = one_row_ids(ids[index] * mask, mask)
+            states, last = gru.forward(Tensor(table[one_ids]), index=one_index,
+                                       projected=(gru.project(table), ids[index]), **kwargs)
+        drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(dtype) / dtype(0.5)
+        every = per_step_states(gru, dense, mask, h0, drop)
+        assert states.dtype == dtype and states.shape == (int(mask.sum()), 16)
+        assert states.data.tobytes() == every[mask].tobytes()
+        assert last.data.tobytes() == every[:, -1].tobytes()
 
     @pytest.mark.parametrize("train", [True, False], ids=["dropout", "inference"])
     @pytest.mark.parametrize("form", ["dense", "index"])
@@ -528,8 +584,9 @@ class TestGRU:
             drop = (np.random.default_rng(5).random((b, u)) < 0.5).astype(np.float32) / np.float32(0.5)
         else:
             drop = np.ones((b, u), dtype=np.float32)
-        assert states.data.tobytes() == per_step_states(gru, dense, mask, h0, drop).tobytes()
-        assert last.data.tobytes() == states.data[:, -1].tobytes()
+        every = per_step_states(gru, dense, mask, h0, drop)
+        assert states.data.tobytes() == every[mask].tobytes()
+        assert last.data.tobytes() == every[:, -1].tobytes()
 
     def test_index_form_validates_its_index(self):
         gru = make_gru(3, 4)
@@ -544,6 +601,12 @@ class TestGRU:
         # a padded position may hold any index
         _, last = gru.forward(rows, mask=mask, index=np.array([[1, 7]]))
         assert last.shape == (1, 4)
+        # a projected table's rows are checked as the input's are
+        P = gru.project(np.zeros((3, 3)))
+        with pytest.raises(IndexError, match="projected table"):
+            gru.forward(rows, mask=mask, index=np.array([[0, 0]]), projected=(P, np.array([[3, 0]])))
+        with pytest.raises(ShapeError, match="projected rows"):
+            gru.forward(rows, mask=mask, index=np.array([[0, 0]]), projected=(P, np.array([2, 0])))
 
     @pytest.mark.parametrize("form", ["dense", "index", "projected"])
     @pytest.mark.parametrize("train", [True, False], ids=["dropout", "inference"])
@@ -565,7 +628,7 @@ class TestGRU:
             table = rng.normal(size=(20, d)).astype(np.float32)
             ids = rng.choice(20, size=9, replace=False)
             table[ids] = rows
-            projected = (gru.project(table), ids)
+            projected = (gru.project(table), ids[index])
         results = []
         for keep_states in (True, False):
             x = Tensor((dense if form == "dense" else rows).copy(), requires_grad=True)
@@ -612,7 +675,7 @@ class TestGRU:
         rows, index, _ = index_case(mask, 5, 3, seed=61, dtype=dtype)
         gru = make_gru(3, 4, dtype=dtype, seed=62)
         fresh, last = gru.forward(Tensor(rows), mask=mask, index=index)
-        out = np.full((*mask.shape, 4), np.nan, dtype=dtype)  # what a reused buffer held before
+        out = np.full((int(mask.sum()), 4), np.nan, dtype=dtype)  # what a reused buffer held before
         states, last_out = gru.forward(Tensor(rows), mask=mask, index=index, out=out)
         assert states.data is out and not np.shares_memory(last_out.data, out)
         assert states.data.tobytes() == fresh.data.tobytes()
@@ -626,10 +689,10 @@ class TestGRU:
         mask = mask_of(PACKED_MASKS["interior_gaps"])
         rows, index, _ = index_case(mask, 5, 3, seed=63, dtype=np.float64)
         gru = make_gru(3, 4, seed=64)
-        out = np.zeros((*mask.shape, 4))
+        out = np.zeros((int(mask.sum()), 4))
         with Tape(), pytest.raises(ContractError, match="fresh array"):
             gru.forward(Tensor(rows), mask=mask, index=index, out=out)
-        for bad, kwargs in ((out, {"keep_states": False}), (out[:, 1:], {}),
+        for bad, kwargs in ((out, {"keep_states": False}), (out[1:], {}), (out[:, 1:], {}),
                             (out.astype(np.float32), {})):
             with pytest.raises(ShapeError, match="states out"):
                 gru.forward(Tensor(rows), mask=mask, index=index, out=bad, **kwargs)
@@ -642,6 +705,12 @@ ATTENTION_MASKS = {
     "left_padding": ["..xxxx", "...xxx", ".....x"],
     "all_padded_row": ["xx.xxx", "......", ".x.x.x"],
 }
+
+
+def packed(states, mask, **kwargs):
+    """The live positions' rows of [b, T, u] states, batch-major: the form
+    the GRU returns and attention reads."""
+    return Tensor(states[mask], **kwargs)
 
 
 def attention_oracle(states, mask, W, v):
@@ -665,14 +734,14 @@ class TestAttention:
     def test_single_step_returns_state(self):
         att = AttentionLayer(3, rng=np.random.default_rng(0), dtype=np.float64)
         state = np.random.default_rng(1).normal(size=(2, 1, 3))
-        out, w = att.forward(Tensor(state), np.ones((2, 1), dtype=bool))
+        out, w = att.forward(packed(state, np.ones((2, 1), dtype=bool)), np.ones((2, 1), dtype=bool))
         np.testing.assert_allclose(out.data, state[:, 0, :], rtol=1e-12)
         np.testing.assert_array_equal(w.data, np.ones((2, 1)))
 
     def test_identical_states_give_uniform_weights(self):
         att = AttentionLayer(3, rng=np.random.default_rng(0), dtype=np.float64)
         one = np.random.default_rng(2).normal(size=3)
-        states = np.tile(one, (1, 4, 1))
+        states = np.tile(one, (4, 1))
         out, w = att.forward(Tensor(states), np.ones((1, 4), dtype=bool))
         np.testing.assert_allclose(w.data, np.full((1, 4), 0.25), atol=1e-12)
         np.testing.assert_allclose(out.data[0], one, rtol=1e-12)
@@ -688,7 +757,7 @@ class TestAttention:
         alpha /= alpha.sum()
         expected = alpha[0] * states[0, 0] + alpha[1] * states[0, 1]
 
-        out, w = att.forward(Tensor(states), np.ones((1, 2), dtype=bool))
+        out, w = att.forward(Tensor(states[0]), np.ones((1, 2), dtype=bool))
         np.testing.assert_allclose(w.data[0], alpha, rtol=1e-12)
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
 
@@ -697,7 +766,7 @@ class TestAttention:
         states = np.random.default_rng(5).normal(size=(3, 5, 3))
         mask = np.ones((3, 5), dtype=bool)
         mask[:, :2] = False
-        _, w = att.forward(Tensor(states), mask)
+        _, w = att.forward(packed(states, mask), mask)
         assert (w.data[:, :2] == 0.0).all()
         assert (w.data >= 0.0).all()
         np.testing.assert_allclose(w.data.sum(axis=1), np.ones(3), atol=1e-6)
@@ -706,7 +775,7 @@ class TestAttention:
         att = AttentionLayer(2, rng=np.random.default_rng(9), dtype=np.float64)
         states = np.random.default_rng(10).normal(size=(2, 3, 2))
         mask = np.array([[True, False, True], [True, True, False]])
-        _, w = att.forward(Tensor(states), mask)
+        _, w = att.forward(packed(states, mask), mask)
         assert w.data[0, 1] == 0.0
         assert w.data[1, 2] == 0.0
         np.testing.assert_allclose(w.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
@@ -714,7 +783,7 @@ class TestAttention:
     def test_context_is_weighted_state_sum(self):
         att = AttentionLayer(3, rng=np.random.default_rng(11), dtype=np.float64)
         states = np.arange(12.0).reshape(1, 4, 3) / 12.0
-        out, w = att.forward(Tensor(states), np.ones((1, 4), dtype=bool))
+        out, w = att.forward(Tensor(states[0]), np.ones((1, 4), dtype=bool))
         np.testing.assert_allclose(out.data, (states * w.data[:, :, None]).sum(axis=1), rtol=1e-12)
 
     @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
@@ -723,7 +792,7 @@ class TestAttention:
         att = AttentionLayer(4, rng=np.random.default_rng(12), dtype=np.float64)
         states = np.random.default_rng(13).normal(size=(*mask.shape, 4))
         context, weights = attention_oracle(states, mask, att.W_a.data, att.v_a.data[:, 0])
-        out, w = att.forward(Tensor(states), mask)
+        out, w = att.forward(packed(states, mask), mask)
         assert out.dtype == w.dtype == np.float64
         np.testing.assert_allclose(w.data, weights, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.data, context, rtol=1e-12, atol=1e-12)
@@ -733,22 +802,24 @@ class TestAttention:
         # zero h0, it reads as zeros and sends back no gradient
         att = AttentionLayer(2, rng=np.random.default_rng(6), dtype=np.float64)
         rng = np.random.default_rng(14)
-        states = Tensor(rng.normal(size=(1, 3, 2)), requires_grad=True)
+        mask = np.zeros((1, 3), dtype=bool)
+        states = packed(rng.normal(size=(1, 3, 2)), mask, requires_grad=True)
         coef = Tensor(rng.normal(size=(1, 2)))
         with Tape() as tape:
-            out, w = att.forward(states, np.zeros((1, 3), dtype=bool))
+            out, w = att.forward(states, mask)
             loss = T.sum_all(T.mul(out, coef))
         tape.backward(loss)
         assert (out.data == 0.0).all() and (w.data == 0.0).all()
         for grad in (states.grad, att.W_a.grad, att.v_a.grad):
             assert grad is not None and (grad == 0.0).all()
+        assert states.grad.shape == (0, 2)
 
     def test_all_padded_row_leaves_other_rows_unchanged(self):
         att = AttentionLayer(3, rng=np.random.default_rng(15), dtype=np.float64)
         states = np.random.default_rng(16).normal(size=(3, 4, 3))
         mask = mask_of(["x.xx", "....", ".xxx"])
-        out, w = att.forward(Tensor(states), mask)
-        alone, w_alone = att.forward(Tensor(states[[0, 2]]), mask[[0, 2]])
+        out, w = att.forward(packed(states, mask), mask)
+        alone, w_alone = att.forward(packed(states[[0, 2]], mask[[0, 2]]), mask[[0, 2]])
         assert (out.data[1] == 0.0).all() and (w.data[1] == 0.0).all()
         np.testing.assert_allclose(out.data[[0, 2]], alone.data, rtol=1e-12)
         np.testing.assert_allclose(w.data[[0, 2]], w_alone.data, rtol=1e-12)
@@ -758,28 +829,31 @@ class TestAttention:
         states = np.zeros((2, 3, 2))
         mask = np.ones((2, 3), dtype=bool)
         with pytest.raises(ShapeError):
-            att.forward(Tensor(states[0]), mask)
+            att.forward(Tensor(states[0]), mask)  # 3 rows for 6 live positions
         with pytest.raises(ShapeError):
-            att.forward(Tensor(states), mask[:, :2])
+            att.forward(Tensor(states), mask)  # not packed
+        with pytest.raises(ShapeError):
+            att.forward(packed(states, mask), mask[0])
         with pytest.raises(ContractError):
-            att.forward(Tensor(states, dtype=np.float32), mask)
+            att.forward(packed(states, mask, dtype=np.float32), mask)
         # an Inf among zero states keeps every score finite (tanh saturates),
         # so only the context shows it; the suite turns RuntimeWarning into
         # an error, so a warning from numpy would surface instead
         for bad in (np.nan, np.inf, -np.inf):
             states[1, 2, 0] = bad
             with pytest.raises(NumericError):
-                att.forward(Tensor(states), mask)
-        mask[1, 2] = False  # a padded position is never read
-        out, _ = att.forward(Tensor(states), mask)
+                att.forward(packed(states, mask), mask)
+        mask[1, 2] = False  # a padded position has no row
+        out, _ = att.forward(packed(states, mask), mask)
         assert np.isfinite(out.data).all()
 
-    def test_blocked_gather_equals_one_gather_bitwise(self):
-        # the forward gathers the live states a block of rows at a time; the
-        # context and weights keep the bits of one gather of all of them
+    def test_batch_over_128_rows_equals_a_plain_packed_computation_bitwise(self):
+        # one product over every packed state at the paper's width, for more
+        # rows than any block size; the context and weights keep the bits of
+        # the plain per-row computation over the same packed rows
         att = AttentionLayer(128, rng=np.random.default_rng(19))
         rng = np.random.default_rng(20)
-        b, steps = 2 * AttentionLayer.GATHER_ROWS + 5, 40
+        b, steps = 133, 40
         states = rng.normal(size=(b, steps, 128)).astype(np.float32)
         mask = np.arange(steps)[None, :] >= rng.integers(0, steps + 1, size=b)[:, None]  # left padding
         mask[3] = rng.random(steps) < 0.5  # interior gaps
@@ -796,17 +870,37 @@ class TestAttention:
         context = np.zeros((b, 128), dtype=np.float32)
         for i, lo in enumerate(np.cumsum(counts) - counts):
             if counts[i]:
-                context[i] = w[lo:lo + counts[i]] @ live[lo:lo + counts[i]]
-        out, out_weights = att.forward(Tensor(states), mask)
+                context[i] = w[lo:lo + counts[i]] @ live[lo:lo + counts[i]].copy()
+        out, out_weights = att.forward(Tensor(live), mask)
         with Tape():
-            recorded, _ = att.forward(Tensor(states, requires_grad=True), mask)
+            recorded, _ = att.forward(Tensor(live, requires_grad=True), mask)
         for got in (out, recorded):
             np.testing.assert_array_equal(got.data, context)
         np.testing.assert_array_equal(out_weights.data, weights)
 
+    def test_warm_untaped_forward_allocates_less_than_dense_states(self):
+        # the forward reads the packed states where they are: it makes no
+        # [b, T, units] array, nor a gathered copy of the live states
+        att = AttentionLayer(128, rng=np.random.default_rng(25))
+        rng = np.random.default_rng(26)
+        b, steps = 64, 60
+        mask = np.arange(steps)[None, :] >= rng.integers(0, steps // 2, size=b)[:, None]
+        states = packed(rng.normal(size=(b, steps, 128)).astype(np.float32), mask)
+        out = np.empty((int(mask.sum()), 128), dtype=np.float32)
+        att.forward(states, mask, out=out)  # warm-up
+        tracemalloc.start()
+        try:
+            att.forward(states, mask, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense = b * steps * 128 * 4
+        assert peak < dense, f"peak {peak} bytes, one [b, T, units] array {dense}"
+        assert peak < out.nbytes, f"peak {peak} bytes, one [n, units] array {out.nbytes}"
+
     def test_records_one_tape_op(self):
         att = AttentionLayer(3, rng=np.random.default_rng(18))
-        states = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
+        states = Tensor(np.zeros((8, 3), dtype=np.float32), requires_grad=True)
         with Tape() as tape:
             att.forward(states, np.ones((2, 4), dtype=bool))
         assert len(tape) == 1
@@ -814,8 +908,9 @@ class TestAttention:
     def test_grad_check(self):
         att = AttentionLayer(3, rng=np.random.default_rng(7), dtype=np.float64)
         rng = np.random.default_rng(8)
-        states = Tensor(rng.normal(size=(2, 4, 3)).astype(np.float64))
+        every = rng.normal(size=(2, 4, 3)).astype(np.float64)
         mask = np.array([[True, True, True, False], [True, False, True, True]])
+        states = packed(every, mask)
         coef = Tensor(rng.normal(size=(2, 3)).astype(np.float64))
 
         def forward():
@@ -829,7 +924,7 @@ class TestAttention:
         mask = mask_of(rows)
         att = AttentionLayer(3, rng=np.random.default_rng(19), dtype=np.float64)
         rng = np.random.default_rng(20)
-        states = Parameter("states", Tensor(rng.normal(size=(*mask.shape, 3)), dtype=np.float64))
+        states = Parameter("states", packed(rng.normal(size=(*mask.shape, 3)), mask, dtype=np.float64))
         coef = Tensor(rng.normal(size=(mask.shape[0], 3)))
 
         def forward():
@@ -840,14 +935,14 @@ class TestAttention:
         with Tape() as tape:
             loss = forward()
         tape.backward(loss)
-        assert (states.grad[~mask] == 0.0).all()
+        assert states.grad.shape == (int(mask.sum()), 3)  # one row per live position, padded ones have none
 
 
     @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
     def test_scores_written_into_out_give_fresh_outputs_bitwise(self, rows):
         mask = mask_of(rows)
         att = AttentionLayer(3, rng=np.random.default_rng(21))
-        states = Tensor(np.random.default_rng(22).normal(size=(*mask.shape, 3)).astype(np.float32))
+        states = packed(np.random.default_rng(22).normal(size=(*mask.shape, 3)).astype(np.float32), mask)
         context, weights = att.forward(states, mask)
         out = np.full((int(mask.sum()), 3), np.nan, dtype=np.float32)  # what a reused buffer held before
         context_out, weights_out = att.forward(states, mask, out=out)
@@ -859,7 +954,7 @@ class TestAttention:
     def test_out_refused_unless_it_fits_an_untaped_call(self):
         att = AttentionLayer(2, rng=np.random.default_rng(23), dtype=np.float64)
         mask = mask_of(ATTENTION_MASKS["interior_gaps"])
-        states = Tensor(np.random.default_rng(24).normal(size=(*mask.shape, 2)))
+        states = packed(np.random.default_rng(24).normal(size=(*mask.shape, 2)), mask)
         out = np.zeros((int(mask.sum()), 2))
         with Tape(), pytest.raises(ContractError, match="fresh array"):
             att.forward(states, mask, out=out)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from abusenet import model as model_mod
 from abusenet.layers import DenseLayer, EmbeddingLayer, GRULayer
 from abusenet.model import (
     CheckpointMeta,
@@ -639,6 +640,55 @@ class TestLoadedModel:
                                           m.text_path.features(batch).data)
             np.testing.assert_array_equal(clone.forward(batch, None).data, m.forward(batch, None).data)
         assert projections.count(vocab) == 1  # the loaded model projected its table once
+
+    @pytest.mark.parametrize("batch", ["one_row_steps", "no_one_row_steps", "no_padding"])
+    def test_cached_attention_features_equal_a_writable_copy_bitwise(self, tmp_path, monkeypatch, batch):
+        # a loaded checkpoint reads every live position's gate inputs from its
+        # projected table by token id and embeds only the rows of the steps
+        # with one live row; the writable model gathers and projects the
+        # batch's distinct ids; both give the same bits
+        config = ModelConfig(embed_dim=64, units=16, recurrent_dropout=0.5, attention_threshold=8)
+        m = build_text_path(300, 20, ["a", "b"], config=config, rng=np.random.default_rng(31))
+        _, clone = saved_and_loaded(tmp_path, m, 20, 298, config=config)
+        rng = np.random.default_rng(32)
+        ids = rng.integers(1, 300, size=(24, 20))
+        if batch != "no_padding":
+            lengths = rng.integers(2, 18, size=24)
+            lengths[:2] = 20, 19  # at least two rows are live from step 1 on
+            lengths[0] = 20 if batch == "one_row_steps" else 19  # row 0 alone is live at step 0
+            ids[np.arange(20)[None, :] < (20 - lengths)[:, None]] = 0
+            ids[3, 7] = ids[4, 9] = 0  # holes
+        mask = ids != 0
+        one_row = np.flatnonzero(mask.sum(axis=0) == 1)
+        assert one_row.size == (batch == "one_row_steps")
+        embedded, distinct = [], []
+        forward, distinct_of = model_mod.EmbeddingLayer.forward, model_mod.distinct_ids
+        monkeypatch.setattr(model_mod.EmbeddingLayer, "forward",
+                            lambda self, token_ids, out=None: embedded.append(token_ids.tolist())
+                            or forward(self, token_ids, out=out))
+        monkeypatch.setattr(model_mod, "distinct_ids",
+                            lambda *args: distinct.append(1) or distinct_of(*args))
+        got = clone.text_path.features(ids).data
+        assert embedded == [ids[mask.argmax(axis=0)[one_row], one_row].tolist()] and not distinct
+        expected = m.text_path.features(ids).data
+        assert len(embedded) == 2 and distinct == [1]
+        assert got.tobytes() == expected.tobytes()
+        assert clone.forward(ids, None).data.tobytes() == m.forward(ids, None).data.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 300, 10**6])
+    def test_cached_path_rejects_an_id_outside_the_vocabulary(self, tmp_path, bad):
+        config = ModelConfig(embed_dim=8, units=4, recurrent_dropout=0.0, attention_threshold=8)
+        m = build_text_path(300, 12, ["a", "b"], config=config, rng=np.random.default_rng(33))
+        _, clone = saved_and_loaded(tmp_path, m, 12, 298, config=config)
+        ids = np.random.default_rng(34).integers(1, 300, size=(5, 12))
+        clone.text_path.features(ids)
+        assert clone.text_path.projected_table() is not None
+        ids[2, 3] = bad
+        for path in (clone.text_path, m.text_path):
+            with pytest.raises(IndexError, match=f"token id {bad} out of range"):
+                path.features(ids)
+            with pytest.raises(ContractError, match="integers"):
+                path.features(ids.astype(np.float64))
 
     def test_desk_width_cached_probabilities_equal_per_batch_bitwise(self, tmp_path, projections):
         config = ModelConfig(embed_dim=16, units=16, hidden=(32, 16), fusion_dim=16)
