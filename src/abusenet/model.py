@@ -24,7 +24,7 @@ import numpy as np
 
 from .features import check_pipeline_config, is_string_list
 from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer, ZeroDraws
-from .tensor import ContractError, Parameter, Tensor, active_tape, concat_last
+from .tensor import ContractError, Parameter, ShapeError, Tensor, active_tape, concat_last
 from .text import FormatError
 
 CHECKPOINT_MAGIC = b"ABNET1\x00"
@@ -109,6 +109,8 @@ class TextPath:
     def features(self, token_ids: np.ndarray, train: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
         token_ids = np.asarray(token_ids)
+        if token_ids.ndim != 2:
+            raise ShapeError(f"text path expects [batch, T] token ids, got shape {token_ids.shape}")
         mask = token_ids != 0
         untaped = active_tape() is None
         P = self.projected_table() if untaped else None

@@ -21,7 +21,7 @@ from abusenet.model import (
     save_checkpoint,
 )
 from abusenet import tensor as T
-from abusenet.tensor import ContractError, Tape, Tensor
+from abusenet.tensor import ContractError, ShapeError, Tape, Tensor
 from abusenet.text import FormatError
 from abusenet.training import Adam, EncodedDataset, TrainingConfig, cross_entropy, fit, fit_interleaved
 
@@ -689,6 +689,8 @@ class TestLoadedModel:
                 path.features(ids)
             with pytest.raises(ContractError, match="integers"):
                 path.features(ids.astype(np.float64))
+            with pytest.raises(ShapeError, match=r"\[batch, T\] token ids"):
+                path.features(ids[0])
 
     def test_desk_width_cached_probabilities_equal_per_batch_bitwise(self, tmp_path, projections):
         config = ModelConfig(embed_dim=16, units=16, hidden=(32, 16), fusion_dim=16)
