@@ -351,7 +351,7 @@ class GRULayer:
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             dh = np.zeros((b, u), dtype=g.dtype)
             if not keep_states:
-                dh += g  # added to zeros, as the recurrence's own gradient is
+                dh += g  # added to zeros, as the states form adds each row's last state gradient
             for t in range(steps - 1, -1, -1):
                 lo, hi = start[t], start[t + 1]
                 if lo == hi:
