@@ -13,6 +13,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .tensor import ContractError
 from .text import (
     HASHTAG_TOKEN,
     NUMBER_TOKEN,
@@ -101,7 +102,7 @@ class TfidfModel:
 
     def __post_init__(self):
         if self.top_k < 1:
-            raise ValueError(f"top_k must be at least 1, got {self.top_k}")
+            raise ContractError(f"top_k must be at least 1, got {self.top_k}")
 
     def fit(self, documents: list[list[str]]) -> "TfidfModel":
         self._fit(documents)

@@ -96,6 +96,14 @@ def _add_network_flags(p: argparse.ArgumentParser) -> None:
 
 def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
     check_fold_count(args.folds)
+    if args.workers < 1:
+        raise ContractError(f"--workers must be >= 1, got {args.workers}")
+    hidden = []
+    for item in filter(None, args.metadata_sizes.split(",")):
+        try:
+            hidden.append(int(item))
+        except ValueError:
+            raise ContractError(f"--metadata-sizes item {item!r} is not an integer") from None
     training = TrainingConfig(
         strategy=STRATEGY_FLAGS[args.strategy],
         batch_size=args.batch_size,
@@ -109,7 +117,7 @@ def _configs(args) -> tuple[TrainingConfig, ModelConfig]:
         embed_dim=args.embed_dim,
         units=args.units,
         recurrent_dropout=args.recurrent_dropout,
-        hidden=tuple(int(x) for x in args.metadata_sizes.split(",") if x),
+        hidden=tuple(hidden),
         fusion_dim=args.units,
         attention_threshold=args.attention_threshold,
     )
@@ -254,6 +262,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_baseline(args) -> int:
     check_fold_count(args.folds)
+    tfidf = TfidfModel(top_k=args.top_k)  # each fold's fit replaces all it learned
     corpus = load_corpus(args.dataset, args.schema)
     if corpus.labels is None:
         raise SchemaError("baseline needs labels")
@@ -263,7 +272,6 @@ def cmd_baseline(args) -> int:
     report = MetricsReport()
     for i in range(len(folds)):
         train_idx, test_idx = fold_split(folds, i)
-        tfidf = TfidfModel(top_k=args.top_k)
         train_matrix = tfidf.fit_transform([docs[j] for j in train_idx])
         test_matrix = tfidf.transform([docs[j] for j in test_idx])
         nb = nb_fit(train_matrix, corpus.labels[train_idx], n_classes=len(corpus.classes))
@@ -286,6 +294,10 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ContractError(f"--samples must be >= 1, got {args.samples}")
+    if args.noise is not None and not 0.0 <= args.noise <= 1.0:
+        raise ContractError(f"--noise is a label-flip probability in [0, 1], got {args.noise}")
     maker = SYNTH_TASKS[args.task]
     given = {"n": args.samples, "noise": args.noise, "seed": args.seed}
     # flags left out keep the task's own defaults

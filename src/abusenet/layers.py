@@ -20,6 +20,7 @@ from .tensor import (
     _check_dtypes,
     _scatter_add_rows,
     active_tape,
+    check_index,
     gather_rows,
     op_output,
 )
@@ -69,10 +70,9 @@ class EmbeddingLayer:
     def vocab_size(self) -> int:
         return self.table.data.shape[0]
 
-    def forward(self, token_ids: np.ndarray, out: np.ndarray | None = None) -> Tensor:
-        """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim],
-        written into ``out`` when it is given."""
-        return gather_rows(self.table, token_ids, padding_idx=self.pad_index, out=out)
+    def forward(self, token_ids: np.ndarray) -> Tensor:
+        """Rows of integer ids of any shape: [n] -> [n, dim], [batch, T] -> [batch, T, dim]."""
+        return gather_rows(self.table, token_ids, padding_idx=self.pad_index)
 
     def parameters(self) -> list[Parameter]:
         return [self.table]
@@ -174,8 +174,6 @@ class GRULayer:
             if x.data.ndim != 2 or index.ndim != 2:
                 raise ShapeError(f"gru expects [m, d] rows and a [batch, T] index, "
                                  f"got {x.shape} and {index.shape}")
-            if not np.issubdtype(index.dtype, np.integer):
-                raise ContractError("gru index must hold integers")
             (b, steps), d = index.shape, x.shape[1]
         if steps == 0:
             raise ContractError("gru received an empty sequence (T=0)")
@@ -282,13 +280,13 @@ class GRULayer:
             if rows_of.shape != mask.shape:
                 raise ShapeError(f"gru projected rows {rows_of.shape} do not match the mask {mask.shape}")
             src_p = rows_of[live_b, live_t]  # the P row each live position reads
-            _check_rows(src_p, P.shape[0], "projected table")
+            check_index(src_p, P.shape[0], "gru projected table row")
             one = [lo for lo, hi in zip(start, start[1:]) if hi - lo == 1]
             src = None
-            _check_rows(index[live_b[one], live_t[one]], rows.shape[0], "input")
+            check_index(index[live_b[one], live_t[one]], rows.shape[0], "gru input row")
         else:
             src = index[live_b, live_t]  # the input row each live position reads
-            _check_rows(src, rows.shape[0], "input")
+            check_index(src, rows.shape[0], "gru input row")
             P, src_p = self.project(rows), src
 
         states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
@@ -402,11 +400,6 @@ class GRULayer:
             _accum(self.U_h, rh_all.T @ da[:, 2 * u:])
 
         return op_output(states if keep_states else h, inputs, back)
-
-
-def _check_rows(src: np.ndarray, count: int, what: str) -> None:
-    if src.size and (src.min() < 0 or src.max() >= count):
-        raise IndexError(f"gru index outside the {count} {what} rows")
 
 
 def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .features import check_pipeline_config, is_string_list
 from .layers import AttentionLayer, BatchNormLayer, DenseLayer, EmbeddingLayer, GRULayer, ZeroDraws
-from .tensor import ContractError, Parameter, ShapeError, Tensor, active_tape, concat_last
+from .tensor import ContractError, Parameter, ShapeError, Tensor, active_tape, check_index, concat_last
 from .text import FormatError
 
 CHECKPOINT_MAGIC = b"ABNET1\x00"
@@ -69,19 +69,17 @@ class TextPath:
     steps with one live row, which the GRU multiplies itself, possibly
     none, and gathers no distinct ids.
 
-    With attention on, a forward with no tape active writes its large
+    With attention on, a forward with no tape active writes its two large
     per-batch arrays into a workspace the path owns, so that scoring batch
     after batch reuses the same memory instead of asking the allocator for
-    it again. Per dtype it holds two flat buffers: the GRU's packed [n,
-    units] states over the batch's n live positions, and one region shared
-    by the m embedding rows the batch reads [m, embed_dim] and attention's
-    [n, units] score input (the rows are dead before attention starts). So
-    it holds ``n*units + max(m*embed_dim, n*units)`` floats per dtype, for
-    the largest batch scored so far: each buffer grows to fit a larger
-    batch and never shrinks, and it lives as long as the path, so dropping
-    the model is what frees it. No array that ``features`` returns is
-    workspace memory. A taped forward, and any forward without attention,
-    allocates its arrays afresh.
+    it again. Per dtype it is one flat buffer of ``2*n*units`` floats for
+    the batch's n live positions: the GRU's packed [n, units] states, then
+    attention's [n, units] score input. It fits the largest batch scored
+    so far: it grows to fit a larger batch and never shrinks, and it lives
+    as long as the path, so dropping the model is what frees it. Embedding
+    rows are never workspace memory, nor is any array that ``features``
+    returns. A taped forward, and any forward without attention, allocates
+    its arrays afresh.
     """
 
     def __init__(self, embedding: EmbeddingLayer, gru: GRULayer, attention: AttentionLayer | None):
@@ -89,7 +87,7 @@ class TextPath:
         self.gru = gru
         self.attention = attention
         self._projection: tuple[list[np.ndarray], np.ndarray] | None = None  # (its sources, P)
-        self._workspace: dict[tuple[np.dtype, str], np.ndarray] = {}  # (dtype, part) -> flat buffer
+        self._workspace: dict[np.dtype, np.ndarray] = {}  # dtype -> flat buffer
 
     @property
     def feature_dim(self) -> int:
@@ -119,12 +117,12 @@ class TextPath:
             # gates once; the GRU reads it back through index
             ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
         else:
-            check_ids(token_ids, self.embedding.vocab_size)
+            check_index(token_ids, self.embedding.vocab_size, "token id")
             ids, index = one_row_ids(token_ids, mask)
-        rows_out = states_out = scores_out = None
+        states_out = scores_out = None
         if untaped and self.attention is not None:
-            rows_out, states_out, scores_out = self._workspace_views(ids.size, mask)
-        states, last = self.gru.forward(self.embedding.forward(ids, out=rows_out), mask=mask,
+            states_out, scores_out = self._workspace_views(mask)
+        states, last = self.gru.forward(self.embedding.forward(ids), mask=mask,
                                         index=index, train=train and not self.frozen, rng=rng,
                                         projected=None if P is None else (P, token_ids),
                                         keep_states=self.attention is not None, out=states_out)
@@ -133,30 +131,22 @@ class TextPath:
             return context
         return last
 
-    def _workspace_views(self, m: int, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One batch's views of the workspace: the embedding rows [m, embed_dim],
-        the GRU's packed states [n, units] and attention's score input [n, units];
-        the first and the last share memory."""
-        d, u = self.embedding.dim, self.gru.units
-        n = int(np.count_nonzero(mask))
-        dtype = self.embedding.table.data.dtype
-        shared = self._workspace_part(dtype, "shared", max(m * d, n * u))
-        states = self._workspace_part(dtype, "states", n * u)
-        return shared[:m * d].reshape(m, d), states.reshape(n, u), shared[:n * u].reshape(n, u)
+    def _workspace_views(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One batch's views of the workspace: the GRU's packed states and
+        attention's score input, each [n live, units].
 
-    def _workspace_part(self, dtype: np.dtype, part: str, size: int) -> np.ndarray:
-        """The first ``size`` elements of one workspace buffer, grown to fit.
-
-        Each buffer is an anonymous memory map of its own, unmapped before
-        the larger one is made: a buffer taken from the heap could leave its
-        old pages resident, since the allocator keeps a freed block between
-        live ones, and growing both parts once that way held 15 MB more at
+        The buffer is an anonymous memory map, unmapped before a larger one
+        is made: a buffer taken from the heap could leave its old pages
+        resident, since the allocator keeps a freed block between live
+        ones, and growing the workspace that way held 15 MB more at
         score-long. Dropping the path hands every page back."""
-        key = (dtype, part)
-        if key not in self._workspace or self._workspace[key].size < size:
-            self._workspace.pop(key, None)
-            self._workspace[key] = np.frombuffer(mmap.mmap(-1, max(size, 1) * dtype.itemsize), dtype=dtype)
-        return self._workspace[key][:size]
+        n, u = int(np.count_nonzero(mask)), self.gru.units
+        dtype = self.embedding.table.data.dtype
+        if dtype not in self._workspace or self._workspace[dtype].size < 2 * n * u:
+            self._workspace.pop(dtype, None)
+            self._workspace[dtype] = np.frombuffer(mmap.mmap(-1, max(2 * n * u, 1) * dtype.itemsize), dtype=dtype)
+        buf = self._workspace[dtype]
+        return buf[:n * u].reshape(n, u), buf[n * u:2 * n * u].reshape(n, u)
 
     def projected_table(self) -> np.ndarray | None:
         """``gru.project`` of the whole table, or None (and the kept one
@@ -171,25 +161,14 @@ class TextPath:
         return self._projection[1]
 
 
-def check_ids(token_ids: np.ndarray, vocab_size: int) -> None:
-    """Refuse token ids that are not integers (ContractError) or that lie
-    outside [0, vocab_size) (IndexError naming the first such id), as the
-    embedding's lookup does."""
-    if not np.issubdtype(token_ids.dtype, np.integer):
-        raise ContractError("token ids must be integers")
-    if token_ids.size and (token_ids.min() < 0 or token_ids.max() >= vocab_size):
-        bad = token_ids[(token_ids < 0) | (token_ids >= vocab_size)][0]
-        raise IndexError(f"token id {bad} out of range [0, {vocab_size})")
-
-
 def distinct_ids(token_ids: np.ndarray, mask: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct live (mask True) ids in ascending order, and an index of
     token_ids' shape giving each live position's place among them (0 at
     padded positions): ``np.unique``'s values and inverse, from a presence
-    table over the vocabulary instead of a sort. Ids are checked as
-    ``check_ids`` checks them."""
+    table over the vocabulary instead of a sort. The live ids are checked
+    by ``check_index``."""
     live = token_ids[mask]
-    check_ids(live, vocab_size)
+    check_index(live, vocab_size, "token id")
     present = np.zeros(vocab_size, dtype=bool)
     present[live] = True
     ids = np.flatnonzero(present)

@@ -194,10 +194,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 # structural ops
 
 
-def gather_rows(table: Tensor, indices, padding_idx: int | None = None,
-                out: np.ndarray | None = None) -> Tensor:
-    """Rows of a [V, d] table for integer ids of any shape: [*ids.shape, d],
-    written into ``out`` when it is given.
+def check_index(idx: np.ndarray, count: int, what: str) -> None:
+    """Refuse an index array that is not integer-typed (ContractError), or
+    one holding a value outside [0, count): an IndexError that names the
+    first such value in row-major order as ``what``."""
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ContractError(f"{what} array must hold integers, got {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= count):
+        bad = idx[(idx < 0) | (idx >= count)][0]
+        raise IndexError(f"{what} {bad} out of range [0, {count})")
+
+
+def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tensor:
+    """Rows of a [V, d] table for integer ids of any shape: [*ids.shape, d].
 
     Backward scatter-adds the gradient into the table. With ``padding_idx``
     set, positions holding that index read a zero row and are left out of
@@ -208,18 +217,9 @@ def gather_rows(table: Tensor, indices, padding_idx: int | None = None,
     idx = np.asarray(indices)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-d table, got {table.shape}")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError("gather_rows indices must be integers")
     V, d = table.shape
-    if idx.size:
-        bad = (idx < 0) | (idx >= V)
-        if bad.any():
-            offender = int(idx[bad][0])
-            raise IndexError(f"gather_rows index {offender} out of range [0, {V})")
-    if out is None:
-        rows = table.data[idx]
-    else:  # the ids are checked above: "clip" clips none, and unlike "raise" writes out unbuffered
-        rows = np.take(table.data, idx, axis=0, out=out, mode="clip")
+    check_index(idx, V, "gather_rows index")
+    rows = table.data[idx]
     pad = None
     if padding_idx is not None:
         pad = idx == padding_idx

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import ClassifierModel, build_combined
-from .tensor import ContractError, Parameter, Tape, Tensor, op_output, _accum
+from .tensor import ContractError, Parameter, Tape, Tensor, check_index, op_output, _accum
 from .utils import batch_slices, derive_rng
 
 STRATEGIES = ("naive", "transfer", "transfer_ft", "interleaved")
@@ -98,9 +98,7 @@ def cross_entropy(pred: Tensor, labels) -> Tensor:
     n, c = pred.shape
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        bad = labels[(labels < 0) | (labels >= c)][0]
-        raise IndexError(f"label {bad} out of range for {c} classes")
+    check_index(labels, c, "label")
     rows = np.arange(n)
     picked = pred.data[rows, labels]
     clamped = np.maximum(picked, LOSS_FLOOR)

@@ -80,6 +80,17 @@ class TestSynthCommand:
         assert (tmp_path / "cli" / "dataset.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
         assert (tmp_path / "cli" / "schema.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
 
+    @pytest.mark.parametrize("flags, match", [
+        (["--samples", "0"], "--samples must be >= 1, got 0"),
+        (["--samples", "-5"], "--samples must be >= 1, got -5"),
+        (["--noise", "7"], r"--noise is a label-flip probability in \[0, 1\], got 7.0"),
+        (["--noise", "-0.5"], r"--noise is a label-flip probability in \[0, 1\], got -0.5"),
+    ], ids=["zero_samples", "negative_samples", "noise_above_one", "negative_noise"])
+    def test_bad_size_rejected_before_anything_is_written(self, tmp_path, flags, match):
+        with pytest.raises(ContractError, match=match):
+            run(["synth", "--task", "xor", *flags, "--out", tmp_path / "out"])
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainCommand:
     def test_report_and_checkpoint(self, synth_dir, tmp_path):
@@ -272,9 +283,13 @@ class TestEvaluateCommand:
     (["--validation-fraction", "-1"], r"validation_fraction must be in \(0, 1\), got -1.0"),
     (["--validation-fraction", "0"], r"validation_fraction must be in \(0, 1\), got 0.0"),
     (["--recurrent-dropout", "1"], r"recurrent_dropout must be in \[0, 1\), got 1.0"),
+    (["--metadata-sizes", "8,x"], "--metadata-sizes item 'x' is not an integer"),
+    (["--workers", "0"], "--workers must be >= 1, got 0"),
+    (["--workers", "-1"], "--workers must be >= 1, got -1"),
 ], ids=["negative_lr", "zero_lr", "nan_lr", "zero_embed_dim", "zero_units", "zero_hidden",
         "one_fold", "negative_validation_fraction",
-        "zero_validation_fraction", "recurrent_dropout_of_one"])
+        "zero_validation_fraction", "recurrent_dropout_of_one", "non_integer_hidden",
+        "zero_workers", "negative_workers"])
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags, match):
     io = ["--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
@@ -285,10 +300,14 @@ def test_bad_configuration_rejected_before_data_is_read(tmp_path, command, flags
     assert not (tmp_path / "run").exists()
 
 
-def test_baseline_fold_count_rejected_before_data_is_read(tmp_path):
-    with pytest.raises(ContractError, match="cross-validation needs k >= 2 folds, got k=1"):
+@pytest.mark.parametrize("flags, match", [
+    (["--folds", "1"], "cross-validation needs k >= 2 folds, got k=1"),
+    (["--top-k", "0"], "top_k must be at least 1, got 0"),
+], ids=["one_fold", "zero_top_k"])
+def test_baseline_configuration_rejected_before_data_is_read(tmp_path, flags, match):
+    with pytest.raises(ContractError, match=match):
         run(["baseline", "--dataset", tmp_path / "missing.csv", "--schema", tmp_path / "missing.json",
-             "--folds", "1", "--out", tmp_path / "baseline.json"])
+             *flags, "--out", tmp_path / "baseline.json"])
     assert not (tmp_path / "baseline.json").exists()
 
 

@@ -664,8 +664,8 @@ class TestLoadedModel:
         embedded, distinct = [], []
         forward, distinct_of = model_mod.EmbeddingLayer.forward, model_mod.distinct_ids
         monkeypatch.setattr(model_mod.EmbeddingLayer, "forward",
-                            lambda self, token_ids, out=None: embedded.append(token_ids.tolist())
-                            or forward(self, token_ids, out=out))
+                            lambda self, token_ids: embedded.append(token_ids.tolist())
+                            or forward(self, token_ids))
         monkeypatch.setattr(model_mod, "distinct_ids",
                             lambda *args: distinct.append(1) or distinct_of(*args))
         got = clone.text_path.features(ids).data
@@ -810,7 +810,7 @@ class TestWorkspace:
             states, last = tp.gru.forward(tp.embedding.forward(ids), mask=mask)
             returned += [states.data, last.data, *(t.data for t in tp.attention.forward(states, mask))]
             work = list(tp._workspace.values())
-            assert len(work) == 2
+            assert len(work) == 1
             for a in returned:
                 assert not any(np.shares_memory(a, b) for b in work + previous)
             previous += returned
@@ -824,10 +824,13 @@ class TestWorkspace:
                 probs = m.forward(ids, None).data
                 assert probs.dtype == dt
                 assert probs.tobytes() == attention_model(46, dtype=dt).forward(ids, None).data.tobytes()
-        work32, work64 = (list(m.text_path._workspace.items()) for m in models.values())
-        assert {key[0] for key, _ in work32} == {np.dtype(np.float32)}
-        assert {key[0] for key, _ in work64} == {np.dtype(np.float64)}
-        assert not any(np.shares_memory(a, b) for _, a in work32 for _, b in work64)
+        # one buffer per dtype, holding the largest batch's states and score input
+        n = max(int(np.count_nonzero(ids)) for ids in batches)
+        for dt, m in models.items():
+            (key, buf), = m.text_path._workspace.items()
+            assert key == np.dtype(dt) and buf.dtype == dt and buf.size >= 2 * n * ATTENTION.units
+        work32, work64 = (list(m.text_path._workspace.values()) for m in models.values())
+        assert not any(np.shares_memory(a, b) for a in work32 for b in work64)
 
         # one path whose weights change dtype keeps a workspace per dtype
         m = models[np.float32]
@@ -835,7 +838,7 @@ class TestWorkspace:
             p.data = p.data.astype(np.float64)
         probs = m.forward(batches[0], None).data
         assert probs.tobytes() == models[np.float64].forward(batches[0], None).data.tobytes()
-        assert {key[0] for key in m.text_path._workspace} == {np.dtype(np.float32), np.dtype(np.float64)}
+        assert set(m.text_path._workspace) == {np.dtype(np.float32), np.dtype(np.float64)}
 
     def test_taped_forward_leaves_the_workspace_alone(self):
         rng = np.random.default_rng(47)

@@ -120,6 +120,31 @@ class TestSoftmax:
         np.testing.assert_array_equal(softmax(x), softmax(x))
 
 
+class TestCheckIndex:
+    @pytest.mark.parametrize("idx", [np.array([0.0, 1.0]), np.array([True]), np.array([], dtype=np.float32)],
+                             ids=["float", "bool", "empty_float"])
+    def test_non_integers_rejected(self, idx):
+        with pytest.raises(ContractError, match="row array must hold integers"):
+            T.check_index(idx, 4, "row")
+
+    @pytest.mark.parametrize("idx, bad", [
+        (np.array([[0, 3], [-2, 4]]), -2),
+        (np.array([1, 5, -1, 9]), 5),
+        (np.array([[3, 3], [3, 7]], dtype=np.int8), 7),
+        (np.array([2**40, -1]), 2**40),
+    ], ids=["negative", "first_of_two", "too_large", "first_of_huge"])
+    def test_names_the_first_offender_row_major(self, idx, bad):
+        with pytest.raises(IndexError, match=rf"^row {bad} out of range \[0, 4\)$"):
+            T.check_index(idx, 4, "row")
+
+    @pytest.mark.parametrize("idx", [np.array([], dtype=np.int64), np.zeros((2, 0), dtype=np.int32),
+                                     np.array([[0, 3], [1, 2]], dtype=np.uint8)],
+                             ids=["empty", "empty_2d", "in_range"])
+    def test_integer_ids_in_range_pass(self, idx):
+        T.check_index(idx, 4, "row")
+        T.check_index(idx[:0], 0, "row")  # nothing to index into an empty table
+
+
 class TestGatherRows:
     def test_first_row(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
