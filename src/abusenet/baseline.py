@@ -176,6 +176,8 @@ class NaiveBayes:
     def fit(self, matrix, labels: np.ndarray, n_classes: int | None = None) -> "NaiveBayes":
         matrix = _as_term_matrix(matrix)
         labels = np.asarray(labels)
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
         if len(labels) != matrix.shape[0]:
             raise ValueError(f"matrix has {matrix.shape[0]} rows but there are {len(labels)} labels")
         self.n_classes = int(labels.max()) + 1 if n_classes is None else n_classes

@@ -25,6 +25,7 @@ from .data import (
     EmptyDatasetError,
     SchemaError,
     attach_network_features,
+    check_synth_size,
     load_corpus,
     write_corpus,
 )
@@ -294,10 +295,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise ContractError(f"--samples must be >= 1, got {args.samples}")
-    if args.noise is not None and not 0.0 <= args.noise <= 1.0:
-        raise ContractError(f"--noise is a label-flip probability in [0, 1], got {args.noise}")
+    check_synth_size(args.samples, args.noise, names=("--samples", "--noise"))
     maker = SYNTH_TASKS[args.task]
     given = {"n": args.samples, "noise": args.noise, "seed": args.seed}
     # flags left out keep the task's own defaults

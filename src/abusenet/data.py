@@ -29,6 +29,7 @@ from .graph import (
     node_features,
     power_difference,
 )
+from .tensor import ContractError
 from .utils import derive_rng
 
 
@@ -244,12 +245,23 @@ def _filler_text(rng) -> list[str]:
     return [str(_FILLER[int(i)]) for i in rng.integers(0, len(_FILLER), size=n)]
 
 
+def check_synth_size(n: int | None, noise: float | None, names: tuple[str, str] = ("n", "noise")) -> None:
+    """Refuse a synthetic corpus of fewer than one row, or a label-flip
+    probability ``noise`` outside [0, 1], with a ContractError that calls
+    the two values ``names``; a value of None is not checked."""
+    if n is not None and n < 1:
+        raise ContractError(f"{names[0]} must be >= 1, got {n}")
+    if noise is not None and not 0.0 <= noise <= 1.0:
+        raise ContractError(f"{names[1]} is a label-flip probability in [0, 1], got {noise}")
+
+
 def synth_xor(n: int = 5000, noise: float = 0.0, seed: int = 0) -> Corpus:
     """Fusion task: label = XOR(text has trigger token, metadata > threshold).
 
     Both marginals are independent fair coins, so neither input alone can
     rank better than chance; only the interaction carries the label.
     """
+    check_synth_size(n, noise)
     rng = derive_rng(seed, "synth", "xor")
     ids, texts, labels, records = [], [], [], []
     for i in range(n):
@@ -290,6 +302,7 @@ def synth_groups(n: int = 3000, noise: float = 0.0, seed: int = 0) -> Corpus:
     gaussian, so every single-group model beats chance and the union beats
     each of them.
     """
+    check_synth_size(n, noise)
     rng = derive_rng(seed, "synth", "groups")
     ids, texts, labels, records = [], [], [], []
     for i in range(n):

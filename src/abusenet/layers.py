@@ -424,9 +424,24 @@ def _sigmoid(a: np.ndarray, into: tuple | None) -> tuple[np.ndarray, np.ndarray]
     return np.multiply(a[:, :k], 0.5, out=into[0]), np.multiply(a[:, k:], 0.5, out=into[1])
 
 
+# Packed rows per block of attention's score input: a multiple of 4, so
+# that each block starts where OpenBLAS's sgemv starts a group of 4 rows,
+# and 1 MB at 128 float32 units, so that a block stays in L2.
+SCORE_BLOCK = 2048
+
+
 class AttentionLayer:
     """Additive attention over GRU states: e_t = v . tanh(h_t W), softmax over
-    unmasked steps, output is the weighted state sum."""
+    unmasked steps, output is the weighted state sum.
+
+    The scores are computed ``SCORE_BLOCK`` packed rows at a time, in taped
+    and untaped calls alike, so both take them from the same BLAS calls.
+    At one BLAS thread a block gives the bits of one product over all rows:
+    OpenBLAS's sgemv rounds a row by its position modulo 4 within the call,
+    and every block starts at a multiple of 4. At more than one thread the
+    threads split each call's rows, so a batch of more than one block can
+    round differently from a single whole-batch product.
+    """
 
     def __init__(self, units: int, rng: np.random.Generator | None = None,
                  name: str = "attention", dtype=np.float32):
@@ -434,11 +449,12 @@ class AttentionLayer:
         self.units = units
         self.W_a = Parameter(f"{name}.W_a", glorot_uniform(rng, units, units, dtype=dtype))
         self.v_a = Parameter(f"{name}.v_a", glorot_uniform(rng, units, 1, shape=(units, 1), dtype=dtype))
+        self._blocks: dict[np.dtype, np.ndarray] = {}  # dtype -> [SCORE_BLOCK, units] untaped score input
 
     def parameters(self) -> list[Parameter]:
         return [self.W_a, self.v_a]
 
-    def forward(self, states: Tensor, mask: np.ndarray, out: np.ndarray | None = None):
+    def forward(self, states: Tensor, mask: np.ndarray):
         """Returns (context [b,units], weights [b,T]) as one tape op.
 
         ``states`` are the GRU's packed states [n live, units]: one row per
@@ -447,11 +463,11 @@ class AttentionLayer:
         padded ones get weight exactly 0, and a row with no live position
         gets a zero context. ``weights`` is a readout and takes no gradient.
 
-        The score input tanh(h_t W), one [units] row per live position, is
-        the largest array the forward makes. ``out``, an [n live, units]
-        array of the states' dtype, receives it; only a call that records
-        no tape may pass it, since backward reads it. Without it the score
-        input is a fresh array. Context and weights are always fresh.
+        The score input tanh(h_t W) has one [units] row per live position.
+        A call that records a tape keeps all n rows, which backward reads;
+        any other call reduces one block of them at a time to its scores,
+        in a block buffer per dtype that the layer keeps for the next call.
+        Context and weights are always fresh arrays.
         """
         mask = np.asarray(mask, dtype=bool)
         if states.data.ndim != 2 or mask.ndim != 2:
@@ -464,27 +480,34 @@ class AttentionLayer:
             raise ShapeError(f"attention mask has {per_row.sum()} live positions, states have {n} rows")
         W, v = self.W_a, self.v_a
         _check_dtypes(states, W, v)
-        if out is not None and active_tape() is not None and any(t.requires_grad for t in (states, W, v)):
-            raise ContractError("an attention call that records a tape keeps its scores in a fresh array, not in out")
+        taped = active_tape() is not None and any(t.requires_grad for t in (states, W, v))
         rows = np.flatnonzero(per_row)
         counts = per_row[rows]
         ends = np.cumsum(counts)
         starts = ends - counts
-        if out is None:
-            a = np.empty((n, u), dtype=states.dtype)
-        elif out.shape == (n, u) and out.dtype == states.dtype:
-            a = out
-        else:
-            raise ShapeError(f"attention score out must be an [n live, units]={(n, u)} "
-                             f"{states.dtype} array, got {out.shape} {out.dtype}")
         live = states.data
+        if taped:
+            a = np.empty((n, u), dtype=states.dtype)
+        elif states.dtype in self._blocks:
+            a = self._blocks[states.dtype]
+        else:
+            a = self._blocks[states.dtype] = np.empty((SCORE_BLOCK, u), dtype=states.dtype)
+        scores = np.empty((n, 1), dtype=states.dtype)
         # a non-finite live state is reported once, as a NumericError: tanh
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
         with np.errstate(invalid="ignore", over="ignore"):
-            np.matmul(live, W.data, out=a)
-            np.tanh(a, out=a)
-            e = (a @ v.data)[:, 0]
+            for lo in range(0, n, SCORE_BLOCK):
+                hi = min(lo + SCORE_BLOCK, n)
+                if hi - lo == 1 and lo:
+                    # numpy hands a one-row product to gemv, which rounds
+                    # unlike gemm: the 4 rows before it are scored again
+                    lo -= 4
+                block = a[lo:hi] if taped else a[:hi - lo]
+                np.matmul(live[lo:hi], W.data, out=block)
+                np.tanh(block, out=block)
+                np.matmul(block, v.data, out=scores[lo:hi])
+            e = scores[:, 0]
             if not np.isfinite(e).all():
                 raise NumericError("attention scores contain NaN or Inf")
             e -= np.repeat(np.maximum.reduceat(e, starts), counts)

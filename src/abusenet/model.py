@@ -69,14 +69,15 @@ class TextPath:
     steps with one live row, which the GRU multiplies itself, possibly
     none, and gathers no distinct ids.
 
-    With attention on, a forward with no tape active writes its two large
-    per-batch arrays into a workspace the path owns, so that scoring batch
-    after batch reuses the same memory instead of asking the allocator for
-    it again. Per dtype it is one flat buffer of ``2*n*units`` floats for
-    the batch's n live positions: the GRU's packed [n, units] states, then
-    attention's [n, units] score input. It fits the largest batch scored
-    so far: it grows to fit a larger batch and never shrinks, and it lives
-    as long as the path, so dropping the model is what frees it. Embedding
+    With attention on, a forward with no tape active writes the GRU's
+    packed [n, units] states, its largest per-batch array, into a workspace
+    the path owns, so that scoring batch after batch reuses the same memory
+    instead of asking the allocator for it again. Per dtype it is one flat
+    buffer of ``n*units`` floats for the batch's n live positions. It fits
+    the largest batch scored so far: it grows to fit a larger batch and
+    never shrinks, and it lives as long as the path, so dropping the model
+    is what frees it. Attention needs no [n, units] array of its own there:
+    it scores the states in blocks of ``layers.SCORE_BLOCK`` rows. Embedding
     rows are never workspace memory, nor is any array that ``features``
     returns. A taped forward, and any forward without attention, allocates
     its arrays afresh.
@@ -119,21 +120,21 @@ class TextPath:
         else:
             check_index(token_ids, self.embedding.vocab_size, "token id")
             ids, index = one_row_ids(token_ids, mask)
-        states_out = scores_out = None
+        states_out = None
         if untaped and self.attention is not None:
-            states_out, scores_out = self._workspace_views(mask)
+            states_out = self._workspace_states(mask)
         states, last = self.gru.forward(self.embedding.forward(ids), mask=mask,
                                         index=index, train=train and not self.frozen, rng=rng,
                                         projected=None if P is None else (P, token_ids),
                                         keep_states=self.attention is not None, out=states_out)
         if self.attention is not None:
-            context, _ = self.attention.forward(states, mask, out=scores_out)
+            context, _ = self.attention.forward(states, mask)
             return context
         return last
 
-    def _workspace_views(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One batch's views of the workspace: the GRU's packed states and
-        attention's score input, each [n live, units].
+    def _workspace_states(self, mask: np.ndarray) -> np.ndarray:
+        """One batch's view of the workspace: the GRU's packed states,
+        [n live, units].
 
         The buffer is an anonymous memory map, unmapped before a larger one
         is made: a buffer taken from the heap could leave its old pages
@@ -142,11 +143,10 @@ class TextPath:
         score-long. Dropping the path hands every page back."""
         n, u = int(np.count_nonzero(mask)), self.gru.units
         dtype = self.embedding.table.data.dtype
-        if dtype not in self._workspace or self._workspace[dtype].size < 2 * n * u:
+        if dtype not in self._workspace or self._workspace[dtype].size < n * u:
             self._workspace.pop(dtype, None)
-            self._workspace[dtype] = np.frombuffer(mmap.mmap(-1, max(2 * n * u, 1) * dtype.itemsize), dtype=dtype)
-        buf = self._workspace[dtype]
-        return buf[:n * u].reshape(n, u), buf[n * u:2 * n * u].reshape(n, u)
+            self._workspace[dtype] = np.frombuffer(mmap.mmap(-1, max(n * u, 1) * dtype.itemsize), dtype=dtype)
+        return self._workspace[dtype][:n * u].reshape(n, u)
 
     def projected_table(self) -> np.ndarray | None:
         """``gru.project`` of the whole table, or None (and the kept one

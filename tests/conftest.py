@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Pieces the exactness fuzz concatenates. Whitespace appears several times so
 # that texts split into many chunks; the Unicode pieces are the ones where
@@ -35,3 +41,20 @@ def fuzz_texts() -> list[str]:
 def all_code_points() -> str:
     """Every code point, surrogates included, in order."""
     return "".join(map(chr, range(0x110000)))
+
+
+@pytest.fixture(scope="session")
+def run_snippet():
+    """Runs a Python snippet in a fresh interpreter that imports the package
+    from src/, under OPENBLAS_NUM_THREADS=``blas_threads`` (OpenBLAS reads
+    it once, when numpy loads, so a thread count needs its own process);
+    returns the snippet's stdout and fails the test if it exits non-zero."""
+
+    def run(snippet: str, blas_threads: int = 1) -> str:
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(blas_threads)}
+        done = subprocess.run([sys.executable, "-c", snippet], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run

@@ -248,6 +248,11 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="3 rows but there are 2 labels"):
             nb_fit(np.ones((3, 2)), np.array([0, 1]))
 
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([False, True])])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        with pytest.raises(ValueError, match=f"labels must be integers, got {labels.dtype}"):
+            nb_fit(np.eye(2), labels)
+
     @pytest.mark.parametrize("bad", [2, -1])
     def test_label_outside_classes_rejected(self, bad):
         with pytest.raises(ValueError, match=rf"label {bad} outside \[0, 2\) at row 2"):

@@ -72,6 +72,17 @@ class TestSynth:
         noisy = synth_xor(n=500, seed=3, noise=0.3)
         assert (clean.labels != noisy.labels).mean() == pytest.approx(0.3, abs=0.08)
 
+    @pytest.mark.parametrize("maker", [synth_xor, synth_groups], ids=["xor", "groups"])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"n": -3}, "n must be >= 1, got -3"),
+        ({"n": 5, "noise": 7.0}, r"noise is a label-flip probability in \[0, 1\], got 7.0"),
+        ({"n": 5, "noise": -0.5}, r"noise is a label-flip probability in \[0, 1\], got -0.5"),
+    ], ids=["zero_rows", "negative_rows", "noise_above_one", "negative_noise"])
+    def test_maker_refuses_bad_size_or_noise(self, maker, kwargs, match):
+        with pytest.raises(ContractError, match=match):
+            maker(**kwargs)
+
     def test_groups_each_group_correlates(self):
         corpus = synth_groups(n=1500, seed=2)
         y = corpus.labels

@@ -1,4 +1,5 @@
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from abusenet import tensor as T
 from abusenet.layers import (
+    SCORE_BLOCK,
     AttentionLayer,
     BatchNormLayer,
     DenseLayer,
@@ -880,23 +882,79 @@ class TestAttention:
 
     def test_warm_untaped_forward_allocates_less_than_dense_states(self):
         # the forward reads the packed states where they are: it makes no
-        # [b, T, units] array, nor a gathered copy of the live states
+        # [b, T, units] array, nor a gathered copy of the live states, nor
+        # an [n, units] score input
         att = AttentionLayer(128, rng=np.random.default_rng(25))
         rng = np.random.default_rng(26)
         b, steps = 64, 60
         mask = np.arange(steps)[None, :] >= rng.integers(0, steps // 2, size=b)[:, None]
         states = packed(rng.normal(size=(b, steps, 128)).astype(np.float32), mask)
-        out = np.empty((int(mask.sum()), 128), dtype=np.float32)
-        att.forward(states, mask, out=out)  # warm-up
+        att.forward(states, mask)  # warm-up
         tracemalloc.start()
         try:
-            att.forward(states, mask, out=out)
+            att.forward(states, mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         dense = b * steps * 128 * 4
+        scores_in = int(mask.sum()) * 128 * 4
         assert peak < dense, f"peak {peak} bytes, one [b, T, units] array {dense}"
-        assert peak < out.nbytes, f"peak {peak} bytes, one [n, units] array {out.nbytes}"
+        assert peak < scores_in, f"peak {peak} bytes, one [n, units] array {scores_in}"
+
+    def test_blocked_scores_equal_one_product_bitwise_at_one_blas_thread(self, run_snippet):
+        # below, at and above the block size, with a last block of one row
+        # and one of several; the scores are compared through the weights,
+        # each a function of its row's scores alone
+        out = run_snippet(textwrap.dedent("""
+            import numpy as np
+            from abusenet.layers import SCORE_BLOCK, AttentionLayer
+            from abusenet.tensor import Tape, Tensor
+
+            for dtype in (np.float32, np.float64):
+                att = AttentionLayer(128, rng=np.random.default_rng(30), dtype=dtype)
+                rng = np.random.default_rng(31)
+                for n in (SCORE_BLOCK - 3, SCORE_BLOCK, SCORE_BLOCK + 1, 2 * SCORE_BLOCK + 6):
+                    counts = np.full(40, n // 40)
+                    counts[:n % 40] += 1
+                    counts = np.insert(counts, 7, 0)  # an all-padded row
+                    steps = int(counts.max())
+                    mask = np.arange(steps)[None, :] >= (steps - counts)[:, None]
+                    live = rng.normal(size=(n, 128)).astype(dtype)
+                    e = (np.tanh(live @ att.W_a.data) @ att.v_a.data)[:, 0]
+                    ends = np.cumsum(counts)
+                    starts = (ends - counts)[counts > 0]
+                    e -= np.repeat(np.maximum.reduceat(e, starts), counts[counts > 0])
+                    w = np.exp(e)
+                    w /= np.repeat(np.add.reduceat(w, starts), counts[counts > 0])
+                    weights = np.zeros(mask.shape, dtype=dtype)
+                    weights[mask] = w
+                    context = np.zeros((len(counts), 128), dtype=dtype)
+                    for i, (lo, hi) in enumerate(zip(ends - counts, ends)):
+                        if hi > lo:
+                            context[i] = w[lo:hi] @ live[lo:hi]
+                    got, got_weights = att.forward(Tensor(live), mask)
+                    with Tape():
+                        recorded, _ = att.forward(Tensor(live, requires_grad=True), mask)
+                    print(np.dtype(dtype).name, n - SCORE_BLOCK,
+                          got_weights.data.tobytes() == weights.tobytes(),
+                          got.data.tobytes() == context.tobytes(),
+                          recorded.data.tobytes() == context.tobytes())
+        """))
+        assert out.splitlines() == [f"{dt} {k} True True True" for dt in ("float32", "float64")
+                                    for k in (-3, 0, 1, SCORE_BLOCK + 6)]
+
+    def test_taped_and_untaped_contexts_are_equal_bitwise_above_the_block(self):
+        # at the default BLAS thread count: both calls score in the same blocks
+        att = AttentionLayer(128, rng=np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        mask = rng.random((6, SCORE_BLOCK // 2)) < 0.9
+        live = rng.normal(size=(int(mask.sum()), 128)).astype(np.float32)
+        assert len(live) > 2 * SCORE_BLOCK and len(live) % SCORE_BLOCK
+        context, weights = att.forward(Tensor(live), mask)
+        with Tape():
+            recorded, recorded_weights = att.forward(Tensor(live, requires_grad=True), mask)
+        assert recorded.data.tobytes() == context.data.tobytes()
+        assert recorded_weights.data.tobytes() == weights.data.tobytes()
 
     def test_records_one_tape_op(self):
         att = AttentionLayer(3, rng=np.random.default_rng(18))
@@ -937,31 +995,26 @@ class TestAttention:
         tape.backward(loss)
         assert states.grad.shape == (int(mask.sum()), 3)  # one row per live position, padded ones have none
 
+    def test_consecutive_untaped_forwards_give_a_fresh_layers_bits(self):
+        # the layer keeps its score block from call to call, over batches
+        # of fewer and of more rows than one block; nothing it returns
+        # lives there
+        rng = np.random.default_rng(21)
+        masks = [mask_of(rows) for rows in ATTENTION_MASKS.values()]
+        masks.insert(1, rng.random((5, SCORE_BLOCK // 2)) < 0.9)
+        att = AttentionLayer(3, rng=np.random.default_rng(22))
+        returned = []
+        for mask in masks:
+            states = packed(rng.normal(size=(*mask.shape, 3)).astype(np.float32), mask)
+            got = [t.data for t in att.forward(states, mask)]
+            fresh = AttentionLayer(3, rng=np.random.default_rng(22)).forward(states, mask)
+            assert [a.tobytes() for a in got] == [t.data.tobytes() for t in fresh]
+            returned += got
+        blocks = list(att._blocks.values())
+        assert len(blocks) == 1
+        for i, a in enumerate(returned):
+            assert not any(np.shares_memory(a, b) for b in blocks + returned[:i] + returned[i + 1:])
 
-    @pytest.mark.parametrize("rows", ATTENTION_MASKS.values(), ids=ATTENTION_MASKS.keys())
-    def test_scores_written_into_out_give_fresh_outputs_bitwise(self, rows):
-        mask = mask_of(rows)
-        att = AttentionLayer(3, rng=np.random.default_rng(21))
-        states = packed(np.random.default_rng(22).normal(size=(*mask.shape, 3)).astype(np.float32), mask)
-        context, weights = att.forward(states, mask)
-        out = np.full((int(mask.sum()), 3), np.nan, dtype=np.float32)  # what a reused buffer held before
-        context_out, weights_out = att.forward(states, mask, out=out)
-        assert context_out.data.tobytes() == context.data.tobytes()
-        assert weights_out.data.tobytes() == weights.data.tobytes()
-        for a in (context_out.data, weights_out.data):
-            assert not any(np.shares_memory(a, b) for b in (out, states.data, context.data, weights.data))
-
-    def test_out_refused_unless_it_fits_an_untaped_call(self):
-        att = AttentionLayer(2, rng=np.random.default_rng(23), dtype=np.float64)
-        mask = mask_of(ATTENTION_MASKS["interior_gaps"])
-        states = packed(np.random.default_rng(24).normal(size=(*mask.shape, 2)), mask)
-        out = np.zeros((int(mask.sum()), 2))
-        with Tape(), pytest.raises(ContractError, match="fresh array"):
-            att.forward(states, mask, out=out)
-        for bad in (out[1:], out.astype(np.float32)):
-            with pytest.raises(ShapeError, match="score out"):
-                att.forward(states, mask, out=bad)
-        assert not out.any()
 
 class TestDense:
     def test_affine_grad_check_tight(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from abusenet import model as model_mod
-from abusenet.layers import DenseLayer, EmbeddingLayer, GRULayer
+from abusenet.layers import SCORE_BLOCK, DenseLayer, EmbeddingLayer, GRULayer
 from abusenet.model import (
     CheckpointMeta,
     ModelConfig,
@@ -809,8 +809,8 @@ class TestWorkspace:
             returned = [tp.features(ids).data, loaded.forward(ids, None).data]
             states, last = tp.gru.forward(tp.embedding.forward(ids), mask=mask)
             returned += [states.data, last.data, *(t.data for t in tp.attention.forward(states, mask))]
-            work = list(tp._workspace.values())
-            assert len(work) == 1
+            work = list(tp._workspace.values()) + list(tp.attention._blocks.values())
+            assert len(work) == 2
             for a in returned:
                 assert not any(np.shares_memory(a, b) for b in work + previous)
             previous += returned
@@ -824,11 +824,14 @@ class TestWorkspace:
                 probs = m.forward(ids, None).data
                 assert probs.dtype == dt
                 assert probs.tobytes() == attention_model(46, dtype=dt).forward(ids, None).data.tobytes()
-        # one buffer per dtype, holding the largest batch's states and score input
+        # one buffer per dtype, holding the largest batch's packed states;
+        # attention keeps one score block per dtype of its own
         n = max(int(np.count_nonzero(ids)) for ids in batches)
         for dt, m in models.items():
             (key, buf), = m.text_path._workspace.items()
-            assert key == np.dtype(dt) and buf.dtype == dt and buf.size >= 2 * n * ATTENTION.units
+            assert key == np.dtype(dt) and buf.dtype == dt and buf.size == n * ATTENTION.units
+            (key, block), = m.text_path.attention._blocks.items()
+            assert key == np.dtype(dt) and block.dtype == dt and block.shape == (SCORE_BLOCK, ATTENTION.units)
         work32, work64 = (list(m.text_path._workspace.values()) for m in models.values())
         assert not any(np.shares_memory(a, b) for a in work32 for b in work64)
 
@@ -853,7 +856,7 @@ class TestWorkspace:
 
         fresh = attention_model(49)
         expected = train_step(fresh)
-        assert fresh.text_path._workspace == {}
+        assert fresh.text_path._workspace == {} and fresh.text_path.attention._blocks == {}
 
         m = attention_model(49)
         m.forward(text_batch(rng, 20, 14), None)  # a larger batch fills the workspace first
