@@ -41,12 +41,14 @@ from .evaluation import (
     cv_folds,
     encode_fold,
     encode_for_checkpoint,
+    fold_block_cap,
     fold_split,
     run_ablation,
     run_cv,
 )
 from .features import ConfigurationError, NonFiniteFeatureError, mask_name, parse_mask
 from .graph import DegenerateGraphError, SocialGraph
+from .layers import blas_name, blas_thread_setting, cpu_count
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
@@ -164,6 +166,15 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
     }
 
 
+def _environment(workers: int) -> dict:
+    """What decided whether the GRU ran blocks of rows on threads of their
+    own (``layers.recurrence_blocks``); the bits do not depend on it."""
+    name, value = blas_thread_setting() or (None, None)
+    return {"numpy": np.__version__, "blas": blas_name(), "blas_thread_variable": name,
+            "blas_thread_value": value, "cpus": cpu_count(),
+            "block_cap": fold_block_cap(workers)}
+
+
 def cmd_train(args) -> int:
     training, model_cfg = _configs(args)
     mask = parse_mask(args.mask)
@@ -204,6 +215,7 @@ def cmd_train(args) -> int:
             "trainable_excluding_embeddings": parameter_count(model, include_embeddings=False),
         },
         "checkpoint": str(ckpt_path),
+        "environment": _environment(args.workers),
         "timing": {"cv_seconds": cv_seconds, "final_fit_seconds": fit_seconds},
     }
     _write_json(out_dir / "report.json", payload)
@@ -251,6 +263,7 @@ def cmd_ablate(args) -> int:
         "command": "ablate",
         "config": _echo_config(args, training, model_cfg),
         "rows": rows,
+        "environment": _environment(args.workers),
         "timing": {"seconds": time.monotonic() - t0},
     }
     if args.out:

@@ -21,6 +21,7 @@ import numpy as np
 from . import text as text_mod
 from .data import Corpus, EmptyDatasetError, SchemaError
 from .features import MASK_GROUPS, FeaturePipeline, assemble, mask_columns, mask_name, parse_mask, parsed_columns
+from .layers import block_cap, cpu_count, set_block_cap
 from .metrics import UndefinedMetricError, prf1, roc_auc
 from .model import CheckpointMeta, ModelConfig, build_combined, build_metadata_path, build_text_path
 from .tensor import ContractError
@@ -256,6 +257,19 @@ def _run_fold(args) -> tuple[int, dict]:
     return fold_id, evaluate_model(model, test, config.batch_size)
 
 
+def fold_block_cap(workers: int) -> int:
+    """The most blocks a fold's untaped GRU recurrence runs as when
+    ``workers`` folds run at once: with more than one, each fold process
+    gets its share of the CPUs, at least one."""
+    return max(1, cpu_count() // workers) if workers > 1 else block_cap()
+
+
+def fold_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of ``workers`` fold processes, each capped at ``fold_block_cap``."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=set_block_cap,
+                               initargs=(fold_block_cap(workers),))
+
+
 def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None = None,
            mask=DEFAULT_MASK, n_folds: int = DEFAULT_FOLDS, vectors=None,
            workers: int = 1) -> MetricsReport:
@@ -274,7 +288,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with fold_pool(workers) as pool:
             results = list(pool.map(_run_fold, jobs))
     else:
         results = [_run_fold(j) for j in jobs]

@@ -1,12 +1,17 @@
 """Neural layers: word embedding, GRU, additive attention, dense, batch norm.
 
 Layers own Parameters and record each forward call as one fused tape op
-(the GRU adds a second for its last-state readout); a layer instance is
-single-threaded. Weight init is Glorot-uniform with zero biases, drawn from a
-caller-supplied numpy Generator so builds are reproducible.
+(the GRU adds a second for its last-state readout). A layer instance is
+called from one thread at a time; a GRU call with no tape active may run
+blocks of its rows on threads of its own, all joined before it returns.
+Weight init is Glorot-uniform with zero biases, drawn from a caller-supplied
+numpy Generator so builds are reproducible.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -163,6 +168,14 @@ class GRULayer:
         instead of projecting ``x``, and reads ``x`` only at its one-row
         steps, which multiply their own row; ``x`` need hold only those rows.
         A call that records ignores ``projected``.
+
+        A call with no tape active may split the batch into contiguous
+        blocks of rows with about equal live-position counts and run each
+        block's steps on its own thread, block 0 on the calling thread, in
+        a pool made for the call and joined before it returns. It splits
+        only when numpy's BLAS is OpenBLAS pinned to one thread and each
+        block holds at least ``MIN_BLOCK_CELLS`` rows x units
+        (``recurrence_blocks``). The result has the same bits either way.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -241,6 +254,13 @@ class GRULayer:
         place on it: passes over a column view of the projection cost 2-4x,
         and IEEE addition commutes, so the bits are those of adding the
         product into the view.
+        With no tape active the rows may run as contiguous blocks, each on
+        its own thread (``recurrence_blocks`` decides how many). A block's
+        live positions are one contiguous slice of the packed states, and a
+        row's bits do not depend on its block: every index is checked and P
+        is made before the split, and a step multiplies by gemv only where
+        the whole batch has one live row. A block with one live row at a
+        step where the batch has more multiplies it as a gemm row.
         When a tape records the op, the live rows' inputs, gates and products
         are kept packed time-major, z and r in their own [n, u] buffers so
         that backward's per-step arithmetic reads contiguous rows; h * drop,
@@ -264,78 +284,103 @@ class GRULayer:
         bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
         U_h = self.U_h.data
-        record = active_tape() is not None and any(t.requires_grad for t in inputs)
+        untaped = active_tape() is None
+        record = not untaped and any(t.requires_grad for t in inputs)
         if record and out is not None:
             raise ContractError("a gru call that records a tape keeps its states in a fresh array, not in out")
-        # live (mask True) positions in time-major order; step t's live rows
-        # are live_b[start[t]:start[t + 1]], its slice of the time-major
-        # buffers, and pos gives each one's packed (batch-major) state row
-        live_t, live_b = np.nonzero(mask.T)
-        start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
-        n = live_b.size
-        pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t] if keep_states else None
         if projected is not None and not record:
-            P, rows_of = projected
-            rows_of = np.asarray(rows_of)
-            if rows_of.shape != mask.shape:
-                raise ShapeError(f"gru projected rows {rows_of.shape} do not match the mask {mask.shape}")
-            src_p = rows_of[live_b, live_t]  # the P row each live position reads
+            P, p_of = projected  # p_of: the P row each position reads
+            p_of = np.asarray(p_of)
+            if p_of.shape != mask.shape:
+                raise ShapeError(f"gru projected rows {p_of.shape} do not match the mask {mask.shape}")
+        else:
+            P, p_of = None, index
+        # live positions of the whole batch in time-major order; step t's
+        # live rows are live_b[start[t]:start[t + 1]], its slice of the
+        # time-major buffers, src_p gives each one's row of P and pos its
+        # packed (batch-major) state row
+        whole = live_t, live_b, start, src_p, pos = _live_order(mask, p_of, keep_states)
+        n = live_b.size
+        if P is None:
+            check_index(src_p, rows.shape[0], "gru input row")
+            P = self.project(rows)
+        else:
             check_index(src_p, P.shape[0], "gru projected table row")
             one = [lo for lo, hi in zip(start, start[1:]) if hi - lo == 1]
-            src = None
             check_index(index[live_b[one], live_t[one]], rows.shape[0], "gru input row")
-        else:
-            src = index[live_b, live_t]  # the input row each live position reads
-            check_index(src, rows.shape[0], "gru input row")
-            P, src_p = self.project(rows), src
+        by_gemv = [hi - lo == 1 for lo, hi in zip(start, start[1:])]  # the batch's one-row steps
 
         states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
         if record:
-            x_all = rows[src]
+            x_all = rows[src_p]
             z_all = np.empty((n, u), dtype=x.dtype)
             r_all = np.empty((n, u), dtype=x.dtype)
             c_all = np.empty((n, u), dtype=x.dtype)
             ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
-        h = h0.data.copy()
-        for t in range(steps):
-            lo, hi = start[t], start[t + 1]
-            if lo == hi:
-                continue
-            if hi - lo == b:
-                sel, h_t, drop_t = None, h, drop
+
+        def run(r0: int, r1: int) -> np.ndarray:
+            """Rows r0:r1 through every step; returns their last state."""
+            if (r0, r1) == (0, b):
+                _, live_b, start, src_p, pos = whole
+                kept = states
             else:
-                sel = live_b[lo:hi]
-                h_t = h[sel]
-                drop_t = None if drop is None else drop[sel]
-            if hi - lo > 1:
-                a = P[src_p[lo:hi]]
-            else:  # by gemv, as numpy computes a one-row product
-                a = rows[index[live_b[lo:hi], t]] @ W
-                a += bias
-            if drop_t is not None:
-                hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
-            else:
-                hm = h_t
-                if record:
-                    hm_all[lo:hi] = h_t
-            zr = hm @ U_zr
-            zr += a[:, :2 * u]
-            z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
-            rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
-            c = np.matmul(rh, U_h, out=c_all[lo:hi] if record else None)
-            c += a[:, 2 * u:]
-            np.tanh(c, out=c)
-            ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
-            h_new = np.multiply(ch, z, out=None if record else c)  # reuse c: a fresh array cost 4% at score-long
-            h_new += h_t
-            if sel is None:
-                h = h_new
-            else:
-                h[sel] = h_new  # padded rows keep h exactly
-            if keep_states:
-                states[pos[lo:hi]] = h_new
+                _, live_b, start, src_p, pos = _live_order(mask[r0:r1], p_of[r0:r1], keep_states)
+                first = int(np.count_nonzero(mask[:r0]))
+                kept = states[first:first + live_b.size] if keep_states else None
+            h = h0.data[r0:r1].copy()
+            drop_b, index_b = None if drop is None else drop[r0:r1], index[r0:r1]
+            for t in range(steps):
+                lo, hi = start[t], start[t + 1]
+                if lo == hi:
+                    continue
+                if hi - lo == r1 - r0:
+                    sel, h_t, drop_t = None, h, drop_b
+                else:
+                    sel = live_b[lo:hi]
+                    h_t = h[sel]
+                    drop_t = None if drop_b is None else drop_b[sel]
+                if by_gemv[t]:  # by gemv, as numpy computes a one-row product
+                    a = rows[index_b[live_b[lo:hi], t]] @ W
+                    a += bias
+                    matmul = np.matmul
+                else:
+                    a = P[src_p[lo:hi]]
+                    matmul = _gemm_rows if hi - lo == 1 else np.matmul
+                if drop_t is not None:
+                    hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
+                else:
+                    hm = h_t
+                    if record:
+                        hm_all[lo:hi] = h_t
+                zr = matmul(hm, U_zr)
+                zr += a[:, :2 * u]
+                z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
+                rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
+                c = np.matmul(rh, U_h, out=c_all[lo:hi]) if record else matmul(rh, U_h)
+                c += a[:, 2 * u:]
+                np.tanh(c, out=c)
+                ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
+                h_new = np.multiply(ch, z, out=None if record else c)  # reuse c: a fresh array cost 4% at score-long
+                h_new += h_t
+                if sel is None:
+                    h = h_new
+                else:
+                    h[sel] = h_new  # padded rows keep h exactly
+                if keep_states:
+                    kept[pos[lo:hi]] = h_new
+            return h
+
+        bounds = row_blocks(mask, u) if untaped else [0, b]
+        if len(bounds) == 2:
+            h = run(0, b)
+        else:
+            # block 0 runs here; leaving the pool joins its threads, also
+            # when block 0 raises
+            with ThreadPoolExecutor(max_workers=len(bounds) - 2) as pool:
+                rest = [pool.submit(run, r0, r1) for r0, r1 in zip(bounds[1:-1], bounds[2:])]
+                h = np.concatenate([run(bounds[0], bounds[1])] + [f.result() for f in rest])
 
         used = False
 
@@ -386,7 +431,7 @@ class GRULayer:
                 packed[live_t, live_b] = np.arange(n)
                 bm = packed.T[mask]  # packed positions, batch-major
                 dx = np.zeros(x.shape, dtype=g.dtype)
-                _scatter_add_rows(dx.reshape(-1, d), src[bm], da @ W.T, row_map=bm)
+                _scatter_add_rows(dx.reshape(-1, d), src_p[bm], da @ W.T, row_map=bm)
                 _accum(x, dx, owned=True)
             dW = x_all.T @ da
             db = da.sum(axis=0)
@@ -400,6 +445,97 @@ class GRULayer:
             _accum(self.U_h, rh_all.T @ da[:, 2 * u:])
 
         return op_output(states if keep_states else h, inputs, back)
+
+
+def _live_order(mask: np.ndarray, p_of: np.ndarray, keep_states: bool) -> tuple:
+    """(live_t, live_b, start, src_p, pos) of a [b, T] mask's live positions
+    in time-major order: step t's are live_b[start[t]:start[t + 1]], src_p
+    is each one's entry of ``p_of`` and pos its packed (batch-major) state
+    row, None without ``keep_states``."""
+    b, steps = mask.shape
+    live_t, live_b = np.nonzero(mask.T)
+    start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
+    pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t] if keep_states else None
+    return live_t, live_b, start, p_of[live_b, live_t], pos
+
+
+# The fewest rows x units a block of an untaped GRU recurrence takes to its
+# own thread. Timed at one BLAS thread on a shared 2-CPU x86_64 VM (T 106,
+# lengths uniform in [35, 106], gate inputs from a projected table), two
+# blocks of 8192-16384 cells were slower than one (2048 x 16: 44.6 -> 52.6
+# ms, 1024 x 32: 35.1 -> 41.3 ms, 128 x 128: 21.3 -> 29.6 ms) but at 256 x
+# 128, 7% faster (42.0 -> 38.9 ms), while two blocks of 24576 cells or
+# more were faster at every width tried (384 x 128: 62.8 -> 44.3 ms, 512 x
+# 128: 83.5 -> 59.9 ms, 1536 x 32: 75.1 -> 58.2 ms, 3072 x 16: 93.0 -> 68.8
+# ms). Below that a block's per-step numpy calls, which hold the
+# interpreter lock, cost more than its share of the products saves.
+MIN_BLOCK_CELLS = 192 * 128
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+_block_cap: int | None = None  # set_block_cap's cap; None: the CPU count
+
+
+def set_block_cap(cap: int | None) -> None:
+    """Caps the blocks this process's untaped GRU recurrences split into
+    (None: the CPU count). Cross-validation runs it in each fold process,
+    so that the folds' threads together do not outnumber the CPUs."""
+    global _block_cap
+    _block_cap = cap
+
+
+def blas_thread_setting() -> tuple[str, str] | None:
+    """The first of the variables OpenBLAS reads its thread count from
+    that is set, with its value; None when none is."""
+    for name in BLAS_THREAD_VARIABLES:
+        if name in os.environ:
+            return name, os.environ[name]
+    return None
+
+
+def blas_name() -> str:
+    """The name numpy's build gives its BLAS, as ``np.__config__`` records it."""
+    return np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name") or "unknown"
+
+
+def cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def block_cap() -> int:
+    """The most blocks an untaped GRU recurrence runs as in this process."""
+    cpus = cpu_count()
+    return cpus if _block_cap is None else min(_block_cap, cpus)
+
+
+def recurrence_blocks(rows: int, units: int) -> int:
+    """How many blocks of rows, each on its own thread, an untaped GRU
+    recurrence over ``rows`` rows of ``units`` runs as: as many as hold
+    ``MIN_BLOCK_CELLS`` rows x units each, up to ``block_cap``, but one
+    unless numpy's BLAS is OpenBLAS pinned to one thread (the first of
+    ``BLAS_THREAD_VARIABLES`` that is set reads 1). With more BLAS threads
+    each product already runs on every CPU, and a split only adds calls."""
+    most = rows * units // MIN_BLOCK_CELLS
+    if most < 2 or "openblas" not in blas_name().lower():
+        return 1
+    setting = blas_thread_setting()
+    if setting is None or setting[1] != "1":
+        return 1
+    return max(1, min(most, block_cap()))
+
+
+def row_blocks(mask: np.ndarray, units: int) -> list[int]:
+    """Bounds [0, ..., b] of the contiguous row blocks an untaped GRU
+    recurrence over a [b, T] mask runs as, with about equal live (mask
+    True) position counts; [0, b] is one block."""
+    b = mask.shape[0]
+    k = recurrence_blocks(b, units)
+    if k == 1:
+        return [0, b]
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    cuts = np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1
+    return sorted({0, *cuts.tolist(), b})
 
 
 def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from abusenet.cli import _configs, build_parser, main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus, synth_groups, write_corpus
 from abusenet.evaluation import build_and_fit, encode_fold
 from abusenet.features import ConfigurationError
+from abusenet.layers import BLAS_THREAD_VARIABLES, blas_name
 from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
 from abusenet.text import load_embeddings
@@ -103,6 +104,18 @@ class TestTrainCommand:
         assert report["config"]["training"]["strategy"] == "naive"
         assert (out / "model.ckpt").exists()
         assert report["parameter_count"]["trainable"] > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_records_what_decides_the_gru_split(self, synth_dir, tmp_path, monkeypatch, workers):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("GOTO_NUM_THREADS", "3")
+        out = tmp_path / "run"
+        assert run(train_args(synth_dir, out) + ["--workers", workers]) == 0
+        cpus = len(os.sched_getaffinity(0))
+        assert json.loads((out / "report.json").read_text())["environment"] == {
+            "numpy": np.__version__, "blas": blas_name(), "blas_thread_variable": "GOTO_NUM_THREADS",
+            "blas_thread_value": "3", "cpus": cpus, "block_cap": max(1, cpus // workers)}
 
     def test_interleaved_strategy_report(self, synth_dir, tmp_path):
         out = tmp_path / "inter"
@@ -548,6 +561,7 @@ class TestAblateCommand:
         assert aucs == sorted(aucs)
         assert len(payload["rows"]) == 2
         assert "mask" not in payload["config"]  # each row carries its own
+        assert payload["environment"]["block_cap"] == len(os.sched_getaffinity(0))
 
     def test_mask_flag_refused(self, synth_dir, tmp_path, capsys):
         # ablate runs the masks of --masks; a --mask it would ignore is a usage error

@@ -1,9 +1,11 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
 from abusenet import data as data_mod
+from abusenet import layers
 from abusenet.data import (
     Corpus,
     SchemaError,
@@ -20,6 +22,7 @@ from abusenet.evaluation import (
     cv_folds,
     encode_fold,
     encode_for_checkpoint,
+    fold_pool,
     run_ablation,
     run_cv,
     stratified_kfold,
@@ -564,6 +567,19 @@ class TestMulticlass:
 
 
 class TestWorkers:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fold_processes_share_out_the_cpus(self, monkeypatch, workers):
+        # each fold process runs at most its share of the CPUs as GRU row
+        # blocks, so k folds' threads together do not outnumber the CPUs
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cpus = len(os.sched_getaffinity(0))
+        share = max(1, cpus // workers)
+        with fold_pool(workers) as pool:
+            assert pool.submit(layers.block_cap).result(timeout=120) == share
+            blocks = pool.submit(layers.recurrence_blocks, 64 * cpus, layers.MIN_BLOCK_CELLS).result(timeout=120)
+        assert blocks == min(share, layers.recurrence_blocks(64 * cpus, layers.MIN_BLOCK_CELLS))
+        assert layers.block_cap() == cpus  # this process keeps its own cap
+
     def test_parallel_folds_match_serial(self):
         corpus = synth_groups(n=140, seed=15)
         serial = run_cv(corpus, tiny_config(seed=3), TINY_MODEL, mask="UF",

@@ -1,10 +1,15 @@
+import json
 import math
+import os
+import sys
 import textwrap
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from abusenet import layers
 from abusenet import tensor as T
 from abusenet.layers import (
     SCORE_BLOCK,
@@ -699,6 +704,228 @@ class TestGRU:
             with pytest.raises(ShapeError, match="states out"):
                 gru.forward(Tensor(rows), mask=mask, index=index, out=bad, **kwargs)
         assert not out.any()
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``blocks(k, rows, units)`` makes an untaped GRU recurrence over
+    ``rows`` rows of ``units`` split into ``k`` blocks: OpenBLAS pinned to
+    one thread, k CPUs, and ``MIN_BLOCK_CELLS`` a k-th of its cells."""
+
+    def force(k, rows, units):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(layers, "_block_cap", None)
+        monkeypatch.setattr(layers, "MIN_BLOCK_CELLS", rows * units // k if k > 1 else rows * units + 1)
+
+    return force
+
+
+def split_case(b=16, steps=20, seed=70):
+    """A left-padded [b, T] mask whose longest row is the last one, alone
+    live at step 0, and whose second longest is row 0: at step 1 the
+    batch has two live rows, in the first and the last block."""
+    lengths = np.random.default_rng(seed).integers(3, steps - 1, size=b)
+    lengths[-1], lengths[0] = steps, steps - 1
+    return np.arange(steps)[None, :] >= (steps - lengths)[:, None]
+
+
+class TestGRUBlocks:
+    """An untaped GRU call split into row blocks on threads gives the bits
+    of the unsplit call."""
+
+    @pytest.mark.parametrize("form", ["index", "projected"])
+    @pytest.mark.parametrize("keep_states", [True, False], ids=["states", "last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_block_count_gives_the_unsplit_bits(self, blocks, dtype, keep_states, form):
+        mask = split_case()
+        b, steps = mask.shape
+        d, u = 48, 64
+        gru = make_gru(d, u, dtype=dtype, seed=71)
+        rows, index, _ = index_case(mask, 30, d, seed=72, dtype=dtype)
+        h0 = Tensor(np.random.default_rng(73).normal(size=(b, u)).astype(dtype))
+        kwargs = dict(mask=mask, h0=h0, index=index, keep_states=keep_states)
+        if form == "projected":  # the gate inputs by table row; x holds the one-row steps' rows
+            kwargs["projected"] = (gru.project(rows), index)
+            kwargs["index"] = one_row_ids(index, mask)[1]
+            rows = rows[one_row_ids(index, mask)[0]]
+        results = {}
+        for k in (1, 2, 3, 4):
+            blocks(k, b, u)
+            bounds = layers.row_blocks(mask, u)
+            assert len(bounds) == k + 1
+            per_step = [np.count_nonzero(mask[r0:r1], axis=0) for r0, r1 in zip(bounds, bounds[1:])]
+            total = mask.sum(axis=0)
+            # the batch's only live row at step 0 lies in the last block, and
+            # at step 1 a block has one live row where the batch has two
+            assert total[0] == 1 and per_step[-1][0] == 1
+            assert k == 1 or any(c[1] == 1 for c in per_step) and total[1] == 2
+            out = np.full((int(mask.sum()), u), np.nan, dtype=dtype) if keep_states else None
+            before = threading.active_count()
+            states, last = gru.forward(Tensor(rows), out=out, **kwargs)
+            assert threading.active_count() == before
+            assert out is None or states.data is out
+            results[k] = (None if states is None else states.data.tobytes(), last.data.tobytes())
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
+
+    def test_blocks_agree_under_a_short_switch_interval(self, blocks):
+        # more blocks than the machine may have CPUs, switching threads
+        # often: a lost or misplaced row write would change the states
+        mask = split_case(b=64, steps=30, seed=78)
+        gru = make_gru(12, 32, dtype=np.float32, seed=79)
+        rows, index, _ = index_case(mask, 50, 12, seed=80)
+        blocks(1, 64, 32)
+        states, last = gru.forward(Tensor(rows), mask=mask, index=index)
+        blocks(4, 64, 32)
+        assert len(layers.row_blocks(mask, 32)) == 5
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                again, last_again = gru.forward(Tensor(rows), mask=mask, index=index)
+                assert again.data.tobytes() == states.data.tobytes()
+                assert last_again.data.tobytes() == last.data.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_taped_call_does_not_split(self, blocks, monkeypatch):
+        mask = split_case()
+        gru = make_gru(6, 8, dtype=np.float32, seed=74)
+        rows, index, _ = index_case(mask, 10, 6, seed=75)
+        blocks(2, *mask.shape[:1], 8)
+        monkeypatch.setattr(layers, "ThreadPoolExecutor", None)  # any split would fail
+        with Tape():
+            gru.forward(Tensor(rows, requires_grad=True), mask=mask, index=index)
+
+    @pytest.mark.parametrize("form", ["index", "projected"])
+    def test_out_of_range_index_raises_the_unsplit_error(self, blocks, form):
+        mask = split_case()
+        b, u = mask.shape[0], 8
+        gru = make_gru(6, u, dtype=np.float32, seed=76)
+        rows, index, _ = index_case(mask, 10, 6, seed=77)
+        index[b - 1, 5] = 10  # a live position of the last block
+        kwargs = dict(mask=mask, index=index)
+        if form == "projected":
+            kwargs["projected"] = (gru.project(rows), index)
+        errors = []
+        for k in (1, 3):
+            blocks(k, b, u)
+            before = threading.active_count()
+            with pytest.raises(IndexError) as raised:
+                gru.forward(Tensor(rows), **kwargs)
+            assert threading.active_count() == before
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] and "out of range" in errors[0]
+
+
+class TestRecurrenceBlocks:
+    """When an untaped GRU recurrence splits, and into how many blocks."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        """OpenBLAS at one thread through OPENBLAS_NUM_THREADS, 4 CPUs, no cap."""
+        for name in layers.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(layers, "_block_cap", None)
+        monkeypatch.setattr(np.__config__, "CONFIG",
+                            {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
+        return monkeypatch
+
+    def test_width_constant_both_sides(self, pinned):
+        cells = layers.MIN_BLOCK_CELLS
+        assert layers.recurrence_blocks(2 * cells // 128 - 1, 128) == 1
+        assert layers.recurrence_blocks(2 * cells // 128, 128) == 2
+        assert layers.recurrence_blocks(3 * cells // 64, 64) == 3
+        assert layers.recurrence_blocks(100 * cells, 1) == 4  # at most one block per CPU
+
+    def test_desk_widths_never_split(self, pinned):
+        # cv-pipeline's batches (64 rows at 16 units) and the CLI's inference
+        # batch of 512 rows at desk widths
+        assert layers.recurrence_blocks(64, 16) == 1
+        assert layers.recurrence_blocks(512, 16) == 1
+        assert layers.recurrence_blocks(512, 32) == 1
+
+    def test_paper_width_batch_splits_at_one_blas_thread(self, pinned):
+        assert layers.recurrence_blocks(512, 128) == 2
+
+    @pytest.mark.parametrize("env, read, expected", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, "OPENBLAS_NUM_THREADS", 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", 1),
+        ({"OPENBLAS_NUM_THREADS": ""}, "OPENBLAS_NUM_THREADS", 1),
+        ({"GOTO_NUM_THREADS": "1"}, "GOTO_NUM_THREADS", 2),
+        ({"OMP_NUM_THREADS": "1"}, "OMP_NUM_THREADS", 2),
+        ({"OMP_NUM_THREADS": "4"}, "OMP_NUM_THREADS", 1),
+        ({}, None, 1),  # OpenBLAS's default: one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "OPENBLAS_NUM_THREADS", 1),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", 2),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "GOTO_NUM_THREADS", 1),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, "GOTO_NUM_THREADS", 2),
+    ])
+    def test_the_first_thread_variable_set_decides(self, pinned, env, read, expected):
+        pinned.delenv("OPENBLAS_NUM_THREADS")
+        for name, value in env.items():
+            pinned.setenv(name, value)
+        assert layers.blas_thread_setting() == (read and (read, env[read]))
+        assert layers.recurrence_blocks(512, 128) == expected
+
+    def test_blas_other_than_openblas_never_splits(self, pinned):
+        pinned.setattr(np.__config__, "CONFIG", {"Build Dependencies": {"blas": {"name": "accelerate"}}})
+        assert layers.recurrence_blocks(4096, 128) == 1
+        pinned.setattr(np.__config__, "CONFIG", {})
+        assert layers.recurrence_blocks(4096, 128) == 1
+
+    @pytest.mark.parametrize("cpus, cap, expected", [(1, None, 1), (2, None, 2), (3, None, 3),
+                                                     (4, 1, 1), (4, 2, 2), (2, 8, 2)])
+    def test_cpus_and_cap_bound_the_blocks(self, pinned, cpus, cap, expected):
+        pinned.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        pinned.setattr(layers, "_block_cap", cap)
+        assert layers.block_cap() == min(cpus, cap or cpus)
+        assert layers.recurrence_blocks(4096, 128) == expected
+
+    def test_blocks_hold_about_equal_live_counts(self, pinned):
+        mask = np.zeros((1024, 10), dtype=bool)
+        mask[:256] = True  # a quarter of the rows hold half the live positions
+        mask[256:, -2:] = True
+        bounds = layers.row_blocks(mask, 128)
+        assert bounds[0] == 0 and bounds[-1] == 1024 and len(bounds) == 5
+        live = [int(mask[r0:r1].sum()) for r0, r1 in zip(bounds, bounds[1:])]
+        assert max(live) - min(live) <= 10
+
+    def test_split_at_paper_width_in_a_fresh_process(self, run_snippet):
+        # a 512-row, 128-unit attention batch splits at one BLAS thread on 2
+        # or more CPUs and keeps its probabilities; under the default
+        # environment (no thread variable set) it does not split
+        snippet = textwrap.dedent("""
+            import json, os
+            if unset:
+                for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                    os.environ.pop(name, None)
+            import numpy as np
+            from abusenet import layers
+            from abusenet.model import ModelConfig, build_text_path
+
+            m = build_text_path(3000, 106, ["a", "b"], config=ModelConfig(),
+                                rng=np.random.default_rng(80))
+            assert m.text_path.attention is not None
+            rng = np.random.default_rng(81)
+            ids = rng.integers(1, 3000, size=(512, 106))
+            lengths = rng.integers(35, 107, size=512)
+            ids[np.arange(106)[None, :] < (106 - lengths)[:, None]] = 0
+            split, row_blocks = [], layers.row_blocks
+            layers.row_blocks = lambda mask, units: split.append(len(row_blocks(mask, units)) - 1) or row_blocks(mask, units)
+            probs = m.forward(ids, None).data
+            layers.MIN_BLOCK_CELLS = 10 ** 12
+            unsplit = m.forward(ids, None).data
+            print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "blocks": split,
+                              "equal": probs.tobytes() == unsplit.tobytes()}))
+        """)
+        pinned = json.loads(run_snippet("unset = False" + snippet, blas_threads=1))
+        default = json.loads(run_snippet("unset = True" + snippet, blas_threads=1))
+        assert pinned["equal"] and default["equal"]
+        assert pinned["blocks"][0] == min(2, pinned["cpus"]) and pinned["blocks"][1] == 1
+        assert default["blocks"] == [1, 1]
 
 
 # attention masks: gaps inside a row, left padding, and an all-padded row
