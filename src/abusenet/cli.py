@@ -48,7 +48,7 @@ from .evaluation import (
 )
 from .features import ConfigurationError, NonFiniteFeatureError, mask_name, parse_mask
 from .graph import DegenerateGraphError, SocialGraph
-from .layers import blas_name, blas_thread_setting, cpu_count
+from . import layers
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, load_checkpoint, parameter_count, save_checkpoint
 from .tensor import ContractError
@@ -169,9 +169,9 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
 def _environment(workers: int) -> dict:
     """What decided whether the GRU ran blocks of rows on threads of their
     own (``layers.recurrence_blocks``); the bits do not depend on it."""
-    name, value = blas_thread_setting() or (None, None)
-    return {"numpy": np.__version__, "blas": blas_name(), "blas_thread_variable": name,
-            "blas_thread_value": value, "cpus": cpu_count(),
+    name, value = layers.BLAS_THREADS or (None, None)
+    return {"numpy": np.__version__, "blas": layers.BLAS, "blas_thread_variable": name,
+            "blas_thread_value": value, "cpus": layers.cpu_count(),
             "block_cap": fold_block_cap(workers)}
 
 

@@ -169,13 +169,8 @@ class GRULayer:
         steps, which multiply their own row; ``x`` need hold only those rows.
         A call that records ignores ``projected``.
 
-        A call with no tape active may split the batch into contiguous
-        blocks of rows with about equal live-position counts and run each
-        block's steps on its own thread, block 0 on the calling thread, in
-        a pool made for the call and joined before it returns. It splits
-        only when numpy's BLAS is OpenBLAS pinned to one thread and each
-        block holds at least ``MIN_BLOCK_CELLS`` rows x units
-        (``recurrence_blocks``). The result has the same bits either way.
+        A call with no tape active may run blocks of its rows on threads of
+        their own; ``recurrence_blocks`` says when, and why the bits stay.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -254,13 +249,8 @@ class GRULayer:
         place on it: passes over a column view of the projection cost 2-4x,
         and IEEE addition commutes, so the bits are those of adding the
         product into the view.
-        With no tape active the rows may run as contiguous blocks, each on
-        its own thread (``recurrence_blocks`` decides how many). A block's
-        live positions are one contiguous slice of the packed states, and a
-        row's bits do not depend on its block: every index is checked and P
-        is made before the split, and a step multiplies by gemv only where
-        the whole batch has one live row. A block with one live row at a
-        step where the batch has more multiplies it as a gemm row.
+        With no tape active the rows may run as blocks on threads
+        (``recurrence_blocks``).
         When a tape records the op, the live rows' inputs, gates and products
         are kept packed time-major, z and r in their own [n, u] buffers so
         that backward's per-step arithmetic reads contiguous rows; h * drop,
@@ -484,23 +474,36 @@ def set_block_cap(cap: int | None) -> None:
     _block_cap = cap
 
 
-def blas_thread_setting() -> tuple[str, str] | None:
+def blas_thread_setting(environ=os.environ) -> tuple[str, str] | None:
     """The first of the variables OpenBLAS reads its thread count from
-    that is set, with its value; None when none is."""
+    that is set in ``environ``, with its value; None when none is."""
     for name in BLAS_THREAD_VARIABLES:
-        if name in os.environ:
-            return name, os.environ[name]
+        if name in environ:
+            return name, environ[name]
     return None
 
 
 def blas_name() -> str:
-    """The name numpy's build gives its BLAS, as ``np.__config__`` records it."""
-    return np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name") or "unknown"
+    """The name numpy's build gives its BLAS, as ``np.__config__`` records
+    it; "unknown" where it records none, as before numpy 1.26."""
+    config = getattr(np.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name") or "unknown"
+
+
+# numpy's BLAS and the thread setting it runs with, read once. OpenBLAS
+# reads its thread count when numpy loads it, and numpy loads before this
+# module: a variable set later, or a count set through threadpoolctl, is
+# not seen here, as OpenBLAS does not see the first.
+BLAS = blas_name()
+BLAS_THREADS = blas_thread_setting()
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on; where the OS reports no affinity,
+    all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def block_cap() -> int:
@@ -513,14 +516,26 @@ def recurrence_blocks(rows: int, units: int) -> int:
     """How many blocks of rows, each on its own thread, an untaped GRU
     recurrence over ``rows`` rows of ``units`` runs as: as many as hold
     ``MIN_BLOCK_CELLS`` rows x units each, up to ``block_cap``, but one
-    unless numpy's BLAS is OpenBLAS pinned to one thread (the first of
-    ``BLAS_THREAD_VARIABLES`` that is set reads 1). With more BLAS threads
-    each product already runs on every CPU, and a split only adds calls."""
+    unless numpy's BLAS (``BLAS``) is OpenBLAS loaded with one thread (the
+    first of ``BLAS_THREAD_VARIABLES`` that was set read 1). With more BLAS
+    threads each product already runs on every CPU, and a split only adds
+    calls. Block 0 runs on the calling thread, the others in a pool made
+    for the call and joined before it returns, also when a block raises.
+
+    Blocks are contiguous and hold about equal live-position counts
+    (``row_blocks``); a block's states are one contiguous slice of the
+    packed states. A row's bits do not depend on its block: every index is
+    checked and the gate inputs projected before the split; a step is
+    multiplied by gemv only where the whole batch has one live row, so a
+    block's lone live row at a busier step is a gemm row (``_gemm_rows``);
+    and OpenBLAS gives a gemm row the same bits whatever the call's other
+    rows. That last property was checked only on x86_64 with OpenBLAS
+    0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels); a build that
+    picks kernels by matrix size could break it. On a new host, run
+    ``TestGRUBlocks`` and ``test_split_at_paper_width_in_a_fresh_process``
+    in tests/test_layers.py."""
     most = rows * units // MIN_BLOCK_CELLS
-    if most < 2 or "openblas" not in blas_name().lower():
-        return 1
-    setting = blas_thread_setting()
-    if setting is None or setting[1] != "1":
+    if most < 2 or "openblas" not in BLAS.lower() or BLAS_THREADS is None or BLAS_THREADS[1] != "1":
         return 1
     return max(1, min(most, block_cap()))
 

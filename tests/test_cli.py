@@ -7,6 +7,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -14,12 +15,11 @@ import numpy as np
 import pytest
 
 import abusenet
-from abusenet import cli, evaluation
+from abusenet import cli, evaluation, layers
 from abusenet.cli import _configs, build_parser, main
 from abusenet.data import EmptyDatasetError, SchemaError, load_corpus, synth_groups, write_corpus
 from abusenet.evaluation import build_and_fit, encode_fold
 from abusenet.features import ConfigurationError
-from abusenet.layers import BLAS_THREAD_VARIABLES, blas_name
 from abusenet.model import ModelConfig, load_checkpoint
 from abusenet.tensor import ContractError
 from abusenet.text import load_embeddings
@@ -107,15 +107,33 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_report_records_what_decides_the_gru_split(self, synth_dir, tmp_path, monkeypatch, workers):
-        for name in BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("GOTO_NUM_THREADS", "3")
+        monkeypatch.setattr(layers, "BLAS_THREADS", ("GOTO_NUM_THREADS", "3"))
         out = tmp_path / "run"
         assert run(train_args(synth_dir, out) + ["--workers", workers]) == 0
         cpus = len(os.sched_getaffinity(0))
         assert json.loads((out / "report.json").read_text())["environment"] == {
-            "numpy": np.__version__, "blas": blas_name(), "blas_thread_variable": "GOTO_NUM_THREADS",
+            "numpy": np.__version__, "blas": layers.blas_name(), "blas_thread_variable": "GOTO_NUM_THREADS",
             "blas_thread_value": "3", "cpus": cpus, "block_cap": max(1, cpus // workers)}
+
+    def test_train_without_numpys_build_config_or_cpu_affinity(self, synth_dir, tmp_path, run_snippet):
+        # numpy before 1.26 records no np.__config__.CONFIG, and only Linux
+        # has os.sched_getaffinity: the BLAS reads as unknown, nothing splits,
+        # and the report is still written
+        out = tmp_path / "run"
+        snippet = textwrap.dedent(f"""
+            import json, os
+            import numpy as np
+            del np.__config__.CONFIG
+            del os.sched_getaffinity
+            from abusenet import layers
+            from abusenet.cli import main
+            assert layers.BLAS == "unknown" and layers.recurrence_blocks(512, 128) == 1
+            assert main({[str(a) for a in train_args(synth_dir, out)]!r}) == 0
+            print(json.dumps(json.load(open({str(out / "report.json")!r}))["environment"]))
+        """)
+        environment = json.loads(run_snippet(snippet, blas_threads=1).splitlines()[-1])
+        assert environment["blas"] == "unknown" and environment["cpus"] == os.cpu_count()
+        assert environment["blas_thread_variable"] == "OPENBLAS_NUM_THREADS"
 
     def test_interleaved_strategy_report(self, synth_dir, tmp_path):
         out = tmp_path / "inter"

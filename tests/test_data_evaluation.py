@@ -571,7 +571,8 @@ class TestWorkers:
     def test_fold_processes_share_out_the_cpus(self, monkeypatch, workers):
         # each fold process runs at most its share of the CPUs as GRU row
         # blocks, so k folds' threads together do not outnumber the CPUs
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # what a spawned fold process reads
+        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))  # a forked one
         cpus = len(os.sched_getaffinity(0))
         share = max(1, cpus // workers)
         with fold_pool(workers) as pool:

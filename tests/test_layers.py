@@ -713,7 +713,8 @@ def blocks(monkeypatch):
     one thread, k CPUs, and ``MIN_BLOCK_CELLS`` a k-th of its cells."""
 
     def force(k, rows, units):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
+        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
         monkeypatch.setattr(layers, "_block_cap", None)
         monkeypatch.setattr(layers, "MIN_BLOCK_CELLS", rows * units // k if k > 1 else rows * units + 1)
@@ -823,14 +824,11 @@ class TestRecurrenceBlocks:
 
     @pytest.fixture
     def pinned(self, monkeypatch):
-        """OpenBLAS at one thread through OPENBLAS_NUM_THREADS, 4 CPUs, no cap."""
-        for name in layers.BLAS_THREAD_VARIABLES:
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        """OpenBLAS loaded at one thread through OPENBLAS_NUM_THREADS, 4 CPUs, no cap."""
+        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
+        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(layers, "_block_cap", None)
-        monkeypatch.setattr(np.__config__, "CONFIG",
-                            {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
         return monkeypatch
 
     def test_width_constant_both_sides(self, pinned):
@@ -864,17 +862,38 @@ class TestRecurrenceBlocks:
         ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, "GOTO_NUM_THREADS", 2),
     ])
     def test_the_first_thread_variable_set_decides(self, pinned, env, read, expected):
-        pinned.delenv("OPENBLAS_NUM_THREADS")
-        for name, value in env.items():
-            pinned.setenv(name, value)
-        assert layers.blas_thread_setting() == (read and (read, env[read]))
+        setting = layers.blas_thread_setting({"PATH": "/bin", **env})
+        assert setting == (read and (read, env[read]))
+        pinned.setattr(layers, "BLAS_THREADS", setting)
         assert layers.recurrence_blocks(512, 128) == expected
 
-    def test_blas_other_than_openblas_never_splits(self, pinned):
-        pinned.setattr(np.__config__, "CONFIG", {"Build Dependencies": {"blas": {"name": "accelerate"}}})
-        assert layers.recurrence_blocks(4096, 128) == 1
-        pinned.setattr(np.__config__, "CONFIG", {})
-        assert layers.recurrence_blocks(4096, 128) == 1
+    def test_thread_variables_are_read_when_numpy_loads(self, pinned):
+        # OpenBLAS keeps the thread count it loaded with, and so does the split
+        pinned.setattr(layers, "BLAS_THREADS", None)
+        pinned.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert layers.recurrence_blocks(512, 128) == 1
+
+    @pytest.mark.parametrize("name", ["accelerate", "openblas64", "unknown"])
+    def test_only_openblas_splits(self, pinned, name):
+        pinned.setattr(layers, "BLAS", name)
+        assert layers.recurrence_blocks(4096, 128) == (4 if "openblas" in name else 1)
+
+    def test_blas_name_without_numpys_build_config(self, monkeypatch):
+        # numpy before 1.26 records no np.__config__.CONFIG
+        monkeypatch.setattr(np.__config__, "CONFIG",
+                            {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
+        assert layers.blas_name() == "scipy-openblas"
+        monkeypatch.setattr(np.__config__, "CONFIG", {})
+        assert layers.blas_name() == "unknown"
+        monkeypatch.delattr(np.__config__, "CONFIG")
+        assert layers.blas_name() == "unknown"
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
+        # sched_getaffinity exists only on Linux
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert layers.cpu_count() == expected
 
     @pytest.mark.parametrize("cpus, cap, expected", [(1, None, 1), (2, None, 2), (3, None, 3),
                                                      (4, 1, 1), (4, 2, 2), (2, 8, 2)])
