@@ -258,7 +258,7 @@ def _run_fold(args) -> tuple[int, dict]:
 
 
 def fold_block_cap(workers: int) -> int:
-    """The most blocks a fold's untaped GRU recurrence runs as when
+    """The most blocks a fold's GRU recurrences run as when
     ``workers`` folds run at once: with more than one, each fold process
     gets its share of the CPUs, at least one."""
     return max(1, cpu_count() // workers) if workers > 1 else block_cap()

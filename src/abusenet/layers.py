@@ -2,8 +2,9 @@
 
 Layers own Parameters and record each forward call as one fused tape op
 (the GRU adds a second for its last-state readout). A layer instance is
-called from one thread at a time; a GRU call with no tape active may run
-blocks of its rows on threads of its own, all joined before it returns.
+called from one thread at a time; a GRU call, recorded or not, and a
+recorded GRU op's backward may run blocks of its rows on threads of its
+own, all joined before it returns.
 Weight init is Glorot-uniform with zero biases, drawn from a caller-supplied
 numpy Generator so builds are reproducible.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -128,10 +131,10 @@ class GRULayer:
         """The parameters ``project`` reads."""
         return [self.W_z, self.W_r, self.W_h, self.b_z, self.b_r, self.b_h]
 
-    def project(self, rows: np.ndarray) -> np.ndarray:
+    def project(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Each row's gate inputs, ``rows @ [W_z|W_r|W_h] + [b_z|b_r|b_h]``
-        [m, 3 units], every row by gemm."""
-        P = _gemm_rows(rows, np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1))
+        [m, 3 units], every row by gemm; into ``out`` when given."""
+        P = _gemm_rows(rows, np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1), out=out)
         P += np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         return P
 
@@ -169,8 +172,9 @@ class GRULayer:
         steps, which multiply their own row; ``x`` need hold only those rows.
         A call that records ignores ``projected``.
 
-        A call with no tape active may run blocks of its rows on threads of
-        their own; ``recurrence_blocks`` says when, and why the bits stay.
+        A call may run blocks of its rows on threads of their own, in
+        training as in inference, and so may a recorded call's backward;
+        ``recurrence_blocks`` says when, and why the bits stay.
         """
         if index is None:
             if x.data.ndim != 3:
@@ -249,21 +253,25 @@ class GRULayer:
         place on it: passes over a column view of the projection cost 2-4x,
         and IEEE addition commutes, so the bits are those of adding the
         product into the view.
-        With no tape active the rows may run as blocks on threads
-        (``recurrence_blocks``).
+        The rows may run as blocks on threads (``recurrence_blocks``), in
+        the projection, the steps and, when recorded, the backward's steps;
+        one body (``run``, ``run_back``) serves a block and the whole batch.
         When a tape records the op, the live rows' inputs, gates and products
         are kept packed time-major, z and r in their own [n, u] buffers so
         that backward's per-step arithmetic reads contiguous rows; h * drop,
         the sigmoid's last halving (z and r), r * h * drop, its U_h product
-        and c - h are computed straight into their packed rows.
+        and c - h are computed straight into their packed rows. At each step
+        a block's live rows are a contiguous run of the batch's, so a block
+        writes its own rows of these buffers and of the gradients.
         Backward is a reverse loop with two recurrent matmuls per step; each
         step adds its live rows' packed state gradients into dh, and padded
         rows pass dh through untouched. The gradients of the packed inputs,
-        W, U_z|U_r and U_h are then one matmul each; the inputs' gradient is
-        scatter-added into the rows straight from the packed product,
-        through a map of its rows. Backward first turns the recorded c into
-        1 - c^2 in one pass, so it runs once: a second run raises
-        ContractError.
+        W, U_z|U_r and U_h are then one matmul each over all positions, the
+        weights' beside the inputs' when the rows run as blocks; the inputs'
+        gradient is scatter-added into the rows straight from the packed
+        product, through a map of its rows. Backward first turns the
+        recorded c into 1 - c^2 in one pass, so it runs once: a second run
+        raises ContractError.
         """
         inputs = (x, h0, *self.parameters())
         _check_dtypes(*inputs)
@@ -274,8 +282,7 @@ class GRULayer:
         bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
         U_h = self.U_h.data
-        untaped = active_tape() is None
-        record = not untaped and any(t.requires_grad for t in inputs)
+        record = active_tape() is not None and any(t.requires_grad for t in inputs)
         if record and out is not None:
             raise ContractError("a gru call that records a tape keeps its states in a fresh array, not in out")
         if projected is not None and not record:
@@ -289,17 +296,36 @@ class GRULayer:
         # live rows are live_b[start[t]:start[t + 1]], its slice of the
         # time-major buffers, src_p gives each one's row of P and pos its
         # packed (batch-major) state row
-        whole = live_t, live_b, start, src_p, pos = _live_order(mask, p_of, keep_states)
+        live_t, live_b, start, src_p, pos = _live_order(mask, p_of, keep_states)
         n = live_b.size
         if P is None:
             check_index(src_p, rows.shape[0], "gru input row")
-            P = self.project(rows)
         else:
             check_index(src_p, P.shape[0], "gru projected table row")
             one = [lo for lo, hi in zip(start, start[1:]) if hi - lo == 1]
             check_index(index[live_b[one], live_t[one]], rows.shape[0], "gru input row")
         by_gemv = [hi - lo == 1 for lo, hi in zip(start, start[1:])]  # the batch's one-row steps
 
+        def matmul_for(t: int, k: int):
+            """The product of step t for a block with k of its live rows:
+            gemv only where the whole batch has one live row, as numpy
+            multiplies a one-row product; a block's lone row at a busier
+            step is a gemm row."""
+            return np.matmul if k > 1 or by_gemv[t] else _gemm_rows
+
+        def block(r0: int, r1: int) -> tuple:
+            """Rows r0:r1's (r0, r1, live_b, start, src_p, pos) in their own
+            live order, the first of their packed state rows, and per step
+            the shift from their time-major rows to the batch's."""
+            if (r0, r1) == (0, b):
+                return 0, b, live_b, start, src_p, pos, 0, [0] * steps
+            _, lb, st, sp, ps = _live_order(mask[r0:r1], p_of[r0:r1], keep_states)
+            before = np.count_nonzero(mask[:r0], axis=0)
+            shift = (np.asarray(start[:-1]) + before - np.asarray(st[:-1])).tolist()
+            return r0, r1, lb, st, sp, ps, int(before.sum()), shift
+
+        bounds = row_blocks(mask, u)
+        blocks = [block(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
         states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
         if record:
             x_all = rows[src_p]
@@ -310,15 +336,10 @@ class GRULayer:
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
 
-        def run(r0: int, r1: int) -> np.ndarray:
-            """Rows r0:r1 through every step; returns their last state."""
-            if (r0, r1) == (0, b):
-                _, live_b, start, src_p, pos = whole
-                kept = states
-            else:
-                _, live_b, start, src_p, pos = _live_order(mask[r0:r1], p_of[r0:r1], keep_states)
-                first = int(np.count_nonzero(mask[:r0]))
-                kept = states[first:first + live_b.size] if keep_states else None
+        def run(blk: tuple) -> np.ndarray:
+            """A block's rows through every step; returns their last state."""
+            r0, r1, live_b, start, src_p, pos, first, shift = blk
+            kept = states[first:first + live_b.size] if keep_states else None
             h = h0.data[r0:r1].copy()
             drop_b, index_b = None if drop is None else drop[r0:r1], index[r0:r1]
             for t in range(steps):
@@ -331,27 +352,27 @@ class GRULayer:
                     sel = live_b[lo:hi]
                     h_t = h[sel]
                     drop_t = None if drop_b is None else drop_b[sel]
+                matmul = matmul_for(t, hi - lo)
                 if by_gemv[t]:  # by gemv, as numpy computes a one-row product
                     a = rows[index_b[live_b[lo:hi], t]] @ W
                     a += bias
-                    matmul = np.matmul
                 else:
                     a = P[src_p[lo:hi]]
-                    matmul = _gemm_rows if hi - lo == 1 else np.matmul
+                rec = slice(lo + shift[t], hi + shift[t]) if record else None  # the batch's time-major rows
                 if drop_t is not None:
-                    hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
+                    hm = np.multiply(h_t, drop_t, out=hm_all[rec] if record else None)
                 else:
                     hm = h_t
                     if record:
-                        hm_all[lo:hi] = h_t
+                        hm_all[rec] = h_t
                 zr = matmul(hm, U_zr)
                 zr += a[:, :2 * u]
-                z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
-                rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
-                c = np.matmul(rh, U_h, out=c_all[lo:hi]) if record else matmul(rh, U_h)
+                z, r = _sigmoid(zr, into=(z_all[rec], r_all[rec]) if record else None)
+                rh = np.multiply(r, hm, out=rh_all[rec] if record else None)
+                c = matmul(rh, U_h, out=c_all[rec] if record else None)
                 c += a[:, 2 * u:]
                 np.tanh(c, out=c)
-                ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
+                ch = np.subtract(c, h_t, out=ch_all[rec] if record else c)
                 h_new = np.multiply(ch, z, out=None if record else c)  # reuse c: a fresh array cost 4% at score-long
                 h_new += h_t
                 if sel is None:
@@ -362,17 +383,81 @@ class GRULayer:
                     kept[pos[lo:hi]] = h_new
             return h
 
-        bounds = row_blocks(mask, u) if untaped else [0, b]
-        if len(bounds) == 2:
-            h = run(0, b)
-        else:
-            # block 0 runs here; leaving the pool joins its threads, also
-            # when block 0 raises
-            with ThreadPoolExecutor(max_workers=len(bounds) - 2) as pool:
-                rest = [pool.submit(run, r0, r1) for r0, r1 in zip(bounds[1:-1], bounds[2:])]
-                h = np.concatenate([run(bounds[0], bounds[1])] + [f.result() for f in rest])
+        with _threads(len(blocks) - 1) as pool:
+            if P is None:
+                # as many blocks of the rows: a gemm row's bits do not
+                # depend on the call's other rows
+                cuts = [rows.shape[0] * i // len(blocks) for i in range(len(blocks) + 1)]
+                P = np.empty((rows.shape[0], 3 * u), dtype=x.dtype)
+                _on_threads(pool, [partial(self.project, rows[r0:r1], out=P[r0:r1])
+                                   for r0, r1 in zip(cuts, cuts[1:])])
+            last = _on_threads(pool, [partial(run, blk) for blk in blocks])
+        h = last[0] if len(last) == 1 else np.concatenate(last)
 
         used = False
+
+        def run_back(blk: tuple, g: np.ndarray, da: np.ndarray) -> np.ndarray:
+            """A block's rows through the reverse loop: writes their rows of
+            da and returns their gradient of h0."""
+            r0, r1, live_b, start, _, pos, first, shift = blk
+            dh = np.zeros((r1 - r0, u), dtype=g.dtype)
+            if keep_states:
+                g_b = g[first:first + live_b.size]
+            else:
+                dh += g[r0:r1]  # added to zeros, as the states form adds each row's last state gradient
+            drop_b = None if drop is None else drop[r0:r1]
+            for t in range(steps - 1, -1, -1):
+                lo, hi = start[t], start[t + 1]
+                if lo == hi:
+                    continue
+                if hi - lo == r1 - r0:
+                    sel, dh_t, drop_t = None, dh, drop_b
+                else:
+                    sel = live_b[lo:hi]
+                    dh_t = dh[sel]
+                    drop_t = None if drop_b is None else drop_b[sel]
+                if keep_states:
+                    dh_t += g_b[pos[lo:hi]]
+                matmul = matmul_for(t, hi - lo)
+                lo, hi = lo + shift[t], hi + shift[t]
+                z, r = z_all[lo:hi], r_all[lo:hi]
+                one_minus_z = 1.0 - z
+                da_t = da[lo:hi]
+                np.multiply(dh_t * z, c_all[lo:hi], out=da_t[:, 2 * u:])
+                drh = matmul(da_t[:, 2 * u:], U_h.T)
+                np.multiply(dh_t * ch_all[lo:hi], z * one_minus_z, out=da_t[:, :u])
+                np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
+                dhm = drh * r
+                dhm += matmul(da_t[:, :2 * u], U_zr.T)
+                if drop_t is not None:
+                    dhm *= drop_t
+                dhm += dh_t * one_minus_z
+                if sel is None:
+                    dh = dhm
+                else:
+                    dh[sel] = dhm  # padded rows pass dh through
+            return dh
+
+        def input_grad(da: np.ndarray) -> np.ndarray | None:
+            """The gradient of x: each row sums its positions' gradients in
+            batch-major order, the order a scatter over the flat ids adds
+            them in."""
+            if not x.requires_grad:
+                return None
+            packed = np.empty((steps, b), dtype=np.intp)
+            packed[live_t, live_b] = np.arange(n)
+            bm = packed.T[mask]  # packed positions, batch-major
+            dx = np.zeros(x.shape, dtype=da.dtype)
+            gx = da @ W.T
+            if n * d <= FLAT_SCATTER_CELLS:  # one add per element: at these sizes, fewer numpy calls
+                at = src_p[bm][:, None] * d + np.arange(d)
+                np.add.at(dx.reshape(-1), at.reshape(-1), gx[bm].reshape(-1))
+            else:
+                _scatter_add_rows(dx.reshape(-1, d), src_p[bm], gx, row_map=bm)
+            return dx
+
+        def weight_grads(da: np.ndarray) -> tuple:
+            return x_all.T @ da, da.sum(axis=0), hm_all.T @ da[:, :2 * u], rh_all.T @ da[:, 2 * u:]
 
         def back(g):
             nonlocal used
@@ -382,57 +467,22 @@ class GRULayer:
             np.multiply(c_all, c_all, out=c_all)
             np.subtract(1.0, c_all, out=c_all)  # 1 - c^2, tanh's derivative
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
-            dh = np.zeros((b, u), dtype=g.dtype)
-            if not keep_states:
-                dh += g  # added to zeros, as the states form adds each row's last state gradient
-            for t in range(steps - 1, -1, -1):
-                lo, hi = start[t], start[t + 1]
-                if lo == hi:
-                    continue
-                if hi - lo == b:
-                    sel, dh_t, drop_t = None, dh, drop
-                else:
-                    sel = live_b[lo:hi]
-                    dh_t = dh[sel]
-                    drop_t = None if drop is None else drop[sel]
-                if keep_states:
-                    dh_t += g[pos[lo:hi]]
-                z, r = z_all[lo:hi], r_all[lo:hi]
-                one_minus_z = 1.0 - z
-                da_t = da[lo:hi]
-                np.multiply(dh_t * z, c_all[lo:hi], out=da_t[:, 2 * u:])
-                drh = da_t[:, 2 * u:] @ U_h.T
-                np.multiply(dh_t * ch_all[lo:hi], z * one_minus_z, out=da_t[:, :u])
-                np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
-                dhm = drh * r
-                dhm += da_t[:, :2 * u] @ U_zr.T
-                if drop_t is not None:
-                    dhm *= drop_t
-                dhm += dh_t * one_minus_z
-                if sel is None:
-                    dh = dhm
-                else:
-                    dh[sel] = dhm  # padded rows pass dh through
-            _accum(h0, dh)
-            if x.requires_grad:
-                # each row sums its positions' gradients in batch-major
-                # order, the order a scatter over the flat ids adds them in
-                packed = np.empty((steps, b), dtype=np.intp)
-                packed[live_t, live_b] = np.arange(n)
-                bm = packed.T[mask]  # packed positions, batch-major
-                dx = np.zeros(x.shape, dtype=g.dtype)
-                _scatter_add_rows(dx.reshape(-1, d), src_p[bm], da @ W.T, row_map=bm)
+            with _threads(len(blocks) - 1) as pool:
+                dh = _on_threads(pool, [partial(run_back, blk, g, da) for blk in blocks])
+                # input_grad runs here, so its large dx comes from this
+                # thread's heap, whose freed pages later steps reuse
+                dx, (dW, db, dU_zr, dU_h) = _on_threads(pool, [partial(input_grad, da),
+                                                               partial(weight_grads, da)])
+            _accum(h0, dh[0] if len(dh) == 1 else np.concatenate(dh))
+            if dx is not None:
                 _accum(x, dx, owned=True)
-            dW = x_all.T @ da
-            db = da.sum(axis=0)
-            dU_zr = hm_all.T @ da[:, :2 * u]
             for k, (w, bk) in enumerate(((self.W_z, self.b_z), (self.W_r, self.b_r),
                                          (self.W_h, self.b_h))):
                 _accum(w, dW[:, k * u:(k + 1) * u])
                 _accum(bk, db[k * u:(k + 1) * u])
             _accum(self.U_z, dU_zr[:, :u])
             _accum(self.U_r, dU_zr[:, u:])
-            _accum(self.U_h, rh_all.T @ da[:, 2 * u:])
+            _accum(self.U_h, dU_h)
 
         return op_output(states if keep_states else h, inputs, back)
 
@@ -449,7 +499,7 @@ def _live_order(mask: np.ndarray, p_of: np.ndarray, keep_states: bool) -> tuple:
     return live_t, live_b, start, p_of[live_b, live_t], pos
 
 
-# The fewest rows x units a block of an untaped GRU recurrence takes to its
+# The fewest rows x units a block of a GRU recurrence takes to its
 # own thread. Timed at one BLAS thread on a shared 2-CPU x86_64 VM (T 106,
 # lengths uniform in [35, 106], gate inputs from a projected table), two
 # blocks of 8192-16384 cells were slower than one (2048 x 16: 44.6 -> 52.6
@@ -461,13 +511,20 @@ def _live_order(mask: np.ndarray, p_of: np.ndarray, keep_states: bool) -> tuple:
 # interpreter lock, cost more than its share of the products saves.
 MIN_BLOCK_CELLS = 192 * 128
 
+# The most positions x input dims whose input gradient a recorded GRU
+# backward scatters with one flat ``np.add.at``, which adds in the order
+# ``_scatter_add_rows`` does. Timed in-process at one BLAS thread: at
+# cv-pipeline's ~1.4k x 16 it took 89 us against 194 us, at train-short's
+# 11.8k x 200 19.5 ms against 9.8 ms.
+FLAT_SCATTER_CELLS = 65536
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _block_cap: int | None = None  # set_block_cap's cap; None: the CPU count
 
 
 def set_block_cap(cap: int | None) -> None:
-    """Caps the blocks this process's untaped GRU recurrences split into
+    """Caps the blocks this process's GRU recurrences split into
     (None: the CPU count). Cross-validation runs it in each fold process,
     so that the folds' threads together do not outnumber the CPUs."""
     global _block_cap
@@ -507,33 +564,42 @@ def cpu_count() -> int:
 
 
 def block_cap() -> int:
-    """The most blocks an untaped GRU recurrence runs as in this process."""
+    """The most blocks a GRU recurrence runs as in this process."""
     cpus = cpu_count()
     return cpus if _block_cap is None else min(_block_cap, cpus)
 
 
 def recurrence_blocks(rows: int, units: int) -> int:
-    """How many blocks of rows, each on its own thread, an untaped GRU
-    recurrence over ``rows`` rows of ``units`` runs as: as many as hold
-    ``MIN_BLOCK_CELLS`` rows x units each, up to ``block_cap``, but one
-    unless numpy's BLAS (``BLAS``) is OpenBLAS loaded with one thread (the
-    first of ``BLAS_THREAD_VARIABLES`` that was set read 1). With more BLAS
-    threads each product already runs on every CPU, and a split only adds
-    calls. Block 0 runs on the calling thread, the others in a pool made
-    for the call and joined before it returns, also when a block raises.
+    """How many blocks of rows, each on its own thread, a GRU recurrence
+    over ``rows`` rows of ``units`` runs as, recorded (training) or not
+    (inference): as many as hold ``MIN_BLOCK_CELLS`` rows x units each, up
+    to ``block_cap``, but one unless numpy's BLAS (``BLAS``) is OpenBLAS
+    loaded with one thread (the first of ``BLAS_THREAD_VARIABLES`` that was
+    set read 1). With more BLAS threads each product already runs on every
+    CPU, and a split only adds calls; so the CLI, which pins no thread
+    count, runs OpenBLAS's default and does not split. Block 0 runs on the
+    calling thread, the others in a pool made for the call and joined
+    before it returns, also when a block raises. The gate-input projection
+    runs in as many blocks of its rows. A recorded op's backward runs its
+    steps in the same blocks, then its weight gradients on a pool thread
+    beside the input gradient.
 
     Blocks are contiguous and hold about equal live-position counts
     (``row_blocks``); a block's states are one contiguous slice of the
-    packed states. A row's bits do not depend on its block: every index is
-    checked and the gate inputs projected before the split; a step is
-    multiplied by gemv only where the whole batch has one live row, so a
-    block's lone live row at a busier step is a gemm row (``_gemm_rows``);
-    and OpenBLAS gives a gemm row the same bits whatever the call's other
-    rows. That last property was checked only on x86_64 with OpenBLAS
-    0.3.31 (scipy-openblas, DYNAMIC_ARCH, Haswell kernels); a build that
-    picks kernels by matrix size could break it. On a new host, run
-    ``TestGRUBlocks`` and ``test_split_at_paper_width_in_a_fresh_process``
-    in tests/test_layers.py."""
+    packed states, and at each step its rows of the recorded time-major
+    buffers are one contiguous slice of the batch's. A row's bits do not
+    depend on its block: every index is checked and the dropout mask drawn
+    before the split; a step is multiplied by gemv only where the whole
+    batch has one live row, so a block's lone live row at a busier step is
+    a gemm row (``_gemm_rows``), forward and backward; each weight
+    gradient is one product over all positions, as unsplit; and OpenBLAS
+    gives a gemm row the same bits whatever the call's other rows. That
+    last property was checked only on x86_64 with OpenBLAS 0.3.31
+    (scipy-openblas, DYNAMIC_ARCH, Haswell kernels); a build that picks
+    kernels by matrix size could break it. On a new host, run
+    ``TestGRUBlocks``, ``test_split_at_paper_width_in_a_fresh_process`` and
+    ``test_recorded_step_splits_at_paper_width_in_a_fresh_process`` in
+    tests/test_layers.py."""
     most = rows * units // MIN_BLOCK_CELLS
     if most < 2 or "openblas" not in BLAS.lower() or BLAS_THREADS is None or BLAS_THREADS[1] != "1":
         return 1
@@ -541,7 +607,7 @@ def recurrence_blocks(rows: int, units: int) -> int:
 
 
 def row_blocks(mask: np.ndarray, units: int) -> list[int]:
-    """Bounds [0, ..., b] of the contiguous row blocks an untaped GRU
+    """Bounds [0, ..., b] of the contiguous row blocks a GRU
     recurrence over a [b, T] mask runs as, with about equal live (mask
     True) position counts; [0, b] is one block."""
     b = mask.shape[0]
@@ -553,12 +619,33 @@ def row_blocks(mask: np.ndarray, units: int) -> list[int]:
     return sorted({0, *cuts.tolist(), b})
 
 
-def _gemm_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gemm_rows(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ w`` with every row computed by gemm, so each row's bits do not
-    depend on the other rows; numpy sends a one-row product to gemv."""
-    if a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ w)[:1]
-    return a @ w
+    depend on the other rows; numpy sends a one-row product to gemv. Into
+    ``out`` when given."""
+    if a.shape[0] != 1:
+        return np.matmul(a, w, out=out)
+    row = (np.concatenate([a, a]) @ w)[:1]
+    if out is None:
+        return row
+    out[...] = row
+    return out
+
+
+def _threads(count: int):
+    """A pool of ``count`` threads for a ``with``, joined when it is left,
+    also on an error; for none, a context that gives None."""
+    return ThreadPoolExecutor(count) if count else nullcontext()
+
+
+def _on_threads(pool: ThreadPoolExecutor | None, jobs: list) -> list:
+    """Runs each of ``jobs``, calls without arguments: the first on the
+    calling thread and the rest in ``pool``, or all on the calling thread
+    without one. Returns their results in order."""
+    if pool is None:
+        return [job() for job in jobs]
+    rest = [pool.submit(job) for job in jobs[1:]]
+    return [jobs[0]()] + [f.result() for f in rest]
 
 
 def _sigmoid(a: np.ndarray, into: tuple | None) -> tuple[np.ndarray, np.ndarray]:

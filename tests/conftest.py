@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,36 @@ def run_snippet():
         return done.stdout
 
     return run
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``blocks(k, rows, units)`` makes a GRU recurrence over ``rows`` rows
+    of ``units`` split into ``k`` blocks: OpenBLAS pinned to one thread, k
+    CPUs, and ``MIN_BLOCK_CELLS`` a k-th of its cells."""
+    from abusenet import layers
+
+    def force(k, rows, units):
+        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
+        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        monkeypatch.setattr(layers, "_block_cap", None)
+        monkeypatch.setattr(layers, "MIN_BLOCK_CELLS", rows * units // k if k > 1 else rows * units + 1)
+
+    return force
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread count of every pool ``abusenet.layers`` makes, in order."""
+    from abusenet import layers
+
+    made = []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, workers):
+            made.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(layers, "ThreadPoolExecutor", Pool)
+    return made

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import threading
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -479,33 +480,38 @@ class TestGRU:
     @pytest.mark.parametrize("form", ["dense", "index"])
     @pytest.mark.parametrize("p", [0.5, 0.0], ids=["dropout", "no_dropout"])
     @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
-    def test_gradients_equal_per_step_bptt_bitwise(self, mask, p, form):
+    def test_gradients_equal_per_step_bptt_bitwise(self, mask, p, form, monkeypatch):
         mask = mask_of(mask)
         b = mask.shape[0]
         gru = make_gru(64, 16, dtype=np.float32, p=p, seed=34)
         rows, index, dense = index_case(mask, 9, 64, seed=35)
         rng = np.random.default_rng(36)
-        h0 = Tensor(rng.normal(size=(b, 16)).astype(np.float32), requires_grad=True)
+        h0_data = rng.normal(size=(b, 16)).astype(np.float32)
         g = rng.normal(size=(int(mask.sum()), 16)).astype(np.float32)
-        x, idx = (rows, index) if form == "index" else (dense, None)
-        x = Tensor(x.copy(), requires_grad=True)
-        with Tape() as tape:
-            states, _ = gru.forward(x, mask=mask, h0=h0, train=True, index=idx,
-                                    rng=np.random.default_rng(5))
-            loss = T.sum_all(T.mul(states, Tensor(g)))
-        tape.backward(loss)
         drop = None
         if p:
             drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(np.float32) / np.float32(0.5)
-        grads, dh0, dx = per_step_grads(gru, dense, mask, h0.data, drop, g)
-        for param in gru.parameters():
-            assert param.grad.tobytes() == grads[param.name].tobytes(), param.name
-        assert h0.grad.tobytes() == dh0.tobytes()
+        grads, dh0, dx = per_step_grads(gru, dense, mask, h0_data, drop, g)
         if form == "index":
             expected = np.zeros_like(rows)
             np.add.at(expected, index[mask], dx[mask])
             dx = expected
-        assert x.grad.tobytes() == dx.tobytes()
+        for cells in (layers.FLAT_SCATTER_CELLS, 0):  # the input gradient's flat and row scatter
+            monkeypatch.setattr(layers, "FLAT_SCATTER_CELLS", cells)
+            for param in gru.parameters():
+                param.zero_grad()
+            h0 = Tensor(h0_data, requires_grad=True)
+            x, idx = (rows, index) if form == "index" else (dense, None)
+            x = Tensor(x.copy(), requires_grad=True)
+            with Tape() as tape:
+                states, _ = gru.forward(x, mask=mask, h0=h0, train=True, index=idx,
+                                        rng=np.random.default_rng(5))
+                loss = T.sum_all(T.mul(states, Tensor(g)))
+            tape.backward(loss)
+            for param in gru.parameters():
+                assert param.grad.tobytes() == grads[param.name].tobytes(), param.name
+            assert h0.grad.tobytes() == dh0.tobytes()
+            assert x.grad.tobytes() == dx.tobytes()
 
     def test_second_backward_over_one_recorded_op_rejected(self):
         gru = make_gru(3, 4, p=0.5)
@@ -706,22 +712,6 @@ class TestGRU:
         assert not out.any()
 
 
-@pytest.fixture
-def blocks(monkeypatch):
-    """``blocks(k, rows, units)`` makes an untaped GRU recurrence over
-    ``rows`` rows of ``units`` split into ``k`` blocks: OpenBLAS pinned to
-    one thread, k CPUs, and ``MIN_BLOCK_CELLS`` a k-th of its cells."""
-
-    def force(k, rows, units):
-        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
-        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-        monkeypatch.setattr(layers, "_block_cap", None)
-        monkeypatch.setattr(layers, "MIN_BLOCK_CELLS", rows * units // k if k > 1 else rows * units + 1)
-
-    return force
-
-
 def split_case(b=16, steps=20, seed=70):
     """A left-padded [b, T] mask whose longest row is the last one, alone
     live at step 0, and whose second longest is row 0: at step 1 the
@@ -732,8 +722,8 @@ def split_case(b=16, steps=20, seed=70):
 
 
 class TestGRUBlocks:
-    """An untaped GRU call split into row blocks on threads gives the bits
-    of the unsplit call."""
+    """A GRU call split into row blocks on threads gives the bits of the
+    unsplit call, recorded or not."""
 
     @pytest.mark.parametrize("form", ["index", "projected"])
     @pytest.mark.parametrize("keep_states", [True, False], ids=["states", "last"])
@@ -789,16 +779,60 @@ class TestGRUBlocks:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_taped_call_does_not_split(self, blocks, monkeypatch):
+    @pytest.mark.parametrize("p", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    @pytest.mark.parametrize("keep_states", [True, False], ids=["states", "last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recorded_call_any_block_count_gives_the_unsplit_bits(self, blocks, pools, dtype,
+                                                                   keep_states, p):
         mask = split_case()
-        gru = make_gru(6, 8, dtype=np.float32, seed=74)
-        rows, index, _ = index_case(mask, 10, 6, seed=75)
-        blocks(2, *mask.shape[:1], 8)
-        monkeypatch.setattr(layers, "ThreadPoolExecutor", None)  # any split would fail
-        with Tape():
-            gru.forward(Tensor(rows, requires_grad=True), mask=mask, index=index)
+        b, u = mask.shape[0], 64
+        gru = make_gru(48, u, dtype=dtype, p=p, seed=81)
+        rows, index, _ = index_case(mask, 30, 48, seed=82, dtype=dtype)
+        rng = np.random.default_rng(83)
+        h0 = rng.normal(size=(b, u)).astype(dtype)
+        coef = Tensor(rng.normal(size=(int(mask.sum()), u)).astype(dtype))
+        coef_last = Tensor(rng.normal(size=(b, u)).astype(dtype))
+        results = {}
+        for k in (1, 2, 3, 4):
+            blocks(k, b, u)
+            assert len(layers.row_blocks(mask, u)) == k + 1
+            for prm in gru.parameters():
+                prm.zero_grad()
+            x, h = Tensor(rows, requires_grad=True), Tensor(h0, requires_grad=True)
+            pools.clear()
+            before = threading.active_count()
+            with Tape() as tape:
+                states, last = gru.forward(x, mask=mask, h0=h, index=index, train=True,
+                                           rng=np.random.default_rng(84), keep_states=keep_states)
+                loss = T.sum_all(T.mul(last, coef_last))
+                if keep_states:
+                    loss = T.add(loss, T.sum_all(T.mul(states, coef)))
+            tape.backward(loss)
+            assert threading.active_count() == before
+            assert pools == ([] if k == 1 else [k - 1, k - 1])  # the forward's and the backward's
+            results[k] = [None if states is None else states.data.tobytes(), last.data.tobytes(),
+                          x.grad.tobytes(), h.grad.tobytes(), *(prm.grad.tobytes() for prm in gru.parameters())]
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
 
-    @pytest.mark.parametrize("form", ["index", "projected"])
+    def test_taped_call_that_records_nothing_splits(self, blocks, pools):
+        # the interleaved schedule's metadata steps run the text path under
+        # a tape with its gradients off
+        mask = split_case()
+        gru = make_gru(6, 8, dtype=np.float32, p=0.3, seed=74)
+        for prm in gru.parameters():
+            prm.requires_grad = False
+        rows, index, _ = index_case(mask, 10, 6, seed=75)
+        results = []
+        for k in (1, 2):
+            blocks(k, mask.shape[0], 8)
+            with Tape() as tape:
+                states, last = gru.forward(Tensor(rows), mask=mask, index=index, train=True,
+                                           rng=np.random.default_rng(76))
+            assert len(tape) == 0
+            results.append((states.data.tobytes(), last.data.tobytes()))
+        assert pools == [1] and results[0] == results[1]
+
+    @pytest.mark.parametrize("form", ["index", "projected", "recorded"])
     def test_out_of_range_index_raises_the_unsplit_error(self, blocks, form):
         mask = split_case()
         b, u = mask.shape[0], 8
@@ -812,8 +846,8 @@ class TestGRUBlocks:
         for k in (1, 3):
             blocks(k, b, u)
             before = threading.active_count()
-            with pytest.raises(IndexError) as raised:
-                gru.forward(Tensor(rows), **kwargs)
+            with pytest.raises(IndexError) as raised, Tape() if form == "recorded" else nullcontext():
+                gru.forward(Tensor(rows, requires_grad=True), **kwargs)
             assert threading.active_count() == before
             errors.append(str(raised.value))
         assert errors[0] == errors[1] and "out of range" in errors[0]
@@ -945,6 +979,57 @@ class TestRecurrenceBlocks:
         assert pinned["equal"] and default["equal"]
         assert pinned["blocks"][0] == min(2, pinned["cpus"]) and pinned["blocks"][1] == 1
         assert default["blocks"] == [1, 1]
+
+    def test_recorded_step_splits_at_paper_width_in_a_fresh_process(self, run_snippet):
+        # one interleaved view-B step (the text path recorded, the metadata
+        # path frozen) of a paper-width fused model at T 31 splits its GRU's
+        # forward and backward at one BLAS thread on 2 or more CPUs, and
+        # leaves the parameters of the unsplit step
+        snippet = textwrap.dedent("""
+            import json, os
+            import numpy as np
+            from abusenet import layers
+            from abusenet.model import ModelConfig, build_combined, build_metadata_path, build_text_path
+            from abusenet.tensor import Tape
+            from abusenet.training import Adam, TrainingConfig, cross_entropy
+
+            rng = np.random.default_rng(91)
+            ids = rng.integers(1, 3000, size=(512, 31))
+            lengths = rng.integers(3, 32, size=512)
+            ids[np.arange(31)[None, :] < (31 - lengths)[:, None]] = 0
+            meta = rng.normal(size=(512, 8)).astype(np.float32)
+            labels = rng.integers(0, 2, size=512)
+            split, row_blocks = [], layers.row_blocks
+
+            def counted(mask, units):
+                split.append(len(row_blocks(mask, units)) - 1)
+                return row_blocks(mask, units)
+
+            layers.row_blocks = counted
+
+            def view_b_step():
+                config, build = ModelConfig(), np.random.default_rng(92)
+                text = build_text_path(3000, 31, ["a", "b"], config=config, rng=build)
+                m = build_combined(text, build_metadata_path(8, ["a", "b"], config=config, rng=build), rng=build)
+                assert m.text_path.attention is None
+                for p in m.parameters():
+                    p.requires_grad = p.requires_grad and p.tag != "metadata"
+                with Tape() as tape:
+                    probs = m.forward(ids, meta, train=True, rng=np.random.default_rng(93),
+                                      stats_tags={"text", "head"})
+                    loss = cross_entropy(probs, labels)
+                tape.backward(loss)
+                Adam.from_config(TrainingConfig()).step(m.parameters(), allowed_tags={"text", "head"})
+                return b"".join(p.data.tobytes() for p in m.parameters())
+
+            stepped = view_b_step()
+            layers.MIN_BLOCK_CELLS = 10 ** 12
+            print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "blocks": split,
+                              "equal": stepped == view_b_step()}))
+        """)
+        done = json.loads(run_snippet(snippet, blas_threads=1))
+        assert done["equal"]
+        assert done["blocks"] == [min(2, done["cpus"]), 1]
 
 
 # attention masks: gaps inside a row, left padding, and an all-padded row

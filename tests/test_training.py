@@ -479,6 +479,21 @@ class TestInterleavedInvariants:
             expected = "A" if (epoch + batch) % 2 == 0 else "B"
             assert view == expected
 
+    def test_row_blocks_give_the_unsplit_bits(self, blocks, pools):
+        # both views' steps, the recorded backward and the validation
+        # sweeps split; the trained parameters and the history keep their bits
+        data = toy_dataset(n=120, seed=18)
+        config = quick_config(max_epochs=3, patience=2, batch_size=16)
+        runs = []
+        for k in (1, 2):
+            blocks(k, config.batch_size, SMALL.units)
+            model = build_fused(seed=19)
+            history = fit_interleaved(model, data, config)
+            runs.append(([p.data.tobytes() for p in model.parameters()], repr(history.to_dict()),
+                         history.val_indices.tobytes()))
+        assert pools and set(pools) == {1}
+        assert runs[0] == runs[1]
+
     def test_epoch_parity_flips_first_batch_view(self):
         data = toy_dataset(n=40, seed=14)
         model = build_fused(seed=15)
