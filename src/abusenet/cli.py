@@ -1,9 +1,9 @@
 """Command-line surface: train, evaluate, ablate, baseline, synth.
 
 Every command is reproducible bit-for-bit in its metric values under a fixed
-seed; reports echo the full effective configuration with defaults
-materialized. Timing fields are informational and excluded from any
-reproducibility comparison.
+seed on any CPU count (`run` pins OpenBLAS to one thread); reports echo the
+full effective configuration with defaults materialized. Timing fields are
+informational and excluded from any reproducibility comparison.
 """
 
 from __future__ import annotations
@@ -169,9 +169,8 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
 def _environment(workers: int) -> dict:
     """What decided whether the GRU ran blocks of rows on threads of their
     own (``layers.recurrence_blocks``); the bits do not depend on it."""
-    name, value = layers.BLAS_THREADS or (None, None)
-    return {"numpy": np.__version__, "blas": layers.BLAS, "blas_thread_variable": name,
-            "blas_thread_value": value, "cpus": layers.cpu_count(),
+    return {"numpy": np.__version__, "blas": layers.openblas() and layers.openblas()[0],
+            "blas_threads": layers.blas_threads(), "cpus": layers.cpu_count(),
             "block_cap": fold_block_cap(workers)}
 
 
@@ -379,9 +378,10 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 
 def run(argv=None) -> int:
-    """The ``abusenet`` entry point: `main`, with bad input reported in one
-    ``abusenet: error: ...`` line and exit status 2, as argparse reports a bad flag,
-    and each warning shown as one ``abusenet: warning: ...`` line."""
+    """The ``abusenet`` entry point: `main` after ``layers.pin_blas`` (the process stays pinned),
+    with bad input reported in one ``abusenet: error: ...`` line and exit status 2,
+    as argparse reports a bad flag, and each warning in one ``abusenet: warning: ...`` line."""
+    layers.pin_blas()
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _warning_line
     try:

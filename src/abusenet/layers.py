@@ -2,19 +2,20 @@
 
 Layers own Parameters and record each forward call as one fused tape op
 (the GRU adds a second for its last-state readout). A layer instance is
-called from one thread at a time; a GRU call, recorded or not, and a
-recorded GRU op's backward may run blocks of its rows on threads of its
-own, all joined before it returns.
+called from one thread at a time; at one OpenBLAS thread (``pin_blas``) a
+GRU call and a recorded GRU op's backward may run blocks of its rows on
+threads of its own, all joined before it returns.
 Weight init is Glorot-uniform with zero biases, drawn from a caller-supplied
 numpy Generator so builds are reproducible.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -518,8 +519,6 @@ MIN_BLOCK_CELLS = 192 * 128
 # 11.8k x 200 19.5 ms against 9.8 ms.
 FLAT_SCATTER_CELLS = 65536
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
 _block_cap: int | None = None  # set_block_cap's cap; None: the CPU count
 
 
@@ -531,33 +530,39 @@ def set_block_cap(cap: int | None) -> None:
     _block_cap = cap
 
 
-def blas_thread_setting(environ=os.environ) -> tuple[str, str] | None:
-    """The first of the variables OpenBLAS reads its thread count from
-    that is set in ``environ``, with its value; None when none is."""
-    for name in BLAS_THREAD_VARIABLES:
-        if name in environ:
-            return name, environ[name]
+@cache
+def openblas() -> tuple | None:
+    """(file name, thread-count getter, setter) of the OpenBLAS numpy
+    loaded, read from ``/proc/self/maps``; None without ``/proc`` or one."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in filter(os.path.isfile, libs):  # a file replaced since it loaded reads "<path> (deleted)"
+        handle = ctypes.CDLL(lib)
+        for spelling in ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}"):
+            if hasattr(handle, spelling.format("get_num_threads")):
+                get, put = (getattr(handle, spelling.format(f"{verb}_num_threads")) for verb in ("get", "set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return os.path.basename(lib), get, put
     return None
 
 
-def blas_name() -> str:
-    """The name numpy's build gives its BLAS, as ``np.__config__`` records
-    it; "unknown" where it records none, as before numpy 1.26."""
-    config = getattr(np.__config__, "CONFIG", {})
-    return config.get("Build Dependencies", {}).get("blas", {}).get("name") or "unknown"
+def blas_threads() -> int | None:
+    """The thread count OpenBLAS reports now; None where ``openblas`` finds none."""
+    return openblas() and openblas()[1]()
 
 
-# numpy's BLAS and the thread setting it runs with, read once. OpenBLAS
-# reads its thread count when numpy loads it, and numpy loads before this
-# module: a variable set later, or a count set through threadpoolctl, is
-# not seen here, as OpenBLAS does not see the first.
-BLAS = blas_name()
-BLAS_THREADS = blas_thread_setting()
+def pin_blas() -> None:
+    """Sets OpenBLAS to one thread where ``openblas`` finds it: no bit then depends on the CPU count."""
+    if openblas():
+        openblas()[2](1)
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on; where the OS reports no affinity,
-    all of them."""
+    """The CPUs this process may run on; all of them where the OS reports no affinity."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -573,16 +578,11 @@ def recurrence_blocks(rows: int, units: int) -> int:
     """How many blocks of rows, each on its own thread, a GRU recurrence
     over ``rows`` rows of ``units`` runs as, recorded (training) or not
     (inference): as many as hold ``MIN_BLOCK_CELLS`` rows x units each, up
-    to ``block_cap``, but one unless numpy's BLAS (``BLAS``) is OpenBLAS
-    loaded with one thread (the first of ``BLAS_THREAD_VARIABLES`` that was
-    set read 1). With more BLAS threads each product already runs on every
-    CPU, and a split only adds calls; so the CLI, which pins no thread
-    count, runs OpenBLAS's default and does not split. Block 0 runs on the
-    calling thread, the others in a pool made for the call and joined
-    before it returns, also when a block raises. The gate-input projection
-    runs in as many blocks of its rows. A recorded op's backward runs its
-    steps in the same blocks, then its weight gradients on a pool thread
-    beside the input gradient.
+    to ``block_cap``, but one unless OpenBLAS reports one thread now
+    (``blas_threads``, so a count set at run time is seen too). With more
+    BLAS threads each product already runs on every CPU, and a split only
+    adds calls; the CLI pins one (``pin_blas``). ``GRULayer._recurrence``
+    says what runs in the blocks.
 
     Blocks are contiguous and hold about equal live-position counts
     (``row_blocks``); a block's states are one contiguous slice of the
@@ -601,7 +601,7 @@ def recurrence_blocks(rows: int, units: int) -> int:
     ``test_recorded_step_splits_at_paper_width_in_a_fresh_process`` in
     tests/test_layers.py."""
     most = rows * units // MIN_BLOCK_CELLS
-    if most < 2 or "openblas" not in BLAS.lower() or BLAS_THREADS is None or BLAS_THREADS[1] != "1":
+    if most < 2 or blas_threads() != 1:
         return 1
     return max(1, min(most, block_cap()))
 
@@ -676,9 +676,9 @@ class AttentionLayer:
     and untaped calls alike, so both take them from the same BLAS calls.
     At one BLAS thread a block gives the bits of one product over all rows:
     OpenBLAS's sgemv rounds a row by its position modulo 4 within the call,
-    and every block starts at a multiple of 4. At more than one thread the
-    threads split each call's rows, so a batch of more than one block can
-    round differently from a single whole-batch product.
+    and every block starts at a multiple of 4. At more than one thread, as
+    in a library caller that never runs ``pin_blas``, the threads split each
+    call's rows, so a batch of more than one block can round differently.
     """
 
     def __init__(self, units: int, rng: np.random.Generator | None = None,

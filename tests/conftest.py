@@ -48,7 +48,7 @@ def all_code_points() -> str:
 def run_snippet():
     """Runs a Python snippet in a fresh interpreter that imports the package
     from src/, under OPENBLAS_NUM_THREADS=``blas_threads`` (OpenBLAS reads
-    it once, when numpy loads, so a thread count needs its own process);
+    it when numpy loads, so a variable's effect needs its own process);
     returns the snippet's stdout and fails the test if it exits non-zero."""
 
     def run(snippet: str, blas_threads: int = 1) -> str:
@@ -69,13 +69,25 @@ def blocks(monkeypatch):
     from abusenet import layers
 
     def force(k, rows, units):
-        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
-        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
+        monkeypatch.setattr(layers, "blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
         monkeypatch.setattr(layers, "_block_cap", None)
         monkeypatch.setattr(layers, "MIN_BLOCK_CELLS", rows * units // k if k > 1 else rows * units + 1)
 
     return force
+
+
+@pytest.fixture
+def openblas():
+    """``layers.openblas()``, None where none is found; its thread count is
+    set back after the test."""
+    from abusenet import layers
+
+    lib = layers.openblas()
+    threads = lib and lib[1]()
+    yield lib
+    if lib:
+        lib[2](threads)
 
 
 @pytest.fixture

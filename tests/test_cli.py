@@ -106,34 +106,46 @@ class TestTrainCommand:
         assert report["parameter_count"]["trainable"] > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_report_records_what_decides_the_gru_split(self, synth_dir, tmp_path, monkeypatch, workers):
-        monkeypatch.setattr(layers, "BLAS_THREADS", ("GOTO_NUM_THREADS", "3"))
+    def test_report_records_what_decides_the_gru_split(self, synth_dir, tmp_path, workers):
+        # the count OpenBLAS reports after cli.run pins it
         out = tmp_path / "run"
-        assert run(train_args(synth_dir, out) + ["--workers", workers]) == 0
+        assert cli.run([str(a) for a in train_args(synth_dir, out) + ["--workers", workers]]) == 0
         cpus = len(os.sched_getaffinity(0))
+        lib = layers.openblas()
         assert json.loads((out / "report.json").read_text())["environment"] == {
-            "numpy": np.__version__, "blas": layers.blas_name(), "blas_thread_variable": "GOTO_NUM_THREADS",
-            "blas_thread_value": "3", "cpus": cpus, "block_cap": max(1, cpus // workers)}
+            "numpy": np.__version__, "blas": lib and Path(lib[0]).name, "blas_threads": lib and 1,
+            "cpus": cpus, "block_cap": max(1, cpus // workers)}
 
-    def test_train_without_numpys_build_config_or_cpu_affinity(self, synth_dir, tmp_path, run_snippet):
-        # numpy before 1.26 records no np.__config__.CONFIG, and only Linux
-        # has os.sched_getaffinity: the BLAS reads as unknown, nothing splits,
-        # and the report is still written
+    def test_train_without_openblas_or_cpu_affinity(self, synth_dir, tmp_path, run_snippet):
+        # without /proc no OpenBLAS is found, and only Linux has
+        # os.sched_getaffinity: nothing splits, the pin leaves OpenBLAS at
+        # its count, and the report is still written
         out = tmp_path / "run"
         snippet = textwrap.dedent(f"""
-            import json, os
-            import numpy as np
-            del np.__config__.CONFIG
-            del os.sched_getaffinity
+            import builtins, json, os
             from abusenet import layers
-            from abusenet.cli import main
-            assert layers.BLAS == "unknown" and layers.recurrence_blocks(512, 128) == 1
-            assert main({[str(a) for a in train_args(synth_dir, out)]!r}) == 0
+            from abusenet.cli import run
+            found = layers.openblas()  # the real one, read while /proc is there
+            threads = found and found[1]()
+            layers.openblas.cache_clear()
+            open_ = builtins.open
+
+            def no_proc(file, *args, **kwargs):
+                if file == "/proc/self/maps":
+                    raise FileNotFoundError(file)
+                return open_(file, *args, **kwargs)
+
+            builtins.open = no_proc
+            del os.sched_getaffinity
+            assert layers.openblas() is None and layers.blas_threads() is None
+            assert layers.recurrence_blocks(4096, 128) == 1
+            assert run({[str(a) for a in train_args(synth_dir, out)]!r}) == 0
+            assert (found and found[1]()) == threads
             print(json.dumps(json.load(open({str(out / "report.json")!r}))["environment"]))
         """)
-        environment = json.loads(run_snippet(snippet, blas_threads=1).splitlines()[-1])
-        assert environment["blas"] == "unknown" and environment["cpus"] == os.cpu_count()
-        assert environment["blas_thread_variable"] == "OPENBLAS_NUM_THREADS"
+        environment = json.loads(run_snippet(snippet, blas_threads=2).splitlines()[-1])
+        assert environment["blas"] is None and environment["blas_threads"] is None
+        assert environment["cpus"] == os.cpu_count()
 
     def test_interleaved_strategy_report(self, synth_dir, tmp_path):
         out = tmp_path / "inter"
@@ -168,6 +180,28 @@ class TestTrainCommand:
         with pytest.raises(ContractError, match=f"k={folds}"):
             run(train_args(synth_dir, tmp_path / "run") + ["--folds", folds])
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.skipif(layers.cpu_count() < 2, reason="OpenBLAS's default is one thread on one CPU")
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # the CLI pins OpenBLAS to one thread: a paper-width train writes the
+    # checkpoint of OPENBLAS_NUM_THREADS=1 under OpenBLAS's default too,
+    # which is one thread per CPU
+    assert run(["synth", "--task", "groups", "--samples", "800", "--seed", "1", "--out", tmp_path]) == 0
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    checkpoints = []
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"run{len(checkpoints)}"
+        argv = ["train", "--dataset", tmp_path / "dataset.csv", "--schema", tmp_path / "schema.json",
+                "--batch-size", "512", "--folds", "2", "--max-epochs", "2", "--patience", "1",
+                "--mask", "WV+TF+UF", "--out", out]
+        done = subprocess.run([sys.executable, "-m", "abusenet", *map(str, argv)], env={**env, **threads},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        checkpoints.append((out / "model.ckpt").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 class TestEvaluateCommand:

@@ -568,14 +568,16 @@ class TestMulticlass:
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_fold_processes_share_out_the_cpus(self, monkeypatch, workers):
+    def test_fold_processes_share_out_the_cpus(self, monkeypatch, openblas, workers):
         # each fold process runs at most its share of the CPUs as GRU row
-        # blocks, so k folds' threads together do not outnumber the CPUs
+        # blocks, so k folds' threads together do not outnumber the CPUs;
+        # a forked fold process keeps its parent's pinned OpenBLAS
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # what a spawned fold process reads
-        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))  # a forked one
+        layers.pin_blas()
         cpus = len(os.sched_getaffinity(0))
         share = max(1, cpus // workers)
         with fold_pool(workers) as pool:
+            assert pool.submit(layers.blas_threads).result(timeout=120) == (openblas and 1)
             assert pool.submit(layers.block_cap).result(timeout=120) == share
             blocks = pool.submit(layers.recurrence_blocks, 64 * cpus, layers.MIN_BLOCK_CELLS).result(timeout=120)
         assert blocks == min(share, layers.recurrence_blocks(64 * cpus, layers.MIN_BLOCK_CELLS))

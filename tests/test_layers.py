@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import textwrap
 import threading
 import tracemalloc
 from contextlib import nullcontext
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -858,9 +861,8 @@ class TestRecurrenceBlocks:
 
     @pytest.fixture
     def pinned(self, monkeypatch):
-        """OpenBLAS loaded at one thread through OPENBLAS_NUM_THREADS, 4 CPUs, no cap."""
-        monkeypatch.setattr(layers, "BLAS", "scipy-openblas")
-        monkeypatch.setattr(layers, "BLAS_THREADS", ("OPENBLAS_NUM_THREADS", "1"))
+        """OpenBLAS at one thread, 4 CPUs, no cap."""
+        monkeypatch.setattr(layers, "blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         monkeypatch.setattr(layers, "_block_cap", None)
         return monkeypatch
@@ -874,53 +876,28 @@ class TestRecurrenceBlocks:
 
     def test_desk_widths_never_split(self, pinned):
         # cv-pipeline's batches (64 rows at 16 units) and the CLI's inference
-        # batch of 512 rows at desk widths
+        # batch of 512 rows at desk widths, without asking OpenBLAS
+        pinned.setattr(layers, "blas_threads", lambda: pytest.fail("asked OpenBLAS"))
         assert layers.recurrence_blocks(64, 16) == 1
         assert layers.recurrence_blocks(512, 16) == 1
         assert layers.recurrence_blocks(512, 32) == 1
 
-    def test_paper_width_batch_splits_at_one_blas_thread(self, pinned):
-        assert layers.recurrence_blocks(512, 128) == 2
-
-    @pytest.mark.parametrize("env, read, expected", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, "OPENBLAS_NUM_THREADS", 2),
-        ({"OPENBLAS_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", 1),
-        ({"OPENBLAS_NUM_THREADS": ""}, "OPENBLAS_NUM_THREADS", 1),
-        ({"GOTO_NUM_THREADS": "1"}, "GOTO_NUM_THREADS", 2),
-        ({"OMP_NUM_THREADS": "1"}, "OMP_NUM_THREADS", 2),
-        ({"OMP_NUM_THREADS": "4"}, "OMP_NUM_THREADS", 1),
-        ({}, None, 1),  # OpenBLAS's default: one thread per CPU
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "OPENBLAS_NUM_THREADS", 1),
-        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS", 2),
-        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "GOTO_NUM_THREADS", 1),
-        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "8"}, "GOTO_NUM_THREADS", 2),
-    ])
-    def test_the_first_thread_variable_set_decides(self, pinned, env, read, expected):
-        setting = layers.blas_thread_setting({"PATH": "/bin", **env})
-        assert setting == (read and (read, env[read]))
-        pinned.setattr(layers, "BLAS_THREADS", setting)
+    @pytest.mark.parametrize("threads, expected", [(1, 2), (2, 1), (4, 1), (None, 1)])
+    def test_paper_width_batch_splits_at_one_blas_thread(self, pinned, threads, expected):
+        # None: no OpenBLAS found
+        pinned.setattr(layers, "blas_threads", lambda: threads)
         assert layers.recurrence_blocks(512, 128) == expected
 
-    def test_thread_variables_are_read_when_numpy_loads(self, pinned):
-        # OpenBLAS keeps the thread count it loaded with, and so does the split
-        pinned.setattr(layers, "BLAS_THREADS", None)
-        pinned.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert layers.recurrence_blocks(512, 128) == 1
-
-    @pytest.mark.parametrize("name", ["accelerate", "openblas64", "unknown"])
-    def test_only_openblas_splits(self, pinned, name):
-        pinned.setattr(layers, "BLAS", name)
-        assert layers.recurrence_blocks(4096, 128) == (4 if "openblas" in name else 1)
-
-    def test_blas_name_without_numpys_build_config(self, monkeypatch):
-        # numpy before 1.26 records no np.__config__.CONFIG
-        monkeypatch.setattr(np.__config__, "CONFIG",
-                            {"Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
-        assert layers.blas_name() == "scipy-openblas"
-        monkeypatch.setattr(np.__config__, "CONFIG", {})
-        assert layers.blas_name() == "unknown"
-        monkeypatch.delattr(np.__config__, "CONFIG")
-        assert layers.blas_name() == "unknown"
+    def test_a_count_set_at_run_time_is_seen(self, monkeypatch, openblas):
+        # blas_threads asks OpenBLAS on every call
+        if openblas is None or layers.cpu_count() < 2:
+            pytest.skip("needs OpenBLAS and 2 CPUs")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(layers, "_block_cap", None)
+        openblas[2](2)
+        assert layers.blas_threads() == 2 and layers.recurrence_blocks(512, 128) == 1
+        layers.pin_blas()
+        assert layers.blas_threads() == 1 and layers.recurrence_blocks(512, 128) == 2
 
     @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, count, expected):
@@ -946,19 +923,28 @@ class TestRecurrenceBlocks:
         live = [int(mask[r0:r1].sum()) for r0, r1 in zip(bounds, bounds[1:])]
         assert max(live) - min(live) <= 10
 
-    def test_split_at_paper_width_in_a_fresh_process(self, run_snippet):
-        # a 512-row, 128-unit attention batch splits at one BLAS thread on 2
-        # or more CPUs and keeps its probabilities; under the default
-        # environment (no thread variable set) it does not split
-        snippet = textwrap.dedent("""
+    @pytest.mark.parametrize("variable, setup", [
+        ("1", ""),
+        ("2", ""),
+        ("", ""),  # OpenBLAS's default: one thread per CPU
+        ("2", "layers.pin_blas()"),
+        ("", "layers.openblas()[2](1)"),  # OpenBLAS's own setter, as threadpoolctl calls it
+    ], ids=["variable_1", "variable_2", "default", "pinned", "set_after_import"])
+    def test_split_at_paper_width_in_a_fresh_process(self, run_snippet, variable, setup):
+        # a 512-row, 128-unit attention batch splits on 2 or more CPUs
+        # wherever OpenBLAS reports one thread, and keeps its probabilities;
+        # at 2 threads, or at the default of one per CPU, it does not split
+        snippet = textwrap.dedent(f"""
             import json, os
-            if unset:
-                for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-                    os.environ.pop(name, None)
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                os.environ.pop(name, None)
+            if {variable!r}:
+                os.environ["OPENBLAS_NUM_THREADS"] = {variable!r}
             import numpy as np
             from abusenet import layers
             from abusenet.model import ModelConfig, build_text_path
 
+            {setup}
             m = build_text_path(3000, 106, ["a", "b"], config=ModelConfig(),
                                 rng=np.random.default_rng(80))
             assert m.text_path.attention is not None
@@ -971,14 +957,17 @@ class TestRecurrenceBlocks:
             probs = m.forward(ids, None).data
             layers.MIN_BLOCK_CELLS = 10 ** 12
             unsplit = m.forward(ids, None).data
-            print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "blocks": split,
-                              "equal": probs.tobytes() == unsplit.tobytes()}))
+            print(json.dumps({{"cpus": len(os.sched_getaffinity(0)), "threads": layers.blas_threads(),
+                               "blocks": split, "equal": probs.tobytes() == unsplit.tobytes()}}))
         """)
-        pinned = json.loads(run_snippet("unset = False" + snippet, blas_threads=1))
-        default = json.loads(run_snippet("unset = True" + snippet, blas_threads=1))
-        assert pinned["equal"] and default["equal"]
-        assert pinned["blocks"][0] == min(2, pinned["cpus"]) and pinned["blocks"][1] == 1
-        assert default["blocks"] == [1, 1]
+        done = json.loads(run_snippet(snippet))
+        cpus, threads = done["cpus"], done["threads"]
+        assert done["equal"]
+        assert done["blocks"] == [min(2, cpus) if threads == 1 else 1, 1]
+        if setup or variable == "1":
+            assert threads == 1
+        elif cpus >= 2:  # OpenBLAS runs no more threads than CPUs
+            assert threads == 2 if variable else threads >= 2
 
     def test_recorded_step_splits_at_paper_width_in_a_fresh_process(self, run_snippet):
         # one interleaved view-B step (the text path recorded, the metadata
@@ -1030,6 +1019,65 @@ class TestRecurrenceBlocks:
         done = json.loads(run_snippet(snippet, blas_threads=1))
         assert done["equal"]
         assert done["blocks"] == [min(2, done["cpus"]), 1]
+
+
+class TestOpenBLASLookup:
+    """``layers.openblas`` finds the OpenBLAS in /proc/self/maps and its
+    thread-count getter and setter under each spelling of their symbols."""
+
+    @pytest.fixture
+    def mapped(self, monkeypatch, tmp_path):
+        """``mapped(name, symbols)`` maps a library file ``name`` under
+        tmp_path (" (deleted)" appended: replaced since it was loaded) that
+        exports ``symbols``, a getter and setter of one count that starts at 3."""
+
+        def map_library(name, symbols):
+            path = tmp_path / name.removesuffix(" (deleted)")
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"")
+            maps = ("55d0-55d1 r-xp 00000000 08:01 7                 /usr/bin/python3\n"
+                    "7f02-7f03 rw-p 00000000 00:00 0 \n"
+                    + f"7f00-7f01 r-xp 00000000 08:01 42                {tmp_path / name}\n" * 2)
+            threads = [3]
+            handle = SimpleNamespace(**{
+                symbol: (lambda: threads[0]) if "get" in symbol else (lambda n: threads.__setitem__(0, n))
+                for symbol in symbols})
+            monkeypatch.setattr(layers, "open", lambda file, *args, **kwargs: io.StringIO(maps), raising=False)
+            monkeypatch.setattr(layers.ctypes, "CDLL", {str(path): handle}.__getitem__)
+            layers.openblas.cache_clear()
+
+        yield map_library
+        layers.openblas.cache_clear()
+
+    @pytest.mark.parametrize("name, spelling", [
+        ("libscipy_openblas64_-32a4b2a6.so", "scipy_openblas_{}64_"),
+        ("libopenblas64_.so.0", "openblas_{}64_"),
+        ("libopenblasp-r0.3.21.so", "openblas_{}"),
+        ("a dir/libopenblas.so.0", "openblas_{}"),
+    ])
+    def test_each_spelling_is_found(self, mapped, name, spelling):
+        mapped(name, [spelling.format("get_num_threads"), spelling.format("set_num_threads")])
+        assert layers.openblas()[0] == Path(name).name and layers.blas_threads() == 3
+        layers.pin_blas()
+        assert layers.blas_threads() == 1
+
+    @pytest.mark.parametrize("name, symbols", [
+        ("libopenblas.so.0 (deleted)", ["openblas_get_num_threads", "openblas_set_num_threads"]),
+        ("libopenblas.so.0", ["dgemm_", "sgemm_"]),
+    ], ids=["replaced_file", "no_thread_symbols"])
+    def test_nothing_found_leaves_the_blas_alone(self, mapped, name, symbols):
+        mapped(name, symbols)
+        assert layers.openblas() is None and layers.blas_threads() is None
+        layers.pin_blas()
+
+    def test_no_proc(self, mapped, monkeypatch):
+        mapped("libopenblas.so.0", ["openblas_get_num_threads", "openblas_set_num_threads"])
+
+        def no_proc(file, *args, **kwargs):
+            raise FileNotFoundError(file)
+
+        monkeypatch.setattr(layers, "open", no_proc, raising=False)
+        assert layers.openblas() is None and layers.blas_threads() is None
 
 
 # attention masks: gaps inside a row, left padding, and an all-padded row
