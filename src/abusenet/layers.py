@@ -257,13 +257,15 @@ class GRULayer:
         The rows may run as blocks on threads (``recurrence_blocks``), in
         the projection, the steps and, when recorded, the backward's steps;
         one body (``run``, ``run_back``) serves a block and the whole batch.
+        The batch's live positions are listed once, time-major and by row
+        within a step, so a block is rows r0:r1 and, at each step, their
+        contiguous run of that order: it reads the batch's inputs there and
+        writes the states, recorded buffers and gradients of those positions.
         When a tape records the op, the live rows' inputs, gates and products
         are kept packed time-major, z and r in their own [n, u] buffers so
         that backward's per-step arithmetic reads contiguous rows; h * drop,
         the sigmoid's last halving (z and r), r * h * drop, its U_h product
-        and c - h are computed straight into their packed rows. At each step
-        a block's live rows are a contiguous run of the batch's, so a block
-        writes its own rows of these buffers and of the gradients.
+        and c - h are computed straight into their packed rows.
         Backward is a reverse loop with two recurrent matmuls per step; each
         step adds its live rows' packed state gradients into dh, and padded
         rows pass dh through untouched. The gradients of the packed inputs,
@@ -293,40 +295,28 @@ class GRULayer:
                 raise ShapeError(f"gru projected rows {p_of.shape} do not match the mask {mask.shape}")
         else:
             P, p_of = None, index
-        # live positions of the whole batch in time-major order; step t's
-        # live rows are live_b[start[t]:start[t + 1]], its slice of the
-        # time-major buffers, src_p gives each one's row of P and pos its
-        # packed (batch-major) state row
-        live_t, live_b, start, src_p, pos = _live_order(mask, p_of, keep_states)
+        # the batch's live positions in time-major order: step t's live rows
+        # are live_b[start[t]:start[t + 1]], and src_x, src_p and pos give
+        # each one's row of x, its row of P and its packed (batch-major)
+        # state row
+        live_t, live_b = np.nonzero(mask.T)
+        start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
+        src_x = index[live_b, live_t]
+        src_p = src_x if P is None else p_of[live_b, live_t]
+        pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t]
         n = live_b.size
+        by_gemv = [hi - lo == 1 for lo, hi in zip(start, start[1:])]  # the batch's one-row steps
         if P is None:
-            check_index(src_p, rows.shape[0], "gru input row")
+            check_index(src_x, rows.shape[0], "gru input row")
         else:
             check_index(src_p, P.shape[0], "gru projected table row")
-            one = [lo for lo, hi in zip(start, start[1:]) if hi - lo == 1]
-            check_index(index[live_b[one], live_t[one]], rows.shape[0], "gru input row")
-        by_gemv = [hi - lo == 1 for lo, hi in zip(start, start[1:])]  # the batch's one-row steps
-
-        def matmul_for(t: int, k: int):
-            """The product of step t for a block with k of its live rows:
-            gemv only where the whole batch has one live row, as numpy
-            multiplies a one-row product; a block's lone row at a busier
-            step is a gemm row."""
-            return np.matmul if k > 1 or by_gemv[t] else _gemm_rows
-
-        def block(r0: int, r1: int) -> tuple:
-            """Rows r0:r1's (r0, r1, live_b, start, src_p, pos) in their own
-            live order, the first of their packed state rows, and per step
-            the shift from their time-major rows to the batch's."""
-            if (r0, r1) == (0, b):
-                return 0, b, live_b, start, src_p, pos, 0, [0] * steps
-            _, lb, st, sp, ps = _live_order(mask[r0:r1], p_of[r0:r1], keep_states)
-            before = np.count_nonzero(mask[:r0], axis=0)
-            shift = (np.asarray(start[:-1]) + before - np.asarray(st[:-1])).tolist()
-            return r0, r1, lb, st, sp, ps, int(before.sum()), shift
-
+            check_index(src_x[[lo for lo, one in zip(start, by_gemv) if one]], rows.shape[0], "gru input row")
+        # a block (r0, r1, los, his): rows r0:r1, whose live rows at step t
+        # are the run los[t]:his[t] of the batch's time-major order
         bounds = row_blocks(mask, u)
-        blocks = [block(r0, r1) for r0, r1 in zip(bounds, bounds[1:])]
+        runs = [start[:-1], *((np.asarray(start[:-1]) + np.count_nonzero(mask[:r], axis=0)).tolist()
+                              for r in bounds[1:-1]), start[1:]]
+        blocks = list(zip(bounds, bounds[1:], runs, runs[1:]))
         states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
         if record:
             x_all = rows[src_p]
@@ -337,43 +327,43 @@ class GRULayer:
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
 
-        def run(blk: tuple) -> np.ndarray:
+        def run(r0: int, r1: int, los: list, his: list) -> np.ndarray:
             """A block's rows through every step; returns their last state."""
-            r0, r1, live_b, start, src_p, pos, first, shift = blk
-            kept = states[first:first + live_b.size] if keep_states else None
             h = h0.data[r0:r1].copy()
-            drop_b, index_b = None if drop is None else drop[r0:r1], index[r0:r1]
+            drop_b, in_block = None if drop is None else drop[r0:r1], live_b - r0
             for t in range(steps):
-                lo, hi = start[t], start[t + 1]
+                lo, hi = los[t], his[t]
                 if lo == hi:
                     continue
                 if hi - lo == r1 - r0:
                     sel, h_t, drop_t = None, h, drop_b
                 else:
-                    sel = live_b[lo:hi]
+                    sel = in_block[lo:hi]
                     h_t = h[sel]
                     drop_t = None if drop_b is None else drop_b[sel]
-                matmul = matmul_for(t, hi - lo)
-                if by_gemv[t]:  # by gemv, as numpy computes a one-row product
-                    a = rows[index_b[live_b[lo:hi], t]] @ W
+                # gemv only where the whole batch has one live row, as numpy
+                # multiplies a one-row product; a block's lone row at a
+                # busier step is a gemm row
+                matmul = np.matmul if hi - lo > 1 or by_gemv[t] else _gemm_rows
+                if by_gemv[t]:
+                    a = rows[src_x[lo:hi]] @ W
                     a += bias
                 else:
                     a = P[src_p[lo:hi]]
-                rec = slice(lo + shift[t], hi + shift[t]) if record else None  # the batch's time-major rows
                 if drop_t is not None:
-                    hm = np.multiply(h_t, drop_t, out=hm_all[rec] if record else None)
+                    hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
                 else:
                     hm = h_t
                     if record:
-                        hm_all[rec] = h_t
+                        hm_all[lo:hi] = h_t
                 zr = matmul(hm, U_zr)
                 zr += a[:, :2 * u]
-                z, r = _sigmoid(zr, into=(z_all[rec], r_all[rec]) if record else None)
-                rh = np.multiply(r, hm, out=rh_all[rec] if record else None)
-                c = matmul(rh, U_h, out=c_all[rec] if record else None)
+                z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
+                rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
+                c = matmul(rh, U_h, out=c_all[lo:hi] if record else None)
                 c += a[:, 2 * u:]
                 np.tanh(c, out=c)
-                ch = np.subtract(c, h_t, out=ch_all[rec] if record else c)
+                ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
                 h_new = np.multiply(ch, z, out=None if record else c)  # reuse c: a fresh array cost 4% at score-long
                 h_new += h_t
                 if sel is None:
@@ -381,7 +371,7 @@ class GRULayer:
                 else:
                     h[sel] = h_new  # padded rows keep h exactly
                 if keep_states:
-                    kept[pos[lo:hi]] = h_new
+                    states[pos[lo:hi]] = h_new
             return h
 
         with _threads(len(blocks) - 1) as pool:
@@ -392,35 +382,31 @@ class GRULayer:
                 P = np.empty((rows.shape[0], 3 * u), dtype=x.dtype)
                 _on_threads(pool, [partial(self.project, rows[r0:r1], out=P[r0:r1])
                                    for r0, r1 in zip(cuts, cuts[1:])])
-            last = _on_threads(pool, [partial(run, blk) for blk in blocks])
+            last = _on_threads(pool, [partial(run, *blk) for blk in blocks])
         h = last[0] if len(last) == 1 else np.concatenate(last)
 
         used = False
 
-        def run_back(blk: tuple, g: np.ndarray, da: np.ndarray) -> np.ndarray:
+        def run_back(r0: int, r1: int, los: list, his: list, g: np.ndarray, da: np.ndarray) -> np.ndarray:
             """A block's rows through the reverse loop: writes their rows of
             da and returns their gradient of h0."""
-            r0, r1, live_b, start, _, pos, first, shift = blk
             dh = np.zeros((r1 - r0, u), dtype=g.dtype)
-            if keep_states:
-                g_b = g[first:first + live_b.size]
-            else:
+            if not keep_states:
                 dh += g[r0:r1]  # added to zeros, as the states form adds each row's last state gradient
-            drop_b = None if drop is None else drop[r0:r1]
+            drop_b, in_block = None if drop is None else drop[r0:r1], live_b - r0
             for t in range(steps - 1, -1, -1):
-                lo, hi = start[t], start[t + 1]
+                lo, hi = los[t], his[t]
                 if lo == hi:
                     continue
                 if hi - lo == r1 - r0:
                     sel, dh_t, drop_t = None, dh, drop_b
                 else:
-                    sel = live_b[lo:hi]
+                    sel = in_block[lo:hi]
                     dh_t = dh[sel]
                     drop_t = None if drop_b is None else drop_b[sel]
                 if keep_states:
-                    dh_t += g_b[pos[lo:hi]]
-                matmul = matmul_for(t, hi - lo)
-                lo, hi = lo + shift[t], hi + shift[t]
+                    dh_t += g[pos[lo:hi]]
+                matmul = np.matmul if hi - lo > 1 or by_gemv[t] else _gemm_rows
                 z, r = z_all[lo:hi], r_all[lo:hi]
                 one_minus_z = 1.0 - z
                 da_t = da[lo:hi]
@@ -445,9 +431,8 @@ class GRULayer:
             them in."""
             if not x.requires_grad:
                 return None
-            packed = np.empty((steps, b), dtype=np.intp)
-            packed[live_t, live_b] = np.arange(n)
-            bm = packed.T[mask]  # packed positions, batch-major
+            bm = np.empty(n, dtype=np.intp)
+            bm[pos] = np.arange(n)  # time-major positions, batch-major
             dx = np.zeros(x.shape, dtype=da.dtype)
             gx = da @ W.T
             if n * d <= FLAT_SCATTER_CELLS:  # one add per element: at these sizes, fewer numpy calls
@@ -469,7 +454,7 @@ class GRULayer:
             np.subtract(1.0, c_all, out=c_all)  # 1 - c^2, tanh's derivative
             da = np.empty((n, 3 * u), dtype=g.dtype)  # packed pre-activation gradients
             with _threads(len(blocks) - 1) as pool:
-                dh = _on_threads(pool, [partial(run_back, blk, g, da) for blk in blocks])
+                dh = _on_threads(pool, [partial(run_back, *blk, g, da) for blk in blocks])
                 # input_grad runs here, so its large dx comes from this
                 # thread's heap, whose freed pages later steps reuse
                 dx, (dW, db, dU_zr, dU_h) = _on_threads(pool, [partial(input_grad, da),
@@ -486,18 +471,6 @@ class GRULayer:
             _accum(self.U_h, dU_h)
 
         return op_output(states if keep_states else h, inputs, back)
-
-
-def _live_order(mask: np.ndarray, p_of: np.ndarray, keep_states: bool) -> tuple:
-    """(live_t, live_b, start, src_p, pos) of a [b, T] mask's live positions
-    in time-major order: step t's are live_b[start[t]:start[t + 1]], src_p
-    is each one's entry of ``p_of`` and pos its packed (batch-major) state
-    row, None without ``keep_states``."""
-    b, steps = mask.shape
-    live_t, live_b = np.nonzero(mask.T)
-    start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
-    pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t] if keep_states else None
-    return live_t, live_b, start, p_of[live_b, live_t], pos
 
 
 # The fewest rows x units a block of a GRU recurrence takes to its
@@ -585,15 +558,16 @@ def recurrence_blocks(rows: int, units: int) -> int:
     says what runs in the blocks.
 
     Blocks are contiguous and hold about equal live-position counts
-    (``row_blocks``); a block's states are one contiguous slice of the
-    packed states, and at each step its rows of the recorded time-major
-    buffers are one contiguous slice of the batch's. A row's bits do not
-    depend on its block: every index is checked and the dropout mask drawn
-    before the split; a step is multiplied by gemv only where the whole
-    batch has one live row, so a block's lone live row at a busier step is
-    a gemm row (``_gemm_rows``), forward and backward; each weight
-    gradient is one product over all positions, as unsplit; and OpenBLAS
-    gives a gemm row the same bits whatever the call's other rows. That
+    (``row_blocks``). A block is rows r0:r1 and, at each step, their
+    contiguous run of the batch's time-major live order, which the
+    recorded buffers follow; its states are one contiguous slice of the
+    packed states. A row's bits do not depend on its block: every index
+    is checked and the dropout mask drawn before the split; a step is
+    multiplied by gemv only where the whole batch has one live row, so a
+    block's lone live row at a busier step is a gemm row (``_gemm_rows``),
+    forward and backward; each weight gradient is one product over all
+    positions, as unsplit; and OpenBLAS gives a gemm row the same bits
+    whatever the call's other rows. That
     last property was checked only on x86_64 with OpenBLAS 0.3.31
     (scipy-openblas, DYNAMIC_ARCH, Haswell kernels); a build that picks
     kernels by matrix size could break it. On a new host, run
@@ -609,12 +583,15 @@ def recurrence_blocks(rows: int, units: int) -> int:
 def row_blocks(mask: np.ndarray, units: int) -> list[int]:
     """Bounds [0, ..., b] of the contiguous row blocks a GRU
     recurrence over a [b, T] mask runs as, with about equal live (mask
-    True) position counts; [0, b] is one block."""
+    True) position counts; [0, b] is one block, as is a batch without a
+    live position."""
     b = mask.shape[0]
     k = recurrence_blocks(b, units)
     if k == 1:
         return [0, b]
     ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    if not ends[-1]:
+        return [0, b]
     cuts = np.searchsorted(ends, ends[-1] * np.arange(1, k) / k) + 1
     return sorted({0, *cuts.tolist(), b})
 

@@ -855,6 +855,59 @@ class TestGRUBlocks:
             errors.append(str(raised.value))
         assert errors[0] == errors[1] and "out of range" in errors[0]
 
+    @pytest.mark.parametrize("form", ["index", "projected"])
+    @pytest.mark.parametrize("keep_states", [True, False], ids=["states", "last"])
+    @pytest.mark.parametrize("recorded", [False, True], ids=["untaped", "recorded"])
+    @pytest.mark.parametrize("empty", ["leading", "trailing", "all"])
+    def test_rows_without_live_positions_give_the_unsplit_bits(self, blocks, empty, recorded,
+                                                                keep_states, form):
+        # split_case's rows all have live positions; here some or all have
+        # none, so a block holds rows that no step reads
+        mask = split_case()
+        mask[{"leading": slice(None, 4), "trailing": slice(-4, None), "all": slice(None)}[empty]] = False
+        b, u = mask.shape[0], 64
+        gru = make_gru(48, u, dtype=np.float32, p=0.3, seed=85)
+        rows, index, _ = index_case(mask, 30, 48, seed=86)
+        rng = np.random.default_rng(87)
+        h0 = rng.normal(size=(b, u)).astype(np.float32)
+        coef = Tensor(rng.normal(size=(int(mask.sum()), u)).astype(np.float32))
+        coef_last = Tensor(rng.normal(size=(b, u)).astype(np.float32))
+        kwargs = dict(mask=mask, index=index, keep_states=keep_states)
+        if form == "projected":  # a recorded call ignores projected and reads x by this index
+            kwargs["projected"] = (gru.project(rows), index)
+            ids, kwargs["index"] = one_row_ids(index, mask)
+            rows = rows[ids]
+        results = {}
+        for k in (1, 2, 3):
+            blocks(k, b, u)
+            assert empty == "all" or len(layers.row_blocks(mask, u)) == k + 1
+            for prm in gru.parameters():
+                prm.zero_grad()
+            x, h = Tensor(rows, requires_grad=recorded), Tensor(h0, requires_grad=recorded)
+            before = threading.active_count()
+            with Tape() if recorded else nullcontext() as tape:
+                states, last = gru.forward(x, h0=h, train=True, rng=np.random.default_rng(88), **kwargs)
+                loss = T.sum_all(T.mul(last, coef_last))
+                if keep_states:
+                    loss = T.add(loss, T.sum_all(T.mul(states, coef)))
+            if recorded:
+                tape.backward(loss)
+            assert threading.active_count() == before
+            grads = [x.grad, h.grad, *(prm.grad for prm in gru.parameters())] if recorded else []
+            results[k] = [None if states is None else states.data.tobytes(), last.data.tobytes(),
+                          *(g.tobytes() for g in grads)]
+        assert results[2] == results[1] and results[3] == results[1]
+
+    def test_a_batch_without_live_positions_runs_as_one_block(self, blocks, pools):
+        mask = np.zeros((16, 20), dtype=bool)
+        gru = make_gru(6, 8, dtype=np.float32, seed=89)
+        rows, index, _ = index_case(mask, 10, 6, seed=90)
+        blocks(2, 16, 8)
+        assert layers.row_blocks(mask, 8) == [0, 16]
+        h0 = Tensor(np.random.default_rng(91).normal(size=(16, 8)).astype(np.float32))
+        states, last = gru.forward(Tensor(rows), mask=mask, h0=h0, index=index)
+        assert pools == [] and states.shape == (0, 8) and last.data.tobytes() == h0.data.tobytes()
+
 
 class TestRecurrenceBlocks:
     """When an untaped GRU recurrence splits, and into how many blocks."""
