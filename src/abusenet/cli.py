@@ -166,12 +166,12 @@ def _echo_config(args, training: TrainingConfig, model_cfg: ModelConfig) -> dict
     }
 
 
-def _environment(workers: int) -> dict:
+def _environment(args) -> dict:
     """What decided whether the GRU ran blocks of rows on threads of their
     own (``layers.recurrence_blocks``); the bits do not depend on it."""
     return {"numpy": np.__version__, "blas": layers.openblas() and layers.openblas()[0],
             "blas_threads": layers.blas_threads(), "cpus": layers.cpu_count(),
-            "block_cap": fold_block_cap(workers)}
+            "block_cap": fold_block_cap(min(args.workers, args.folds))}
 
 
 def cmd_train(args) -> int:
@@ -214,7 +214,7 @@ def cmd_train(args) -> int:
             "trainable_excluding_embeddings": parameter_count(model, include_embeddings=False),
         },
         "checkpoint": str(ckpt_path),
-        "environment": _environment(args.workers),
+        "environment": _environment(args),
         "timing": {"cv_seconds": cv_seconds, "final_fit_seconds": fit_seconds},
     }
     _write_json(out_dir / "report.json", payload)
@@ -262,7 +262,7 @@ def cmd_ablate(args) -> int:
         "command": "ablate",
         "config": _echo_config(args, training, model_cfg),
         "rows": rows,
-        "environment": _environment(args.workers),
+        "environment": _environment(args),
         "timing": {"seconds": time.monotonic() - t0},
     }
     if args.out:

@@ -287,6 +287,7 @@ def run_cv(corpus: Corpus, config: TrainingConfig, model_cfg: ModelConfig | None
     jobs = [(corpus, config, model_cfg, mask, i, folds, vectors)
             for i in range(n_folds)]
     results: list[tuple[int, dict]] = []
+    workers = min(workers, n_folds)  # a fork pool starts all its processes at its first submit
     if workers > 1:
         with fold_pool(workers) as pool:
             results = list(pool.map(_run_fold, jobs))

@@ -27,11 +27,11 @@ from .tensor import (
     Tensor,
     _accum,
     _check_dtypes,
-    _scatter_add_rows,
     active_tape,
     check_index,
     gather_rows,
     op_output,
+    scatter_add_rows,
 )
 
 
@@ -272,9 +272,9 @@ class GRULayer:
         W, U_z|U_r and U_h are then one matmul each over all positions, the
         weights' beside the inputs' when the rows run as blocks; the inputs'
         gradient is scatter-added into the rows straight from the packed
-        product, through a map of its rows. Backward first turns the
-        recorded c into 1 - c^2 in one pass, so it runs once: a second run
-        raises ContractError.
+        product, through a map of its rows (``scatter_add_rows``, in
+        batch-major order). Backward first turns the recorded c into 1 - c^2
+        in one pass, so it runs once: a second run raises ContractError.
         """
         inputs = (x, h0, *self.parameters())
         _check_dtypes(*inputs)
@@ -434,12 +434,7 @@ class GRULayer:
             bm = np.empty(n, dtype=np.intp)
             bm[pos] = np.arange(n)  # time-major positions, batch-major
             dx = np.zeros(x.shape, dtype=da.dtype)
-            gx = da @ W.T
-            if n * d <= FLAT_SCATTER_CELLS:  # one add per element: at these sizes, fewer numpy calls
-                at = src_p[bm][:, None] * d + np.arange(d)
-                np.add.at(dx.reshape(-1), at.reshape(-1), gx[bm].reshape(-1))
-            else:
-                _scatter_add_rows(dx.reshape(-1, d), src_p[bm], gx, row_map=bm)
+            scatter_add_rows(dx.reshape(-1, d), src_p[bm], da @ W.T, rows=bm)
             return dx
 
         def weight_grads(da: np.ndarray) -> tuple:
@@ -484,13 +479,6 @@ class GRULayer:
 # ms). Below that a block's per-step numpy calls, which hold the
 # interpreter lock, cost more than its share of the products saves.
 MIN_BLOCK_CELLS = 192 * 128
-
-# The most positions x input dims whose input gradient a recorded GRU
-# backward scatters with one flat ``np.add.at``, which adds in the order
-# ``_scatter_add_rows`` does. Timed in-process at one BLAS thread: at
-# cv-pipeline's ~1.4k x 16 it took 89 us against 194 us, at train-short's
-# 11.8k x 200 19.5 ms against 9.8 ms.
-FLAT_SCATTER_CELLS = 65536
 
 _block_cap: int | None = None  # set_block_cap's cap; None: the CPU count
 

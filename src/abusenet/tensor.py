@@ -230,67 +230,40 @@ def gather_rows(table: Tensor, indices, padding_idx: int | None = None) -> Tenso
         if not table.requires_grad:
             return
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        _scatter_add_rows(table.grad, idx.reshape(-1), g.reshape(-1, d),
-                          skip=None if pad is None else pad.reshape(-1))
+            table.grad = np.zeros(table.shape, dtype=table.dtype)
+        ids, keep = idx.reshape(-1), None
+        if pad is not None and pad.any():
+            keep = np.flatnonzero(~pad.reshape(-1))
+            ids = ids[keep]
+        scatter_add_rows(table.grad, ids, g.reshape(-1, d), rows=keep)
 
     return op_output(rows, (table,), back)
 
 
-# Occurrences of an index that _scatter_add_rows adds in vectorized rounds;
-# an index repeated more often adds the rest with one ``np.cumsum``.
-SCATTER_ROUNDS = 16
+# The most cells (positions x row width) one flat ``np.add.at`` call of
+# ``scatter_add_rows`` takes, so its np.intp offsets hold at most 512 KiB.
+SCATTER_CHUNK = 1 << 16
 
 
-def _scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                      skip: np.ndarray | None = None, row_map: np.ndarray | None = None) -> None:
-    """``np.add.at(out, idx, g)``, bit for bit, without ``np.add.at``.
-
-    ``np.add.at`` adds the rows of ``g`` one at a time in position order, so
-    each touched row of ``out`` ends as its value plus its occurrences added
-    left to right. A stable sort groups the positions by index in that
-    order, and the indices are ranked by occurrence count, most first, so
-    that those with more than k occurrences form a prefix. Their rows are
-    gathered into ``acc``; round k adds every index's k-th occurrence to a
-    prefix of ``acc`` in one vectorized add. After ``SCATTER_ROUNDS``
-    rounds, each index with more occurrences adds the rest with one
-    ``np.cumsum`` seeded with its running sum, and ``acc`` is written back.
-    Position j adds row ``row_map[j]`` of ``g`` (row j without a map), so a
-    caller need not reorder ``g``; positions where the boolean mask ``skip``
-    is True are left out.
-    """
-    keys, src = idx, row_map  # src[j]: the row of g that position j adds
-    if skip is not None and skip.any():
-        keep = np.flatnonzero(~skip)
-        keys, src = idx[keep], keep if row_map is None else row_map[keep]
-    if not keys.size:
+def scatter_add_rows(out: np.ndarray, idx: np.ndarray, g: np.ndarray, rows: np.ndarray | None = None) -> None:
+    """``np.add.at(out, idx, g[rows])`` into a C-contiguous [V, d] ``out``,
+    bit for bit: position j adds row ``rows[j]`` of ``g`` (row j without a
+    map) to row ``idx[j]``. Strictly increasing ids repeat none, so one
+    fancy add serves; otherwise each chunk of positions, in order, is one
+    flat 1-D ``np.add.at`` call (numpy's fast path since 1.25) over np.intp
+    offsets, so int32 ids cannot overflow them."""
+    if not out.flags.c_contiguous:
+        raise ContractError("scatter_add_rows adds into a C-contiguous array")
+    if (idx[1:] > idx[:-1]).all():
+        out[idx] += g if rows is None else g[rows]
         return
-    if (keys[1:] > keys[:-1]).all():  # increasing, so no index repeats
-        out[keys] += g if src is None else g[src]
-        return
-    # numpy's stable sort is a radix sort for integers of 16 bits or fewer
-    narrow = 0 <= keys.min() and keys.max() < 2**16
-    order = np.argsort(keys.astype(np.uint16) if narrow else keys, kind="stable")
-    keys, src = keys[order], order if src is None else src[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=keys.size)
-    most = np.argsort(-counts, kind="stable")
-    starts, counts = starts[most], counts[most]
-    rows = keys[starts]
-    acc = out[rows]
-    rounds = min(SCATTER_ROUNDS, int(counts[0]))
-    # widths[k]: how many indices have more than k occurrences
-    widths = np.searchsorted(-counts, -np.arange(rounds), side="left").tolist()
-    for k, m in enumerate(widths):
-        acc[:m] += g[src[starts[:m] + k]]
-    for j in range(int(np.count_nonzero(counts > SCATTER_ROUNDS))):
-        rest = g[src[starts[j] + SCATTER_ROUNDS:starts[j] + counts[j]]]
-        rest[0] += acc[j]  # addition commutes bit for bit
-        acc[j] = np.cumsum(rest, axis=0, out=rest)[-1]
-    out[rows] = acc
+    d = out.shape[1]
+    step = max(1, SCATTER_CHUNK // d)
+    cols = np.arange(d, dtype=np.intp)
+    for s in range(0, idx.size, step):
+        at = idx[s:s + step].astype(np.intp)[:, None] * d + cols
+        src = g[s:s + step] if rows is None else g[rows[s:s + step]]
+        np.add.at(out.reshape(-1), at.reshape(-1), src.reshape(-1))
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:

@@ -105,16 +105,17 @@ class TestTrainCommand:
         assert (out / "model.ckpt").exists()
         assert report["parameter_count"]["trainable"] > 0
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_report_records_what_decides_the_gru_split(self, synth_dir, tmp_path, workers):
-        # the count OpenBLAS reports after cli.run pins it
+        # the count OpenBLAS reports after cli.run pins it; two folds run in
+        # at most two processes
         out = tmp_path / "run"
         assert cli.run([str(a) for a in train_args(synth_dir, out) + ["--workers", workers]]) == 0
         cpus = len(os.sched_getaffinity(0))
         lib = layers.openblas()
         assert json.loads((out / "report.json").read_text())["environment"] == {
             "numpy": np.__version__, "blas": lib and Path(lib[0]).name, "blas_threads": lib and 1,
-            "cpus": cpus, "block_cap": max(1, cpus // workers)}
+            "cpus": cpus, "block_cap": max(1, cpus // min(workers, 2))}
 
     def test_train_without_openblas_or_cpu_affinity(self, synth_dir, tmp_path, run_snippet):
         # without /proc no OpenBLAS is found, and only Linux has

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from abusenet import data as data_mod
+from abusenet import evaluation
 from abusenet import layers
 from abusenet.data import (
     Corpus,
@@ -582,6 +583,31 @@ class TestWorkers:
             blocks = pool.submit(layers.recurrence_blocks, 64 * cpus, layers.MIN_BLOCK_CELLS).result(timeout=120)
         assert blocks == min(share, layers.recurrence_blocks(64 * cpus, layers.MIN_BLOCK_CELLS))
         assert layers.block_cap() == cpus  # this process keeps its own cap
+
+    def test_pool_holds_no_more_processes_than_folds(self, monkeypatch):
+        # a fork pool starts every worker at its first submit: three workers
+        # for two folds make a pool of two, each with half the CPUs. The spy
+        # runs the folds in this process and starts none.
+        seen = []
+
+        class SpyPool:
+            def __init__(self, max_workers, initializer, initargs):
+                seen.append((max_workers, initializer, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", SpyPool)
+        report = run_cv(synth_groups(n=80, seed=17), tiny_config(seed=2), TINY_MODEL, mask="UF",
+                        n_folds=2, workers=3)
+        assert seen == [(2, layers.set_block_cap, (max(1, layers.cpu_count() // 2),))]
+        assert len(report.folds) == 2
 
     def test_parallel_folds_match_serial(self):
         corpus = synth_groups(n=140, seed=15)

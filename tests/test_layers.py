@@ -483,7 +483,7 @@ class TestGRU:
     @pytest.mark.parametrize("form", ["dense", "index"])
     @pytest.mark.parametrize("p", [0.5, 0.0], ids=["dropout", "no_dropout"])
     @pytest.mark.parametrize("mask", INDEX_MASKS.values(), ids=INDEX_MASKS.keys())
-    def test_gradients_equal_per_step_bptt_bitwise(self, mask, p, form, monkeypatch):
+    def test_gradients_equal_per_step_bptt_bitwise(self, mask, p, form):
         mask = mask_of(mask)
         b = mask.shape[0]
         gru = make_gru(64, 16, dtype=np.float32, p=p, seed=34)
@@ -499,22 +499,18 @@ class TestGRU:
             expected = np.zeros_like(rows)
             np.add.at(expected, index[mask], dx[mask])
             dx = expected
-        for cells in (layers.FLAT_SCATTER_CELLS, 0):  # the input gradient's flat and row scatter
-            monkeypatch.setattr(layers, "FLAT_SCATTER_CELLS", cells)
-            for param in gru.parameters():
-                param.zero_grad()
-            h0 = Tensor(h0_data, requires_grad=True)
-            x, idx = (rows, index) if form == "index" else (dense, None)
-            x = Tensor(x.copy(), requires_grad=True)
-            with Tape() as tape:
-                states, _ = gru.forward(x, mask=mask, h0=h0, train=True, index=idx,
-                                        rng=np.random.default_rng(5))
-                loss = T.sum_all(T.mul(states, Tensor(g)))
-            tape.backward(loss)
-            for param in gru.parameters():
-                assert param.grad.tobytes() == grads[param.name].tobytes(), param.name
-            assert h0.grad.tobytes() == dh0.tobytes()
-            assert x.grad.tobytes() == dx.tobytes()
+        h0 = Tensor(h0_data, requires_grad=True)
+        x, idx = (rows, index) if form == "index" else (dense, None)
+        x = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            states, _ = gru.forward(x, mask=mask, h0=h0, train=True, index=idx,
+                                    rng=np.random.default_rng(5))
+            loss = T.sum_all(T.mul(states, Tensor(g)))
+        tape.backward(loss)
+        for param in gru.parameters():
+            assert param.grad.tobytes() == grads[param.name].tobytes(), param.name
+        assert h0.grad.tobytes() == dh0.tobytes()
+        assert x.grad.tobytes() == dx.tobytes()
 
     def test_second_backward_over_one_recorded_op_rejected(self):
         gru = make_gru(3, 4, p=0.5)

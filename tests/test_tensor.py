@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,50 +220,108 @@ class TestGatherRows:
         np.add.at(grad, ids[ids != 0], coef[ids != 0])
         np.testing.assert_array_equal(table.grad, grad)
 
+    @pytest.mark.parametrize("ids", [np.zeros((2, 3), dtype=np.intp), np.zeros(0, dtype=np.intp)],
+                             ids=["all_padding", "empty"])
+    def test_no_live_ids_leave_the_grad_zero(self, ids):
+        table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with Tape() as tape:
+            out = T.gather_rows(table, ids, padding_idx=0)
+            loss = T.sum_all(T.mul(out, Tensor(np.ones((*ids.shape, 2)))))
+        tape.backward(loss)
+        assert table.grad.tobytes() == np.zeros((3, 2)).tobytes()
+
     def test_rejects_table_not_2d(self):
         with pytest.raises(ShapeError, match="2-d table"):
             T.gather_rows(Tensor(np.zeros(6)), np.array([[1, 2]]))
 
 
 class TestScatterAddRows:
-    """``_scatter_add_rows`` against ``np.add.at`` as the oracle, byte for byte."""
+    """``scatter_add_rows`` against ``np.add.at`` as the oracle, byte for byte."""
 
     @staticmethod
-    def case(rng, d, dtype):
-        K = T.SCATTER_ROUNDS
-        V = 12
-        # index 3 is repeated far beyond the vectorized rounds, 5 and 7 sit
-        # at their boundary, the rest are drawn at random
-        idx = np.concatenate([np.full(3 * K + 5, 3), np.full(K, 5), np.full(K + 1, 7),
-                              rng.integers(0, V, size=60)])
-        idx = idx[rng.permutation(idx.size)]
-        g = rng.normal(size=(idx.size, d)) * 10.0 ** rng.uniform(-4, 4, size=(idx.size, 1))
+    def grads(rng, n, d, dtype):
+        # magnitudes spread wide, so rows summed in another order would differ
+        g = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
         g = g.astype(dtype)
         g[rng.random(g.shape) < 0.1] = -0.0
-        return V, idx, g
+        return g
+
+    @staticmethod
+    def start(rng, V, d, dtype, existing):
+        out = (rng.normal(size=(V, d)) if existing else np.zeros((V, d))).astype(dtype)
+        out[0] = -0.0  # an untouched or touched row holding signed zeros
+        return out
+
+    def check(self, out, idx, g, rows=None):
+        expected = out.copy()
+        np.add.at(expected, idx, g if rows is None else g[rows])
+        T.scatter_add_rows(out, idx, g, rows=rows)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 3, 40])
     @pytest.mark.parametrize("existing", [False, True], ids=["zero", "existing"])
-    @pytest.mark.parametrize("with_skip", [False, True], ids=["all", "skip"])
-    def test_equals_add_at_bitwise(self, dtype, d, existing, with_skip):
+    @pytest.mark.parametrize("mapped", [False, True], ids=["in_order", "rows_map"])
+    def test_equals_add_at_bitwise(self, dtype, d, existing, mapped):
         rng = np.random.default_rng(d)
-        V, idx, g = self.case(rng, d, dtype)
-        out = (rng.normal(size=(V, d)) if existing else np.zeros((V, d))).astype(dtype)
-        out[0] = -0.0  # an untouched or touched row holding signed zeros
-        skip = rng.random(idx.size) < 0.3 if with_skip else None
-        keep = np.ones(idx.size, dtype=bool) if skip is None else ~skip
-        expected = out.copy()
-        np.add.at(expected, idx[keep], g[keep])
-        T._scatter_add_rows(out, idx, g, skip=skip)
-        assert out.dtype == dtype
-        assert out.tobytes() == expected.tobytes()
+        V = 12
+        # index 3 is repeated many times, the rest are drawn at random
+        idx = np.concatenate([np.full(53, 3), rng.integers(0, V, size=60)])
+        idx = idx[rng.permutation(idx.size)]
+        g = self.grads(rng, idx.size + 7, d, dtype)
+        # a map reads the positions' rows out of order, and not all of them
+        rows = rng.permutation(g.shape[0])[:idx.size] if mapped else None
+        self.check(self.start(rng, V, d, dtype, existing), idx, g if mapped else g[:idx.size], rows)
 
-    def test_empty_and_all_skipped_leave_out_unchanged(self):
-        out = np.arange(6.0).reshape(3, 2)
-        T._scatter_add_rows(out, np.zeros(0, dtype=np.intp), np.zeros((0, 2)))
-        T._scatter_add_rows(out, np.array([1, 1]), np.ones((2, 2)), skip=np.array([True, True]))
-        np.testing.assert_array_equal(out, np.arange(6.0).reshape(3, 2))
+    @pytest.mark.parametrize("d", [1, 3, 40])
+    def test_chunks_add_in_position_order(self, d):
+        # two chunk boundaries; index 5 repeats on both sides of the first
+        rng = np.random.default_rng(30 + d)
+        step = T.SCATTER_CHUNK // d
+        V = 50
+        idx = rng.integers(0, V, size=2 * step + 9)
+        idx[step - 3:step + 3] = 5
+        g = self.grads(rng, idx.size, d, np.float32)
+        self.check(self.start(rng, V, d, np.float32, True), idx, g)
+
+    def test_int32_ids(self):
+        rng = np.random.default_rng(33)
+        idx = rng.integers(0, 9, size=200).astype(np.int32)
+        g = self.grads(rng, 200, 5, np.float32)
+        self.check(self.start(rng, 9, 5, np.float32, True), idx, g, rows=rng.permutation(200))
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["in_order", "rows_map"])
+    def test_increasing_ids_onto_existing_rows(self, mapped):
+        # distinct ids in ascending order: one fancy add, same bits
+        rng = np.random.default_rng(34)
+        idx = np.array([0, 2, 3, 7, 11])
+        g = self.grads(rng, 8, 6, np.float32)
+        rows = np.array([7, 0, 4, 1, 5]) if mapped else None
+        self.check(self.start(rng, 12, 6, np.float32, True), idx, g if mapped else g[:5], rows)
+
+    def test_rejects_out_not_c_contiguous(self):
+        out = np.zeros((3, 4), order="F")
+        with pytest.raises(ContractError, match="C-contiguous"):
+            T.scatter_add_rows(out, np.array([1, 1]), np.ones((2, 4)))
+
+    def test_peak_memory_at_train_short_size(self):
+        # a view-B GRU input gradient at train-short's size: 11.7k positions
+        # on 6.8k distinct rows of 200 float32, through a map of their rows;
+        # one unchunked flat np.add.at would hold 26.8 MiB here
+        rng = np.random.default_rng(35)
+        V, n, d = 6800, 11700, 200
+        idx = rng.permutation(np.concatenate([np.arange(V), rng.integers(0, V, size=n - V)]))
+        rows = rng.permutation(n)
+        g = rng.normal(size=(n, d)).astype(np.float32)
+        out = np.zeros((V, d), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            T.scatter_add_rows(out, idx, g, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestConcatLast:
