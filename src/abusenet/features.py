@@ -54,13 +54,31 @@ def tweet_counters(text: str) -> list[float]:
     as uppercase words; emoticons match whitespace-delimited chunks against
     the shipped lexicon; uppercase words are letters-only chunks of length
     >= 2 that are entirely uppercase.
+
+    Each whitespace chunk is counted on its own, in one ``split``: a URL runs
+    from where it starts to the end of its chunk (``\\S+``), so a chunk holds
+    at most one, the first ``URL_RE.search`` finds, and only the part before
+    it is what removing the URL leaves; mentions and hashtags never span
+    whitespace. A chunk of letters alone holds none of the three.
     """
-    stripped, n_urls = URL_RE.subn(" ", text)
-    n_mentions = len(MENTION_RE.findall(stripped))
-    n_hashtags = len(HASHTAG_RE.findall(stripped))
-    chunks = stripped.split()
-    n_emoticons = sum(map(EMOTICONS.__contains__, chunks))
-    n_upper = sum(1 for c in chunks if len(c) >= 2 and c.isalpha() and c == c.upper())
+    n_hashtags = n_mentions = n_emoticons = n_upper = n_urls = 0
+    for chunk in text.split():
+        if not chunk.isalpha():
+            url = URL_RE.search(chunk)
+            if url is not None:
+                n_urls += 1
+                chunk = chunk[:url.start()]
+            if "@" in chunk:
+                n_mentions += len(MENTION_RE.findall(chunk))
+            if "#" in chunk:
+                n_hashtags += len(HASHTAG_RE.findall(chunk))
+            if not chunk.isalpha():
+                n_emoticons += chunk in EMOTICONS
+                continue
+        if chunk in EMOTICONS:
+            n_emoticons += 1
+        if len(chunk) >= 2 and chunk == chunk.upper():
+            n_upper += 1
     return [float(n_hashtags), float(n_mentions), float(n_emoticons), float(n_upper), float(n_urls)]
 
 

@@ -3,8 +3,9 @@
 Layers own Parameters and record each forward call as one fused tape op
 (the GRU adds a second for its last-state readout). A layer instance is
 called from one thread at a time; at one OpenBLAS thread (``pin_blas``) a
-GRU call and a recorded GRU op's backward may run blocks of its rows on
-threads of its own, all joined before it returns.
+GRU call and a recorded GRU op's backward may run blocks of its rows, and
+an attention call runs of its score blocks, on threads of its own, all
+joined before it returns.
 Weight init is Glorot-uniform with zero biases, drawn from a caller-supplied
 numpy Generator so builds are reproducible.
 """
@@ -326,6 +327,13 @@ class GRULayer:
             ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
+            # U_h^T and U_zr^T in C order for the backward's products of two
+            # or more rows: OpenBLAS's sgemm (0.3.31, x86_64) rounds a
+            # product of up to 9 rows by a transposed view unlike the same
+            # rows of a larger product, and one by a C-order operand alike
+            # at every row count; large products agree for either operand.
+            # A one-row step of the batch (gemv) keeps the view.
+            U_h_rows, U_zr_rows = np.ascontiguousarray(U_h.T), np.ascontiguousarray(U_zr.T)
 
         def run(r0: int, r1: int, los: list, his: list) -> np.ndarray:
             """A block's rows through every step; returns their last state."""
@@ -407,15 +415,16 @@ class GRULayer:
                 if keep_states:
                     dh_t += g[pos[lo:hi]]
                 matmul = np.matmul if hi - lo > 1 or by_gemv[t] else _gemm_rows
+                U_hT, U_zrT = (U_h.T, U_zr.T) if by_gemv[t] else (U_h_rows, U_zr_rows)
                 z, r = z_all[lo:hi], r_all[lo:hi]
                 one_minus_z = 1.0 - z
                 da_t = da[lo:hi]
                 np.multiply(dh_t * z, c_all[lo:hi], out=da_t[:, 2 * u:])
-                drh = matmul(da_t[:, 2 * u:], U_h.T)
+                drh = matmul(da_t[:, 2 * u:], U_hT)
                 np.multiply(dh_t * ch_all[lo:hi], z * one_minus_z, out=da_t[:, :u])
                 np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
                 dhm = drh * r
-                dhm += matmul(da_t[:, :2 * u], U_zr.T)
+                dhm += matmul(da_t[:, :2 * u], U_zrT)
                 if drop_t is not None:
                     dhm *= drop_t
                 dhm += dh_t * one_minus_z
@@ -555,14 +564,25 @@ def recurrence_blocks(rows: int, units: int) -> int:
     block's lone live row at a busier step is a gemm row (``_gemm_rows``),
     forward and backward; each weight gradient is one product over all
     positions, as unsplit; and OpenBLAS gives a gemm row the same bits
-    whatever the call's other rows. That
-    last property was checked only on x86_64 with OpenBLAS 0.3.31
-    (scipy-openblas, DYNAMIC_ARCH, Haswell kernels); a build that picks
-    kernels by matrix size could break it. On a new host, run
-    ``TestGRUBlocks``, ``test_split_at_paper_width_in_a_fresh_process`` and
-    ``test_recorded_step_splits_at_paper_width_in_a_fresh_process`` in
-    tests/test_layers.py."""
-    most = rows * units // MIN_BLOCK_CELLS
+    whatever the call's other rows, when the other operand is C-ordered.
+    With a transposed view it does not: a product of up to 9 rows (at 128
+    columns) by one takes a small-matrix kernel, so the backward's
+    recurrent products multiply by C-order copies of U^T. Both properties
+    were checked only on x86_64 with OpenBLAS 0.3.31 (scipy-openblas,
+    DYNAMIC_ARCH, SkylakeX kernels); another build may pick other kernels
+    by matrix size. On a new host, run
+    ``TestGRUBlocks``, ``test_split_at_paper_width_in_a_fresh_process``,
+    ``test_recorded_step_splits_at_paper_width_in_a_fresh_process`` and
+    ``test_recorded_attention_step_splits_at_paper_width_in_a_fresh_process``
+    in tests/test_layers.py."""
+    return thread_count(rows * units // MIN_BLOCK_CELLS)
+
+
+def thread_count(most: int) -> int:
+    """How many threads a phase that could use ``most`` runs on: ``most``
+    up to ``block_cap``, but one unless OpenBLAS reports one thread now.
+    The GRU's row blocks, attention's score blocks and Adam's blocks of a
+    large parameter all split by it."""
     if most < 2 or blas_threads() != 1:
         return 1
     return max(1, min(most, block_cap()))
@@ -644,6 +664,16 @@ class AttentionLayer:
     and every block starts at a multiple of 4. At more than one thread, as
     in a library caller that never runs ``pin_blas``, the threads split each
     call's rows, so a batch of more than one block can round differently.
+
+    At one BLAS thread a forward may score contiguous runs of its blocks on
+    threads of its own (``thread_count`` of ``recurrence_blocks`` of its
+    batch, at most one per block), all joined before it returns. The bits
+    do not depend on the thread count: every block makes the same BLAS and
+    ufunc calls on the same rows as on one thread, and writes only its own
+    rows of the scores (taped, of the score input too). A one-row tail
+    block runs on the thread of the block before it, since it scores that
+    block's last 4 rows again. The softmax, the per-row context products
+    and the backward run on the calling thread.
     """
 
     def __init__(self, units: int, rng: np.random.Generator | None = None,
@@ -652,7 +682,7 @@ class AttentionLayer:
         self.units = units
         self.W_a = Parameter(f"{name}.W_a", glorot_uniform(rng, units, units, dtype=dtype))
         self.v_a = Parameter(f"{name}.v_a", glorot_uniform(rng, units, 1, shape=(units, 1), dtype=dtype))
-        self._blocks: dict[np.dtype, np.ndarray] = {}  # dtype -> [SCORE_BLOCK, units] untaped score input
+        self._blocks: dict[tuple, np.ndarray] = {}  # (dtype, thread) -> [SCORE_BLOCK, units] untaped score input
 
     def parameters(self) -> list[Parameter]:
         return [self.W_a, self.v_a]
@@ -669,7 +699,8 @@ class AttentionLayer:
         The score input tanh(h_t W) has one [units] row per live position.
         A call that records a tape keeps all n rows, which backward reads;
         any other call reduces one block of them at a time to its scores,
-        in a block buffer per dtype that the layer keeps for the next call.
+        in a block buffer per dtype and per thread that the layer keeps for
+        the next call.
         Context and weights are always fresh arrays.
         """
         mask = np.asarray(mask, dtype=bool)
@@ -689,27 +720,43 @@ class AttentionLayer:
         ends = np.cumsum(counts)
         starts = ends - counts
         live = states.data
-        if taped:
-            a = np.empty((n, u), dtype=states.dtype)
-        elif states.dtype in self._blocks:
-            a = self._blocks[states.dtype]
-        else:
-            a = self._blocks[states.dtype] = np.empty((SCORE_BLOCK, u), dtype=states.dtype)
+        # where a thread's run of score blocks may start: a one-row tail
+        # block stays with the block before it, whose last 4 rows it scores
+        # again, so that no two threads write one row
+        firsts = range(0, max(n - 1, 1), SCORE_BLOCK)
+        k = min(recurrence_blocks(b, u), len(firsts))
+        cuts = [firsts[len(firsts) * i // k] for i in range(k)] + [n]
+        a = np.empty((n, u), dtype=states.dtype) if taped else None
         scores = np.empty((n, 1), dtype=states.dtype)
+
+        def score(r0: int, r1: int, buf: np.ndarray | None) -> None:
+            """Scores rows r0:r1, a run of whole blocks, into their rows of
+            ``scores``: through ``buf``, a [SCORE_BLOCK, u] buffer, or, taped,
+            through their rows of ``a``."""
+            with np.errstate(invalid="ignore", over="ignore"):  # numpy's error state is per thread
+                for lo in range(r0, r1, SCORE_BLOCK):
+                    hi = min(lo + SCORE_BLOCK, r1)
+                    if hi - lo == 1 and lo:
+                        # numpy hands a one-row product to gemv, which rounds
+                        # unlike gemm: the 4 rows before it are scored again
+                        lo -= 4
+                    block = a[lo:hi] if buf is None else buf[:hi - lo]
+                    np.matmul(live[lo:hi], W.data, out=block)
+                    np.tanh(block, out=block)
+                    np.matmul(block, v.data, out=scores[lo:hi])
+
+        bufs = [None] * k
+        if not taped:
+            for i in range(k):
+                if (states.dtype, i) not in self._blocks:
+                    self._blocks[states.dtype, i] = np.empty((SCORE_BLOCK, u), dtype=states.dtype)
+                bufs[i] = self._blocks[states.dtype, i]
+        with _threads(k - 1) as pool:
+            _on_threads(pool, [partial(score, r0, r1, buf) for r0, r1, buf in zip(cuts, cuts[1:], bufs)])
         # a non-finite live state is reported once, as a NumericError: tanh
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
         with np.errstate(invalid="ignore", over="ignore"):
-            for lo in range(0, n, SCORE_BLOCK):
-                hi = min(lo + SCORE_BLOCK, n)
-                if hi - lo == 1 and lo:
-                    # numpy hands a one-row product to gemv, which rounds
-                    # unlike gemm: the 4 rows before it are scored again
-                    lo -= 4
-                block = a[lo:hi] if taped else a[:hi - lo]
-                np.matmul(live[lo:hi], W.data, out=block)
-                np.tanh(block, out=block)
-                np.matmul(block, v.data, out=scores[lo:hi])
             e = scores[:, 0]
             if not np.isfinite(e).all():
                 raise NumericError("attention scores contain NaN or Inf")

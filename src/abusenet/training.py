@@ -17,9 +17,11 @@ Strategies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from .layers import _on_threads, _threads, thread_count
 from .model import ClassifierModel, build_combined
 from .tensor import ContractError, Parameter, Tape, Tensor, check_index, op_output, _accum
 from .utils import batch_slices, derive_rng
@@ -138,11 +140,15 @@ class Adam:
     ``BLOCK`` elements is updated in one block: its gradients are packed
     into the scratch pair, so the moment arithmetic costs the same numpy
     calls for twenty parameters as for one. A larger parameter, a run on
-    its own, is updated over its flat view in blocks of ``BLOCK`` elements.
-    Every block works in one scratch pair per dtype, shared by all
-    parameters, in the float-op order of the textbook expression, so
-    results equal it bit for bit, and a step allocates nothing after the
-    first.
+    its own, is updated over its flat view in blocks of ``BLOCK`` elements;
+    at one BLAS thread, one with two or more whole blocks runs contiguous
+    runs of them on threads (``layers.thread_count`` of its whole block
+    count), all joined before the step goes on, while the runs of small
+    parameters stay on the calling thread. Every block works in the scratch
+    pair of its dtype and thread, kept from step to step, in the float-op
+    order of the textbook expression, so results equal it bit for bit
+    whatever the thread count (each element's update reads and writes only
+    that element), and a step allocates nothing after the first.
     """
 
     beta1 = 0.9
@@ -153,7 +159,7 @@ class Adam:
         self.lr = learning_rate
         self.t = 0
         self._slots: dict[str, tuple[np.ndarray, int, int]] | None = None  # per parameter: (arena, offset, size)
-        self._scratch: dict[np.dtype, np.ndarray] = {}  # per dtype: [2, BLOCK]
+        self._scratch: dict[tuple, np.ndarray] = {}  # per (dtype, thread): [2, BLOCK]
 
     @classmethod
     def from_config(cls, config: TrainingConfig) -> "Adam":
@@ -210,20 +216,35 @@ class Adam:
         bias2 = 1.0 - self.beta2 ** self.t
         for run, moments in blocks:
             if moments.shape[1] <= BLOCK:
-                self._update(run, moments, bias1, bias2)
+                self._update(run, moments, bias1, bias2, self._scratch_pair(moments.dtype, 0))
                 continue
-            (x, g), = run  # a large parameter, in blocks of BLOCK elements
-            for start in range(0, x.size, BLOCK):
-                block = slice(start, start + BLOCK)
-                self._update([(x[block], g[block])], moments[:, block], bias1, bias2)
+            # a large parameter, in blocks of BLOCK elements: contiguous
+            # runs of its whole blocks on threads, each with its own pair
+            (x, g), = run
+            k = thread_count(x.size // BLOCK)
+            whole = -(-x.size // BLOCK)
+            cuts = [BLOCK * (whole * i // k) for i in range(k)] + [x.size]
+            with _threads(k - 1) as pool:
+                _on_threads(pool, [partial(self._update_blocks, x, g, moments, lo, hi, bias1, bias2,
+                                           self._scratch_pair(x.dtype, i))
+                                   for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))])
 
-    def _update(self, run, moments, bias1, bias2) -> None:
+    def _scratch_pair(self, dtype: np.dtype, thread: int) -> np.ndarray:
+        """The [2, BLOCK] scratch pair of ``dtype`` that thread ``thread`` of a step works in."""
+        if (dtype, thread) not in self._scratch:
+            self._scratch[dtype, thread] = np.empty((2, BLOCK), dtype=dtype)
+        return self._scratch[dtype, thread]
+
+    def _update_blocks(self, x, g, moments, lo, hi, bias1, bias2, scratch) -> None:
+        """Elements lo:hi of one large parameter's flat value ``x``, in blocks of ``BLOCK``."""
+        for start in range(lo, hi, BLOCK):
+            block = slice(start, min(start + BLOCK, hi))
+            self._update([(x[block], g[block])], moments[:, block], bias1, bias2, scratch)
+
+    def _update(self, run, moments, bias1, bias2, scratch) -> None:
         """One block: the flat (value, gradient) pairs of ``run``, whose m and
-        v are the rows of ``moments``, side by side."""
+        v are the rows of ``moments``, side by side, worked in ``scratch``."""
         b1, b2 = self.beta1, self.beta2
-        scratch = self._scratch.get(moments.dtype)
-        if scratch is None:
-            scratch = self._scratch[moments.dtype] = np.empty((2, BLOCK), dtype=moments.dtype)
         m, v = moments
         s, q = scratch[:, :moments.shape[1]]
         if len(run) == 1:

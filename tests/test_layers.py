@@ -162,7 +162,9 @@ def per_step_grads(gru, x, mask, h0, drop, g):
     the live positions packed time-major, one [k, .] product per step, each
     step adding its live rows' state gradients and padded rows passing dh
     through untouched, and the weight and input gradients one product over
-    all packed positions. ``drop`` is the dropout mask or None. Returns the
+    all packed positions; a step of two or more rows multiplies by C-order
+    copies of U_h^T and U_zr^T, a one-row step by their transposed views.
+    ``drop`` is the dropout mask or None. Returns the
     W, U and b gradients by parameter name, the h0 gradient and the dense
     input's gradient."""
     u = gru.units
@@ -201,12 +203,13 @@ def per_step_grads(gru, x, mask, h0, drop, g):
         lo, hi = ends[t] - sel.size, ends[t]
         dh_t = dh[sel] + g_dense[sel, t]
         z, r, c = Z[lo:hi], R[lo:hi], C[lo:hi]
+        U_hT, U_zrT = (U_h.T, U_zr.T) if sel.size == 1 else (U_h.T.copy(), U_zr.T.copy())
         da[lo:hi, 2 * u:] = (dh_t * z) * (1.0 - c * c)
-        drh = da[lo:hi, 2 * u:] @ U_h.T
+        drh = da[lo:hi, 2 * u:] @ U_hT
         da[lo:hi, :u] = (dh_t * (c - H_prev[lo:hi])) * (z * (1.0 - z))
         da[lo:hi, u:2 * u] = (drh * HM[lo:hi]) * (r * (1.0 - r))
         dhm = drh * r
-        dhm += da[lo:hi, :2 * u] @ U_zr.T
+        dhm += da[lo:hi, :2 * u] @ U_zrT
         if drop is not None:
             dhm *= drop[sel]
         dhm += dh_t * (1.0 - z)
@@ -813,6 +816,33 @@ class TestGRUBlocks:
                           x.grad.tobytes(), h.grad.tobytes(), *(prm.grad.tobytes() for prm in gru.parameters())]
         assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recorded_few_row_block_steps_give_the_unsplit_bits(self, blocks, dtype):
+        # at 128 units, steps of 12 and 24 live rows whose blocks hold 2-12
+        # of them: OpenBLAS's sgemm rounds a product of up to 9 rows by a
+        # transposed view unlike the same rows of a larger product, which
+        # the backward's recurrent products must not depend on
+        b, d, u = 48, 8, 128
+        mask = np.ones((b, 5), dtype=bool)
+        mask[:, 0] = np.arange(b) % 4 == 0
+        mask[:, 1] = np.arange(b) % 2 == 0
+        mask[1, :3] = False  # a step of two live rows, in the first and second blocks
+        gru = make_gru(d, u, dtype=dtype, p=0.3, seed=86)
+        rows, index, _ = index_case(mask, 30, d, seed=87, dtype=dtype)
+        coef = Tensor(np.random.default_rng(88).normal(size=(int(mask.sum()), u)).astype(dtype))
+        results = {}
+        for k in (1, 2, 3, 4):
+            blocks(k, b, u)
+            for prm in gru.parameters():
+                prm.zero_grad()
+            x = Tensor(rows, requires_grad=True)
+            with Tape() as tape:
+                states, _ = gru.forward(x, mask=mask, index=index, train=True, rng=np.random.default_rng(89))
+                loss = T.sum_all(T.mul(states, coef))
+            tape.backward(loss)
+            results[k] = [x.grad.tobytes(), *(prm.grad.tobytes() for prm in gru.parameters())]
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
+
     def test_taped_call_that_records_nothing_splits(self, blocks, pools):
         # the interleaved schedule's metadata steps run the text path under
         # a tape with its gradients off
@@ -1068,6 +1098,68 @@ class TestRecurrenceBlocks:
         done = json.loads(run_snippet(snippet, blas_threads=1))
         assert done["equal"]
         assert done["blocks"] == [min(2, done["cpus"]), 1]
+
+    def test_recorded_attention_step_splits_at_paper_width_in_a_fresh_process(self, run_snippet):
+        # one interleaved view-B step of a paper-width fused model at T 106,
+        # so that attention is on and taped: the GRU's forward, attention's
+        # score blocks, the GRU's backward and Adam's update of the
+        # embedding table (4 whole blocks) run on threads at one BLAS
+        # thread on 2 or more CPUs, and leave the parameters of the step
+        # with MIN_BLOCK_CELLS = 10**12, where only Adam splits, and of the
+        # step where nothing does
+        snippet = textwrap.dedent("""
+            import json, os
+            import numpy as np
+            from abusenet import layers
+            from abusenet.model import ModelConfig, build_combined, build_metadata_path, build_text_path
+            from abusenet.tensor import Tape
+            from abusenet.training import Adam, TrainingConfig, cross_entropy
+
+            rng = np.random.default_rng(94)
+            ids = rng.integers(1, 3000, size=(384, 106))
+            lengths = rng.integers(3, 107, size=384)
+            ids[np.arange(106)[None, :] < (106 - lengths)[:, None]] = 0
+            meta = rng.normal(size=(384, 8)).astype(np.float32)
+            labels = rng.integers(0, 2, size=384)
+            split = []
+
+            class Pool(layers.ThreadPoolExecutor):
+                def __init__(self, workers):
+                    split[-1].append(workers + 1)
+                    super().__init__(workers)
+
+            layers.ThreadPoolExecutor = Pool
+
+            def view_b_step():
+                split.append([])
+                config, build = ModelConfig(), np.random.default_rng(95)
+                text = build_text_path(3000, 106, ["a", "b"], config=config, rng=build)
+                m = build_combined(text, build_metadata_path(8, ["a", "b"], config=config, rng=build), rng=build)
+                assert m.text_path.attention is not None
+                for p in m.parameters():
+                    p.requires_grad = p.requires_grad and p.tag != "metadata"
+                with Tape() as tape:
+                    probs = m.forward(ids, meta, train=True, rng=np.random.default_rng(96),
+                                      stats_tags={"text", "head"})
+                    loss = cross_entropy(probs, labels)
+                tape.backward(loss)
+                Adam.from_config(TrainingConfig()).step(m.parameters(), allowed_tags={"text", "head"})
+                return b"".join(p.data.tobytes() for p in m.parameters())
+
+            stepped = view_b_step()
+            layers.MIN_BLOCK_CELLS = 10 ** 12
+            unsplit = view_b_step()
+            layers.set_block_cap(1)
+            one = view_b_step()
+            print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "threads": split,
+                              "equal": stepped == unsplit == one}))
+        """)
+        done = json.loads(run_snippet(snippet, blas_threads=1))
+        assert done["equal"]
+        # the threads of each pool: the GRU's forward, attention's forward,
+        # the GRU's backward and Adam's update of the table
+        split = [2, 2, 2, min(4, done["cpus"])] if done["cpus"] > 1 else []
+        assert done["threads"] == [split, split[3:], []]
 
 
 class TestOpenBLASLookup:
@@ -1442,6 +1534,106 @@ class TestAttention:
         assert len(blocks) == 1
         for i, a in enumerate(returned):
             assert not any(np.shares_memory(a, b) for b in blocks + returned[:i] + returned[i + 1:])
+
+    # live positions below one score block, two whole blocks, and three
+    # blocks with a one-row tail that scores the 4 rows before it again
+    SPLIT_SIZES = {"below_a_block": SCORE_BLOCK - 5, "two_blocks": 2 * SCORE_BLOCK,
+                   "one_row_tail": 3 * SCORE_BLOCK + 1}
+
+    @staticmethod
+    def split_batch(n, dtype=np.float32):
+        """A [40, T] mask with n live positions, left-padded, row 7 all
+        padded; packed [n, 16] states; and the most threads its score
+        blocks run on: one per block, a one-row tail block with the block
+        before it."""
+        counts = np.full(39, n // 39)
+        counts[:n % 39] += 1
+        counts = np.insert(counts, 7, 0)
+        steps = int(counts.max())
+        mask = np.arange(steps)[None, :] >= (steps - counts)[:, None]
+        live = np.random.default_rng(n).normal(size=(n, 16)).astype(dtype)
+        return mask, live, -(-n // SCORE_BLOCK) - (n % SCORE_BLOCK == 1)
+
+    @staticmethod
+    def pin_one_blas_thread(openblas):
+        # the split runs only where OpenBLAS reports one thread
+        if openblas:
+            openblas[2](1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", SPLIT_SIZES.values(), ids=SPLIT_SIZES.keys())
+    def test_untaped_score_blocks_on_threads_give_the_one_thread_bits(self, blocks, pools, openblas, n, dtype):
+        self.pin_one_blas_thread(openblas)
+        mask, live, most = self.split_batch(n, dtype)
+        results = {}
+        for k in (1, 2, 3, 4):
+            blocks(k, len(mask), 16)
+            pools.clear()
+            att = AttentionLayer(16, rng=np.random.default_rng(40), dtype=dtype)
+            before = threading.active_count()
+            first = [t.data.tobytes() for t in att.forward(Tensor(live), mask)]
+            assert threading.active_count() == before
+            kept = dict(att._blocks)
+            second = [t.data.tobytes() for t in att.forward(Tensor(live), mask)]
+            assert threading.active_count() == before
+            threads = min(k, most)
+            assert pools == ([threads - 1] * 2 if threads > 1 else [])
+            assert sorted(kept) == [(np.dtype(dtype), i) for i in range(threads)]
+            assert all(att._blocks[key] is kept[key] for key in kept) and len(att._blocks) == threads
+            assert second == first
+            results[k] = first
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
+
+    @pytest.mark.parametrize("n", SPLIT_SIZES.values(), ids=SPLIT_SIZES.keys())
+    def test_taped_score_blocks_on_threads_give_the_one_thread_gradients(self, blocks, pools, openblas, n):
+        self.pin_one_blas_thread(openblas)
+        mask, live, most = self.split_batch(n)
+        coef = Tensor(np.random.default_rng(41).normal(size=(len(mask), 16)).astype(np.float32))
+        results = {}
+        for k in (1, 2, 3, 4):
+            blocks(k, len(mask), 16)
+            pools.clear()
+            att = AttentionLayer(16, rng=np.random.default_rng(42))
+            states = Tensor(live.copy(), requires_grad=True)
+            before = threading.active_count()
+            with Tape() as tape:
+                out, weights = att.forward(states, mask)
+                loss = T.sum_all(T.mul(out, coef))
+            assert threading.active_count() == before
+            tape.backward(loss)
+            threads = min(k, most)
+            assert pools == ([threads - 1] if threads > 1 else [])  # the backward runs on the calling thread
+            assert not att._blocks
+            results[k] = [a.tobytes() for a in (out.data, weights.data, states.grad, att.W_a.grad, att.v_a.grad)]
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
+
+    def test_score_blocks_agree_under_a_short_switch_interval(self, blocks, openblas):
+        # more threads than the machine may have CPUs, switching often: a
+        # lost or misplaced score or score-input row would change the
+        # context or the gradients
+        self.pin_one_blas_thread(openblas)
+        mask, live, _ = self.split_batch(3 * SCORE_BLOCK + 1)
+        coef = Tensor(np.random.default_rng(43).normal(size=(len(mask), 16)).astype(np.float32))
+
+        def taped():
+            att = AttentionLayer(16, rng=np.random.default_rng(44))
+            states = Tensor(live.copy(), requires_grad=True)
+            with Tape() as tape:
+                out, _ = att.forward(states, mask)
+                loss = T.sum_all(T.mul(out, coef))
+            tape.backward(loss)
+            return [a.tobytes() for a in (out.data, states.grad, att.W_a.grad, att.v_a.grad)]
+
+        blocks(1, len(mask), 16)
+        want = taped()
+        blocks(4, len(mask), 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert taped() == want
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDense:

@@ -825,13 +825,14 @@ class TestWorkspace:
                 assert probs.dtype == dt
                 assert probs.tobytes() == attention_model(46, dtype=dt).forward(ids, None).data.tobytes()
         # one buffer per dtype, holding the largest batch's packed states;
-        # attention keeps one score block per dtype of its own
+        # attention keeps one score block per dtype and thread of its own,
+        # and these batches score on one thread
         n = max(int(np.count_nonzero(ids)) for ids in batches)
         for dt, m in models.items():
             (key, buf), = m.text_path._workspace.items()
             assert key == np.dtype(dt) and buf.dtype == dt and buf.size == n * ATTENTION.units
             (key, block), = m.text_path.attention._blocks.items()
-            assert key == np.dtype(dt) and block.dtype == dt and block.shape == (SCORE_BLOCK, ATTENTION.units)
+            assert key == (np.dtype(dt), 0) and block.dtype == dt and block.shape == (SCORE_BLOCK, ATTENTION.units)
         work32, work64 = (list(m.text_path._workspace.values()) for m in models.values())
         assert not any(np.shares_memory(a, b) for a in work32 for b in work64)
 

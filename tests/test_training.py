@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -187,7 +188,9 @@ class TestAdam:
             assert live.data.tobytes() == value.tobytes()
         assert skipped.data.tobytes() == before.tobytes()
 
-    def test_keeps_two_moments_and_one_shared_scratch_pair(self):
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_keeps_two_moments_and_one_scratch_pair_per_thread(self, blocks, threads):
+        blocks(threads, 1, 1)
         p = Parameter("table", np.zeros((20000, 200), dtype=np.float32))
         p.grad = np.ones_like(p.data)
         opt = Adam(1e-3)
@@ -197,9 +200,63 @@ class TestAdam:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # m and v, one [2, BLOCK] scratch pair, and a few KiB of Python objects
-        bound = 2 * p.data.nbytes + 2 * BLOCK * p.data.itemsize + 2**14
+        # m and v, a [2, BLOCK] scratch pair per thread, and a few KiB of
+        # Python objects
+        assert len(opt._scratch) == threads
+        bound = 2 * p.data.nbytes + threads * 2 * BLOCK * p.data.itemsize + 2**14
         assert kept <= bound, f"kept {kept / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+
+    def test_large_parameter_blocks_on_threads_give_the_one_thread_bits(self, blocks, pools):
+        # a parameter of two whole blocks and 17 elements between small
+        # ones of both dtypes, one of them frozen; 3 steps at 1-4 CPUs,
+        # switching threads often, so that a lost or misplaced element's
+        # update would show
+        specs = [("a", (3, 4), np.float32, True), ("big", (2 * BLOCK + 17,), np.float32, True),
+                 ("b", (5,), np.float64, True), ("frozen", (6,), np.float32, False), ("c", (7,), np.float32, True)]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in (1, 2, 3, 4):
+                results[k] = self.split_steps(blocks, pools, k, specs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
+
+    @staticmethod
+    def split_steps(blocks, pools, k, specs):
+        """The parameters' and arenas' bytes after 3 seeded steps at k CPUs."""
+        blocks(k, 1, 1)
+        pools.clear()
+        rng = np.random.default_rng(60)
+        params = [Parameter(name, rng.normal(size=shape).astype(dtype), trainable=trainable)
+                  for name, shape, dtype, trainable in specs]
+        opt = Adam(1e-3)
+        for _ in range(3):
+            for p in params:
+                p.grad = (rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2)).astype(p.dtype)
+            opt.step(params)
+        # the two whole blocks split; the small runs stay on the calling thread
+        assert pools == ([min(k, 2) - 1] * 3 if k > 1 else [])
+        arenas = {id(arena): arena for arena, _, _ in opt._slots.values()}
+        assert len(arenas) == 3  # float32 and float64 small parameters, and big's own
+        return [p.data.tobytes() for p in params], [a.tobytes() for a in arenas.values()]
+
+    def test_desk_size_parameters_start_no_pool(self, blocks, pools):
+        # cv-pipeline's widths and vocabulary (7500 words and 2 markers):
+        # its largest parameter, the embedding table, is under one BLOCK,
+        # so a step does not split where the GRU's rule would
+        config = ModelConfig(embed_dim=16, units=16, hidden=(32, 16), fusion_dim=16)
+        rng = np.random.default_rng(61)
+        text = build_text_path(7502, 29, ["a", "b"], config=config, rng=rng)
+        model = build_combined(text, build_metadata_path(40, ["a", "b"], config=config, rng=rng), rng=rng)
+        params = model.parameters()
+        assert max(p.data.size for p in params) < BLOCK
+        blocks(4, 1, 1)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        Adam(1e-3).step(params)
+        assert pools == []
 
     def test_tag_filter(self):
         a = Parameter("a", np.ones(2, dtype=np.float32), tag="text")
