@@ -168,11 +168,9 @@ class GRULayer:
         row (in the dense form, each position's) is projected onto the gates
         once. ``projected``, with ``index``, is ``(P, rows_of)``: ``P`` is
         ``project`` of a table and ``rows_of`` [b, T] gives the table row
-        each live position reads. A call that records no tape then takes the
-        gate inputs of its steps with more than one live row from ``P``
-        instead of projecting ``x``, and reads ``x`` only at its one-row
-        steps, which multiply their own row; ``x`` need hold only those rows.
-        A call that records ignores ``projected``.
+        each live position reads. A call that records no tape then takes
+        every gate input from ``P`` and reads no row of ``x``, which may be
+        empty. A call that records ignores ``projected``.
 
         A call may run blocks of its rows on threads of their own, in
         training as in inference, and so may a recorded call's backward;
@@ -242,13 +240,13 @@ class GRULayer:
 
         Every row is projected once, ``P = rows @ [W_z|W_r|W_h] + b`` (a call
         that records no tape reads a given ``projected`` table instead), and
-        a step with more than one live (mask True) row gathers its rows of P.
-        A one-row step multiplies its own row: numpy sends a one-row product
-        to gemv, which rounds differently from P's gemm rows. A step without
-        padding works on whole [b, .] slices, a step with some padded rows
-        gathers the live ones, one with none is skipped, and padded rows
-        carry h unchanged. Each step scatters its new live rows to their
-        packed (batch-major) state rows. Per step: one recurrent matmul
+        each step gathers its live (mask True) rows of P. Every product is a
+        gemm (``_gemm_rows``), a one-row one too, so a row's bits do not
+        depend on the other rows of its batch. A step without padding works
+        on whole [b, .] slices, a step with some padded rows gathers the live
+        ones, one with none is skipped, and padded rows carry h unchanged.
+        Each step scatters its new live rows to their packed (batch-major)
+        state rows. Per step: one recurrent matmul
         against [U_z|U_r], and (r * h * drop) U_h. Each product is a
         contiguous [k, .] array that accumulates its columns of the gathered
         [k, 3u] projection, and the sigmoid, tanh and state update run in
@@ -282,8 +280,6 @@ class GRULayer:
         b, steps = mask.shape
         u, d = self.units, self.input_dim
         rows = x.data.reshape(-1, d)
-        W = np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1)
-        bias = np.concatenate([self.b_z.data, self.b_r.data, self.b_h.data])
         U_zr = np.concatenate([self.U_z.data, self.U_r.data], axis=1)
         U_h = self.U_h.data
         record = active_tape() is not None and any(t.requires_grad for t in inputs)
@@ -297,21 +293,18 @@ class GRULayer:
         else:
             P, p_of = None, index
         # the batch's live positions in time-major order: step t's live rows
-        # are live_b[start[t]:start[t + 1]], and src_x, src_p and pos give
-        # each one's row of x, its row of P and its packed (batch-major)
+        # are live_b[start[t]:start[t + 1]], and src_p and pos give each
+        # one's row of P (unprojected, of x) and its packed (batch-major)
         # state row
         live_t, live_b = np.nonzero(mask.T)
         start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
-        src_x = index[live_b, live_t]
-        src_p = src_x if P is None else p_of[live_b, live_t]
+        src_p = p_of[live_b, live_t]
         pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t]
         n = live_b.size
-        by_gemv = [hi - lo == 1 for lo, hi in zip(start, start[1:])]  # the batch's one-row steps
         if P is None:
-            check_index(src_x, rows.shape[0], "gru input row")
+            check_index(src_p, rows.shape[0], "gru input row")
         else:
             check_index(src_p, P.shape[0], "gru projected table row")
-            check_index(src_x[[lo for lo, one in zip(start, by_gemv) if one]], rows.shape[0], "gru input row")
         # a block (r0, r1, los, his): rows r0:r1, whose live rows at step t
         # are the run los[t]:his[t] of the batch's time-major order
         bounds = row_blocks(mask, u)
@@ -320,6 +313,7 @@ class GRULayer:
         blocks = list(zip(bounds, bounds[1:], runs, runs[1:]))
         states = out if out is not None or not keep_states else np.empty((n, u), dtype=x.dtype)
         if record:
+            W = np.concatenate([self.W_z.data, self.W_r.data, self.W_h.data], axis=1)
             x_all = rows[src_p]
             z_all = np.empty((n, u), dtype=x.dtype)
             r_all = np.empty((n, u), dtype=x.dtype)
@@ -327,12 +321,10 @@ class GRULayer:
             ch_all = np.empty((n, u), dtype=x.dtype)  # c - h
             hm_all = np.empty((n, u), dtype=x.dtype)  # h * drop
             rh_all = np.empty((n, u), dtype=x.dtype)  # r * h * drop
-            # U_h^T and U_zr^T in C order for the backward's products of two
-            # or more rows: OpenBLAS's sgemm (0.3.31, x86_64) rounds a
-            # product of up to 9 rows by a transposed view unlike the same
-            # rows of a larger product, and one by a C-order operand alike
-            # at every row count; large products agree for either operand.
-            # A one-row step of the batch (gemv) keeps the view.
+            # U_h^T and U_zr^T in C order for the backward's products:
+            # OpenBLAS's sgemm (0.3.31, x86_64) rounds a product of up to 9
+            # rows by a transposed view unlike the same rows of a larger
+            # product, and one by a C-order operand alike at every row count
             U_h_rows, U_zr_rows = np.ascontiguousarray(U_h.T), np.ascontiguousarray(U_zr.T)
 
         def run(r0: int, r1: int, los: list, his: list) -> np.ndarray:
@@ -349,26 +341,18 @@ class GRULayer:
                     sel = in_block[lo:hi]
                     h_t = h[sel]
                     drop_t = None if drop_b is None else drop_b[sel]
-                # gemv only where the whole batch has one live row, as numpy
-                # multiplies a one-row product; a block's lone row at a
-                # busier step is a gemm row
-                matmul = np.matmul if hi - lo > 1 or by_gemv[t] else _gemm_rows
-                if by_gemv[t]:
-                    a = rows[src_x[lo:hi]] @ W
-                    a += bias
-                else:
-                    a = P[src_p[lo:hi]]
+                a = P[src_p[lo:hi]]
                 if drop_t is not None:
                     hm = np.multiply(h_t, drop_t, out=hm_all[lo:hi] if record else None)
                 else:
                     hm = h_t
                     if record:
                         hm_all[lo:hi] = h_t
-                zr = matmul(hm, U_zr)
+                zr = _gemm_rows(hm, U_zr)
                 zr += a[:, :2 * u]
                 z, r = _sigmoid(zr, into=(z_all[lo:hi], r_all[lo:hi]) if record else None)
                 rh = np.multiply(r, hm, out=rh_all[lo:hi] if record else None)
-                c = matmul(rh, U_h, out=c_all[lo:hi] if record else None)
+                c = _gemm_rows(rh, U_h, out=c_all[lo:hi] if record else None)
                 c += a[:, 2 * u:]
                 np.tanh(c, out=c)
                 ch = np.subtract(c, h_t, out=ch_all[lo:hi] if record else c)
@@ -414,17 +398,15 @@ class GRULayer:
                     drop_t = None if drop_b is None else drop_b[sel]
                 if keep_states:
                     dh_t += g[pos[lo:hi]]
-                matmul = np.matmul if hi - lo > 1 or by_gemv[t] else _gemm_rows
-                U_hT, U_zrT = (U_h.T, U_zr.T) if by_gemv[t] else (U_h_rows, U_zr_rows)
                 z, r = z_all[lo:hi], r_all[lo:hi]
                 one_minus_z = 1.0 - z
                 da_t = da[lo:hi]
                 np.multiply(dh_t * z, c_all[lo:hi], out=da_t[:, 2 * u:])
-                drh = matmul(da_t[:, 2 * u:], U_hT)
+                drh = _gemm_rows(da_t[:, 2 * u:], U_h_rows)
                 np.multiply(dh_t * ch_all[lo:hi], z * one_minus_z, out=da_t[:, :u])
                 np.multiply(drh * hm_all[lo:hi], r * (1.0 - r), out=da_t[:, u:2 * u])
                 dhm = drh * r
-                dhm += matmul(da_t[:, :2 * u], U_zrT)
+                dhm += _gemm_rows(da_t[:, :2 * u], U_zr_rows)
                 if drop_t is not None:
                     dhm *= drop_t
                 dhm += dh_t * one_minus_z
@@ -559,12 +541,11 @@ def recurrence_blocks(rows: int, units: int) -> int:
     contiguous run of the batch's time-major live order, which the
     recorded buffers follow; its states are one contiguous slice of the
     packed states. A row's bits do not depend on its block: every index
-    is checked and the dropout mask drawn before the split; a step is
-    multiplied by gemv only where the whole batch has one live row, so a
-    block's lone live row at a busier step is a gemm row (``_gemm_rows``),
-    forward and backward; each weight gradient is one product over all
-    positions, as unsplit; and OpenBLAS gives a gemm row the same bits
-    whatever the call's other rows, when the other operand is C-ordered.
+    is checked and the dropout mask drawn before the split; every product
+    of a step is a gemm, a lone live row's too (``_gemm_rows``), forward
+    and backward; each weight gradient is one product over all positions,
+    as unsplit; and OpenBLAS gives a gemm row the same bits whatever the
+    call's other rows, when the other operand is C-ordered.
     With a transposed view it does not: a product of up to 9 rows (at 128
     columns) by one takes a small-matrix kernel, so the backward's
     recurrent products multiply by C-order copies of U^T. Both properties
@@ -574,7 +555,7 @@ def recurrence_blocks(rows: int, units: int) -> int:
     ``TestGRUBlocks``, ``test_split_at_paper_width_in_a_fresh_process``,
     ``test_recorded_step_splits_at_paper_width_in_a_fresh_process`` and
     ``test_recorded_attention_step_splits_at_paper_width_in_a_fresh_process``
-    in tests/test_layers.py."""
+    in tests/test_layers.py and ``TestBatchInvariance`` in tests/test_model.py."""
     return thread_count(rows * units // MIN_BLOCK_CELLS)
 
 
@@ -647,9 +628,8 @@ def _sigmoid(a: np.ndarray, into: tuple | None) -> tuple[np.ndarray, np.ndarray]
     return np.multiply(a[:, :k], 0.5, out=into[0]), np.multiply(a[:, k:], 0.5, out=into[1])
 
 
-# Packed rows per block of attention's score input: a multiple of 4, so
-# that each block starts where OpenBLAS's sgemv starts a group of 4 rows,
-# and 1 MB at 128 float32 units, so that a block stays in L2.
+# Packed rows per block of attention's score input: 1 MB at 128 float32
+# units, so that a block stays in L2.
 SCORE_BLOCK = 2048
 
 
@@ -658,22 +638,21 @@ class AttentionLayer:
     unmasked steps, output is the weighted state sum.
 
     The scores are computed ``SCORE_BLOCK`` packed rows at a time, in taped
-    and untaped calls alike, so both take them from the same BLAS calls.
-    At one BLAS thread a block gives the bits of one product over all rows:
-    OpenBLAS's sgemv rounds a row by its position modulo 4 within the call,
-    and every block starts at a multiple of 4. At more than one thread, as
-    in a library caller that never runs ``pin_blas``, the threads split each
-    call's rows, so a batch of more than one block can round differently.
+    and untaped calls alike, a bound on the untaped call's memory. Each
+    row's score has its own bits, whatever the other rows of its block or
+    batch: ``h_t W`` is a gemm row (``_gemm_rows``), and v . tanh(h_t W) a
+    per-row ``einsum`` reduction, where a gemv would round a row by its
+    position in the call. At more than one BLAS thread, as in a library
+    caller that never runs ``pin_blas``, the threads split each gemm's rows,
+    so a row's bits may depend on its batch there.
 
     At one BLAS thread a forward may score contiguous runs of its blocks on
     threads of its own (``thread_count`` of ``recurrence_blocks`` of its
     batch, at most one per block), all joined before it returns. The bits
-    do not depend on the thread count: every block makes the same BLAS and
-    ufunc calls on the same rows as on one thread, and writes only its own
-    rows of the scores (taped, of the score input too). A one-row tail
-    block runs on the thread of the block before it, since it scores that
-    block's last 4 rows again. The softmax, the per-row context products
-    and the backward run on the calling thread.
+    do not depend on the thread count: every row is scored by the same
+    calls as on one thread, and each thread writes only its own rows of
+    the scores (taped, of the score input too). The softmax, the per-row
+    context products and the backward run on the calling thread.
     """
 
     def __init__(self, units: int, rng: np.random.Generator | None = None,
@@ -720,30 +699,24 @@ class AttentionLayer:
         ends = np.cumsum(counts)
         starts = ends - counts
         live = states.data
-        # where a thread's run of score blocks may start: a one-row tail
-        # block stays with the block before it, whose last 4 rows it scores
-        # again, so that no two threads write one row
-        firsts = range(0, max(n - 1, 1), SCORE_BLOCK)
+        # where a thread's run of score blocks may start
+        firsts = range(0, max(n, 1), SCORE_BLOCK)
         k = min(recurrence_blocks(b, u), len(firsts))
         cuts = [firsts[len(firsts) * i // k] for i in range(k)] + [n]
         a = np.empty((n, u), dtype=states.dtype) if taped else None
-        scores = np.empty((n, 1), dtype=states.dtype)
+        e = np.empty(n, dtype=states.dtype)
 
         def score(r0: int, r1: int, buf: np.ndarray | None) -> None:
             """Scores rows r0:r1, a run of whole blocks, into their rows of
-            ``scores``: through ``buf``, a [SCORE_BLOCK, u] buffer, or, taped,
+            ``e``: through ``buf``, a [SCORE_BLOCK, u] buffer, or, taped,
             through their rows of ``a``."""
             with np.errstate(invalid="ignore", over="ignore"):  # numpy's error state is per thread
                 for lo in range(r0, r1, SCORE_BLOCK):
                     hi = min(lo + SCORE_BLOCK, r1)
-                    if hi - lo == 1 and lo:
-                        # numpy hands a one-row product to gemv, which rounds
-                        # unlike gemm: the 4 rows before it are scored again
-                        lo -= 4
                     block = a[lo:hi] if buf is None else buf[:hi - lo]
-                    np.matmul(live[lo:hi], W.data, out=block)
+                    _gemm_rows(live[lo:hi], W.data, out=block)
                     np.tanh(block, out=block)
-                    np.matmul(block, v.data, out=scores[lo:hi])
+                    np.einsum("nu,u->n", block, v.data[:, 0], out=e[lo:hi])
 
         bufs = [None] * k
         if not taped:
@@ -757,7 +730,6 @@ class AttentionLayer:
         # can saturate it into finite scores, but every live state reaches
         # its row's context with a nonnegative weight
         with np.errstate(invalid="ignore", over="ignore"):
-            e = scores[:, 0]
             if not np.isfinite(e).all():
                 raise NumericError("attention scores contain NaN or Inf")
             e -= np.repeat(np.maximum.reduceat(e, starts), counts)

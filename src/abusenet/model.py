@@ -65,9 +65,15 @@ class TextPath:
     reads each live position's gate inputs by token id from one projection
     of the whole table, built on the first such forward and kept while
     those arrays stay the same objects. It holds the bits of the per-batch
-    projection it replaces. Such a forward embeds only the rows of the
-    steps with one live row, which the GRU multiplies itself, possibly
-    none, and gathers no distinct ids.
+    projection it replaces, since a gemm row's bits do not depend on the
+    call's other rows. Such a forward embeds no row and gathers no
+    distinct ids.
+
+    Every product on the path gives each row its own bits, so at one BLAS
+    thread a row's features do not depend on the other rows of its batch
+    (``GRULayer._recurrence``, ``AttentionLayer``). This was checked on
+    x86_64 with OpenBLAS 0.3.31 only; the head after the path is not
+    covered.
 
     With attention on, a forward with no tape active writes the GRU's
     packed [n, units] states, its largest per-batch array, into a workspace
@@ -119,7 +125,8 @@ class TextPath:
             ids, index = distinct_ids(token_ids, mask, self.embedding.vocab_size)
         else:
             check_index(token_ids, self.embedding.vocab_size, "token id")
-            ids, index = one_row_ids(token_ids, mask)
+            # embeds no row; the call stays, as perfbench/traced.py sums every chunk's embedding span
+            ids, index = np.empty(0, dtype=np.intp), token_ids
         states_out = None
         if untaped and self.attention is not None:
             states_out = self._workspace_states(mask)
@@ -177,18 +184,6 @@ def distinct_ids(token_ids: np.ndarray, mask: np.ndarray, vocab_size: int) -> tu
     index = np.zeros(token_ids.shape, dtype=np.intp)
     index[mask] = rank[live]
     return ids, index
-
-
-def one_row_ids(token_ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ids at the steps of a [b, T] batch that have one live (mask True)
-    row, in step order, and an index of token_ids' shape giving each such
-    position's place among them (0 elsewhere): the rows a GRU that reads
-    its other gate inputs from a projected table multiplies itself."""
-    steps = np.flatnonzero(np.count_nonzero(mask, axis=0) == 1)
-    rows = mask[:, steps].argmax(axis=0)
-    index = np.zeros(token_ids.shape, dtype=np.intp)
-    index[rows, steps] = np.arange(steps.size)
-    return token_ids[rows, steps], index
 
 
 class MetadataPath:

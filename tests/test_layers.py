@@ -23,7 +23,6 @@ from abusenet.layers import (
     EmbeddingLayer,
     GRULayer,
 )
-from abusenet.model import one_row_ids
 from abusenet.tensor import ContractError, NumericError, Parameter, ShapeError, Tape, Tensor, grad_check
 
 
@@ -134,8 +133,9 @@ def gru_step(gru, x, mask, h0, index=None, dropout_seed=5):
 def per_step_states(gru, x, mask, h0, drop):
     """States [b, T, u] of every position, padded ones included, from a plain
     loop that multiplies each step's live inputs by [W_z|W_r|W_h] itself,
-    with the fused op's float operations in its order. The GRU's packed
-    states are its ``[mask]``."""
+    with the fused op's float operations in its order; every product is a
+    gemm, a one-row step's a doubled-row one (``layers._gemm_rows``). The
+    GRU's packed states are its ``[mask]``."""
     u = gru.units
     W = np.concatenate([gru.W_z.data, gru.W_r.data, gru.W_h.data], axis=1)
     bias = np.concatenate([gru.b_z.data, gru.b_r.data, gru.b_h.data])
@@ -146,11 +146,11 @@ def per_step_states(gru, x, mask, h0, drop):
         sel = np.flatnonzero(mask[:, t])
         if sel.size:
             hm = h[sel] * drop[sel]
-            a = x[sel, t] @ W
+            a = layers._gemm_rows(x[sel, t], W)
             a += bias
-            zr = (np.tanh((a[:, :2 * u] + hm @ U_zr) * 0.5) + 1.0) * 0.5
+            zr = (np.tanh((a[:, :2 * u] + layers._gemm_rows(hm, U_zr)) * 0.5) + 1.0) * 0.5
             z, r = zr[:, :u], zr[:, u:]
-            c = np.tanh(a[:, 2 * u:] + (r * hm) @ gru.U_h.data)
+            c = np.tanh(a[:, 2 * u:] + layers._gemm_rows(r * hm, gru.U_h.data))
             h[sel] = (c - h[sel]) * z + h[sel]
         states[:, t] = h
     return states
@@ -162,8 +162,8 @@ def per_step_grads(gru, x, mask, h0, drop, g):
     the live positions packed time-major, one [k, .] product per step, each
     step adding its live rows' state gradients and padded rows passing dh
     through untouched, and the weight and input gradients one product over
-    all packed positions; a step of two or more rows multiplies by C-order
-    copies of U_h^T and U_zr^T, a one-row step by their transposed views.
+    all packed positions; every step's product is a gemm
+    (``layers._gemm_rows``) by C-order copies of U_h^T and U_zr^T.
     ``drop`` is the dropout mask or None. Returns the
     W, U and b gradients by parameter name, the h0 gradient and the dense
     input's gradient."""
@@ -181,12 +181,12 @@ def per_step_grads(gru, x, mask, h0, drop, g):
             continue
         h_prev = h[sel]
         hm = h_prev if drop is None else h_prev * drop[sel]
-        a = x[sel, t] @ W
+        a = layers._gemm_rows(x[sel, t], W)
         a += bias
-        zr = (np.tanh((a[:, :2 * u] + hm @ U_zr) * 0.5) + 1.0) * 0.5
+        zr = (np.tanh((a[:, :2 * u] + layers._gemm_rows(hm, U_zr)) * 0.5) + 1.0) * 0.5
         z, r = zr[:, :u], zr[:, u:]
         rh = r * hm
-        c = np.tanh(a[:, 2 * u:] + rh @ U_h)
+        c = np.tanh(a[:, 2 * u:] + layers._gemm_rows(rh, U_h))
         h[sel] = (c - h_prev) * z + h_prev
         for buf, val in zip((xs, zs, rs, cs, hms, rhs, h_prevs), (x[sel, t], z, r, c, hm, rh, h_prev)):
             buf.append(val)
@@ -203,13 +203,12 @@ def per_step_grads(gru, x, mask, h0, drop, g):
         lo, hi = ends[t] - sel.size, ends[t]
         dh_t = dh[sel] + g_dense[sel, t]
         z, r, c = Z[lo:hi], R[lo:hi], C[lo:hi]
-        U_hT, U_zrT = (U_h.T, U_zr.T) if sel.size == 1 else (U_h.T.copy(), U_zr.T.copy())
         da[lo:hi, 2 * u:] = (dh_t * z) * (1.0 - c * c)
-        drh = da[lo:hi, 2 * u:] @ U_hT
+        drh = layers._gemm_rows(da[lo:hi, 2 * u:], U_h.T.copy())
         da[lo:hi, :u] = (dh_t * (c - H_prev[lo:hi])) * (z * (1.0 - z))
         da[lo:hi, u:2 * u] = (drh * HM[lo:hi]) * (r * (1.0 - r))
         dhm = drh * r
-        dhm += da[lo:hi, :2 * u] @ U_zrT
+        dhm += layers._gemm_rows(da[lo:hi, :2 * u], U_zr.T.copy())
         if drop is not None:
             dhm *= drop[sel]
         dhm += dh_t * (1.0 - z)
@@ -549,8 +548,8 @@ class TestGRU:
     def test_packed_states_equal_per_step_states_of_live_positions_bitwise(self, mask, dtype, form):
         # the states are the live positions' rows of every position's state,
         # batch-major, and last is the state after the last step; the
-        # projected form reads multi-row steps from a projected table and
-        # is given only the rows of its one-row steps
+        # projected form reads every gate input from a projected table and
+        # is given no row
         mask = mask_of(mask)
         b = mask.shape[0]
         gru = make_gru(64, 16, dtype=dtype, p=0.5, seed=70)
@@ -567,8 +566,7 @@ class TestGRU:
             table = np.random.default_rng(73).normal(size=(20, 64)).astype(dtype)
             ids = np.random.default_rng(74).choice(np.arange(1, 20), size=9, replace=False)
             table[ids] = rows
-            one_ids, one_index = one_row_ids(ids[index] * mask, mask)
-            states, last = gru.forward(Tensor(table[one_ids]), index=one_index,
+            states, last = gru.forward(Tensor(table[:0]), index=index,
                                        projected=(gru.project(table), ids[index]), **kwargs)
         drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(dtype) / dtype(0.5)
         every = per_step_states(gru, dense, mask, h0, drop)
@@ -738,10 +736,9 @@ class TestGRUBlocks:
         rows, index, _ = index_case(mask, 30, d, seed=72, dtype=dtype)
         h0 = Tensor(np.random.default_rng(73).normal(size=(b, u)).astype(dtype))
         kwargs = dict(mask=mask, h0=h0, index=index, keep_states=keep_states)
-        if form == "projected":  # the gate inputs by table row; x holds the one-row steps' rows
+        if form == "projected":  # the gate inputs by table row; x holds no row
             kwargs["projected"] = (gru.project(rows), index)
-            kwargs["index"] = one_row_ids(index, mask)[1]
-            rows = rows[one_row_ids(index, mask)[0]]
+            rows = rows[:0]
         results = {}
         for k in (1, 2, 3, 4):
             blocks(k, b, u)
@@ -899,10 +896,10 @@ class TestGRUBlocks:
         coef = Tensor(rng.normal(size=(int(mask.sum()), u)).astype(np.float32))
         coef_last = Tensor(rng.normal(size=(b, u)).astype(np.float32))
         kwargs = dict(mask=mask, index=index, keep_states=keep_states)
-        if form == "projected":  # a recorded call ignores projected and reads x by this index
+        if form == "projected":  # a recorded call ignores projected and reads x by index
             kwargs["projected"] = (gru.project(rows), index)
-            ids, kwargs["index"] = one_row_ids(index, mask)
-            rows = rows[ids]
+            if not recorded:
+                rows = rows[:0]
         results = {}
         for k in (1, 2, 3):
             blocks(k, b, u)
@@ -1370,9 +1367,10 @@ class TestAttention:
         assert np.isfinite(out.data).all()
 
     def test_batch_over_128_rows_equals_a_plain_packed_computation_bitwise(self):
-        # one product over every packed state at the paper's width, for more
-        # rows than any block size; the context and weights keep the bits of
-        # the plain per-row computation over the same packed rows
+        # one product over every packed state at the paper's width and one
+        # row-wise score reduction, for more rows than any block size; the
+        # context and weights keep the bits of the plain per-row computation
+        # over the same packed rows
         att = AttentionLayer(128, rng=np.random.default_rng(19))
         rng = np.random.default_rng(20)
         b, steps = 133, 40
@@ -1381,7 +1379,7 @@ class TestAttention:
         mask[3] = rng.random(steps) < 0.5  # interior gaps
         mask[7] = False  # an all-padded row
         live = states[mask]
-        e = (np.tanh(live @ att.W_a.data) @ att.v_a.data)[:, 0]
+        e = np.einsum("nu,u->n", np.tanh(live @ att.W_a.data), att.v_a.data[:, 0])
         counts = np.count_nonzero(mask, axis=1)
         starts = (np.cumsum(counts) - counts)[counts > 0]
         e -= np.repeat(np.maximum.reduceat(e, starts), counts[counts > 0])
@@ -1440,7 +1438,7 @@ class TestAttention:
                     steps = int(counts.max())
                     mask = np.arange(steps)[None, :] >= (steps - counts)[:, None]
                     live = rng.normal(size=(n, 128)).astype(dtype)
-                    e = (np.tanh(live @ att.W_a.data) @ att.v_a.data)[:, 0]
+                    e = np.einsum("nu,u->n", np.tanh(live @ att.W_a.data), att.v_a.data[:, 0])
                     ends = np.cumsum(counts)
                     starts = (ends - counts)[counts > 0]
                     e -= np.repeat(np.maximum.reduceat(e, starts), counts[counts > 0])
@@ -1536,7 +1534,7 @@ class TestAttention:
             assert not any(np.shares_memory(a, b) for b in blocks + returned[:i] + returned[i + 1:])
 
     # live positions below one score block, two whole blocks, and three
-    # blocks with a one-row tail that scores the 4 rows before it again
+    # blocks with a one-row tail block
     SPLIT_SIZES = {"below_a_block": SCORE_BLOCK - 5, "two_blocks": 2 * SCORE_BLOCK,
                    "one_row_tail": 3 * SCORE_BLOCK + 1}
 
@@ -1544,15 +1542,14 @@ class TestAttention:
     def split_batch(n, dtype=np.float32):
         """A [40, T] mask with n live positions, left-padded, row 7 all
         padded; packed [n, 16] states; and the most threads its score
-        blocks run on: one per block, a one-row tail block with the block
-        before it."""
+        blocks run on: one per block."""
         counts = np.full(39, n // 39)
         counts[:n % 39] += 1
         counts = np.insert(counts, 7, 0)
         steps = int(counts.max())
         mask = np.arange(steps)[None, :] >= (steps - counts)[:, None]
         live = np.random.default_rng(n).normal(size=(n, 16)).astype(dtype)
-        return mask, live, -(-n // SCORE_BLOCK) - (n % SCORE_BLOCK == 1)
+        return mask, live, -(-n // SCORE_BLOCK)
 
     @staticmethod
     def pin_one_blas_thread(openblas):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -644,9 +645,9 @@ class TestLoadedModel:
     @pytest.mark.parametrize("batch", ["one_row_steps", "no_one_row_steps", "no_padding"])
     def test_cached_attention_features_equal_a_writable_copy_bitwise(self, tmp_path, monkeypatch, batch):
         # a loaded checkpoint reads every live position's gate inputs from its
-        # projected table by token id and embeds only the rows of the steps
-        # with one live row; the writable model gathers and projects the
-        # batch's distinct ids; both give the same bits
+        # projected table by token id, one-row steps' too, and embeds no id;
+        # the writable model gathers and projects the batch's distinct ids;
+        # both give the same bits
         config = ModelConfig(embed_dim=64, units=16, recurrent_dropout=0.5, attention_threshold=8)
         m = build_text_path(300, 20, ["a", "b"], config=config, rng=np.random.default_rng(31))
         _, clone = saved_and_loaded(tmp_path, m, 20, 298, config=config)
@@ -669,7 +670,7 @@ class TestLoadedModel:
         monkeypatch.setattr(model_mod, "distinct_ids",
                             lambda *args: distinct.append(1) or distinct_of(*args))
         got = clone.text_path.features(ids).data
-        assert embedded == [ids[mask.argmax(axis=0)[one_row], one_row].tolist()] and not distinct
+        assert embedded == [[]] and not distinct
         expected = m.text_path.features(ids).data
         assert len(embedded) == 2 and distinct == [1]
         assert got.tobytes() == expected.tobytes()
@@ -783,6 +784,63 @@ def text_batch(rng, b, steps, vocab=40):
     lengths[0] = steps
     ids[np.arange(steps)[None, :] < (steps - lengths)[:, None]] = 0
     return ids
+
+
+class TestBatchInvariance:
+    """At one BLAS thread a row's text features do not depend on the other
+    rows of its batch."""
+
+    def test_features_equal_those_of_chunks_and_single_rows_bitwise(self, run_snippet):
+        # paper widths, a left-padded batch whose first two steps have one
+        # live row, with and without attention, for a writable model (the
+        # batch's distinct ids projected) and a loaded checkpoint (the
+        # whole table projected), at 1 and 2 row blocks; the same rows in
+        # chunks of 64 and scored alone give the batch's bits
+        snippet = textwrap.dedent("""
+            import json, os, tempfile
+            import numpy as np
+            from abusenet import layers
+            from abusenet.model import CheckpointMeta, ModelConfig, build_text_path, load_checkpoint, save_checkpoint
+
+            layers.blas_threads, layers.cpu_count = (lambda: 1), (lambda: 2)
+            split, row_blocks = [], layers.row_blocks
+            layers.row_blocks = lambda mask, units: split.append(len(row_blocks(mask, units)) - 1) or row_blocks(mask, units)
+            b, steps, vocab = 160, 24, 500
+            rng = np.random.default_rng(61)
+            ids = rng.integers(1, vocab, size=(b, steps))
+            lengths = rng.integers(1, steps - 1, size=b)
+            lengths[0] = steps
+            ids[np.arange(steps)[None, :] < (steps - lengths)[:, None]] = 0
+            live_rows = np.count_nonzero(ids, axis=0)
+            differ = {}
+            with tempfile.TemporaryDirectory() as tmp:
+                for attention in (False, True):
+                    config = ModelConfig(attention_threshold=steps - 1 if attention else steps)
+                    m = build_text_path(vocab, steps, ["a", "b"], config=config, rng=np.random.default_rng(62))
+                    assert (m.text_path.attention is not None) == attention
+                    path = os.path.join(tmp, "model.ckpt")
+                    save_checkpoint(path, m, CheckpointMeta(
+                        classes=m.classes, kind=m.kind, config=config, seq_len=steps,
+                        vocab_tokens=[f"t{i}" for i in range(vocab - 2)]))
+                    loaded = load_checkpoint(path)[0]
+                    for name, model in (("writable", m), ("loaded", loaded)):
+                        text = model.text_path
+                        for blocks, cells in ((1, 10 ** 12), (2, 1)):
+                            layers.MIN_BLOCK_CELLS = cells
+                            split.clear()
+                            whole = text.features(ids).data
+                            assert split == [blocks], split
+                            assert (name == "loaded") == (text.projected_table() is not None)
+                            chunks = np.concatenate([text.features(ids[i:i + 64]).data for i in range(0, b, 64)])
+                            alone = np.concatenate([text.features(ids[i:i + 1]).data for i in range(b)])
+                            differ[f"{attention} {name} {blocks}"] = [
+                                int((chunks != whole).any(axis=1).sum()), int((alone != whole).any(axis=1).sum())]
+            print(json.dumps({"one_row_steps": int((live_rows == 1).sum()), "differ": differ}))
+        """)
+        done = json.loads(run_snippet(snippet, blas_threads=1))
+        assert done["one_row_steps"] == 2
+        assert done["differ"] == {f"{attention} {name} {blocks}": [0, 0] for attention in (False, True)
+                                  for name in ("writable", "loaded") for blocks in (1, 2)}
 
 
 class TestWorkspace:
