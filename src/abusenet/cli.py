@@ -195,8 +195,10 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "model.ckpt"
+    environment = _environment(args)
     save_checkpoint(ckpt_path, model, checkpoint_meta(
-        model, model_cfg, artifacts, extra={"strategy": training.strategy, "seed": training.seed}))
+        model, model_cfg, artifacts,
+        extra={"strategy": training.strategy, "seed": training.seed, "environment": environment}))
 
     payload = {
         "command": "train",
@@ -214,7 +216,7 @@ def cmd_train(args) -> int:
             "trainable_excluding_embeddings": parameter_count(model, include_embeddings=False),
         },
         "checkpoint": str(ckpt_path),
-        "environment": _environment(args),
+        "environment": environment,
         "timing": {"cv_seconds": cv_seconds, "final_fit_seconds": fit_seconds},
     }
     _write_json(out_dir / "report.json", payload)

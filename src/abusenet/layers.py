@@ -3,9 +3,9 @@
 Layers own Parameters and record each forward call as one fused tape op
 (the GRU adds a second for its last-state readout). A layer instance is
 called from one thread at a time; at one OpenBLAS thread (``pin_blas``) a
-GRU call and a recorded GRU op's backward may run blocks of its rows, and
-an attention call runs of its score blocks, on threads of its own, all
-joined before it returns.
+GRU call, a recorded GRU op's backward and an attention call may run
+blocks of their rows on threads of their own, all joined before they
+return.
 Weight init is Glorot-uniform with zero biases, drawn from a caller-supplied
 numpy Generator so builds are reproducible.
 """
@@ -142,7 +142,7 @@ class GRULayer:
 
     def forward(self, x: Tensor, mask: np.ndarray | None = None, h0: Tensor | None = None,
                 train: bool = False, rng: np.random.Generator | None = None,
-                index: np.ndarray | None = None, projected: tuple | None = None,
+                index: np.ndarray | None = None, projected: np.ndarray | None = None,
                 keep_states: bool = True, out: np.ndarray | None = None):
         """Run the recurrence; returns (states [n live, units], last [b, units]).
 
@@ -166,11 +166,10 @@ class GRULayer:
         rows [m, d] that position (i, t) reads as ``x[index[i, t]]``. Only
         live positions are read, so padded ones may hold any index. Each
         row (in the dense form, each position's) is projected onto the gates
-        once. ``projected``, with ``index``, is ``(P, rows_of)``: ``P`` is
-        ``project`` of a table and ``rows_of`` [b, T] gives the table row
-        each live position reads. A call that records no tape then takes
-        every gate input from ``P`` and reads no row of ``x``, which may be
-        empty. A call that records ignores ``projected``.
+        once. ``projected``, with ``index``, is ``project`` of a table whose
+        rows ``index`` gives. A call that records no tape then takes every
+        gate input from it and reads no row of ``x``, which may be empty. A
+        call that records ignores ``projected`` and reads ``x`` by ``index``.
 
         A call may run blocks of its rows on threads of their own, in
         training as in inference, and so may a recorded call's backward;
@@ -233,7 +232,7 @@ class GRULayer:
         return states, op_output(last, (states, h), back_last)
 
     def _recurrence(self, x: Tensor, index: np.ndarray, mask: np.ndarray, h0: Tensor,
-                    drop: np.ndarray | None, projected: tuple | None, keep_states: bool,
+                    drop: np.ndarray | None, projected: np.ndarray | None, keep_states: bool,
                     out: np.ndarray | None) -> Tensor:
         """The whole recurrence as one tape op returning the packed states
         [n, units], or with ``keep_states`` off the last state [b, units].
@@ -285,20 +284,14 @@ class GRULayer:
         record = active_tape() is not None and any(t.requires_grad for t in inputs)
         if record and out is not None:
             raise ContractError("a gru call that records a tape keeps its states in a fresh array, not in out")
-        if projected is not None and not record:
-            P, p_of = projected  # p_of: the P row each position reads
-            p_of = np.asarray(p_of)
-            if p_of.shape != mask.shape:
-                raise ShapeError(f"gru projected rows {p_of.shape} do not match the mask {mask.shape}")
-        else:
-            P, p_of = None, index
+        P = None if record else projected
         # the batch's live positions in time-major order: step t's live rows
         # are live_b[start[t]:start[t + 1]], and src_p and pos give each
         # one's row of P (unprojected, of x) and its packed (batch-major)
         # state row
         live_t, live_b = np.nonzero(mask.T)
         start = np.searchsorted(live_t, np.arange(steps + 1)).tolist()
-        src_p = p_of[live_b, live_t]
+        src_p = index[live_b, live_t]
         pos = (np.cumsum(mask.reshape(-1)) - 1).reshape(b, steps)[live_b, live_t]
         n = live_b.size
         if P is None:
@@ -562,8 +555,8 @@ def recurrence_blocks(rows: int, units: int) -> int:
 def thread_count(most: int) -> int:
     """How many threads a phase that could use ``most`` runs on: ``most``
     up to ``block_cap``, but one unless OpenBLAS reports one thread now.
-    The GRU's row blocks, attention's score blocks and Adam's blocks of a
-    large parameter all split by it."""
+    The GRU's and attention's row blocks and Adam's blocks of a large
+    parameter all split by it."""
     if most < 2 or blas_threads() != 1:
         return 1
     return max(1, min(most, block_cap()))
@@ -571,9 +564,9 @@ def thread_count(most: int) -> int:
 
 def row_blocks(mask: np.ndarray, units: int) -> list[int]:
     """Bounds [0, ..., b] of the contiguous row blocks a GRU
-    recurrence over a [b, T] mask runs as, with about equal live (mask
-    True) position counts; [0, b] is one block, as is a batch without a
-    live position."""
+    recurrence over a [b, T] mask, and attention over its states, run as,
+    with about equal live (mask True) position counts; [0, b] is one
+    block, as is a batch without a live position."""
     b = mask.shape[0]
     k = recurrence_blocks(b, units)
     if k == 1:
@@ -646,13 +639,13 @@ class AttentionLayer:
     caller that never runs ``pin_blas``, the threads split each gemm's rows,
     so a row's bits may depend on its batch there.
 
-    At one BLAS thread a forward may score contiguous runs of its blocks on
-    threads of its own (``thread_count`` of ``recurrence_blocks`` of its
-    batch, at most one per block), all joined before it returns. The bits
-    do not depend on the thread count: every row is scored by the same
-    calls as on one thread, and each thread writes only its own rows of
-    the scores (taped, of the score input too). The softmax, the per-row
-    context products and the backward run on the calling thread.
+    A forward runs in the row blocks of the GRU call that made its states
+    (``row_blocks``), each on its own thread, all joined before it returns.
+    A block's live positions are one contiguous run of the packed states:
+    it scores them, checks the scores, normalizes them and computes its
+    rows' contexts, and writes only its own rows. Every op is row-wise, so
+    the bits do not depend on the block count. The backward runs on the
+    calling thread. The layer keeps nothing but its parameters.
     """
 
     def __init__(self, units: int, rng: np.random.Generator | None = None,
@@ -661,7 +654,6 @@ class AttentionLayer:
         self.units = units
         self.W_a = Parameter(f"{name}.W_a", glorot_uniform(rng, units, units, dtype=dtype))
         self.v_a = Parameter(f"{name}.v_a", glorot_uniform(rng, units, 1, shape=(units, 1), dtype=dtype))
-        self._blocks: dict[tuple, np.ndarray] = {}  # (dtype, thread) -> [SCORE_BLOCK, units] untaped score input
 
     def parameters(self) -> list[Parameter]:
         return [self.W_a, self.v_a]
@@ -678,9 +670,8 @@ class AttentionLayer:
         The score input tanh(h_t W) has one [units] row per live position.
         A call that records a tape keeps all n rows, which backward reads;
         any other call reduces one block of them at a time to its scores,
-        in a block buffer per dtype and per thread that the layer keeps for
-        the next call.
-        Context and weights are always fresh arrays.
+        through scratch of at most [SCORE_BLOCK, units] per row block, made
+        for the call. Context and weights are always fresh arrays.
         """
         mask = np.asarray(mask, dtype=bool)
         if states.data.ndim != 2 or mask.ndim != 2:
@@ -699,49 +690,44 @@ class AttentionLayer:
         ends = np.cumsum(counts)
         starts = ends - counts
         live = states.data
-        # where a thread's run of score blocks may start
-        firsts = range(0, max(n, 1), SCORE_BLOCK)
-        k = min(recurrence_blocks(b, u), len(firsts))
-        cuts = [firsts[len(firsts) * i // k] for i in range(k)] + [n]
         a = np.empty((n, u), dtype=states.dtype) if taped else None
-        e = np.empty(n, dtype=states.dtype)
+        w = np.empty(n, dtype=states.dtype)  # the scores, then in place the weights
+        context = np.zeros((b, u), dtype=states.dtype)
 
-        def score(r0: int, r1: int, buf: np.ndarray | None) -> None:
-            """Scores rows r0:r1, a run of whole blocks, into their rows of
-            ``e``: through ``buf``, a [SCORE_BLOCK, u] buffer, or, taped,
-            through their rows of ``a``."""
+        def attend(k0: int, k1: int) -> None:
+            """Rows rows[k0:k1], whose live positions are the run p0:p1:
+            their scores, weights and contexts."""
+            if k0 == k1:
+                return
+            p0, p1 = int(starts[k0]), int(ends[k1 - 1])
+            e, at, count = w[p0:p1], starts[k0:k1] - p0, counts[k0:k1]
+            buf = None if taped else np.empty((min(SCORE_BLOCK, p1 - p0), u), dtype=states.dtype)
             with np.errstate(invalid="ignore", over="ignore"):  # numpy's error state is per thread
-                for lo in range(r0, r1, SCORE_BLOCK):
-                    hi = min(lo + SCORE_BLOCK, r1)
-                    block = a[lo:hi] if buf is None else buf[:hi - lo]
+                for lo in range(p0, p1, SCORE_BLOCK):
+                    hi = min(lo + SCORE_BLOCK, p1)
+                    block = a[lo:hi] if taped else buf[:hi - lo]
                     _gemm_rows(live[lo:hi], W.data, out=block)
                     np.tanh(block, out=block)
-                    np.einsum("nu,u->n", block, v.data[:, 0], out=e[lo:hi])
+                    np.einsum("nu,u->n", block, v.data[:, 0], out=w[lo:hi])
+                # a non-finite live state is reported once, as a NumericError:
+                # tanh can saturate it into finite scores, but every live
+                # state reaches its row's context with a nonnegative weight
+                if not np.isfinite(e).all():
+                    raise NumericError("attention scores contain NaN or Inf")
+                e -= np.repeat(np.maximum.reduceat(e, at), count)
+                np.exp(e, out=e)
+                e /= np.repeat(np.add.reduceat(e, at), count)
+                # a product per row: np.add.reduceat over the rows of w * live
+                # is many times slower
+                for i, lo, hi in zip(rows[k0:k1].tolist(), starts[k0:k1].tolist(), ends[k0:k1].tolist()):
+                    context[i] = w[lo:hi] @ live[lo:hi]
+                if not np.isfinite(context[rows[k0:k1]]).all():
+                    raise NumericError("attention context contains NaN or Inf: a live GRU state is not finite")
 
-        bufs = [None] * k
-        if not taped:
-            for i in range(k):
-                if (states.dtype, i) not in self._blocks:
-                    self._blocks[states.dtype, i] = np.empty((SCORE_BLOCK, u), dtype=states.dtype)
-                bufs[i] = self._blocks[states.dtype, i]
-        with _threads(k - 1) as pool:
-            _on_threads(pool, [partial(score, r0, r1, buf) for r0, r1, buf in zip(cuts, cuts[1:], bufs)])
-        # a non-finite live state is reported once, as a NumericError: tanh
-        # can saturate it into finite scores, but every live state reaches
-        # its row's context with a nonnegative weight
-        with np.errstate(invalid="ignore", over="ignore"):
-            if not np.isfinite(e).all():
-                raise NumericError("attention scores contain NaN or Inf")
-            e -= np.repeat(np.maximum.reduceat(e, starts), counts)
-            w = np.exp(e)
-            w /= np.repeat(np.add.reduceat(w, starts), counts)
-            context = np.zeros((b, u), dtype=states.dtype)
-            # a product per row: np.add.reduceat over the rows of w * live is
-            # many times slower
-            for i, lo, hi in zip(rows.tolist(), starts.tolist(), ends.tolist()):
-                context[i] = w[lo:hi] @ live[lo:hi]
-        if not np.isfinite(context).all():
-            raise NumericError("attention context contains NaN or Inf: a live GRU state is not finite")
+        # row block j holds rows[edges[j]:edges[j + 1]]
+        edges = np.searchsorted(rows, row_blocks(mask, u)).tolist()
+        with _threads(len(edges) - 2) as pool:
+            _on_threads(pool, [partial(attend, k0, k1) for k0, k1 in zip(edges, edges[1:])])
         weights = np.zeros((b, steps), dtype=states.dtype)
         weights[mask] = w
 

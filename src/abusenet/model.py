@@ -130,9 +130,8 @@ class TextPath:
         states_out = None
         if untaped and self.attention is not None:
             states_out = self._workspace_states(mask)
-        states, last = self.gru.forward(self.embedding.forward(ids), mask=mask,
-                                        index=index, train=train and not self.frozen, rng=rng,
-                                        projected=None if P is None else (P, token_ids),
+        states, last = self.gru.forward(self.embedding.forward(ids), mask=mask, index=index,
+                                        train=train and not self.frozen, rng=rng, projected=P,
                                         keep_states=self.attention is not None, out=states_out)
         if self.attention is not None:
             context, _ = self.attention.forward(states, mask)

@@ -117,6 +117,13 @@ class TestTrainCommand:
             "numpy": np.__version__, "blas": lib and Path(lib[0]).name, "blas_threads": lib and 1,
             "cpus": cpus, "block_cap": max(1, cpus // min(workers, 2))}
 
+    def test_checkpoint_header_records_the_reports_environment(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run(train_args(synth_dir, out)) == 0
+        environment = json.loads((out / "report.json").read_text())["environment"]
+        _, meta = load_checkpoint(out / "model.ckpt")
+        assert meta.extra == {"strategy": "naive", "seed": 0, "environment": environment}
+
     def test_train_without_openblas_or_cpu_affinity(self, synth_dir, tmp_path, run_snippet):
         # without /proc no OpenBLAS is found, and only Linux has
         # os.sched_getaffinity: nothing splits, the pin leaves OpenBLAS at

@@ -566,8 +566,8 @@ class TestGRU:
             table = np.random.default_rng(73).normal(size=(20, 64)).astype(dtype)
             ids = np.random.default_rng(74).choice(np.arange(1, 20), size=9, replace=False)
             table[ids] = rows
-            states, last = gru.forward(Tensor(table[:0]), index=index,
-                                       projected=(gru.project(table), ids[index]), **kwargs)
+            states, last = gru.forward(Tensor(table[:0]), index=ids[index], projected=gru.project(table),
+                                       **kwargs)
         drop = (np.random.default_rng(5).random((b, 16)) < 0.5).astype(dtype) / dtype(0.5)
         every = per_step_states(gru, dense, mask, h0, drop)
         assert states.dtype == dtype and states.shape == (int(mask.sum()), 16)
@@ -617,9 +617,7 @@ class TestGRU:
         # a projected table's rows are checked as the input's are
         P = gru.project(np.zeros((3, 3)))
         with pytest.raises(IndexError, match="projected table"):
-            gru.forward(rows, mask=mask, index=np.array([[0, 0]]), projected=(P, np.array([[3, 0]])))
-        with pytest.raises(ShapeError, match="projected rows"):
-            gru.forward(rows, mask=mask, index=np.array([[0, 0]]), projected=(P, np.array([2, 0])))
+            gru.forward(Tensor(np.zeros((0, 3))), mask=mask, index=np.array([[3, 0]]), projected=P)
 
     @pytest.mark.parametrize("form", ["dense", "index", "projected"])
     @pytest.mark.parametrize("train", [True, False], ids=["dropout", "inference"])
@@ -636,20 +634,20 @@ class TestGRU:
         rng = np.random.default_rng(42)
         h0 = rng.normal(size=(b, u)).astype(np.float32)
         coef = Tensor(rng.normal(size=(b, u)).astype(np.float32))
-        projected = None
-        if form == "projected":  # the rows are the rows `ids` of a larger table
+        projected, x_rows, x_index = None, dense if form == "dense" else rows, None if form == "dense" else index
+        if form == "projected":  # the rows are the rows `ids` of a larger table, and x holds none
             table = rng.normal(size=(20, d)).astype(np.float32)
             ids = rng.choice(20, size=9, replace=False)
             table[ids] = rows
-            projected = (gru.project(table), ids[index])
+            projected, x_rows, x_index = gru.project(table), table[:0], ids[index]
         results = []
         for keep_states in (True, False):
-            x = Tensor((dense if form == "dense" else rows).copy(), requires_grad=True)
+            x = Tensor(x_rows.copy(), requires_grad=True)
             h = Tensor(h0.copy(), requires_grad=True)
             for param in gru.parameters():
                 param.zero_grad()
             kwargs = dict(mask=mask, h0=h, train=train, rng=np.random.default_rng(5),
-                          index=None if form == "dense" else index, keep_states=keep_states)
+                          index=x_index, keep_states=keep_states)
             if projected is not None:
                 states, last = gru.forward(x, projected=projected, **kwargs)
                 results.append([last.data])
@@ -737,7 +735,7 @@ class TestGRUBlocks:
         h0 = Tensor(np.random.default_rng(73).normal(size=(b, u)).astype(dtype))
         kwargs = dict(mask=mask, h0=h0, index=index, keep_states=keep_states)
         if form == "projected":  # the gate inputs by table row; x holds no row
-            kwargs["projected"] = (gru.project(rows), index)
+            kwargs["projected"] = gru.project(rows)
             rows = rows[:0]
         results = {}
         for k in (1, 2, 3, 4):
@@ -867,7 +865,7 @@ class TestGRUBlocks:
         index[b - 1, 5] = 10  # a live position of the last block
         kwargs = dict(mask=mask, index=index)
         if form == "projected":
-            kwargs["projected"] = (gru.project(rows), index)
+            kwargs["projected"] = gru.project(rows)
         errors = []
         for k in (1, 3):
             blocks(k, b, u)
@@ -897,7 +895,7 @@ class TestGRUBlocks:
         coef_last = Tensor(rng.normal(size=(b, u)).astype(np.float32))
         kwargs = dict(mask=mask, index=index, keep_states=keep_states)
         if form == "projected":  # a recorded call ignores projected and reads x by index
-            kwargs["projected"] = (gru.project(rows), index)
+            kwargs["projected"] = gru.project(rows)
             if not recorded:
                 rows = rows[:0]
         results = {}
@@ -1009,7 +1007,8 @@ class TestRecurrenceBlocks:
     def test_split_at_paper_width_in_a_fresh_process(self, run_snippet, variable, setup):
         # a 512-row, 128-unit attention batch splits on 2 or more CPUs
         # wherever OpenBLAS reports one thread, and keeps its probabilities;
-        # at 2 threads, or at the default of one per CPU, it does not split
+        # at 2 threads, or at the default of one per CPU, it does not split.
+        # The GRU and attention each ask row_blocks once per forward
         snippet = textwrap.dedent(f"""
             import json, os
             for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -1039,7 +1038,8 @@ class TestRecurrenceBlocks:
         done = json.loads(run_snippet(snippet))
         cpus, threads = done["cpus"], done["threads"]
         assert done["equal"]
-        assert done["blocks"] == [min(2, cpus) if threads == 1 else 1, 1]
+        split = min(2, cpus) if threads == 1 else 1
+        assert done["blocks"] == [split, split, 1, 1]
         if setup or variable == "1":
             assert threads == 1
         elif cpus >= 2:  # OpenBLAS runs no more threads than CPUs
@@ -1099,7 +1099,7 @@ class TestRecurrenceBlocks:
     def test_recorded_attention_step_splits_at_paper_width_in_a_fresh_process(self, run_snippet):
         # one interleaved view-B step of a paper-width fused model at T 106,
         # so that attention is on and taped: the GRU's forward, attention's
-        # score blocks, the GRU's backward and Adam's update of the
+        # row blocks, the GRU's backward and Adam's update of the
         # embedding table (4 whole blocks) run on threads at one BLAS
         # thread on 2 or more CPUs, and leave the parameters of the step
         # with MIN_BLOCK_CELLS = 10**12, where only Adam splits, and of the
@@ -1514,9 +1514,9 @@ class TestAttention:
         assert states.grad.shape == (int(mask.sum()), 3)  # one row per live position, padded ones have none
 
     def test_consecutive_untaped_forwards_give_a_fresh_layers_bits(self):
-        # the layer keeps its score block from call to call, over batches
-        # of fewer and of more rows than one block; nothing it returns
-        # lives there
+        # over batches of fewer and of more rows than one score block; the
+        # layer keeps nothing but its parameters from call to call, and
+        # no two returned arrays share memory
         rng = np.random.default_rng(21)
         masks = [mask_of(rows) for rows in ATTENTION_MASKS.values()]
         masks.insert(1, rng.random((5, SCORE_BLOCK // 2)) < 0.9)
@@ -1528,10 +1528,9 @@ class TestAttention:
             fresh = AttentionLayer(3, rng=np.random.default_rng(22)).forward(states, mask)
             assert [a.tobytes() for a in got] == [t.data.tobytes() for t in fresh]
             returned += got
-        blocks = list(att._blocks.values())
-        assert len(blocks) == 1
+            assert vars(att).keys() == {"units", "W_a", "v_a"}
         for i, a in enumerate(returned):
-            assert not any(np.shares_memory(a, b) for b in blocks + returned[:i] + returned[i + 1:])
+            assert not any(np.shares_memory(a, b) for b in returned[:i] + returned[i + 1:])
 
     # live positions below one score block, two whole blocks, and three
     # blocks with a one-row tail block
@@ -1541,15 +1540,14 @@ class TestAttention:
     @staticmethod
     def split_batch(n, dtype=np.float32):
         """A [40, T] mask with n live positions, left-padded, row 7 all
-        padded; packed [n, 16] states; and the most threads its score
-        blocks run on: one per block."""
+        padded, and packed [n, 16] states."""
         counts = np.full(39, n // 39)
         counts[:n % 39] += 1
         counts = np.insert(counts, 7, 0)
         steps = int(counts.max())
         mask = np.arange(steps)[None, :] >= (steps - counts)[:, None]
         live = np.random.default_rng(n).normal(size=(n, 16)).astype(dtype)
-        return mask, live, -(-n // SCORE_BLOCK)
+        return mask, live
 
     @staticmethod
     def pin_one_blas_thread(openblas):
@@ -1561,22 +1559,20 @@ class TestAttention:
     @pytest.mark.parametrize("n", SPLIT_SIZES.values(), ids=SPLIT_SIZES.keys())
     def test_untaped_score_blocks_on_threads_give_the_one_thread_bits(self, blocks, pools, openblas, n, dtype):
         self.pin_one_blas_thread(openblas)
-        mask, live, most = self.split_batch(n, dtype)
+        mask, live = self.split_batch(n, dtype)
         results = {}
         for k in (1, 2, 3, 4):
             blocks(k, len(mask), 16)
+            assert len(layers.row_blocks(mask, 16)) == k + 1
             pools.clear()
             att = AttentionLayer(16, rng=np.random.default_rng(40), dtype=dtype)
             before = threading.active_count()
             first = [t.data.tobytes() for t in att.forward(Tensor(live), mask)]
             assert threading.active_count() == before
-            kept = dict(att._blocks)
             second = [t.data.tobytes() for t in att.forward(Tensor(live), mask)]
             assert threading.active_count() == before
-            threads = min(k, most)
-            assert pools == ([threads - 1] * 2 if threads > 1 else [])
-            assert sorted(kept) == [(np.dtype(dtype), i) for i in range(threads)]
-            assert all(att._blocks[key] is kept[key] for key in kept) and len(att._blocks) == threads
+            assert pools == ([k - 1] * 2 if k > 1 else [])  # the GRU's row blocks, whatever the score blocks
+            assert vars(att).keys() == {"units", "W_a", "v_a"}
             assert second == first
             results[k] = first
         assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
@@ -1584,7 +1580,7 @@ class TestAttention:
     @pytest.mark.parametrize("n", SPLIT_SIZES.values(), ids=SPLIT_SIZES.keys())
     def test_taped_score_blocks_on_threads_give_the_one_thread_gradients(self, blocks, pools, openblas, n):
         self.pin_one_blas_thread(openblas)
-        mask, live, most = self.split_batch(n)
+        mask, live = self.split_batch(n)
         coef = Tensor(np.random.default_rng(41).normal(size=(len(mask), 16)).astype(np.float32))
         results = {}
         for k in (1, 2, 3, 4):
@@ -1598,9 +1594,7 @@ class TestAttention:
                 loss = T.sum_all(T.mul(out, coef))
             assert threading.active_count() == before
             tape.backward(loss)
-            threads = min(k, most)
-            assert pools == ([threads - 1] if threads > 1 else [])  # the backward runs on the calling thread
-            assert not att._blocks
+            assert pools == ([k - 1] if k > 1 else [])  # the backward runs on the calling thread
             results[k] = [a.tobytes() for a in (out.data, weights.data, states.grad, att.W_a.grad, att.v_a.grad)]
         assert results[2] == results[1] and results[3] == results[1] and results[4] == results[1]
 
@@ -1609,7 +1603,7 @@ class TestAttention:
         # lost or misplaced score or score-input row would change the
         # context or the gradients
         self.pin_one_blas_thread(openblas)
-        mask, live, _ = self.split_batch(3 * SCORE_BLOCK + 1)
+        mask, live = self.split_batch(3 * SCORE_BLOCK + 1)
         coef = Tensor(np.random.default_rng(43).normal(size=(len(mask), 16)).astype(np.float32))
 
         def taped():
@@ -1631,6 +1625,33 @@ class TestAttention:
                 assert taped() == want
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_in_any_block_raises_one_numeric_error(self, blocks, openblas, bad, taped):
+        # each block checks its own scores and contexts on its own thread:
+        # a NaN shows in the scores, an Inf only in the context (tanh
+        # saturates it); wherever it lies, the call raises the one error
+        # of the unsplit call, and every thread it started has ended
+        self.pin_one_blas_thread(openblas)
+        mask, live = self.split_batch(2 * SCORE_BLOCK)
+        ends = np.cumsum(np.count_nonzero(mask, axis=1))
+        errors = set()
+        for k in (1, 2, 3, 4):
+            blocks(k, len(mask), 16)
+            bounds = layers.row_blocks(mask, 16)
+            assert len(bounds) == k + 1
+            for r1 in bounds[1:]:
+                states = live.copy()
+                states[ends[r1 - 1] - 1, 3] = bad  # the block's last live position
+                att = AttentionLayer(16, rng=np.random.default_rng(45))
+                before = threading.active_count()
+                with pytest.raises(NumericError) as raised, Tape() if taped else nullcontext():
+                    att.forward(Tensor(states, requires_grad=taped), mask)
+                assert threading.active_count() == before
+                errors.add(str(raised.value))
+        assert len(errors) == 1
+        assert ("scores" if np.isnan(bad) else "context") in errors.pop()
 
 
 class TestDense:

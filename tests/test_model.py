@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from abusenet import model as model_mod
-from abusenet.layers import SCORE_BLOCK, DenseLayer, EmbeddingLayer, GRULayer
+from abusenet.layers import DenseLayer, EmbeddingLayer, GRULayer
 from abusenet.model import (
     CheckpointMeta,
     ModelConfig,
@@ -829,7 +829,7 @@ class TestBatchInvariance:
                             layers.MIN_BLOCK_CELLS = cells
                             split.clear()
                             whole = text.features(ids).data
-                            assert split == [blocks], split
+                            assert split == [blocks] * (1 + attention), split  # the GRU's, and attention's
                             assert (name == "loaded") == (text.projected_table() is not None)
                             chunks = np.concatenate([text.features(ids[i:i + 64]).data for i in range(0, b, 64)])
                             alone = np.concatenate([text.features(ids[i:i + 1]).data for i in range(b)])
@@ -844,8 +844,9 @@ class TestBatchInvariance:
 
 
 class TestWorkspace:
-    """An attention text path scores through buffers it owns; nothing it
-    returns lives there, and a taped forward does not use them."""
+    """An attention text path scores through a buffer per dtype that it
+    owns; nothing it returns lives there, and a taped forward does not use
+    it."""
 
     def test_batches_of_any_shape_score_as_on_a_fresh_load_bitwise(self, tmp_path):
         path, loaded = saved_and_loaded(tmp_path, attention_model(41), 12, 38, config=ATTENTION)
@@ -867,8 +868,8 @@ class TestWorkspace:
             returned = [tp.features(ids).data, loaded.forward(ids, None).data]
             states, last = tp.gru.forward(tp.embedding.forward(ids), mask=mask)
             returned += [states.data, last.data, *(t.data for t in tp.attention.forward(states, mask))]
-            work = list(tp._workspace.values()) + list(tp.attention._blocks.values())
-            assert len(work) == 2
+            work = list(tp._workspace.values())
+            assert len(work) == 1 and vars(tp.attention).keys() == {"units", "W_a", "v_a"}
             for a in returned:
                 assert not any(np.shares_memory(a, b) for b in work + previous)
             previous += returned
@@ -883,14 +884,12 @@ class TestWorkspace:
                 assert probs.dtype == dt
                 assert probs.tobytes() == attention_model(46, dtype=dt).forward(ids, None).data.tobytes()
         # one buffer per dtype, holding the largest batch's packed states;
-        # attention keeps one score block per dtype and thread of its own,
-        # and these batches score on one thread
+        # attention keeps no buffer of its own
         n = max(int(np.count_nonzero(ids)) for ids in batches)
         for dt, m in models.items():
             (key, buf), = m.text_path._workspace.items()
             assert key == np.dtype(dt) and buf.dtype == dt and buf.size == n * ATTENTION.units
-            (key, block), = m.text_path.attention._blocks.items()
-            assert key == (np.dtype(dt), 0) and block.dtype == dt and block.shape == (SCORE_BLOCK, ATTENTION.units)
+            assert vars(m.text_path.attention).keys() == {"units", "W_a", "v_a"}
         work32, work64 = (list(m.text_path._workspace.values()) for m in models.values())
         assert not any(np.shares_memory(a, b) for a in work32 for b in work64)
 
@@ -915,7 +914,7 @@ class TestWorkspace:
 
         fresh = attention_model(49)
         expected = train_step(fresh)
-        assert fresh.text_path._workspace == {} and fresh.text_path.attention._blocks == {}
+        assert fresh.text_path._workspace == {}
 
         m = attention_model(49)
         m.forward(text_batch(rng, 20, 14), None)  # a larger batch fills the workspace first
